@@ -4,9 +4,9 @@ For a fixed input x, the ReLU on/off decisions form an
 :class:`ActivationPattern`; freezing the pattern turns the network into
 a linear map that factors as B_tilde(x) B(x)' through the input-dependent
 frame pair built by :func:`linear_rep`.  On top of that sit a sampling
-census of activation patterns with the expressiveness bound, local
-Lipschitz constants via seeded power iteration, and the analytic Jacobian
-with its finite-difference cross-check.
+census of activation patterns with the expressiveness bound, exact local
+Lipschitz constants (the spectral norm of each region map), and the
+analytic Jacobian with its finite-difference cross-check.
 
 Census sampling draws each input from its own sub-seeded stream, so the
 result is independent of any parallel execution order; regions are merged
@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from .netbuild import NetworkSpec, forward_matrices
-from .seeding import derive, rng
+from .seeding import rng
 
 __all__ = [
     "KinkMarginError",
@@ -204,35 +204,9 @@ def pattern_bits(spec: NetworkSpec) -> int:
     return bits
 
 
-def spectral_norm(M, iters: int = 200, tol: float = 1e-12, seed: int = 0) -> float:
-    """Largest singular value by power iteration on M'M.
-
-    Deterministic: seeded start vector, fixed iteration cap, Rayleigh
-    stopping tolerance.
-    """
-    M = np.asarray(M, dtype=float)
-    A = M.T @ M
-    n = A.shape[0]
-    v = rng(seed, "specnorm", n).standard_normal(n)
-    nv = np.linalg.norm(v)
-    if nv == 0:
-        v = np.zeros(n)
-        v[0] = 1.0
-    else:
-        v = v / nv
-    lam_prev = None
-    lam = 0.0
-    for _ in range(iters):
-        w = A @ v
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        lam = float(v @ (A @ v))
-        if lam_prev is not None and abs(lam - lam_prev) <= tol * max(1.0, lam):
-            break
-        lam_prev = lam
-    return float(np.sqrt(max(lam, 0.0)))
+def spectral_norm(M) -> float:
+    """Largest singular value of M, exact to LAPACK precision (an SVD)."""
+    return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
 
 
 @dataclass(frozen=True)
@@ -250,11 +224,19 @@ class CensusConfig:
 
 @dataclass
 class RegionInfo:
+    """One sampled region: its constant and its inputs in sample order."""
+
     pattern_hex: str
-    count: int
     lipschitz: float
-    representative: np.ndarray
-    first_index: int
+    inputs: list
+
+    @property
+    def count(self) -> int:
+        return len(self.inputs)
+
+    @property
+    def representative(self) -> np.ndarray:
+        return self.inputs[0]
 
 
 @dataclass
@@ -270,10 +252,16 @@ class RegionCensus:
     def distinct(self) -> int:
         return len(self.regions)
 
+    @property
+    def singletons(self) -> int:
+        """Regions seen once; equal to ``distinct`` when the census is saturated."""
+        return sum(reg.count == 1 for reg in self.regions)
+
     def to_dict(self, include_representatives: bool = True) -> dict:
         out = {
             "samples": self.samples,
             "distinct": self.distinct,
+            "singletons": self.singletons,
             "nrep": self.nrep,
             "pattern_bits": self.pattern_bits,
             "regions": [],
@@ -308,26 +296,20 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
 
     Every sample has its own derived RNG stream and regions are keyed by
     the packed mask bits, so the census is reproducible and independent
-    of evaluation order.  Each region's constant is the spectral norm of
-    its linear map, evaluated at the first representative seen.
+    of evaluation order.  Each region keeps its inputs in sample order;
+    its constant is the exact spectral norm of its linear map.
     """
     found: dict = {}
     for i in range(config.count):
         x = _sample_input(spec, config, i)
         pattern = extract_pattern(spec, mats, x)
-        hit = found.get(pattern.key)
-        if hit is None:
-            found[pattern.key] = [pattern, x, 1, i]
-        else:
-            hit[2] += 1
+        found.setdefault(pattern.key, (pattern, []))[1].append(x)
     regions = []
     for key in sorted(found):
-        pattern, x_rep, count, first = found[key]
+        pattern, inputs = found[key]
         rep = linear_rep(spec, mats, pattern=pattern)
-        khex = key.hex()
-        kp = spectral_norm(rep.matrix(), seed=derive(config.seed, "power", khex))
-        regions.append(RegionInfo(pattern_hex=khex, count=count, lipschitz=kp,
-                                  representative=x_rep, first_index=first))
+        regions.append(RegionInfo(pattern_hex=key.hex(),
+                                  lipschitz=spectral_norm(rep.matrix()), inputs=inputs))
     return RegionCensus(samples=config.count, nrep=nrep_bound(spec),
                         pattern_bits=pattern_bits(spec), regions=regions)
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -129,6 +130,14 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
     )
 
 
+def _count(params: dict, name: str, key: str, default: int) -> int:
+    """A positive integer parameter; zero or less would make a check vacuous."""
+    value = int(params.get(key, default))
+    if value < 1:
+        raise ConfigError(f"config field '{name}.{key}' must be >= 1, got {value}")
+    return value
+
+
 def _tolerances(cfg: dict) -> dict:
     tols = dict(DEFAULT_TOLERANCES)
     for key, value in (_field(cfg, "tolerances") or {}).items():
@@ -167,7 +176,7 @@ def run_frames(spec, bank, params, tolerances) -> dict:
 
 
 def run_reconstruct(spec, bank, params, tolerances, seed) -> dict:
-    count = int(params.get("count", 100))
+    count = _count(params, "reconstruct", "count", 100)
     no_relu = bool(params.get("no_relu", False))
     eval_spec = dataclasses.replace(spec, nonlinearity="none") if no_relu else spec
     mats = netbuild.realize(eval_spec, bank)
@@ -187,7 +196,7 @@ def run_reconstruct(spec, bank, params, tolerances, seed) -> dict:
 
 
 def run_identity(spec, bank, params, tolerances, seed) -> dict:
-    count = int(params.get("count", 100))
+    count = _count(params, "identity", "count", 100)
     mats = netbuild.realize(spec, bank)
     gen = rng(seed, "identity")
     worst = 0.0
@@ -205,18 +214,7 @@ def run_identity(spec, bank, params, tolerances, seed) -> dict:
     }
 
 
-def _census(spec, mats, cfg: dict, seed) -> analysis.RegionCensus:
-    census_cfg = analysis.CensusConfig(
-        count=int(cfg.get("count", 1000)),
-        distribution=cfg.get("distribution", "gaussian"),
-        seed=derive(seed, "census"),
-    )
-    return analysis.region_census(spec, mats, census_cfg)
-
-
-def run_regions(spec, bank, sampler, tolerances, seed, outdir) -> dict:
-    mats = netbuild.realize(spec, bank)
-    census = _census(spec, mats, sampler, seed)
+def run_regions(census, outdir) -> dict:
     block = census.to_dict(include_representatives=False)
     block["checks"] = [
         _check("census_within_bound", census.distinct <= census.nrep,
@@ -239,49 +237,22 @@ def run_regions(spec, bank, sampler, tolerances, seed, outdir) -> dict:
     return block
 
 
-def run_lipschitz(spec, bank, sampler, tolerances, seed) -> dict:
-    mats = netbuild.realize(spec, bank)
-    census = _census(spec, mats, sampler, seed)
-    global_k = analysis.lipschitz_global(census)
+def run_lipschitz(spec, mats, census, tolerances) -> dict:
     slack = tolerances["lipschitz_slack"]
-
-    # revisit the same sample stream and exercise the pair inequality
-    # within each region (the map is linear there, so no segment condition)
-    constants = {reg.pattern_hex: reg.lipschitz for reg in census.regions}
-    points: dict = {}
-    cfg = analysis.CensusConfig(
-        count=int(sampler.get("count", 1000)),
-        distribution=sampler.get("distribution", "gaussian"),
-        seed=derive(seed, "census"),
-    )
-    for i in range(cfg.count):
-        x = analysis._sample_input(spec, cfg, i)
-        key = analysis.extract_pattern(spec, mats, x).key.hex()
-        bucket = points.setdefault(key, [])
-        if len(bucket) < 4:
-            bucket.append(x)
-    pairs = 0
-    worst_violation = -np.inf
-    for key, bucket in sorted(points.items()):
-        kp = constants[key]
-        for a in range(len(bucket)):
-            for b in range(a + 1, len(bucket)):
-                x1, x2 = bucket[a], bucket[b]
-                lhs = np.linalg.norm(
-                    netbuild.forward_matrices(spec, mats, x1).y
-                    - netbuild.forward_matrices(spec, mats, x2).y
-                )
-                worst_violation = max(
-                    worst_violation, lhs - kp * np.linalg.norm(x1 - x2)
-                )
-                pairs += 1
-    if pairs == 0:
-        worst_violation = 0.0
+    # the pair inequality on the first four sampled inputs of each region
+    # (the map is linear there, so no segment condition)
+    violations = []
+    for reg in census.regions:
+        points = [(x, netbuild.forward_matrices(spec, mats, x).y) for x in reg.inputs[:4]]
+        for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
+            violations.append(np.linalg.norm(y1 - y2)
+                              - reg.lipschitz * np.linalg.norm(x1 - x2))
+    worst_violation = max(violations, default=0.0)
     return {
         "samples": census.samples,
         "distinct_regions": census.distinct,
-        "global_lower_bound": global_k,
-        "pairs_checked": pairs,
+        "global_lower_bound": analysis.lipschitz_global(census),
+        "pairs_checked": len(violations),
         "worst_pair_violation": worst_violation,
         "checks": [
             _check("pairwise_lipschitz", worst_violation <= slack,
@@ -291,7 +262,7 @@ def run_lipschitz(spec, bank, sampler, tolerances, seed) -> dict:
 
 
 def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
-    count = int(params.get("count", 50))
+    count = _count(params, "jacobian", "count", 50)
     margin = float(params.get("margin", 1e-4))
     step = float(params.get("step", 1e-6))
     mats = netbuild.realize(spec, bank)
@@ -375,8 +346,7 @@ def run_train(spec, bank, params, tolerances, seed, outdir) -> dict:
     )
     cfg = landscape.TrainConfig(
         step_size=float(params.get("step_size", 0.25)),
-        iterations=int(params.get("iterations", 200)),
-        seed=derive(seed, "train"),
+        iterations=_count(params, "train", "iterations", 200),
         checkpoint_every=int(params.get("checkpoint_every", 0)),
         stop_loss=float(params.get("stop_loss", 0.0)),
     )
@@ -435,6 +405,8 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
         raise ConfigError("config field 'seed' is required for the requested analyses")
     tolerances = _tolerances(cfg)
     enforce = _field(cfg, "enforce", default=[])
+    if not isinstance(enforce, list):
+        raise ConfigError("config field 'enforce' must be a list of analysis names")
     for name in enforce:
         if name not in ANALYSES:
             raise ConfigError(f"config field 'enforce': unknown analysis {name!r}")
@@ -442,6 +414,7 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
 
     results = {}
     timings = {}
+    census = None
     for name in names:
         params = _field(cfg, name, default={})
         start = time.perf_counter()
@@ -453,10 +426,19 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
             block = run_reconstruct(spec, bank, params, tolerances, seed)
         elif name == "identity":
             block = run_identity(spec, bank, params, tolerances, seed)
-        elif name == "regions":
-            block = run_regions(spec, bank, sampler, tolerances, seed, outdir)
-        elif name == "lipschitz":
-            block = run_lipschitz(spec, bank, sampler, tolerances, seed)
+        elif name in ("regions", "lipschitz"):
+            # one census per run, built (and timed) by the first of the two
+            if census is None:
+                mats = netbuild.realize(spec, bank)
+                census = analysis.region_census(spec, mats, analysis.CensusConfig(
+                    count=int(sampler.get("count", 1000)),
+                    distribution=sampler.get("distribution", "gaussian"),
+                    seed=derive(seed, "census"),
+                ))
+            if name == "regions":
+                block = run_regions(census, outdir)
+            else:
+                block = run_lipschitz(spec, mats, census, tolerances)
         elif name == "jacobian":
             block = run_jacobian(spec, bank, params, tolerances, seed)
         elif name == "landscape":

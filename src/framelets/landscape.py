@@ -292,7 +292,7 @@ class BoundCertificate:
         return out
 
 
-def _factor_sigmas(spec, mats, data, level_masks) -> tuple:
+def _factor_sigmas(level_masks) -> tuple:
     """Per-sample singular extremes of mask * dual-chain-prefix transposed."""
     mins, maxs = [], []
     for chain_prefix, mask in level_masks:
@@ -319,7 +319,7 @@ def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> B
         pattern = pattern_from_trace(spec, t)
         tus = _dual_chain(spec, mats, pattern)
         level.append((tus[l - 1], pattern.dec[l - 1]))
-    mins, maxs = _factor_sigmas(spec, mats, data, level)
+    mins, maxs = _factor_sigmas(level)
     cost = loss(spec, mats, data)
     g_min, g_max = _sigma_extremes(gamma)
     cert = BoundCertificate(
@@ -363,7 +363,7 @@ def certify_bounds_enc(spec: NetworkSpec, mats, data: TrainingSet) -> BoundCerti
         pattern = pattern_from_trace(spec, t)
         tus = _dual_chain(spec, mats, pattern)
         level.append((tus[kappa], pattern.enc[kappa - 1]))
-    mins, maxs = _factor_sigmas(spec, mats, data, level)
+    mins, maxs = _factor_sigmas(level)
     cost = loss(spec, mats, data)
     f_min, f_max = _sigma_extremes(xi_prev)
     k_min, k_max = _sigma_extremes(xi_kappa)
@@ -471,7 +471,6 @@ def check_stationarity(spec: NetworkSpec, mats, data: TrainingSet,
 class TrainConfig:
     step_size: float = 0.25
     iterations: int = 200
-    seed: int = 0
     armijo: bool = True
     armijo_shrink: float = 0.5
     armijo_slope: float = 1e-4

@@ -25,6 +25,7 @@ private traces.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,6 +59,11 @@ __all__ = [
 NONLINEARITIES = ("none", "relu", "relu_encoder")
 
 
+def _integral(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and float(value).is_integer())
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Architecture descriptor.
@@ -78,8 +84,11 @@ class NetworkSpec:
     nonlinearity: str = "relu"
 
     def __post_init__(self):
-        object.__setattr__(self, "q", tuple(int(v) for v in self.q))
-        object.__setattr__(self, "m", tuple(int(v) for v in self.m))
+        for name in ("q", "m"):
+            values = getattr(self, name)
+            if not all(_integral(v) for v in values):
+                raise ValueError(f"{name} must be a list of integers, got {values!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in values))
         if self.kappa < 1:
             raise ValueError(f"depth kappa={self.kappa} must be >= 1")
         if len(self.q) != self.kappa + 1 or len(self.m) != self.kappa + 1:

@@ -157,6 +157,16 @@ class TestSpectralNorm:
         assert analysis.spectral_norm(np.zeros((3, 3))) == 0.0
         assert abs(analysis.spectral_norm(np.eye(5)) - 1.0) <= 1e-12
 
+    def test_near_tie_of_top_singular_values(self):
+        # an iterative method converges at rate sigma_2 / sigma_1 here and
+        # stops short; the region constants need the exact value
+        g = np.random.default_rng(0)
+        U, _ = np.linalg.qr(g.standard_normal((6, 6)))
+        V, _ = np.linalg.qr(g.standard_normal((4, 4)))
+        M = U[:, :4] @ np.diag([1.0, 1.0 - 1e-3, 0.5, 0.1]) @ V.T
+        want = np.linalg.norm(M, 2)
+        assert abs(analysis.spectral_norm(M) - want) <= 1e-12 * want
+
 
 class TestRegionCensus:
     def test_linear_network_single_region(self):
@@ -201,6 +211,36 @@ class TestRegionCensus:
         assert [r.pattern_hex for r in c1.regions] == [r.pattern_hex for r in c2.regions]
         assert [r.count for r in c1.regions] == [r.count for r in c2.regions]
         assert [r.lipschitz for r in c1.regions] == [r.lipschitz for r in c2.regions]
+
+    def test_region_constants_are_exact_norms(self):
+        spec = make_spec(kappa=2, m=4, skip=True)
+        bank = netbuild.random_bank(spec, seed=6)
+        mats = netbuild.realize(spec, bank)
+        census = analysis.region_census(
+            spec, mats, analysis.CensusConfig(count=300, seed=3)
+        )
+        for reg in census.regions:
+            rep = analysis.linear_rep(spec, mats, reg.representative)
+            assert reg.lipschitz == np.linalg.norm(rep.matrix(), 2)
+
+    def test_regions_keep_inputs_in_sample_order(self):
+        spec = make_spec(kappa=1, m=4)
+        bank = netbuild.random_bank(spec, seed=8)
+        mats = netbuild.realize(spec, bank)
+        cfg = analysis.CensusConfig(count=200, seed=4)
+        census = analysis.region_census(spec, mats, cfg)
+        expected = {}
+        for i in range(cfg.count):
+            x = analysis._sample_input(spec, cfg, i)
+            key = analysis.extract_pattern(spec, mats, x).key.hex()
+            expected.setdefault(key, []).append(x)
+        for reg in census.regions:
+            assert len(reg.inputs) == reg.count
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(reg.inputs, expected[reg.pattern_hex]))
+        assert 0 < census.singletons < census.distinct
+        assert census.singletons == sum(len(xs) == 1 for xs in expected.values())
+        assert census.to_dict()["singletons"] == census.singletons
 
     def test_census_independent_of_evaluation_order(self):
         # per-sample streams derive from (seed, index), so evaluating the

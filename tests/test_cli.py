@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from framelets import cli, netbuild
+from framelets import analysis, cli, netbuild
 from conftest import make_spec
 
 
@@ -129,6 +129,37 @@ class TestRun:
                          "--out", str(tmp_path / "out")]) == 0
 
 
+class TestSharedCensus:
+    def config(self, analyses):
+        return base_config(
+            network={"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4],
+                     "skip": True, "nonlinearity": "relu"},
+            bank={"source": "random", "scale": 1.0},
+            analyses=analyses, enforce=analyses,
+            sampler={"count": 200, "distribution": "gaussian"},
+        )
+
+    def test_one_census_serves_regions_and_lipschitz(self, tmp_path, monkeypatch):
+        calls = []
+        census = analysis.region_census
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return census(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "region_census", counted)
+        both, failures = cli.execute(self.config(["regions", "lipschitz"]),
+                                     str(tmp_path))
+        assert failures == [] and len(calls) == 1
+        alone, _ = cli.execute(self.config(["lipschitz"]), None)
+        assert both["results"]["lipschitz"]["pairs_checked"] > 0
+        assert both["results"]["lipschitz"] == alone["results"]["lipschitz"]
+        regions = both["results"]["regions"]
+        assert 0 <= regions["singletons"] <= regions["distinct"]
+        saved = json.loads((tmp_path / "census.json").read_text())
+        assert saved["singletons"] == regions["singletons"]
+
+
 class TestConfigErrors:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -157,6 +188,34 @@ class TestConfigErrors:
         with pytest.raises(SystemExit) as err:
             cli.main(["reconstruct", "--frobnicate"])
         assert err.value.code == 1
+
+    @pytest.mark.parametrize("analysis_name, key", [
+        ("reconstruct", "count"), ("identity", "count"), ("jacobian", "count"),
+        ("train", "iterations"),
+    ])
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_nonpositive_count_exits_one(self, tmp_path, capsys, analysis_name,
+                                         key, value):
+        # a check over zero samples or zero iterations would pass vacuously
+        cfg = base_config(bank={"source": "random", "scale": 1.0},
+                          analyses=[analysis_name], enforce=[analysis_name])
+        cfg[analysis_name] = {key: value}
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert f"{analysis_name}.{key}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("q", "124"), ("m", [8, 8.5, 8]),
+                                              ("q", [1, "2", 4])])
+    def test_non_integer_dims_exit_one(self, tmp_path, capsys, field, value):
+        cfg = base_config()
+        cfg["network"][field] = value
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        assert "list of integers" in capsys.readouterr().err
+
+    def test_enforce_must_be_a_list(self, tmp_path, capsys):
+        cfg = base_config(enforce="regions")
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        assert "'enforce' must be a list" in capsys.readouterr().err
 
     def test_unknown_tolerance(self, tmp_path, capsys):
         cfg = base_config(tolerances={"bogus": 1.0})

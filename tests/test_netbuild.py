@@ -76,6 +76,17 @@ class TestNetworkSpec:
             netbuild.NetworkSpec(kappa=1, r=2, q=(1, 2), m=(4, 4),
                                  nonlinearity="tanh")
 
+    @pytest.mark.parametrize("q, m", [("12", (4, 4)), ((1, 2), "44"),
+                                      ((1, 2.5), (4, 4)), ((1, 2), (4, "4")),
+                                      ((1, True), (4, 4))])
+    def test_rejects_non_integer_dims(self, q, m):
+        with pytest.raises(ValueError, match="list of integers"):
+            netbuild.NetworkSpec(kappa=1, r=2, q=q, m=m)
+
+    def test_accepts_integral_floats(self):
+        spec = netbuild.NetworkSpec(kappa=1, r=2, q=[1.0, np.int64(2)], m=[4, 4])
+        assert spec.q == (1, 2)
+
 
 class TestBuildLayerMatrices:
     def test_identity_layer(self):
