@@ -132,10 +132,12 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
 
 def _count(params: dict, name: str, key: str, default: int) -> int:
     """A positive integer parameter; zero or less would make a check vacuous."""
-    value = int(params.get(key, default))
-    if value < 1:
-        raise ConfigError(f"config field '{name}.{key}' must be >= 1, got {value}")
-    return value
+    value = params.get(key, default)
+    if not netbuild._integral(value) or value < 1:
+        raise ConfigError(
+            f"config field '{name}.{key}' must be an integer >= 1, got {value!r}"
+        )
+    return int(value)
 
 
 def _tolerances(cfg: dict) -> dict:
@@ -151,6 +153,11 @@ def _tolerances(cfg: dict) -> dict:
 # analysis runners; each returns a JSON-ready block with a "checks" list
 
 
+def _worst(values: list) -> float:
+    """Largest value (0.0 for none), NaN if any is NaN; Python's max skips NaN."""
+    return float(np.max(values)) if values else 0.0
+
+
 def _check(name: str, passed: bool, **extra) -> dict:
     entry = {"name": name, "passed": bool(passed)}
     entry.update(extra)
@@ -162,8 +169,8 @@ def run_frames(spec, bank, params, tolerances) -> dict:
     mode = params.get("mode", "skip" if spec.skip else "no_skip")
     cfg = frames.FrameConfig(alpha=alpha, mode=mode, seed=0)
     residuals = frames.frame_residual(spec, bank, cfg)
-    worst = max(
-        value for entry in residuals for key, value in entry.items() if key != "layer"
+    worst = _worst(
+        [value for entry in residuals for key, value in entry.items() if key != "layer"]
     )
     tol = tolerances["frames"]
     return {
@@ -181,11 +188,12 @@ def run_reconstruct(spec, bank, params, tolerances, seed) -> dict:
     eval_spec = dataclasses.replace(spec, nonlinearity="none") if no_relu else spec
     mats = netbuild.realize(eval_spec, bank)
     gen = rng(seed, "reconstruct")
-    worst = 0.0
+    errors = []
     for _ in range(count):
         x = gen.standard_normal(spec.d[0])
         y = netbuild.forward_matrices(eval_spec, mats, x).y
-        worst = max(worst, np.linalg.norm(y - x) / np.linalg.norm(x))
+        errors.append(np.linalg.norm(y - x) / np.linalg.norm(x))
+    worst = _worst(errors)
     tol = tolerances["reconstruct"]
     return {
         "samples": count,
@@ -199,13 +207,13 @@ def run_identity(spec, bank, params, tolerances, seed) -> dict:
     count = _count(params, "identity", "count", 100)
     mats = netbuild.realize(spec, bank)
     gen = rng(seed, "identity")
-    worst = 0.0
+    errors = []
     for _ in range(count):
         x = gen.standard_normal(spec.d[0])
         y = netbuild.forward_matrices(spec, mats, x).y
         rep = analysis.linear_rep(spec, mats, x)
-        err = np.linalg.norm(rep.matrix() @ x - y) / max(np.linalg.norm(y), 1e-300)
-        worst = max(worst, err)
+        errors.append(np.linalg.norm(rep.matrix() @ x - y) / max(np.linalg.norm(y), 1e-300))
+    worst = _worst(errors)
     tol = tolerances["identity"]
     return {
         "samples": count,
@@ -247,7 +255,7 @@ def run_lipschitz(spec, mats, census, tolerances) -> dict:
         for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
             violations.append(np.linalg.norm(y1 - y2)
                               - reg.lipschitz * np.linalg.norm(x1 - x2))
-    worst_violation = max(violations, default=0.0)
+    worst_violation = _worst(violations)
     return {
         "samples": census.samples,
         "distinct_regions": census.distinct,
@@ -265,12 +273,13 @@ def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
     count = _count(params, "jacobian", "count", 50)
     margin = float(params.get("margin", 1e-4))
     step = float(params.get("step", 1e-6))
+    if not (np.isfinite(step) and step > 0.0):
+        raise ConfigError(f"config field 'jacobian.step' must be finite and > 0, got {step}")
     mats = netbuild.realize(spec, bank)
     gen = rng(seed, "jacobian")
-    worst = 0.0
-    done = 0
+    errors = []
     attempts = 0
-    while done < count and attempts < 100 * count:
+    while len(errors) < count and attempts < 100 * count:
         attempts += 1
         x = gen.standard_normal(spec.d[0])
         try:
@@ -278,17 +287,16 @@ def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
         except analysis.KinkMarginError:
             continue
         Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
-        denom = max(np.linalg.norm(Jfd), 1e-300)
-        worst = max(worst, np.linalg.norm(J - Jfd) / denom)
-        done += 1
-    if done < count:
+        errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
+    if len(errors) < count:
         raise ConfigError(
             f"could not find {count} margin-safe inputs (margin {margin:g}); "
             "lower jacobian.margin"
         )
+    worst = _worst(errors)
     tol = tolerances["jacobian"]
     return {
-        "instances": done,
+        "instances": count,
         "margin": margin,
         "step": step,
         "max_relative_error": worst,
@@ -297,7 +305,7 @@ def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
 
 
 def run_landscape(spec, bank, params, tolerances, seed) -> dict:
-    T = int(params.get("samples", 2))
+    T = _count(params, "landscape", "samples", 2)
     mats = netbuild.realize(spec, bank)
     gen = rng(seed, "landscape-data")
     data = landscape.TrainingSet(
@@ -338,7 +346,7 @@ def run_landscape(spec, bank, params, tolerances, seed) -> dict:
 
 
 def run_train(spec, bank, params, tolerances, seed, outdir) -> dict:
-    T = int(params.get("samples", 2))
+    T = _count(params, "train", "samples", 2)
     gen = rng(seed, "train-data")
     data = landscape.TrainingSet(
         X=gen.standard_normal((spec.d[0], T)),
@@ -431,7 +439,7 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
             if census is None:
                 mats = netbuild.realize(spec, bank)
                 census = analysis.region_census(spec, mats, analysis.CensusConfig(
-                    count=int(sampler.get("count", 1000)),
+                    count=_count(sampler, "sampler", "count", 1000),
                     distribution=sampler.get("distribution", "gaussian"),
                     seed=derive(seed, "census"),
                 ))

@@ -29,9 +29,11 @@ import numpy as np
 from .analysis import KinkMarginError, pattern_from_trace, trace_margin
 from .netbuild import (
     LayerBank,
+    LayerMatrices,
     NetworkSpec,
     forward_matrices,
     realize,
+    realize_adjoint,
 )
 
 __all__ = [
@@ -493,10 +495,10 @@ class TrainResult:
 def tap_gradients(spec: NetworkSpec, bank: LayerBank, data: TrainingSet):
     """Analytic cost gradients with respect to the shared filter taps.
 
-    Backpropagates through the realized matrices, then pulls each block
-    gradient back onto the taps through its pooling matrix (identity for
-    the skip blocks).  Returns (enc_grads, dec_grads, loss) with tensors
-    shaped like the bank's filters.
+    Backpropagates through the realized matrices, then applies the
+    adjoint of the taps-to-operators map (:func:`netbuild.realize_adjoint`)
+    to the operator gradients.  Returns (enc_grads, dec_grads, loss) with
+    tensors shaped like the bank's filters.
     """
     mats = realize(spec, bank)
     kappa = spec.kappa
@@ -534,32 +536,8 @@ def tap_gradients(spec: NetworkSpec, bank: LayerBank, data: TrainingSet):
                 gS[l - 1] += np.outer(xi_prev, d_v)
                 d_cur = d_cur + mats[l - 1].S @ d_v
 
-    enc_grads, dec_grads = [], []
-    for l in range(1, kappa + 1):
-        q_prev, q_cur = spec.q[l - 1], spec.q[l]
-        m_prev, m_cur = spec.m[l - 1], spec.m[l]
-        pool, unpool = bank.pool[l - 1], bank.unpool[l - 1]
-        eye = np.eye(m_prev)
-        ge = np.zeros((q_prev, q_cur, spec.r))
-        gd = np.zeros((q_prev, q_cur, spec.r))
-        for k in range(q_prev):
-            rows = slice(k * m_prev, (k + 1) * m_prev)
-            for j in range(q_cur):
-                cols = slice(j * m_cur, (j + 1) * m_cur)
-                scols = slice(j * m_prev, (j + 1) * m_prev)
-                blockE = gE[l - 1][rows, cols]
-                blockD = gD[l - 1][rows, cols]
-                for t in range(spec.r):
-                    ge[k, j, t] = np.sum(blockE * np.roll(pool, t, axis=0))
-                    gd[k, j, t] = np.sum(blockD * np.roll(unpool, t, axis=0))
-                if spec.skip:
-                    blockS = gS[l - 1][rows, scols]
-                    blockSt = gSt[l - 1][rows, scols]
-                    for t in range(spec.r):
-                        ge[k, j, t] += np.sum(blockS * np.roll(eye, t, axis=0))
-                        gd[k, j, t] += np.sum(blockSt * np.roll(eye, t, axis=0))
-        enc_grads.append(ge)
-        dec_grads.append(gd)
+    grads = list(map(LayerMatrices, gE, gD, gS, gSt))
+    enc_grads, dec_grads = realize_adjoint(spec, bank, grads)
     return enc_grads, dec_grads, total
 
 

@@ -11,6 +11,14 @@ operators:
 * ``S`` (d_{l-1} x s_l) and ``S_tilde`` (d_{l-1} x s_l): the skip-branch
   analogues built with identity pooling.
 
+Every operator is linear in its filter taps: block (k, j) is
+sum_t taps[k, j, t] roll(Phi, t) with Phi the pooling matrix, the
+unpooling matrix or the identity.  E and S share the encoder taps, D and
+S_tilde the decoder taps.  :func:`build_layer_matrices` is that linear
+map and :func:`realize_adjoint` its adjoint, which pulls gradients with
+respect to the operators back onto the taps; this module is the only
+place that knows the block layout.
+
 Channel-major stacking throughout: a feature vector is the concatenation
 of its per-channel signals in channel order.  Networks are bias-free, so
 with ReLU they are positively homogeneous; a bias could be absorbed as an
@@ -30,7 +38,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convops import conv_with_frame, identity_conv
 from .seeding import rng
 
 __all__ = [
@@ -41,8 +48,7 @@ __all__ = [
     "ForwardTrace",
     "build_layer_matrices",
     "realize",
-    "encoder_step",
-    "decoder_step",
+    "realize_adjoint",
     "forward",
     "forward_matrices",
     "check_embedding_dims",
@@ -84,6 +90,14 @@ class NetworkSpec:
     nonlinearity: str = "relu"
 
     def __post_init__(self):
+        for name in ("kappa", "r"):
+            value = getattr(self, name)
+            if not _integral(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        if not isinstance(self.skip, (bool, np.bool_)):
+            raise ValueError(f"skip must be true or false, got {self.skip!r}")
+        object.__setattr__(self, "skip", bool(self.skip))
         for name in ("q", "m"):
             values = getattr(self, name)
             if not all(_integral(v) for v in values):
@@ -140,11 +154,11 @@ class NetworkSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
         return cls(
-            kappa=int(d["kappa"]),
-            r=int(d["r"]),
+            kappa=d["kappa"],
+            r=d["r"],
             q=d["q"],
             m=d["m"],
-            skip=bool(d.get("skip", False)),
+            skip=d.get("skip", False),
             nonlinearity=d.get("nonlinearity", "relu"),
         )
 
@@ -175,13 +189,9 @@ class LayerBank:
     def kappa(self) -> int:
         return len(self.enc_filters)
 
-    def n_params(self, l: int) -> int:
-        """Free filter coefficients per side at layer l: r q_l q_{l-1}."""
-        return int(self.enc_filters[l - 1].size)
-
 
 def validate_bank(spec: NetworkSpec, bank: LayerBank) -> None:
-    """Raise ValueError unless every tensor/matrix matches the spec dims."""
+    """Raise ValueError unless every array matches the spec dims and is finite."""
     if bank.kappa != spec.kappa:
         raise ValueError(f"bank has {bank.kappa} layers, spec wants {spec.kappa}")
     for l in range(1, spec.kappa + 1):
@@ -197,6 +207,8 @@ def validate_bank(spec: NetworkSpec, bank: LayerBank) -> None:
                 raise ValueError(
                     f"layer {l} {name} has shape {arr.shape}, expected {want}"
                 )
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"layer {l} {name} contains non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -209,71 +221,70 @@ class LayerMatrices:
     S_tilde: np.ndarray | None = None
 
 
+def _frames(spec: NetworkSpec, bank: LayerBank, l: int) -> dict:
+    """Layer l's operators by field: (side, R), side 0 for encoder taps, 1 for
+    decoder taps, R the (r, rows, cols) stack of roll(Phi, t, axis=0), t < r."""
+    def shifts(Phi):
+        return np.stack([np.roll(Phi, t, axis=0) for t in range(spec.r)])
+
+    frames = {"E": (0, shifts(bank.pool[l - 1])), "D": (1, shifts(bank.unpool[l - 1]))}
+    if spec.skip:
+        eye = shifts(np.eye(spec.m[l - 1]))
+        frames.update(S=(0, eye), S_tilde=(1, eye))
+    return frames
+
+
+def _layer(spec: NetworkSpec, bank: LayerBank, l: int) -> LayerMatrices:
+    taps = (bank.enc_filters[l - 1], bank.dec_filters[l - 1])
+    return LayerMatrices(**{
+        name: np.einsum("kjt,tab->kajb", taps[side], R).reshape(spec.d[l - 1], -1)
+        for name, (side, R) in _frames(spec, bank, l).items()
+    })
+
+
 def build_layer_matrices(spec: NetworkSpec, bank: LayerBank, l: int) -> LayerMatrices:
     """Assemble E, D (and S, S_tilde with skips) for layer l in [1, kappa].
 
-    Block (k, j) of E is the pooling matrix convolved column-wise with the
-    encoder filter k->j; D mirrors this with the unpooling matrix and the
-    decoder tensor's (j, k) slice; the skip operators replace the pooling
-    with the identity.
+    The linear map from taps to operators: block (k, j) of E is
+    sum_t enc[k, j, t] roll(pool, t, axis=0), i.e. the pooling matrix
+    convolved column-wise with the encoder filter k->j; D does the same
+    with the unpooling matrix and the decoder taps, and the skip
+    operators replace the pooling with the identity.
     """
     if not 1 <= l <= spec.kappa:
         raise ValueError(f"layer index {l} out of range [1, {spec.kappa}]")
     validate_bank(spec, bank)
-    q_prev, q_cur = spec.q[l - 1], spec.q[l]
-    m_prev, m_cur = spec.m[l - 1], spec.m[l]
-    enc, dec = bank.enc_filters[l - 1], bank.dec_filters[l - 1]
-    pool, unpool = bank.pool[l - 1], bank.unpool[l - 1]
-
-    E = np.zeros((m_prev * q_prev, m_cur * q_cur))
-    D = np.zeros((m_prev * q_prev, m_cur * q_cur))
-    for k in range(q_prev):
-        rows = slice(k * m_prev, (k + 1) * m_prev)
-        for j in range(q_cur):
-            cols = slice(j * m_cur, (j + 1) * m_cur)
-            E[rows, cols] = conv_with_frame(pool, enc[k, j])
-            D[rows, cols] = conv_with_frame(unpool, dec[k, j])
-
-    S = S_tilde = None
-    if spec.skip:
-        S = np.zeros((m_prev * q_prev, m_prev * q_cur))
-        S_tilde = np.zeros((m_prev * q_prev, m_prev * q_cur))
-        for k in range(q_prev):
-            rows = slice(k * m_prev, (k + 1) * m_prev)
-            for j in range(q_cur):
-                cols = slice(j * m_prev, (j + 1) * m_prev)
-                S[rows, cols] = identity_conv(m_prev, enc[k, j])
-                S_tilde[rows, cols] = identity_conv(m_prev, dec[k, j])
-    return LayerMatrices(E=E, D=D, S=S, S_tilde=S_tilde)
+    return _layer(spec, bank, l)
 
 
 def realize(spec: NetworkSpec, bank: LayerBank) -> tuple:
     """Materialize all kappa layers."""
-    return tuple(build_layer_matrices(spec, bank, l) for l in range(1, spec.kappa + 1))
+    validate_bank(spec, bank)
+    return tuple(_layer(spec, bank, l) for l in range(1, spec.kappa + 1))
+
+
+def realize_adjoint(spec: NetworkSpec, bank: LayerBank, grads) -> tuple:
+    """Adjoint of :func:`realize`: pull operator gradients back onto the taps.
+
+    ``grads`` is shaped like realize's output (LayerMatrices per layer).
+    Returns (enc_grads, dec_grads) shaped like the bank's filters; each sums
+    the operators that share that side's taps.
+    """
+    validate_bank(spec, bank)
+    enc_grads, dec_grads = [], []
+    for l in range(1, spec.kappa + 1):
+        sides = [0.0, 0.0]
+        blocks = (spec.q[l - 1], spec.m[l - 1], spec.q[l], -1)
+        for name, (side, R) in _frames(spec, bank, l).items():
+            G = getattr(grads[l - 1], name).reshape(blocks)
+            sides[side] = sides[side] + np.einsum("kajb,tab->kjt", G, R)
+        enc_grads.append(sides[0])
+        dec_grads.append(sides[1])
+    return enc_grads, dec_grads
 
 
 def _act(v: np.ndarray, relu: bool) -> np.ndarray:
     return np.maximum(v, 0.0) if relu else v
-
-
-def encoder_step(x: np.ndarray, mats: LayerMatrices, nonlinearity: str):
-    """One encoder layer: xi = act(E'x) and, with skips, chi = act(S'x)."""
-    relu = nonlinearity in ("relu", "relu_encoder")
-    xi = _act(mats.E.T @ x, relu)
-    chi = None
-    if mats.S is not None:
-        chi = _act(mats.S.T @ x, relu)
-    return xi, chi
-
-
-def decoder_step(xi_tilde: np.ndarray, chi, mats: LayerMatrices, nonlinearity: str):
-    """One decoder layer: act(D xi_tilde + S_tilde chi), skip term optional."""
-    pre = mats.D @ xi_tilde
-    if mats.S_tilde is not None:
-        if chi is None:
-            raise ValueError("skip layer needs the matching chi input")
-        pre = pre + mats.S_tilde @ chi
-    return _act(pre, nonlinearity == "relu")
 
 
 @dataclass

@@ -114,6 +114,22 @@ class TestRun:
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 0
         assert (tmp_path / "cfgout" / "report.json").exists()
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_fails_enforced_checks(self, tmp_path, capsys):
+        # huge taps overflow the forward pass to inf/NaN; the NaN errors
+        # used to be dropped by max() and both checks passed at 0.0
+        cfg = base_config(bank={"source": "random", "scale": 1e200},
+                          analyses=["identity", "reconstruct"],
+                          enforce=["identity", "reconstruct"])
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        printed = capsys.readouterr().out
+        assert "FAIL identity:linear_representation" in printed
+        assert "FAIL reconstruct:perfect_reconstruction" in printed
+        report = json.loads((out / "report.json").read_text())
+        for name in ("identity", "reconstruct"):
+            assert not np.isfinite(report["results"][name]["max_relative_error"])
+
     def test_bank_file_source(self, tmp_path):
         spec = make_spec(kappa=1, r=2, m=6, nonlinearity="relu")
         bank = netbuild.random_bank(spec, seed=5)
@@ -211,6 +227,54 @@ class TestConfigErrors:
         cfg["network"][field] = value
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
         assert "list of integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, analysis_name", [
+        ("network.kappa", 2.7, "reconstruct"),
+        ("network.r", 1.5, "reconstruct"),
+        ("network.skip", "false", "reconstruct"),
+        ("reconstruct.count", 2.7, "reconstruct"),
+        ("sampler.count", 2.7, "regions"),
+        ("sampler.count", 0, "regions"),
+        ("landscape.samples", 2.7, "landscape"),
+        ("landscape.samples", 0, "landscape"),
+        ("train.samples", 2.7, "train"),
+        ("train.samples", 0, "train"),
+    ])
+    def test_mistyped_or_non_integral_field_exits_one(self, tmp_path, capsys, path,
+                                                       value, analysis_name):
+        # each used to be truncated or coerced (2.7 -> 2, "false" -> True), or
+        # rejected with a message naming no field
+        cfg = base_config(analyses=[analysis_name], enforce=[])
+        section, key = path.split(".")
+        cfg.setdefault(section, {})[key] = value
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert (f"{key} must be" if section == "network" else f"'{path}'") in err
+
+    @pytest.mark.parametrize("step", [0, -1e-6, float("inf")])
+    def test_jacobian_step_must_be_finite_and_positive(self, tmp_path, capsys, step):
+        # a zero step made every finite-difference Jacobian NaN, and the
+        # NaN errors passed the check
+        cfg = base_config(analyses=["jacobian"], enforce=["jacobian"],
+                          jacobian={"count": 2, "step": step})
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "'jacobian.step'" in capsys.readouterr().err
+
+    def test_non_finite_bank_file_exits_one(self, tmp_path, capsys):
+        # a NaN in a pooling matrix used to give max_relative_error 0.0, PASS
+        cfg = base_config(analyses=["reconstruct"], enforce=["reconstruct"])
+        spec = netbuild.NetworkSpec.from_dict(cfg["network"])
+        bank, _ = cli._build_bank(cfg, spec, cfg["seed"])
+        blob = netbuild.bank_to_dict(spec, bank)
+        blob["layers"][0]["pool"]["data"][2][1] = float("nan")
+        bank_path = tmp_path / "bank.json"
+        bank_path.write_text(json.dumps(blob))
+        cfg["bank"] = {"source": "file", "path": str(bank_path)}
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "layer 1 pool contains non-finite" in capsys.readouterr().err
 
     def test_enforce_must_be_a_list(self, tmp_path, capsys):
         cfg = base_config(enforce="regions")

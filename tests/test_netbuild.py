@@ -1,6 +1,7 @@
 """Layer operators and forward passes against channelwise convolution oracles."""
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -83,6 +84,16 @@ class TestNetworkSpec:
         with pytest.raises(ValueError, match="list of integers"):
             netbuild.NetworkSpec(kappa=1, r=2, q=q, m=m)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("kappa", 1.5, "kappa must be an integer"), ("r", 2.7, "r must be an integer"),
+        ("r", "2", "r must be an integer"), ("skip", "false", "skip must be"),
+        ("skip", 1, "skip must be"),
+    ])
+    def test_rejects_mistyped_scalars(self, field, value, message):
+        d = {"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4], "skip": False, field: value}
+        with pytest.raises(ValueError, match=message):
+            netbuild.NetworkSpec.from_dict(d)
+
     def test_accepts_integral_floats(self):
         spec = netbuild.NetworkSpec(kappa=1, r=2, q=[1.0, np.int64(2)], m=[4, 4])
         assert spec.q == (1, 2)
@@ -110,36 +121,64 @@ class TestBuildLayerMatrices:
         np.testing.assert_allclose(E[:, :4], convops.identity_conv(4, [0.5, 0.5]))
         np.testing.assert_allclose(E[:, 4:], convops.identity_conv(4, [0.5, -0.5]))
 
-    def test_block_structure_matches_conv_with_frame(self, rng):
-        spec = make_spec(kappa=2, r=3, m=5, skip=True)
-        bank = netbuild.random_bank(spec, seed=3)
-        for l in (1, 2):
+    def test_block_structure_matches_conv_with_frame(self):
+        # skip on and off, r in {1, 3, min(m)} with unequal m and channel
+        # counts; the skip operators filter the identity, E and S share the
+        # encoder taps, D and S_tilde the decoder taps
+        for skip, r, l in itertools.product((False, True), (1, 3, 5), (1, 2)):
+            spec = make_spec(kappa=2, r=r, q=[2, 3, 2], m_list=[7, 5, 6], skip=skip)
+            bank = netbuild.random_bank(spec, seed=3)
             mats = netbuild.build_layer_matrices(spec, bank, l)
-            m_prev, m_cur = spec.m[l - 1], spec.m[l]
-            for k in range(spec.q[l - 1]):
-                for j in range(spec.q[l]):
-                    blk = mats.E[k * m_prev:(k + 1) * m_prev,
-                                 j * m_cur:(j + 1) * m_cur]
-                    np.testing.assert_allclose(
-                        blk,
-                        convops.conv_with_frame(bank.pool[l - 1],
-                                                bank.enc_filters[l - 1][k, j]),
-                        atol=1e-15,
-                    )
-                    blk = mats.D[k * m_prev:(k + 1) * m_prev,
-                                 j * m_cur:(j + 1) * m_cur]
-                    np.testing.assert_allclose(
-                        blk,
-                        convops.conv_with_frame(bank.unpool[l - 1],
-                                                bank.dec_filters[l - 1][k, j]),
-                        atol=1e-15,
-                    )
+            enc, dec = bank.enc_filters[l - 1], bank.dec_filters[l - 1]
+            pool, unpool, m_prev = bank.pool[l - 1], bank.unpool[l - 1], spec.m[l - 1]
+            oracles = {"E": (enc, lambda v: convops.conv_with_frame(pool, v)),
+                       "D": (dec, lambda v: convops.conv_with_frame(unpool, v))}
+            if skip:
+                oracles.update(S=(enc, lambda v: convops.identity_conv(m_prev, v)),
+                               S_tilde=(dec, lambda v: convops.identity_conv(m_prev, v)))
+            assert (mats.S is not None) == skip == (mats.S_tilde is not None)
+            for name, (taps, oracle) in oracles.items():
+                blocks = [[oracle(taps[k, j]) for j in range(spec.q[l])]
+                          for k in range(spec.q[l - 1])]
+                np.testing.assert_array_equal(getattr(mats, name), np.block(blocks))
 
     def test_bad_layer_index(self):
         spec = make_spec(kappa=1, m=4)
         bank = netbuild.random_bank(spec, seed=0)
         with pytest.raises(ValueError, match="out of range"):
             netbuild.build_layer_matrices(spec, bank, 2)
+
+
+def operator_fields(layer):
+    return [f for f in ("E", "D", "S", "S_tilde") if getattr(layer, f) is not None]
+
+
+class TestRealizeAdjoint:
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_dot_product_per_operator(self, skip, r, rng):
+        # <forward(w), G> == <w, adjoint(G)> with G nonzero on one operator;
+        # the bank's random filters are the taps w
+        spec = make_spec(kappa=2, r=r, q=[2, 3, 2], m_list=[7, 5, 6], skip=skip)
+        bank = netbuild.random_bank(spec, seed=5)
+        mats = netbuild.realize(spec, bank)
+        zeros = [dataclasses.replace(
+            m, **{f: np.zeros_like(getattr(m, f)) for f in operator_fields(m)})
+            for m in mats]
+        for l, layer in enumerate(mats, 1):
+            for name in operator_fields(layer):
+                G = rng.standard_normal(getattr(layer, name).shape)
+                grads = list(zeros)
+                grads[l - 1] = dataclasses.replace(zeros[l - 1], **{name: G})
+                enc_g, dec_g = netbuild.realize_adjoint(spec, bank, grads)
+                shared = name in ("E", "S")
+                taps = (bank.enc_filters if shared else bank.dec_filters)[l - 1]
+                got = (enc_g if shared else dec_g).pop(l - 1)
+                assert got.shape == taps.shape
+                lhs = np.sum(getattr(layer, name) * G)
+                assert abs(lhs - np.sum(taps * got)) <= 1e-12 * abs(lhs)
+                for g in enc_g + dec_g:  # every other layer and side
+                    np.testing.assert_array_equal(g, 0.0)
 
 
 class TestMatrixConvEquivalence:
@@ -183,34 +222,32 @@ class TestMatrixConvEquivalence:
 
 
 class TestSteps:
+    """One layer of forward_matrices on kappa = 1 nets."""
+
     def test_zero_input(self):
         spec = make_spec(kappa=1, m=4, skip=True)
         bank = netbuild.random_bank(spec, seed=1)
-        mats = netbuild.build_layer_matrices(spec, bank, 1)
-        xi, chi = netbuild.encoder_step(np.zeros(4), mats, "relu")
-        np.testing.assert_array_equal(xi, np.zeros(spec.d[1]))
-        np.testing.assert_array_equal(chi, np.zeros(spec.s[0]))
-        out = netbuild.decoder_step(np.zeros(spec.d[1]), np.zeros(spec.s[0]),
-                                    mats, "relu")
-        np.testing.assert_array_equal(out, np.zeros(4))
+        trace = netbuild.forward_matrices(spec, netbuild.realize(spec, bank), np.zeros(4))
+        np.testing.assert_array_equal(trace.enc[0], np.zeros(spec.d[1]))
+        np.testing.assert_array_equal(trace.skip[0], np.zeros(spec.s[0]))
+        np.testing.assert_array_equal(trace.y, np.zeros(4))
 
     def test_identity_layer_no_nonlinearity(self, rng):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 1], nonlinearity="none")
         bank = identity_bank(spec)
-        mats = netbuild.build_layer_matrices(spec, bank, 1)
         x = rng.standard_normal(4)
-        xi, chi = netbuild.encoder_step(x, mats, "none")
-        np.testing.assert_allclose(xi, x)
-        assert chi is None
-        np.testing.assert_allclose(netbuild.decoder_step(x, None, mats, "none"), x)
+        trace = netbuild.forward_matrices(spec, netbuild.realize(spec, bank), x)
+        np.testing.assert_allclose(trace.enc[0], x)
+        assert trace.skip is None
+        np.testing.assert_allclose(trace.y, x)
 
     def test_relu_is_entrywise_max(self, rng):
         spec = make_spec(kappa=1, m=5)
         bank = netbuild.random_bank(spec, seed=2)
-        mats = netbuild.build_layer_matrices(spec, bank, 1)
+        mats = netbuild.realize(spec, bank)
         x = rng.standard_normal(5)
-        xi, _ = netbuild.encoder_step(x, mats, "relu")
-        np.testing.assert_array_equal(xi, np.maximum(mats.E.T @ x, 0.0))
+        trace = netbuild.forward_matrices(spec, mats, x)
+        np.testing.assert_array_equal(trace.enc[0], np.maximum(mats[0].E.T @ x, 0.0))
 
 
 class TestForward:
@@ -228,13 +265,17 @@ class TestForward:
         x = rng.standard_normal(spec.d[0])
         trace = netbuild.forward_matrices(spec, mats, x)
 
+        # ReLU network: xi = relu(E'x), chi = relu(S'x) on the way down,
+        # relu(D xi + S_tilde chi) on the way up
         cur, chis = x, []
-        for l in range(1, spec.kappa + 1):
-            cur, chi = netbuild.encoder_step(cur, mats[l - 1], spec.nonlinearity)
-            chis.append(chi)
-        for l in range(spec.kappa, 0, -1):
-            cur = netbuild.decoder_step(cur, chis[l - 1], mats[l - 1],
-                                        spec.nonlinearity)
+        for layer in mats:
+            chis.append(np.maximum(layer.S.T @ cur, 0.0) if skip else None)
+            cur = np.maximum(layer.E.T @ cur, 0.0)
+        for layer, chi in zip(reversed(mats), reversed(chis)):
+            pre = layer.D @ cur
+            if skip:
+                pre = pre + layer.S_tilde @ chi
+            cur = np.maximum(pre, 0.0)
         np.testing.assert_allclose(cur, trace.y, atol=1e-12)
 
     def test_relu_features_nonnegative(self, rng):
@@ -330,6 +371,17 @@ class TestBankIO:
             not np.array_equal(a, b)
             for a, b in zip(b1.enc_filters, b3.enc_filters)
         )
+
+    @pytest.mark.parametrize("name", ["enc_filters", "dec_filters", "pool", "unpool"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_validate_bank_rejects_non_finite(self, name, bad):
+        spec = make_spec(kappa=2, m=5, skip=True)
+        bank = netbuild.random_bank(spec, seed=0)
+        arrays = [a.copy() for a in getattr(bank, name)]
+        arrays[1].flat[3] = bad
+        bank = dataclasses.replace(bank, **{name: tuple(arrays)})
+        with pytest.raises(ValueError, match=f"layer 2 {name} contains non-finite"):
+            netbuild.realize(spec, bank)
 
     def test_validate_bank_catches_mismatch(self):
         spec = make_spec(kappa=2, m=5)
