@@ -205,8 +205,16 @@ def pattern_bits(spec: NetworkSpec) -> int:
 
 
 def spectral_norm(M) -> float:
-    """Largest singular value of M, exact to LAPACK precision (an SVD)."""
-    return float(np.linalg.norm(np.asarray(M, dtype=float), 2))
+    """Largest singular value of M, exact to LAPACK precision (an SVD).
+
+    Raises ValueError when M holds NaN or an infinity, which happens when
+    the forward pass of a huge bank overflows.
+    """
+    M = np.asarray(M, dtype=float)
+    if not np.all(np.isfinite(M)):
+        raise ValueError("region map contains non-finite entries: the forward pass "
+                         "overflowed (is the bank scaled too large?)")
+    return float(np.linalg.norm(M, 2))
 
 
 @dataclass(frozen=True)
@@ -321,8 +329,14 @@ def lipschitz_global(census: RegionCensus) -> float:
     return max(reg.lipschitz for reg in census.regions)
 
 
-def trace_margin(spec: NetworkSpec, trace) -> float:
-    """Smallest |pre-activation| over all ReLU stages (inf when linear)."""
+def trace_margin(spec: NetworkSpec, trace):
+    """Smallest |pre-activation| over all ReLU stages (inf when linear).
+
+    A float for a single-input trace; for a stacked trace of N inputs, an
+    array with each row's margin.  A NaN pre-activation (an overflowing
+    forward pass) makes that input's margin NaN; ``got < margin`` is
+    False for NaN, so a kink screen keeps the input.
+    """
     parts = []
     if spec.relu_at_encoder():
         parts.extend(trace.enc_pre)
@@ -330,9 +344,11 @@ def trace_margin(spec: NetworkSpec, trace) -> float:
             parts.extend(trace.skip_pre)
     if spec.relu_at_decoder():
         parts.extend(trace.dec_pre)
+    rows = trace.x.shape[:-1]
     if not parts:
-        return np.inf
-    return float(min(np.min(np.abs(p)) for p in parts))
+        return np.full(rows, np.inf) if rows else np.inf
+    got = np.min([np.min(np.abs(p), axis=-1) for p in parts], axis=0)
+    return got if rows else float(got)
 
 
 def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8) -> np.ndarray:
@@ -354,17 +370,19 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8) -> np.nd
 
 
 def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian, column by column."""
+    """Central finite-difference Jacobian from one forward over the stencil.
+
+    The (2 d_0, d_0) stencil stacks x + step e_i over x - step e_i; column
+    i of the result is (F(x + step e_i) - F(x - step e_i)) / (2 step),
+    bit-identical to evaluating the columns one at a time.  The result is
+    C-contiguous, like the column-by-column array was, so norms over it
+    sum in the same order.
+    """
     x = np.asarray(x, dtype=float)
     d0 = spec.d[0]
-    J = np.zeros((d0, d0))
-    for i in range(d0):
-        e = np.zeros(d0)
-        e[i] = step
-        fp = forward_matrices(spec, mats, x + e).y
-        fm = forward_matrices(spec, mats, x - e).y
-        J[:, i] = (fp - fm) / (2.0 * step)
-    return J
+    shift = step * np.eye(d0)
+    y = forward_matrices(spec, mats, np.concatenate([x + shift, x - shift])).y
+    return np.ascontiguousarray(((y[:d0] - y[d0:]) / (2.0 * step)).T)
 
 
 def count_sign_regions(normals, max_rows: int = 12) -> int:

@@ -272,31 +272,42 @@ def run_lipschitz(spec, mats, census, tolerances) -> dict:
 def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
     count = _count(params, "jacobian", "count", 50)
     margin = float(params.get("margin", 1e-4))
+    if not (np.isfinite(margin) and margin >= 0.0):
+        raise ConfigError(
+            f"config field 'jacobian.margin' must be finite and >= 0, got {margin}"
+        )
     step = float(params.get("step", 1e-6))
     if not (np.isfinite(step) and step > 0.0):
         raise ConfigError(f"config field 'jacobian.step' must be finite and > 0, got {step}")
     mats = netbuild.realize(spec, bank)
     gen = rng(seed, "jacobian")
+    cap = 100 * count
     errors = []
     attempts = 0
-    while len(errors) < count and attempts < 100 * count:
-        attempts += 1
-        x = gen.standard_normal(spec.d[0])
-        try:
+    # one forward per block of candidates; a block never holds more rows
+    # than inputs still needed, so ``attempts`` ends at the last accepted
+    # draw, as drawing one at a time would.  A NaN margin (an overflowing
+    # forward pass) is accepted, so the check fails on a NaN error.
+    while len(errors) < count and attempts < cap:
+        block = gen.standard_normal((min(count - len(errors), cap - attempts), spec.d[0]))
+        margins = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, block))
+        attempts += len(block)
+        for x, got in zip(block, margins):
+            if got < margin:
+                continue
             J = analysis.jacobian_analytic(spec, mats, x, margin=margin)
-        except analysis.KinkMarginError:
-            continue
-        Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
-        errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
+            Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
+            errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
     if len(errors) < count:
         raise ConfigError(
-            f"could not find {count} margin-safe inputs (margin {margin:g}); "
-            "lower jacobian.margin"
+            f"could not find {count} margin-safe inputs (margin {margin:g}): "
+            f"accepted {len(errors)} of {attempts} draws; lower jacobian.margin"
         )
     worst = _worst(errors)
     tol = tolerances["jacobian"]
     return {
         "instances": count,
+        "attempts": attempts,
         "margin": margin,
         "step": step,
         "max_relative_error": worst,

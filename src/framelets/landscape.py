@@ -226,7 +226,10 @@ def fd_grad_enc(spec, mats, data, step: float | None = None,
     return _fd_grad_matrix(spec, mats, data, spec.kappa, "E", step, margin)
 
 
-def _sigma_extremes(A: np.ndarray) -> tuple:
+def _sigma_extremes(A: np.ndarray, name: str) -> tuple:
+    if not np.all(np.isfinite(A)):
+        raise ValueError(f"{name} contains non-finite entries: the forward pass "
+                         "overflowed (is the bank scaled too large?)")
     sv = np.linalg.svd(A, compute_uv=False)
     return float(sv[-1]), float(sv[0])
 
@@ -299,7 +302,7 @@ def _factor_sigmas(level_masks) -> tuple:
     mins, maxs = [], []
     for chain_prefix, mask in level_masks:
         A = mask[:, None] * chain_prefix.T
-        smin, smax = _sigma_extremes(A)
+        smin, smax = _sigma_extremes(A, "masked dual-chain prefix")
         mins.append(smin)
         maxs.append(smax)
     return mins, maxs
@@ -323,7 +326,7 @@ def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> B
         level.append((tus[l - 1], pattern.dec[l - 1]))
     mins, maxs = _factor_sigmas(level)
     cost = loss(spec, mats, data)
-    g_min, g_max = _sigma_extremes(gamma)
+    g_min, g_max = _sigma_extremes(gamma, "skip feature matrix")
     cert = BoundCertificate(
         kind="skip",
         layer=l,
@@ -367,8 +370,8 @@ def certify_bounds_enc(spec: NetworkSpec, mats, data: TrainingSet) -> BoundCerti
         level.append((tus[kappa], pattern.enc[kappa - 1]))
     mins, maxs = _factor_sigmas(level)
     cost = loss(spec, mats, data)
-    f_min, f_max = _sigma_extremes(xi_prev)
-    k_min, k_max = _sigma_extremes(xi_kappa)
+    f_min, f_max = _sigma_extremes(xi_prev, "encoder feature matrix")
+    k_min, k_max = _sigma_extremes(xi_kappa, "bottleneck feature matrix")
     root = np.sqrt(2.0 * cost)
     return BoundCertificate(
         kind="encoder",

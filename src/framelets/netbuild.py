@@ -287,14 +287,27 @@ def _act(v: np.ndarray, relu: bool) -> np.ndarray:
     return np.maximum(v, 0.0) if relu else v
 
 
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v for one vector (k,) or a stack (N, k), one vector per row.
+
+    The stack goes through matmul as N (k, 1) matrices, i.e. one
+    matrix-vector product per row, so every row is bit-identical to
+    ``M @ v`` of that row; ``v @ M.T`` would be faster but sums in
+    another order.  A single vector skips the reshaping, which costs a
+    tenth of a small forward pass.
+    """
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+
+
 @dataclass
 class ForwardTrace:
-    """Complete record of one forward pass.
+    """Complete record of one forward pass, or of a stack of them.
 
     enc_pre/enc hold the per-layer encoder pre-activations and features
     xi^l (index l-1); skip_pre/skip the branch values chi^l; dec holds
     xi~^l for l = 0..kappa with dec[kappa] aliasing the bottleneck
     feature, and dec_pre[l] the pre-activation of xi~^l for l < kappa.
+    For a stack of N inputs every array has a leading axis of length N.
     """
 
     x: np.ndarray
@@ -311,10 +324,17 @@ class ForwardTrace:
 
 
 def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
-    """Forward pass through pre-realized layer matrices."""
+    """Forward pass through pre-realized layer matrices.
+
+    ``x`` is one input of shape (d_0,) or a stack of inputs (N, d_0), one
+    per row; every trace array then gains the leading N axis, and each
+    row is bit-identical to the single-input pass of that row.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (spec.d[0],):
-        raise ValueError(f"input has shape {x.shape}, expected ({spec.d[0]},)")
+    if x.ndim not in (1, 2) or x.shape[-1] != spec.d[0]:
+        raise ValueError(
+            f"input has shape {x.shape}, expected ({spec.d[0]},) or (N, {spec.d[0]})"
+        )
     enc_relu = spec.relu_at_encoder()
     dec_relu = spec.relu_at_decoder()
 
@@ -324,10 +344,10 @@ def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
     cur = x
     for l in range(1, spec.kappa + 1):
         layer = mats[l - 1]
-        u = layer.E.T @ cur
+        u = _apply(layer.E.T, cur)
         trace.enc_pre.append(u)
         if spec.skip:
-            v = layer.S.T @ cur
+            v = _apply(layer.S.T, cur)
             trace.skip_pre.append(v)
             trace.skip.append(_act(v, enc_relu))
         cur = _act(u, enc_relu)
@@ -339,9 +359,9 @@ def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
     cur = trace.enc[-1]
     for l in range(spec.kappa, 0, -1):
         layer = mats[l - 1]
-        w = layer.D @ cur
+        w = _apply(layer.D, cur)
         if spec.skip:
-            w = w + layer.S_tilde @ trace.skip[l - 1]
+            w = w + _apply(layer.S_tilde, trace.skip[l - 1])
         trace.dec_pre[l - 1] = w
         cur = _act(w, dec_relu)
         trace.dec[l - 1] = cur

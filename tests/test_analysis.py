@@ -157,6 +157,13 @@ class TestSpectralNorm:
         assert analysis.spectral_norm(np.zeros((3, 3))) == 0.0
         assert abs(analysis.spectral_norm(np.eye(5)) - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_is_named(self, bad):
+        M = np.eye(3)
+        M[1, 2] = bad
+        with pytest.raises(ValueError, match="non-finite entries"):
+            analysis.spectral_norm(M)
+
     def test_near_tie_of_top_singular_values(self):
         # an iterative method converges at rate sigma_2 / sigma_1 here and
         # stops short; the region constants need the exact value
@@ -399,6 +406,52 @@ class TestJacobian:
         J1 = analysis.jacobian_analytic(spec, mats, x)
         J2 = analysis.jacobian_analytic(spec, mats, 2.5 * x)
         np.testing.assert_array_equal(J1, J2)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("step", [1e-6, 1e-3])
+    def test_fd_jacobian_equals_column_loop(self, skip, step, rng):
+        spec = make_spec(kappa=2, m=5, skip=skip)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=10))
+        for _ in range(5):
+            x = rng.standard_normal(spec.d[0])
+            # the one-column-at-a-time loop the stencil forward replaced
+            d0 = spec.d[0]
+            want = np.zeros((d0, d0))
+            for i in range(d0):
+                e = np.zeros(d0)
+                e[i] = step
+                fp = netbuild.forward_matrices(spec, mats, x + e).y
+                fm = netbuild.forward_matrices(spec, mats, x - e).y
+                want[:, i] = (fp - fm) / (2.0 * step)
+            got = analysis.fd_jacobian(spec, mats, x, step=step)
+            assert np.array_equal(got, want)
+            assert got.flags.c_contiguous
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    def test_trace_margin_per_row(self, skip, nonlinearity, rng):
+        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
+        X = rng.standard_normal((20, spec.d[0]))
+        X[4] = 0.0  # exactly on every kink: margin 0
+        got = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
+        assert got.shape == (20,)
+        for x, row in zip(X, got):
+            one = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, x))
+            assert isinstance(one, float) and row == one
+        if nonlinearity == "none":
+            assert np.all(got == np.inf)
+        else:
+            assert got[4] == 0.0
+
+    def test_trace_margin_of_overflowed_pass_is_nan(self):
+        spec = make_spec(kappa=2, m=5, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3, scale=1e200))
+        X = np.random.default_rng(0).standard_normal((3, spec.d[0]))
+        with np.errstate(all="ignore"):
+            got = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
+        # NaN compares False against any margin, so a screen keeps the row
+        assert np.all(np.isnan(got))
 
     def test_kink_margin_error(self):
         spec = make_spec(kappa=1, m=4)

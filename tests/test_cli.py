@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from framelets import analysis, cli, netbuild
+from framelets.seeding import rng as seeded_rng
 from conftest import make_spec
 
 
@@ -143,6 +144,104 @@ class TestRun:
         )
         assert cli.main(["run", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "out")]) == 0
+
+
+README_NETWORK = {"kappa": 2, "r": 2, "q": [1, 2, 4], "m": [8, 8, 8],
+                  "skip": True, "nonlinearity": "relu"}
+
+
+class TestOverflow:
+    """A 1e200 random bank overflows the forward pass to inf/NaN."""
+
+    def config(self, name):
+        return base_config(network=README_NETWORK,
+                           bank={"source": "random", "scale": 1e200},
+                           analyses=[name], enforce=[name], sampler={"count": 20})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("name, matrix", [
+        ("regions", "region map"),
+        ("lipschitz", "region map"),
+        ("landscape", "skip feature matrix"),
+    ])
+    def test_overflow_is_named(self, tmp_path, capsys, name, matrix):
+        # each used to exit with "SVD did not converge"
+        assert cli.main(["run", write_config(tmp_path, self.config(name)),
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{matrix} contains non-finite entries" in err
+        assert "overflowed" in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_jacobian_fails_with_nan_not_config_error(self, tmp_path, capsys):
+        # NaN margins pass the kink screen, so the check fails on a NaN error
+        # instead of running out of margin-safe draws
+        cfg = self.config("jacobian")
+        cfg["jacobian"] = {"count": 3}
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "FAIL jacobian:jacobian_fd_match" in captured.out
+        assert "config error" not in captured.err
+        block = json.loads((out / "report.json").read_text())["results"]["jacobian"]
+        assert np.isnan(block["max_relative_error"])
+        assert block["attempts"] == 3
+
+
+class TestJacobianScreen:
+    """The block-wise kink screen against the one-draw-at-a-time loop."""
+
+    @staticmethod
+    def sequential(spec, mats, seed, count, margin, step):
+        gen = seeded_rng(seed, "jacobian")
+        errors, attempts = [], 0
+        while len(errors) < count and attempts < 100 * count:
+            attempts += 1
+            x = gen.standard_normal(spec.d[0])
+            try:
+                J = analysis.jacobian_analytic(spec, mats, x, margin=margin)
+            except analysis.KinkMarginError:
+                continue
+            Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
+            errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
+        return errors, attempts
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale, margin, count", [
+        (1.0, 0.0, 7),      # every draw accepted
+        (1.0, 1e-3, 12),    # about 80 % accepted
+        (1.0, 0.03, 10),    # about 10 % accepted, several blocks
+        (1.0, 0.1, 4),      # about 0.05 % accepted: the draw cap is hit
+        (1e200, 1e-4, 3),   # overflow: NaN margins are accepted
+    ])
+    def test_same_errors_as_sequential_loop(self, monkeypatch, scale, margin, count):
+        spec = make_spec(kappa=2, m=5, skip=True)
+        bank = netbuild.random_bank(spec, seed=10, scale=scale)
+        mats = netbuild.realize(spec, bank)
+        want, attempts = self.sequential(spec, mats, 99, count, margin, 1e-6)
+        seen = []
+        worst = cli._worst
+        monkeypatch.setattr(cli, "_worst", lambda values: seen.append(values) or worst(values))
+        params = {"count": count, "margin": margin}
+        if len(want) < count:
+            with pytest.raises(cli.ConfigError,
+                               match=f"accepted {len(want)} of {attempts} draws"):
+                cli.run_jacobian(spec, bank, params, cli.DEFAULT_TOLERANCES, 99)
+            return
+        block = cli.run_jacobian(spec, bank, params, cli.DEFAULT_TOLERANCES, 99)
+        assert block["attempts"] == attempts
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], want)
+
+    @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
+    def test_margin_must_be_finite_and_non_negative(self, tmp_path, capsys, margin):
+        # NaN or negative switched the kink guard off and the check passed
+        cfg = base_config(network=README_NETWORK, bank={"source": "random"},
+                          analyses=["jacobian"], enforce=["jacobian"],
+                          jacobian={"count": 2, "margin": margin})
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert "'jacobian.margin'" in capsys.readouterr().err
 
 
 class TestSharedCensus:

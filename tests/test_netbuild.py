@@ -319,8 +319,32 @@ class TestForward:
     def test_wrong_input_length(self):
         spec = make_spec(kappa=1, m=4)
         bank = netbuild.random_bank(spec, seed=0)
-        with pytest.raises(ValueError, match="shape"):
-            netbuild.forward(spec, bank, np.zeros(5))
+        for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(())):
+            with pytest.raises(ValueError, match="shape"):
+                netbuild.forward(spec, bank, bad)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_stacked_rows_equal_single_forwards(self, skip, nonlinearity, n, rng):
+        # bit-identical, not close: batched callers must reproduce the
+        # reports of one-input-at-a-time loops exactly
+        spec = make_spec(kappa=2, r=2, m=6, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=11))
+        X = rng.standard_normal((n, spec.d[0]))
+        stacked = netbuild.forward_matrices(spec, mats, X)
+        fields = ["enc_pre", "enc", "dec_pre", "dec"] + (["skip_pre", "skip"] if skip else [])
+        assert stacked.x.shape == (n, spec.d[0])
+        for i, x in enumerate(X):
+            single = netbuild.forward_matrices(spec, mats, x)
+            assert np.array_equal(stacked.x[i], single.x)
+            for name in fields:
+                rows, ones = getattr(stacked, name), getattr(single, name)
+                assert len(rows) == len(ones)
+                for got, want in zip(rows, ones):
+                    assert got.shape == (n,) + want.shape
+                    assert np.array_equal(got[i], want)
+            assert np.array_equal(stacked.y[i], single.y)
 
 
 class TestEmbeddingDims:
