@@ -32,7 +32,7 @@ __all__ = [
     "RegionCensus",
     "extract_pattern",
     "pattern_from_trace",
-    "replay",
+    "masked_chains",
     "linear_rep",
     "nrep_bound",
     "pattern_bits",
@@ -56,7 +56,7 @@ class ActivationPattern:
 
     enc[l-1]  length d_l, skip[l-1] length s_l (skip nets only),
     dec[l-1]  length d_{l-1}.  Stages without a ReLU carry all-ones
-    masks so the replay semantics stay uniform.  A mask bit is set iff
+    masks so the masked chains stay uniform.  A mask bit is set iff
     the pre-activation is strictly positive: exact zeros are inactive.
     """
 
@@ -103,27 +103,20 @@ def extract_pattern(spec: NetworkSpec, mats, x) -> ActivationPattern:
     return pattern_from_trace(spec, forward_matrices(spec, mats, x))
 
 
-def replay(spec: NetworkSpec, mats, pattern: ActivationPattern, x) -> np.ndarray:
-    """Apply the network with frozen masks: a purely linear pass.
+def masked_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> tuple:
+    """Masked chain prefixes (ups, tus) of one region, kappa + 1 entries each.
 
-    For the pattern extracted at x this reproduces the ReLU forward pass
-    exactly, since relu(v) == v * (v > 0) entrywise.
+    ups[l] accumulates E^1 ... E^l, each followed by its encoder mask;
+    tus[l] accumulates D^1 ... D^l, each preceded by its decoder mask.
+    Entry 0 of both is the identity.  Frozen masks make the network
+    linear: relu(v) == v * (v > 0) entrywise.
     """
-    x = np.asarray(x, dtype=float)
-    cur = x
-    chis = []
+    ups = [np.eye(spec.d[0])]
+    tus = [np.eye(spec.d[0])]
     for l in range(1, spec.kappa + 1):
-        layer = mats[l - 1]
-        if spec.skip:
-            chis.append((layer.S.T @ cur) * pattern.skip[l - 1])
-        cur = (layer.E.T @ cur) * pattern.enc[l - 1]
-    for l in range(spec.kappa, 0, -1):
-        layer = mats[l - 1]
-        w = layer.D @ cur
-        if spec.skip:
-            w = w + layer.S_tilde @ chis[l - 1]
-        cur = w * pattern.dec[l - 1]
-    return cur
+        ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][None, :])
+        tus.append((tus[-1] * pattern.dec[l - 1][None, :]) @ mats[l - 1].D)
+    return ups, tus
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,24 +139,17 @@ class LinearRep:
 def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     """Frame pair of the region containing x (or of an explicit pattern).
 
-    Masked-chain recursions: the analysis basis accumulates E^l followed
-    by the encoder mask, its dual accumulates the decoder mask followed
-    by D^l; skip blocks are the masked S / S_tilde operators hung off
-    the chain prefixes, newest skip level first after the depth-kappa
-    block.
+    The depth-kappa blocks are the full :func:`masked_chains`; skip
+    blocks are the masked S / S_tilde operators hung off the chain
+    prefixes, newest skip level first after the depth-kappa block.  On a
+    spec with ``nonlinearity="none"`` every mask is all ones and this is
+    the global frame pair of the linear network.
     """
     if pattern is None:
         if x is None:
             raise ValueError("need an input x or an explicit pattern")
         pattern = extract_pattern(spec, mats, x)
-    d0 = spec.d[0]
-    ups = [np.eye(d0)]
-    for l in range(1, spec.kappa + 1):
-        ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][None, :])
-    tus = [np.eye(d0)]
-    for l in range(1, spec.kappa + 1):
-        tus.append((tus[-1] * pattern.dec[l - 1][None, :]) @ mats[l - 1].D)
-
+    ups, tus = masked_chains(spec, mats, pattern)
     if not spec.skip:
         return LinearRep(B=ups[spec.kappa], B_tilde=tus[spec.kappa], pattern=pattern)
 

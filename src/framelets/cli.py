@@ -20,6 +20,7 @@ import csv
 import dataclasses
 import itertools
 import json
+import numbers
 import os
 import sys
 import time
@@ -98,15 +99,25 @@ def _build_spec(cfg: dict) -> netbuild.NetworkSpec:
         raise ConfigError(f"config field 'network': {exc}") from exc
 
 
+def _block(cfg: dict, path: str, required: bool = False) -> dict:
+    """A config field holding a JSON object; an absent optional one is {}."""
+    value = _field(cfg, path, default={}, required=required)
+    if not isinstance(value, dict):
+        raise ConfigError(f"config field '{path}' must be a JSON object, got {value!r}")
+    return value
+
+
 def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
-    bank_cfg = _field(cfg, "bank", required=True)
+    bank_cfg = _block(cfg, "bank", required=True)
+    alpha = _real(bank_cfg, "bank", "alpha", 1.0, low=0.0, strict=True)
+    scale = _real(bank_cfg, "bank", "scale", 1.0)
     source = bank_cfg.get("source")
     if source == "frame_factory":
         if seed is None:
             raise ConfigError("config field 'seed' is required for a frame_factory bank")
         fc = frames.FrameConfig.for_spec(
             spec,
-            alpha=float(bank_cfg.get("alpha", 1.0)),
+            alpha=alpha,
             seed=derive(seed, "bank"),
             pooling=bank_cfg.get("pooling", "orthogonal"),
         )
@@ -114,10 +125,7 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
     if source == "random":
         if seed is None:
             raise ConfigError("config field 'seed' is required for a random bank")
-        bank = netbuild.random_bank(
-            spec, seed=derive(seed, "bank"), scale=float(bank_cfg.get("scale", 1.0))
-        )
-        return bank, None
+        return netbuild.random_bank(spec, seed=derive(seed, "bank"), scale=scale), None
     if source == "file":
         path = bank_cfg.get("path")
         if not path or not os.path.exists(path):
@@ -130,22 +138,38 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
     )
 
 
-def _count(params: dict, name: str, key: str, default: int) -> int:
-    """A positive integer parameter; zero or less would make a check vacuous."""
+def _count(params: dict, name: str, key: str, default: int, low: int = 1) -> int:
+    """An integer parameter >= low; a count below 1 would make a check vacuous."""
     value = params.get(key, default)
-    if not netbuild._integral(value) or value < 1:
+    if not netbuild._integral(value) or value < low:
         raise ConfigError(
-            f"config field '{name}.{key}' must be an integer >= 1, got {value!r}"
+            f"config field '{name}.{key}' must be an integer >= {low}, got {value!r}"
         )
     return int(value)
 
 
+def _real(params: dict, name: str, key: str, default: float,
+          low: float = -np.inf, strict: bool = False) -> float:
+    """A finite real parameter, >= low (> low when strict)."""
+    value = params.get(key, default)
+    # abs() rejects integers beyond the float range; NaN fails every comparison
+    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max
+            and (value > low if strict else value >= low)):
+        bound = f" {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
+        raise ConfigError(
+            f"config field '{name}.{key}' must be a finite number{bound}, got {value!r}"
+        )
+    return float(value)
+
+
 def _tolerances(cfg: dict) -> dict:
     tols = dict(DEFAULT_TOLERANCES)
-    for key, value in (_field(cfg, "tolerances") or {}).items():
+    overrides = _block(cfg, "tolerances")
+    for key in overrides:
         if key not in tols:
             raise ConfigError(f"config field 'tolerances.{key}': unknown tolerance")
-        tols[key] = float(value)
+        tols[key] = _real(overrides, "tolerances", key, None)
     return tols
 
 
@@ -165,7 +189,7 @@ def _check(name: str, passed: bool, **extra) -> dict:
 
 
 def run_frames(spec, bank, params, tolerances) -> dict:
-    alpha = float(params.get("alpha", 1.0))
+    alpha = _real(params, "frames", "alpha", 1.0, low=0.0, strict=True)
     mode = params.get("mode", "skip" if spec.skip else "no_skip")
     cfg = frames.FrameConfig(alpha=alpha, mode=mode, seed=0)
     residuals = frames.frame_residual(spec, bank, cfg)
@@ -184,7 +208,11 @@ def run_frames(spec, bank, params, tolerances) -> dict:
 
 def run_reconstruct(spec, bank, params, tolerances, seed) -> dict:
     count = _count(params, "reconstruct", "count", 100)
-    no_relu = bool(params.get("no_relu", False))
+    no_relu = params.get("no_relu", False)
+    if not isinstance(no_relu, bool):
+        raise ConfigError(
+            f"config field 'reconstruct.no_relu' must be true or false, got {no_relu!r}"
+        )
     eval_spec = dataclasses.replace(spec, nonlinearity="none") if no_relu else spec
     mats = netbuild.realize(eval_spec, bank)
     gen = rng(seed, "reconstruct")
@@ -210,8 +238,9 @@ def run_identity(spec, bank, params, tolerances, seed) -> dict:
     errors = []
     for _ in range(count):
         x = gen.standard_normal(spec.d[0])
-        y = netbuild.forward_matrices(spec, mats, x).y
-        rep = analysis.linear_rep(spec, mats, x)
+        trace = netbuild.forward_matrices(spec, mats, x)
+        y = trace.y
+        rep = analysis.linear_rep(spec, mats, pattern=analysis.pattern_from_trace(spec, trace))
         errors.append(np.linalg.norm(rep.matrix() @ x - y) / max(np.linalg.norm(y), 1e-300))
     worst = _worst(errors)
     tol = tolerances["identity"]
@@ -248,9 +277,12 @@ def run_regions(census, outdir) -> dict:
 def run_lipschitz(spec, mats, census, tolerances) -> dict:
     slack = tolerances["lipschitz_slack"]
     # the pair inequality on the first four sampled inputs of each region
-    # (the map is linear there, so no segment condition)
+    # (the map is linear there, so no segment condition); a region seen
+    # once has no pair
     violations = []
     for reg in census.regions:
+        if reg.count < 2:
+            continue
         points = [(x, netbuild.forward_matrices(spec, mats, x).y) for x in reg.inputs[:4]]
         for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
             violations.append(np.linalg.norm(y1 - y2)
@@ -271,14 +303,8 @@ def run_lipschitz(spec, mats, census, tolerances) -> dict:
 
 def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
     count = _count(params, "jacobian", "count", 50)
-    margin = float(params.get("margin", 1e-4))
-    if not (np.isfinite(margin) and margin >= 0.0):
-        raise ConfigError(
-            f"config field 'jacobian.margin' must be finite and >= 0, got {margin}"
-        )
-    step = float(params.get("step", 1e-6))
-    if not (np.isfinite(step) and step > 0.0):
-        raise ConfigError(f"config field 'jacobian.step' must be finite and > 0, got {step}")
+    margin = _real(params, "jacobian", "margin", 1e-4, low=0.0)
+    step = _real(params, "jacobian", "step", 1e-6, low=0.0, strict=True)
     mats = netbuild.realize(spec, bank)
     gen = rng(seed, "jacobian")
     cap = 100 * count
@@ -364,10 +390,10 @@ def run_train(spec, bank, params, tolerances, seed, outdir) -> dict:
         Y=gen.standard_normal((spec.d[0], T)),
     )
     cfg = landscape.TrainConfig(
-        step_size=float(params.get("step_size", 0.25)),
+        step_size=_real(params, "train", "step_size", 0.25, low=0.0, strict=True),
         iterations=_count(params, "train", "iterations", 200),
-        checkpoint_every=int(params.get("checkpoint_every", 0)),
-        stop_loss=float(params.get("stop_loss", 0.0)),
+        checkpoint_every=_count(params, "train", "checkpoint_every", 0, low=0),
+        stop_loss=_real(params, "train", "stop_loss", 0.0),
     )
     result = landscape.train_gd(spec, bank, data, cfg)
     monotone = all(a >= b for a, b in zip(result.losses, result.losses[1:]))
@@ -405,6 +431,8 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
     spec = _build_spec(cfg)
     seed = _field(cfg, "seed")
     if seed is not None:
+        if not netbuild._integral(seed):
+            raise ConfigError(f"config field 'seed' must be an integer, got {seed!r}")
         seed = int(seed)
     names = _field(cfg, "analyses", required=True)
     if not isinstance(names, list) or not names:
@@ -415,7 +443,8 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
                 f"config field 'analyses': unknown analysis {name!r} "
                 f"(recognized: {', '.join(ANALYSES)})"
             )
-    sampler = _field(cfg, "sampler", default={})
+    sampler = _block(cfg, "sampler")
+    blocks = {name: _block(cfg, name) for name in names}
     if sampler and seed is None:
         raise ConfigError("config field 'seed' is required when a sampler is used")
     needs_sampler_seed = {"reconstruct", "identity", "regions", "lipschitz",
@@ -435,10 +464,10 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
     timings = {}
     census = None
     for name in names:
-        params = _field(cfg, name, default={})
+        params = blocks[name]
         start = time.perf_counter()
         if name == "frames":
-            bank_params = dict(_field(cfg, "bank", default={}))
+            bank_params = dict(_block(cfg, "bank"))
             bank_params.update(params)
             block = run_frames(spec, bank, bank_params, tolerances)
         elif name == "reconstruct":
@@ -767,7 +796,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except (ValueError, landscape.TrainingDiverged) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

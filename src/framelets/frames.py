@@ -1,4 +1,4 @@
-"""Frame-condition factories, residual diagnostics, and frame bases.
+"""Frame-condition factories and residual diagnostics.
 
 Layerwise perfect reconstruction of a linear encoder-decoder pair needs
 two algebraic conditions per layer: the unpooling/pooling product must be
@@ -25,13 +25,11 @@ from .seeding import derive, rng
 
 __all__ = [
     "FrameConfig",
-    "FrameBasis",
     "frame_filter_constant",
     "make_frame_pooling",
     "make_frame_filters",
     "frame_bank",
     "frame_residual",
-    "build_frame_basis",
     "cascade_filter_check",
 ]
 
@@ -197,45 +195,6 @@ def frame_residual(spec: NetworkSpec, bank: LayerBank, config: FrameConfig) -> l
         entry["layer_identity_residual"] = _max_dev(recon, np.eye(d_prev))
         out.append(entry)
     return out
-
-
-@dataclass(frozen=True)
-class FrameBasis:
-    """Global frame and dual: with frame conditions, B_tilde @ B' == identity."""
-
-    B: np.ndarray
-    B_tilde: np.ndarray
-
-    @property
-    def feature_dim(self) -> int:
-        return self.B.shape[1]
-
-    def reconstruction(self) -> np.ndarray:
-        return self.B_tilde @ self.B.T
-
-
-def build_frame_basis(spec: NetworkSpec, bank: LayerBank) -> FrameBasis:
-    """Linear-composition frame pair (nonlinearities ignored).
-
-    Without skips these are the plain E- and D-chains; with skips each
-    level appends its skip operator to the chain prefix, deepest level
-    first after the full-depth block.
-    """
-    mats = realize(spec, bank)
-    d0 = spec.d[0]
-    prefix_e = [np.eye(d0)]
-    prefix_d = [np.eye(d0)]
-    for l in range(1, spec.kappa + 1):
-        prefix_e.append(prefix_e[-1] @ mats[l - 1].E)
-        prefix_d.append(prefix_d[-1] @ mats[l - 1].D)
-    if not spec.skip:
-        return FrameBasis(B=prefix_e[spec.kappa], B_tilde=prefix_d[spec.kappa])
-    blocks = [prefix_e[spec.kappa]]
-    dual_blocks = [prefix_d[spec.kappa]]
-    for l in range(spec.kappa, 0, -1):
-        blocks.append(prefix_e[l - 1] @ mats[l - 1].S)
-        dual_blocks.append(prefix_d[l - 1] @ mats[l - 1].S_tilde)
-    return FrameBasis(B=np.hstack(blocks), B_tilde=np.hstack(dual_blocks))
 
 
 def cascade_filter_check(spec: NetworkSpec, bank: LayerBank, tol: float = 1e-12) -> dict:

@@ -15,8 +15,10 @@ Both are cross-checked against central finite differences in the test
 suite.  ReLU derivative at zero is 0, matching the mask convention; any
 derivative-based check should respect the kink margin.
 
-Sums over training samples accumulate in fixed sample order so reports
-are bit-stable.
+Each public call runs one forward pass per training sample and reads
+the cost, gradients, features and factor singular values from those
+per-sample records; sums over samples accumulate in fixed sample order
+so reports are bit-stable.
 """
 
 from __future__ import annotations
@@ -26,8 +28,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import KinkMarginError, pattern_from_trace, trace_margin
+from .analysis import (
+    ActivationPattern,
+    KinkMarginError,
+    masked_chains,
+    pattern_from_trace,
+    trace_margin,
+)
 from .netbuild import (
+    ForwardTrace,
     LayerBank,
     LayerMatrices,
     NetworkSpec,
@@ -38,15 +47,12 @@ from .netbuild import (
 
 __all__ = [
     "TrainingSet",
-    "FeatureMatrices",
     "BoundCertificate",
     "StationarityReport",
     "TrainConfig",
     "TrainResult",
     "TrainingDiverged",
     "loss",
-    "traces",
-    "feature_matrices",
     "grad_skip_analytic",
     "grad_enc_analytic",
     "fd_grad_skip",
@@ -89,45 +95,32 @@ class TrainingSet:
         return self.X.shape[1]
 
 
-def traces(spec: NetworkSpec, mats, data: TrainingSet) -> list:
-    return [forward_matrices(spec, mats, data.X[:, i]) for i in range(data.T)]
-
-
-def loss(spec: NetworkSpec, mats, data: TrainingSet) -> float:
-    """Squared-error cost: half the sum of per-sample residual norms squared."""
+def _cost(residuals) -> float:
     total = 0.0
-    for i in range(data.T):
-        res = forward_matrices(spec, mats, data.X[:, i]).y - data.Y[:, i]
+    for res in residuals:
         total += float(res @ res)
     return 0.5 * total
 
 
-@dataclass
-class FeatureMatrices:
-    """Bottleneck features (d_kappa x T) and skip features (s_l x T per level)."""
-
-    xi_kappa: np.ndarray
-    gamma: tuple | None
+def loss(spec: NetworkSpec, mats, data: TrainingSet) -> float:
+    """Squared-error cost: half the sum of per-sample residual norms squared."""
+    return _cost(forward_matrices(spec, mats, data.X[:, i]).y - data.Y[:, i]
+                 for i in range(data.T))
 
 
-def feature_matrices(spec: NetworkSpec, mats, data: TrainingSet) -> FeatureMatrices:
-    runs = traces(spec, mats, data)
-    xi_kappa = np.column_stack([t.enc[-1] for t in runs])
-    gamma = None
-    if spec.skip:
-        gamma = tuple(
-            np.column_stack([t.skip[l - 1] for t in runs])
-            for l in range(1, spec.kappa + 1)
-        )
-    return FeatureMatrices(xi_kappa=xi_kappa, gamma=gamma)
+@dataclass(frozen=True)
+class _Sample:
+    """One training sample after its one forward pass.
 
+    The trace, its activation pattern, the dual chain prefixes ``tus`` of
+    its region (see :func:`analysis.masked_chains`) and the residual
+    F(x) - y: everything the gradients and certificates read.
+    """
 
-def _dual_chain(spec: NetworkSpec, mats, pattern) -> list:
-    """Dual prefixes: entry l is the masked D-chain through decoder layer l."""
-    tus = [np.eye(spec.d[0])]
-    for l in range(1, spec.kappa + 1):
-        tus.append((tus[-1] * pattern.dec[l - 1][None, :]) @ mats[l - 1].D)
-    return tus
+    trace: ForwardTrace
+    pattern: ActivationPattern
+    tus: list
+    res: np.ndarray
 
 
 def _guard_margin(spec, trace, margin, index):
@@ -138,6 +131,41 @@ def _guard_margin(spec, trace, margin, index):
                 f"training sample {index} sits within {got:.3e} of a ReLU kink "
                 f"(margin {margin:.3e}); resample or perturb the data"
             )
+
+
+def _samples(spec: NetworkSpec, mats, data: TrainingSet, margin: float = 0.0) -> list:
+    """One :class:`_Sample` per training sample, in sample order."""
+    out = []
+    for i in range(data.T):
+        trace = forward_matrices(spec, mats, data.X[:, i])
+        _guard_margin(spec, trace, margin, i)
+        pattern = pattern_from_trace(spec, trace)
+        out.append(_Sample(trace=trace, pattern=pattern,
+                           tus=masked_chains(spec, mats, pattern)[1],
+                           res=trace.y - data.Y[:, i]))
+    return out
+
+
+def _grad_skip(mats, samples, l: int) -> np.ndarray:
+    grad = np.zeros_like(mats[l - 1].S_tilde)
+    for s in samples:
+        h = s.pattern.dec[l - 1] * (s.tus[l - 1].T @ s.res)
+        grad += np.outer(h, s.trace.skip[l - 1])
+    return grad
+
+
+def _xi_prev(trace, kappa: int) -> np.ndarray:
+    """The features feeding the bottleneck operator E^kappa."""
+    return trace.enc[kappa - 2] if kappa >= 2 else trace.x
+
+
+def _grad_enc(spec: NetworkSpec, mats, samples) -> np.ndarray:
+    kappa = spec.kappa
+    grad = np.zeros_like(mats[kappa - 1].E)
+    for s in samples:
+        g = s.pattern.enc[kappa - 1] * (s.tus[kappa].T @ s.res)
+        grad += np.outer(_xi_prev(s.trace, kappa), g)
+    return grad
 
 
 def grad_skip_analytic(spec: NetworkSpec, mats, data: TrainingSet, l: int,
@@ -155,33 +183,13 @@ def grad_skip_analytic(spec: NetworkSpec, mats, data: TrainingSet, l: int,
         raise ValueError("skip gradients need a skip network")
     if not 1 <= l <= spec.kappa:
         raise ValueError(f"layer index {l} out of range [1, {spec.kappa}]")
-    grad = np.zeros_like(mats[l - 1].S_tilde)
-    for i in range(data.T):
-        trace = forward_matrices(spec, mats, data.X[:, i])
-        _guard_margin(spec, trace, margin, i)
-        pattern = pattern_from_trace(spec, trace)
-        tus = _dual_chain(spec, mats, pattern)
-        res = trace.y - data.Y[:, i]
-        h = pattern.dec[l - 1] * (tus[l - 1].T @ res)
-        grad += np.outer(h, trace.skip[l - 1])
-    return grad
+    return _grad_skip(mats, _samples(spec, mats, data, margin), l)
 
 
 def grad_enc_analytic(spec: NetworkSpec, mats, data: TrainingSet,
                       margin: float = 0.0) -> np.ndarray:
     """Free-matrix gradient of the cost with respect to the bottleneck E."""
-    kappa = spec.kappa
-    grad = np.zeros_like(mats[kappa - 1].E)
-    for i in range(data.T):
-        trace = forward_matrices(spec, mats, data.X[:, i])
-        _guard_margin(spec, trace, margin, i)
-        pattern = pattern_from_trace(spec, trace)
-        tus = _dual_chain(spec, mats, pattern)
-        res = trace.y - data.Y[:, i]
-        g = pattern.enc[kappa - 1] * (tus[kappa].T @ res)
-        xi_prev = trace.enc[kappa - 2] if kappa >= 2 else trace.x
-        grad += np.outer(xi_prev, g)
-    return grad
+    return _grad_enc(spec, mats, _samples(spec, mats, data, margin))
 
 
 def _replace_layer(mats, l: int, **changes):
@@ -192,8 +200,7 @@ def _replace_layer(mats, l: int, **changes):
 
 def _fd_grad_matrix(spec, mats, data, l: int, attr: str, step: float | None,
                     margin: float) -> np.ndarray:
-    for i in range(data.T):
-        _guard_margin(spec, forward_matrices(spec, mats, data.X[:, i]), margin, i)
+    _samples(spec, mats, data, margin)  # the kink guard
     base = getattr(mats[l - 1], attr)
     grad = np.zeros_like(base)
     for idx in np.ndindex(base.shape):
@@ -317,20 +324,15 @@ def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> B
     """
     if not spec.skip:
         raise ValueError("skip certificates need a skip network")
-    runs = traces(spec, mats, data)
-    gamma = np.column_stack([t.skip[l - 1] for t in runs])
-    level = []
-    for t in runs:
-        pattern = pattern_from_trace(spec, t)
-        tus = _dual_chain(spec, mats, pattern)
-        level.append((tus[l - 1], pattern.dec[l - 1]))
-    mins, maxs = _factor_sigmas(level)
-    cost = loss(spec, mats, data)
+    samples = _samples(spec, mats, data)
+    gamma = np.column_stack([s.trace.skip[l - 1] for s in samples])
+    mins, maxs = _factor_sigmas([(s.tus[l - 1], s.pattern.dec[l - 1]) for s in samples])
+    cost = _cost(s.res for s in samples)
     g_min, g_max = _sigma_extremes(gamma, "skip feature matrix")
-    cert = BoundCertificate(
+    return BoundCertificate(
         kind="skip",
         layer=l,
-        grad_norm=float(np.linalg.norm(grad_skip_analytic(spec, mats, data, l))),
+        grad_norm=float(np.linalg.norm(_grad_skip(mats, samples, l))),
         lower=g_min * min(mins) * np.sqrt(2.0 * cost),
         upper=g_max * max(maxs) * np.sqrt(2.0 * cost),
         loss=cost,
@@ -346,7 +348,6 @@ def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> B
         },
         applicable=spec.s[l - 1] >= data.T and spec.d[l - 1] >= spec.d[0],
     )
-    return cert
 
 
 def certify_bounds_enc(spec: NetworkSpec, mats, data: TrainingSet) -> BoundCertificate:
@@ -358,25 +359,18 @@ def certify_bounds_enc(spec: NetworkSpec, mats, data: TrainingSet) -> BoundCerti
     bottleneck output features instead, for side-by-side comparison.
     """
     kappa = spec.kappa
-    runs = traces(spec, mats, data)
-    xi_prev = np.column_stack(
-        [t.enc[kappa - 2] if kappa >= 2 else t.x for t in runs]
-    )
-    xi_kappa = np.column_stack([t.enc[-1] for t in runs])
-    level = []
-    for t in runs:
-        pattern = pattern_from_trace(spec, t)
-        tus = _dual_chain(spec, mats, pattern)
-        level.append((tus[kappa], pattern.enc[kappa - 1]))
-    mins, maxs = _factor_sigmas(level)
-    cost = loss(spec, mats, data)
+    samples = _samples(spec, mats, data)
+    xi_prev = np.column_stack([_xi_prev(s.trace, kappa) for s in samples])
+    xi_kappa = np.column_stack([s.trace.enc[-1] for s in samples])
+    mins, maxs = _factor_sigmas([(s.tus[kappa], s.pattern.enc[kappa - 1]) for s in samples])
+    cost = _cost(s.res for s in samples)
     f_min, f_max = _sigma_extremes(xi_prev, "encoder feature matrix")
     k_min, k_max = _sigma_extremes(xi_kappa, "bottleneck feature matrix")
     root = np.sqrt(2.0 * cost)
     return BoundCertificate(
         kind="encoder",
         layer=kappa,
-        grad_norm=float(np.linalg.norm(grad_enc_analytic(spec, mats, data))),
+        grad_norm=float(np.linalg.norm(_grad_enc(spec, mats, samples))),
         lower=f_min * min(mins) * root,
         upper=f_max * max(maxs) * root,
         loss=cost,
@@ -441,21 +435,17 @@ def check_stationarity(spec: NetworkSpec, mats, data: TrainingSet,
                    pos_tol: float = 1e-12, loss_floor: float = 0.0) -> StationarityReport:
     if not spec.skip:
         raise ValueError("the stationarity check needs a skip network")
-    runs = traces(spec, mats, data)
-    cost = loss(spec, mats, data)
+    samples = _samples(spec, mats, data)
+    cost = _cost(s.res for s in samples)
     report = StationarityReport(loss=cost, loss_floor=loss_floor, pos_tol=pos_tol)
-    patterns = [pattern_from_trace(spec, t) for t in runs]
-    chains = [_dual_chain(spec, mats, p) for p in patterns]
     for l in range(1, spec.kappa + 1):
-        gamma = np.column_stack([t.skip[l - 1] for t in runs])
+        gamma = np.column_stack([s.trace.skip[l - 1] for s in samples])
         gamma_rank = _rank(gamma)
         gamma_full = gamma_rank == data.T
-        rows_full = []
-        for p, tus in zip(patterns, chains):
-            M = tus[l - 1] * p.dec[l - 1][None, :]
-            rows_full.append(_rank(M) == spec.d[0])
+        rows_full = [_rank(s.tus[l - 1] * s.pattern.dec[l - 1][None, :]) == spec.d[0]
+                     for s in samples]
         conditions = gamma_full and all(rows_full)
-        gnorm = float(np.linalg.norm(grad_skip_analytic(spec, mats, data, l)))
+        gnorm = float(np.linalg.norm(_grad_skip(mats, samples, l)))
         entry = {
             "layer": l,
             "gamma_rank": gamma_rank,
@@ -596,6 +586,16 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
             stop_reason = "reached stop loss" if cur_loss <= config.stop_loss \
                 else "zero gradient"
             break
+        # a NaN or infinite entry makes the squared norm non-finite too
+        bad = [] if np.isfinite(gnorm_sq) else [
+            f"layer {l} {side}" for side, grads in (("encoder", enc_g), ("decoder", dec_g))
+            for l, g in enumerate(grads, 1) if not np.all(np.isfinite(g))
+        ]
+        if bad:
+            raise TrainingDiverged(
+                f"{bad[0]} tap gradient contains non-finite entries at iteration {it} "
+                f"(loss {cur_loss:.3e}): the forward pass overflowed; reduce the bank scale"
+            )
         if config.armijo:
             step = config.step_size
             accepted = None

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -27,3 +29,19 @@ def make_frame_pair(kappa=2, r=2, m=8, skip=False, alpha=1.0, seed=0,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+@pytest.fixture
+def forward_calls(monkeypatch):
+    """One list entry per netbuild.forward_matrices call, through any binding."""
+    calls = []
+    original = netbuild.forward_matrices
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("framelets") and vars(module).get("forward_matrices") is original:
+            monkeypatch.setattr(module, "forward_matrices", counted)
+    return calls

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from framelets import analysis, frames, netbuild
+from framelets import analysis, netbuild
 from conftest import make_frame_pair, make_spec
 
 
@@ -61,7 +61,8 @@ class TestActivationPattern:
             trace = netbuild.forward_matrices(spec, mats, x)
             pattern = analysis.pattern_from_trace(spec, trace)
             np.testing.assert_allclose(
-                analysis.replay(spec, mats, pattern, x), trace.y, atol=1e-12
+                analysis.linear_rep(spec, mats, pattern=pattern).matrix() @ x, trace.y,
+                atol=1e-12,
             )
 
     def test_key_distinguishes_patterns(self, rng):
@@ -83,9 +84,16 @@ class TestLinearRep:
         mats = netbuild.realize(spec, bank)
         x = np.random.default_rng(1).standard_normal(spec.d[0])
         rep = analysis.linear_rep(spec, mats, x)
-        basis = frames.build_frame_basis(spec, bank)
-        np.testing.assert_allclose(rep.B, basis.B, atol=1e-14)
-        np.testing.assert_allclose(rep.B_tilde, basis.B_tilde, atol=1e-14)
+        # the unmasked chains: [E-chain | E-prefix @ S, deepest skip first]
+        E1, E2 = mats[0].E, mats[1].E
+        D1, D2 = mats[0].D, mats[1].D
+        np.testing.assert_allclose(
+            rep.B, np.hstack([E1 @ E2, E1 @ mats[1].S, mats[0].S]), atol=1e-14
+        )
+        np.testing.assert_allclose(
+            rep.B_tilde, np.hstack([D1 @ D2, D1 @ mats[1].S_tilde, mats[0].S_tilde]),
+            atol=1e-14,
+        )
         np.testing.assert_allclose(rep.matrix() @ x, x, atol=1e-10)
 
     def test_rank_one_selector_sum(self, rng):

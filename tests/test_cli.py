@@ -275,6 +275,33 @@ class TestSharedCensus:
         assert saved["singletons"] == regions["singletons"]
 
 
+class TestForwardCounts:
+    def test_identity_runs_one_forward_per_sample(self, forward_calls):
+        spec = netbuild.NetworkSpec.from_dict(README_NETWORK)
+        bank = netbuild.random_bank(spec, seed=1)
+        block = cli.run_identity(spec, bank, {"count": 7}, cli.DEFAULT_TOLERANCES, 5)
+        assert block["samples"] == 7 and len(forward_calls) == 7
+
+    @pytest.mark.parametrize("network, count, saturated", [
+        (README_NETWORK, 30, True),
+        ({"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4], "skip": True,
+          "nonlinearity": "relu"}, 200, False),
+    ])
+    def test_lipschitz_forwards_only_regions_with_pairs(self, forward_calls, network,
+                                                        count, saturated):
+        spec = netbuild.NetworkSpec.from_dict(network)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=1))
+        census = analysis.region_census(spec, mats,
+                                        analysis.CensusConfig(count=count, seed=7))
+        assert (census.singletons == census.distinct) == saturated
+        forward_calls.clear()
+        block = cli.run_lipschitz(spec, mats, census, cli.DEFAULT_TOLERANCES)
+        used = [min(reg.count, 4) for reg in census.regions if reg.count >= 2]
+        assert len(forward_calls) == sum(used)
+        assert block["pairs_checked"] == sum(k * (k - 1) // 2 for k in used)
+        assert (block["pairs_checked"] == 0) == saturated
+
+
 class TestConfigErrors:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -379,6 +406,60 @@ class TestConfigErrors:
         cfg = base_config(enforce="regions")
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
         assert "'enforce' must be a list" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, analysis_name", [
+        ("bank.alpha", None, "frames"),
+        ("bank.alpha", 0, "frames"),
+        ("bank.scale", None, "reconstruct"),
+        ("bank.scale", "2", "reconstruct"),
+        ("frames.alpha", float("nan"), "frames"),
+        ("train.step_size", None, "train"),
+        ("train.step_size", 0, "train"),
+        ("train.stop_loss", None, "train"),
+        ("train.stop_loss", float("inf"), "train"),
+        ("train.checkpoint_every", 2.7, "train"),
+        ("train.checkpoint_every", None, "train"),
+        ("train.checkpoint_every", -1, "train"),
+        ("tolerances.identity", None, "reconstruct"),
+        ("tolerances.reconstruct", "1e-10", "reconstruct"),
+        ("tolerances.jacobian", True, "reconstruct"),
+        ("seed", 1.5, "reconstruct"),
+        ("reconstruct.no_relu", "false", "reconstruct"),
+        ("reconstruct.no_relu", 1, "reconstruct"),
+        ("sampler", [1000], "regions"),
+        ("bank", "random", "reconstruct"),
+        ("train", [], "train"),
+        ("tolerances", 1e-10, "reconstruct"),
+    ])
+    def test_invalid_value_names_its_field(self, tmp_path, capsys, path, value,
+                                           analysis_name):
+        # each used to raise a TypeError or AttributeError traceback, or to
+        # run with a coerced value (seed 1.5 as 1, checkpoint_every 2.7 as 2)
+        cfg = base_config(bank={"source": "random", "scale": 1.0},
+                          analyses=[analysis_name], enforce=[])
+        if "." in path:
+            section, key = path.split(".")
+            cfg.setdefault(section, {})[key] = value
+        else:
+            cfg[path] = value
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert f"'{path}'" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("scale, message", [
+        (100, "exceeded 1.0e+12 at iteration 1"),
+        (1e200, "layer 1 encoder tap gradient contains non-finite entries at iteration 1"),
+    ])
+    def test_diverging_training_exits_one(self, tmp_path, capsys, scale, message):
+        # scale 100 raised a TrainingDiverged traceback; scale 1e200 blamed
+        # the bank ("layer 1 enc_filters contains non-finite entries")
+        cfg = base_config(network=README_NETWORK,
+                          bank={"source": "random", "scale": scale},
+                          analyses=["train"], enforce=[])
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_unknown_tolerance(self, tmp_path, capsys):
         cfg = base_config(tolerances={"bogus": 1.0})

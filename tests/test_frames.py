@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from framelets import convops, frames, netbuild
+from framelets import analysis, convops, frames, netbuild
 from conftest import make_frame_pair, make_spec
 
 
@@ -123,6 +123,13 @@ class TestPerfectReconstruction:
         assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
 
 
+def frame_basis(spec, bank):
+    """The global frame pair: linear_rep's all-ones masks on the linear spec."""
+    linear = dataclasses.replace(spec, nonlinearity="none")
+    return analysis.linear_rep(linear, netbuild.realize(linear, bank),
+                               np.zeros(spec.d[0]))
+
+
 class TestFrameBasis:
     def test_identity_bank(self):
         spec = netbuild.NetworkSpec(kappa=1, r=1, q=(1, 1), m=(4, 4),
@@ -130,22 +137,22 @@ class TestFrameBasis:
         one = np.ones((1, 1, 1))
         bank = netbuild.LayerBank(enc_filters=(one,), dec_filters=(one.copy(),),
                                   pool=(np.eye(4),), unpool=(np.eye(4),))
-        basis = frames.build_frame_basis(spec, bank)
+        basis = frame_basis(spec, bank)
         np.testing.assert_array_equal(basis.B, np.eye(4))
         np.testing.assert_array_equal(basis.B_tilde, np.eye(4))
 
     def test_no_skip_reconstruction(self):
         spec, bank = make_frame_pair(kappa=2, skip=False, seed=13)
-        basis = frames.build_frame_basis(spec, bank)
+        basis = frame_basis(spec, bank)
         assert basis.feature_dim == spec.d[2]
-        dev = np.max(np.abs(basis.reconstruction() - np.eye(spec.d[0])))
+        dev = np.max(np.abs(basis.matrix() - np.eye(spec.d[0])))
         assert dev <= 1e-10
 
     def test_skip_layout_and_reconstruction(self):
         spec, bank = make_frame_pair(kappa=2, skip=True, seed=13)
-        basis = frames.build_frame_basis(spec, bank)
+        basis = frame_basis(spec, bank)
         assert basis.feature_dim == spec.d[2] + spec.s[0] + spec.s[1]
-        dev = np.max(np.abs(basis.reconstruction() - np.eye(spec.d[0])))
+        dev = np.max(np.abs(basis.matrix() - np.eye(spec.d[0])))
         assert dev <= 1e-10
         # column blocks follow [E-chain | E-prefix @ S, deepest skip first]
         mats = netbuild.realize(spec, bank)
@@ -162,16 +169,16 @@ class TestFrameBasis:
         # symmetric factory, identity pooling, alpha=1: B == B_tilde
         spec, bank = make_frame_pair(kappa=2, skip=False, seed=21,
                                      pooling="identity")
-        basis = frames.build_frame_basis(spec, bank)
+        basis = frame_basis(spec, bank)
         np.testing.assert_allclose(basis.B, basis.B_tilde, atol=1e-14)
 
     def test_reconstruction_matches_linear_forward(self):
         spec, bank = make_frame_pair(kappa=2, skip=True, seed=4)
-        basis = frames.build_frame_basis(spec, bank)
+        basis = frame_basis(spec, bank)
         gen = np.random.default_rng(5)
         x = gen.standard_normal(spec.d[0])
         y = netbuild.forward(spec, bank, x).y
-        np.testing.assert_allclose(basis.reconstruction() @ x, y, atol=1e-10)
+        np.testing.assert_allclose(basis.matrix() @ x, y, atol=1e-10)
 
 
 class TestCascade:

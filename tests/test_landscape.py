@@ -72,16 +72,25 @@ class TestLoss:
         assert abs(landscape.loss(spec, mats, data) - 0.5 * total) <= 1e-12
 
 
+def column_sigma(v):
+    return np.linalg.svd(np.column_stack([v]), compute_uv=False)[-1]
+
+
 class TestFeatureMatrices:
     def test_single_sample_column(self):
+        # with one sample each feature matrix is that sample's feature column
         spec = skip_spec()
         bank = netbuild.random_bank(spec, seed=1)
         mats = netbuild.realize(spec, bank)
         data = random_data(spec, seed=5, T=1)
-        feats = landscape.feature_matrices(spec, mats, data)
         trace = netbuild.forward_matrices(spec, mats, data.X[:, 0])
-        np.testing.assert_array_equal(feats.xi_kappa[:, 0], trace.enc[-1])
-        np.testing.assert_array_equal(feats.gamma[0][:, 0], trace.skip[0])
+        printed = landscape.certify_bounds_enc(spec, mats, data).printed
+        np.testing.assert_array_equal(printed["feature_sigma_min"],
+                                      column_sigma(trace.enc[-1]))
+        np.testing.assert_array_equal(
+            landscape.certify_bounds_skip(spec, mats, data, 1).feature_sigma_min,
+            column_sigma(trace.skip[0]),
+        )
 
     def test_duplicate_sample_rank_deficiency(self):
         spec = skip_spec()
@@ -91,19 +100,35 @@ class TestFeatureMatrices:
         data = landscape.TrainingSet(
             X=np.column_stack([x, x]), Y=np.zeros((spec.d[0], 2))
         )
-        feats = landscape.feature_matrices(spec, mats, data)
-        for gamma in feats.gamma:
-            sv = np.linalg.svd(gamma, compute_uv=False)
-            assert sv[-1] <= 1e-12
+        for l in range(1, spec.kappa + 1):
+            cert = landscape.certify_bounds_skip(spec, mats, data, l)
+            assert cert.feature_sigma_min <= 1e-12
 
     def test_overparameterized_full_rank(self):
         spec = skip_spec()  # s_l >= T = 2
         bank = netbuild.random_bank(spec, seed=4)
         mats = netbuild.realize(spec, bank)
         data = random_data(spec, seed=6, T=2)
-        feats = landscape.feature_matrices(spec, mats, data)
-        sv = np.linalg.svd(feats.gamma[1], compute_uv=False)
-        assert sv[-1] > 0.0
+        assert landscape.certify_bounds_skip(spec, mats, data, 2).feature_sigma_min > 0.0
+
+
+class TestOneForwardPerSample:
+    """Each public call reads everything from one forward pass per sample."""
+
+    @pytest.mark.parametrize("name, args", [
+        ("certify_bounds_skip", (1,)),
+        ("certify_bounds_skip", (2,)),
+        ("certify_bounds_enc", ()),
+        ("check_stationarity", ()),
+        ("grad_skip_analytic", (2,)),
+        ("grad_enc_analytic", ()),
+    ])
+    def test_forward_calls(self, forward_calls, name, args):
+        spec = skip_spec()
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=2))
+        data = random_data(spec, seed=3, T=3)
+        getattr(landscape, name)(spec, mats, data, *args)
+        assert len(forward_calls) == data.T
 
 
 class TestAnalyticGradients:
