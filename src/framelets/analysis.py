@@ -3,10 +3,13 @@
 For a fixed input x, the ReLU on/off decisions form an
 :class:`ActivationPattern`; freezing the pattern turns the network into
 a linear map that factors as B_tilde(x) B(x)' through the input-dependent
-frame pair built by :func:`linear_rep`.  On top of that sit a sampling
+frame pair built by :func:`linear_rep`.  The map itself needs no frame
+pair: :func:`region_maps` composes the masked layers from the bottleneck
+outward over a block of patterns at once.  On top of it sit a sampling
 census of activation patterns with the expressiveness bound, exact local
 Lipschitz constants (the spectral norm of each region map), and the
-analytic Jacobian with its finite-difference cross-check.
+analytic Jacobian with its finite-difference cross-check; the frame pair
+is built only where it is the object under test.
 
 Census sampling draws each input from its own sub-seeded stream, so the
 result is independent of any parallel execution order; regions are merged
@@ -34,6 +37,7 @@ __all__ = [
     "pattern_from_trace",
     "masked_chains",
     "linear_rep",
+    "region_maps",
     "nrep_bound",
     "pattern_bits",
     "spectral_norm",
@@ -44,6 +48,13 @@ __all__ = [
     "fd_jacobian",
     "count_sign_regions",
 ]
+
+
+#: inputs per stacked forward pass of the census, and patterns per batched
+#: product of region_maps (also the regions per stack of census maps); both
+#: keep the stacks near a megabyte at d_0 = 64
+_ROWS = 64
+_BLOCK = 4
 
 
 class KinkMarginError(ValueError):
@@ -80,22 +91,29 @@ class ActivationPattern:
         return hash(self.key)
 
 
-def pattern_from_trace(spec: NetworkSpec, trace) -> ActivationPattern:
+def pattern_from_trace(spec: NetworkSpec, trace):
+    """Activation pattern of a single-input trace; for a stacked trace of N
+    inputs, the list of the N row patterns, each equal to its row's own."""
     enc_relu = spec.relu_at_encoder()
     dec_relu = spec.relu_at_decoder()
     d, s = spec.d, spec.s
+    rows = trace.x.shape[:-1]
 
     def mask(pre, relu, dim):
-        return pre > 0 if relu else np.ones(dim, dtype=bool)
+        return pre > 0 if relu else np.ones(rows + (dim,), dtype=bool)
 
-    enc = tuple(mask(trace.enc_pre[l - 1], enc_relu, d[l]) for l in range(1, spec.kappa + 1))
-    skip = None
-    if spec.skip:
-        skip = tuple(mask(trace.skip_pre[l - 1], enc_relu, s[l - 1])
-                     for l in range(1, spec.kappa + 1))
-    dec = tuple(mask(trace.dec_pre[l - 1], dec_relu, d[l - 1])
-                for l in range(1, spec.kappa + 1))
-    return ActivationPattern(enc=enc, skip=skip, dec=dec)
+    layers = range(1, spec.kappa + 1)
+    enc = [mask(trace.enc_pre[l - 1], enc_relu, d[l]) for l in layers]
+    skip = [mask(trace.skip_pre[l - 1], enc_relu, s[l - 1]) for l in layers] \
+        if spec.skip else None
+    dec = [mask(trace.dec_pre[l - 1], dec_relu, d[l - 1]) for l in layers]
+    if not rows:
+        return ActivationPattern(enc=tuple(enc), skip=skip if skip is None else tuple(skip),
+                                 dec=tuple(dec))
+    return [ActivationPattern(enc=tuple(m[i] for m in enc),
+                              skip=skip if skip is None else tuple(m[i] for m in skip),
+                              dec=tuple(m[i] for m in dec))
+            for i in range(rows[0])]
 
 
 def extract_pattern(spec: NetworkSpec, mats, x) -> ActivationPattern:
@@ -164,6 +182,42 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
                      pattern=pattern)
 
 
+def region_maps(spec: NetworkSpec, mats, patterns) -> np.ndarray:
+    """Region maps B_tilde B' of a sequence of patterns, shape (N, d_0, d_0).
+
+    Composes the masked layers from the bottleneck outward, with Enc_l,
+    Skip_l, Dec_l the diagonal masks of layer l:
+
+        J_{kappa+1} = I
+        J_l = Dec_l (D^l J_{l+1} Enc_l E^l' + S_tilde^l Skip_l S^l')
+
+    and J_1 is the region map; no frame pair is formed.  Patterns go
+    through batched matmul in blocks of ``_BLOCK``, and every row is
+    bit-identical to a one-pattern call.
+    """
+    out = np.empty((len(patterns), spec.d[0], spec.d[0]))
+    for start in range(0, len(patterns), _BLOCK):
+        block = patterns[start:start + _BLOCK]
+        J = None  # J_{kappa+1} = I
+        for l in range(spec.kappa, 0, -1):
+            layer = mats[l - 1]
+            enc = np.stack([p.enc[l - 1] for p in block])[:, None, :]
+            # in place where possible: the (n, d_{l-1}, d_l) products dominate memory
+            if J is None:
+                masked = layer.D * enc
+            else:
+                masked = layer.D @ J
+                masked *= enc
+            J = masked @ layer.E.T
+            del masked
+            if spec.skip:
+                skip = np.stack([p.skip[l - 1] for p in block])[:, None, :]
+                J += (layer.S_tilde * skip) @ layer.S.T
+            J *= np.stack([p.dec[l - 1] for p in block])[:, :, None]
+        out[start:start + len(block)] = J
+    return out
+
+
 def nrep_bound(spec: NetworkSpec) -> int:
     """Stated cap on distinct linear representations, as an exact integer.
 
@@ -190,17 +244,20 @@ def pattern_bits(spec: NetworkSpec) -> int:
     return bits
 
 
-def spectral_norm(M) -> float:
+def spectral_norm(M):
     """Largest singular value of M, exact to LAPACK precision (an SVD).
 
-    Raises ValueError when M holds NaN or an infinity, which happens when
-    the forward pass of a huge bank overflows.
+    A float for one matrix; for a stack (N, a, b), the array of the N
+    norms, each bit-identical to ``np.linalg.norm`` of its matrix.  Raises
+    ValueError when M holds NaN or an infinity, which happens when the
+    forward pass of a huge bank overflows.
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
         raise ValueError("region map contains non-finite entries: the forward pass "
                          "overflowed (is the bank scaled too large?)")
-    return float(np.linalg.norm(M, 2))
+    top = np.linalg.svd(M, compute_uv=False)[..., 0]
+    return float(top) if M.ndim == 2 else top
 
 
 @dataclass(frozen=True)
@@ -290,20 +347,27 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
 
     Every sample has its own derived RNG stream and regions are keyed by
     the packed mask bits, so the census is reproducible and independent
-    of evaluation order.  Each region keeps its inputs in sample order;
-    its constant is the exact spectral norm of its linear map.
+    of evaluation order.  Samples are forwarded in stacks of ``_ROWS``
+    rows, each row bit-identical to its own forward pass.  Each region
+    keeps its inputs in sample order; its constant is the exact spectral
+    norm of its :func:`region_maps` map, taken over stacks of ``_BLOCK``
+    regions in key order.
     """
     found: dict = {}
-    for i in range(config.count):
-        x = _sample_input(spec, config, i)
-        pattern = extract_pattern(spec, mats, x)
-        found.setdefault(pattern.key, (pattern, []))[1].append(x)
+    for start in range(0, config.count, _ROWS):
+        xs = np.stack([_sample_input(spec, config, i)
+                       for i in range(start, min(start + _ROWS, config.count))])
+        patterns = pattern_from_trace(spec, forward_matrices(spec, mats, xs))
+        for x, pattern in zip(xs, patterns):
+            found.setdefault(pattern.key, (pattern, []))[1].append(x)
+    keys = sorted(found)
     regions = []
-    for key in sorted(found):
-        pattern, inputs = found[key]
-        rep = linear_rep(spec, mats, pattern=pattern)
-        regions.append(RegionInfo(pattern_hex=key.hex(),
-                                  lipschitz=spectral_norm(rep.matrix()), inputs=inputs))
+    for start in range(0, len(keys), _BLOCK):
+        block = keys[start:start + _BLOCK]
+        norms = spectral_norm(region_maps(spec, mats, [found[key][0] for key in block]))
+        regions.extend(RegionInfo(pattern_hex=key.hex(), lipschitz=float(norm),
+                                  inputs=found[key][1])
+                       for key, norm in zip(block, norms))
     return RegionCensus(samples=config.count, nrep=nrep_bound(spec),
                         pattern_bits=pattern_bits(spec), regions=regions)
 
@@ -340,6 +404,7 @@ def trace_margin(spec: NetworkSpec, trace):
 def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8) -> np.ndarray:
     """Jacobian of the network at x: the region map B_tilde(x) B(x)'.
 
+    One forward pass, then the :func:`region_maps` map of x's pattern.
     Requires x to sit at least ``margin`` away from every ReLU kink in
     pre-activation value; otherwise raises KinkMarginError advising a
     resample.
@@ -351,8 +416,7 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8) -> np.nd
             f"input is within {got:.3e} of a ReLU kink (margin {margin:.3e}); "
             "resample the input"
         )
-    rep = linear_rep(spec, mats, pattern=pattern_from_trace(spec, trace))
-    return rep.matrix()
+    return region_maps(spec, mats, [pattern_from_trace(spec, trace)])[0]
 
 
 def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:

@@ -313,16 +313,19 @@ def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
     # one forward per block of candidates; a block never holds more rows
     # than inputs still needed, so ``attempts`` ends at the last accepted
     # draw, as drawing one at a time would.  A NaN margin (an overflowing
-    # forward pass) is accepted, so the check fails on a NaN error.
+    # forward pass) is accepted, so the check fails on a NaN error.  The
+    # analytic Jacobians are the region maps of the accepted rows' patterns.
     while len(errors) < count and attempts < cap:
         block = gen.standard_normal((min(count - len(errors), cap - attempts), spec.d[0]))
-        margins = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, block))
+        trace = netbuild.forward_matrices(spec, mats, block)
         attempts += len(block)
-        for x, got in zip(block, margins):
-            if got < margin:
-                continue
-            J = analysis.jacobian_analytic(spec, mats, x, margin=margin)
-            Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
+        accepted = [i for i, got in enumerate(analysis.trace_margin(spec, trace))
+                    if not got < margin]
+        patterns = analysis.pattern_from_trace(spec, trace)
+        del trace  # the maps and stencils below peak higher with the block's trace alive
+        maps = analysis.region_maps(spec, mats, [patterns[i] for i in accepted])
+        for i, J in zip(accepted, maps):
+            Jfd = analysis.fd_jacobian(spec, mats, block[i], step=step)
             errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
     if len(errors) < count:
         raise ConfigError(

@@ -244,15 +244,16 @@ def cascade_filter_check(spec: NetworkSpec, bank: LayerBank, tol: float = 1e-12)
             ]
             prod_e = prod_e @ mats[l - 1].E
             prod_d = prod_d @ mats[l - 1].D
-        enc_dev = max(
+        # np.max keeps a NaN deviation (an overflow); Python's max can drop it
+        enc_dev = float(np.max([
             _max_dev(prod_e[:, t * m:(t + 1) * m], identity_conv(m, enc_sums[t]))
             for t in range(spec.q[l])
-        )
-        dec_dev = max(
+        ]))
+        dec_dev = float(np.max([
             _max_dev(prod_d[:, t * m:(t + 1) * m], identity_conv(m, dec_sums[t]))
             for t in range(spec.q[l])
-        )
-        worst = max(worst, enc_dev, dec_dev)
+        ]))
+        worst = float(np.max([worst, enc_dev, dec_dev]))
         report["per_layer"].append(
             {"layer": l, "enc_deviation": enc_dev, "dec_deviation": dec_dev}
         )

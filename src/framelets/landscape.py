@@ -551,9 +551,9 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
     accepted step satisfies the backtracking decrease condition, so the
     loss trajectory is monotone and a step that cannot be backtracked
     into acceptance stalls the run; without it, raw fixed-size steps are
-    taken and a loss beyond ``divergence_loss`` aborts with a
-    diagnostic.  Emits bound certificates every ``checkpoint_every``
-    iterations when requested.
+    taken.  A non-finite loss, or one beyond ``divergence_loss`` that rose
+    over the previous iteration, aborts with a diagnostic.  Emits bound
+    certificates every ``checkpoint_every`` iterations when requested.
     """
     current = bank
     cur_loss = loss(spec, realize(spec, current), data)
@@ -614,9 +614,11 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
             current = _bank_step(current, enc_g, dec_g, config.step_size)
             cur_loss = loss(spec, realize(spec, current), data)
         losses.append(cur_loss)
-        if not np.isfinite(cur_loss) or cur_loss > config.divergence_loss:
+        # a large loss that is still falling (a large bank scale) is not a divergence
+        if not np.isfinite(cur_loss) or (cur_loss > config.divergence_loss
+                                         and cur_loss > losses[-2]):
             raise TrainingDiverged(
-                f"loss {cur_loss:.3e} exceeded {config.divergence_loss:.1e} "
+                f"loss {cur_loss:.3e} exceeded {config.divergence_loss:.1e} and rose "
                 f"at iteration {it}; reduce the step size"
             )
         if config.checkpoint_every > 0 and it % config.checkpoint_every == 0:

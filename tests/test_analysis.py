@@ -5,7 +5,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from framelets import analysis, netbuild
+from framelets import analysis, cli, netbuild
+from framelets.seeding import rng as seeded_rng
 from conftest import make_frame_pair, make_spec
 
 
@@ -133,6 +134,42 @@ class TestLinearRep:
         assert rep.feature_dim == spec.d[3] + sum(spec.s)
 
 
+def map_spec(kappa, skip, nonlinearity, unequal_m):
+    m_list = [7, 5, 6, 4][:kappa + 1] if unequal_m else None
+    return make_spec(kappa=kappa, r=2, m=6, skip=skip, nonlinearity=nonlinearity,
+                     m_list=m_list)
+
+
+class TestRegionMaps:
+    @pytest.mark.parametrize("unequal_m", [False, True])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_equals_frame_pair_product(self, kappa, skip, nonlinearity, unequal_m, rng):
+        spec = map_spec(kappa, skip, nonlinearity, unequal_m)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
+        X = rng.standard_normal((9, spec.d[0]))
+        patterns = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
+        maps = analysis.region_maps(spec, mats, patterns)
+        assert maps.shape == (9, spec.d[0], spec.d[0])
+        for pattern, got in zip(patterns, maps):
+            want = analysis.linear_rep(spec, mats, pattern=pattern).matrix()
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_stacked_rows_equal_single_calls(self, skip, nonlinearity, rng):
+        spec = map_spec(2, skip, nonlinearity, unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
+        X = rng.standard_normal((11, spec.d[0]))  # crosses block boundaries
+        patterns = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
+        maps = analysis.region_maps(spec, mats, patterns)
+        for x, pattern, got in zip(X, patterns, maps):
+            assert pattern == analysis.extract_pattern(spec, mats, x)
+            assert np.array_equal(got, analysis.region_maps(spec, mats, [pattern])[0])
+        assert analysis.region_maps(spec, mats, []).shape == (0, spec.d[0], spec.d[0])
+
+
 class TestNrepBound:
     def test_formula_values(self):
         spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(4, 4, 4))
@@ -171,6 +208,14 @@ class TestSpectralNorm:
         M[1, 2] = bad
         with pytest.raises(ValueError, match="non-finite entries"):
             analysis.spectral_norm(M)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            analysis.spectral_norm(np.stack([np.eye(3), M]))
+
+    def test_stack_equals_single_norms(self, rng):
+        stack = rng.standard_normal((7, 6, 4))
+        got = analysis.spectral_norm(stack)
+        assert got.shape == (7,)
+        assert all(a == np.linalg.norm(M, 2) for a, M in zip(got, stack))
 
     def test_near_tie_of_top_singular_values(self):
         # an iterative method converges at rate sigma_2 / sigma_1 here and
@@ -235,8 +280,9 @@ class TestRegionCensus:
             spec, mats, analysis.CensusConfig(count=300, seed=3)
         )
         for reg in census.regions:
-            rep = analysis.linear_rep(spec, mats, reg.representative)
-            assert reg.lipschitz == np.linalg.norm(rep.matrix(), 2)
+            pattern = analysis.extract_pattern(spec, mats, reg.representative)
+            assert reg.lipschitz == np.linalg.norm(
+                analysis.region_maps(spec, mats, [pattern])[0], 2)
 
     def test_regions_keep_inputs_in_sample_order(self):
         spec = make_spec(kappa=1, m=4)
@@ -256,6 +302,26 @@ class TestRegionCensus:
         assert 0 < census.singletons < census.distinct
         assert census.singletons == sum(len(xs) == 1 for xs in expected.values())
         assert census.to_dict()["singletons"] == census.singletons
+
+    @pytest.mark.parametrize("count", [1, 150])
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_census_equals_one_input_at_a_time(self, skip, count):
+        # the census forwards stacked blocks of samples; an input-by-input
+        # pass must give the same keys, counts and inputs in sample order
+        spec = make_spec(kappa=2, m=4, skip=skip)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
+        cfg = analysis.CensusConfig(count=count, seed=6, distribution="sphere")
+        census = analysis.region_census(spec, mats, cfg)
+        expected = {}
+        for i in range(cfg.count):
+            x = analysis._sample_input(spec, cfg, i)
+            trace = netbuild.forward_matrices(spec, mats, x)
+            expected.setdefault(analysis.pattern_from_trace(spec, trace).key.hex(), []).append(x)
+        assert [reg.pattern_hex for reg in census.regions] == sorted(expected)
+        for reg in census.regions:
+            want = expected[reg.pattern_hex]
+            assert reg.count == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(reg.inputs, want))
 
     def test_census_independent_of_evaluation_order(self):
         # per-sample streams derive from (seed, index), so evaluating the
@@ -460,6 +526,26 @@ class TestJacobian:
             got = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
         # NaN compares False against any margin, so a screen keeps the row
         assert np.all(np.isnan(got))
+
+    def test_run_makes_screen_forwards_and_one_stencil_per_instance(self, forward_calls):
+        # the accepted rows' maps come from the screen block's own trace;
+        # the only other forwards are the fd_jacobian stencils
+        spec = make_spec(kappa=2, m=5, skip=True)
+        bank = netbuild.random_bank(spec, seed=10)
+        params = {"count": 12, "margin": 0.05}
+        block = cli.run_jacobian(spec, bank, params, {"jacobian": 1e-5}, seed=3)
+        made = len(forward_calls)
+        gen = seeded_rng(3, "jacobian")
+        mats = netbuild.realize(spec, bank)
+        blocks = accepted = 0
+        while accepted < params["count"]:
+            X = gen.standard_normal((params["count"] - accepted, spec.d[0]))
+            margins = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
+            accepted += int(np.sum(margins >= params["margin"]))
+            blocks += 1
+        assert blocks > 1
+        assert made == blocks + params["count"]
+        assert block["instances"] == params["count"]
 
     def test_kink_margin_error(self):
         spec = make_spec(kappa=1, m=4)

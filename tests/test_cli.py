@@ -448,18 +448,30 @@ class TestConfigErrors:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale, message", [
-        (100, "exceeded 1.0e+12 at iteration 1"),
         (1e200, "layer 1 encoder tap gradient contains non-finite entries at iteration 1"),
     ])
     def test_diverging_training_exits_one(self, tmp_path, capsys, scale, message):
-        # scale 100 raised a TrainingDiverged traceback; scale 1e200 blamed
-        # the bank ("layer 1 enc_filters contains non-finite entries")
+        # scale 1e200 blamed the bank ("layer 1 enc_filters contains
+        # non-finite entries")
         cfg = base_config(network=README_NETWORK,
                           bank={"source": "random", "scale": scale},
                           analyses=["train"], enforce=[])
         assert cli.main(["run", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "out")]) == 1
         assert message in capsys.readouterr().err
+
+    def test_large_falling_loss_trains(self, tmp_path):
+        # the initial loss of a scale-100 bank is above divergence_loss
+        # (1e12); Armijo steps lower it, which used to abort at iteration 1
+        cfg = base_config(network=README_NETWORK,
+                          bank={"source": "random", "scale": 100},
+                          analyses=["train"], enforce=["train"])
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 0
+        train = json.loads((tmp_path / "out" / "report.json").read_text())["results"]["train"]
+        assert train["initial_loss"] > 1e12
+        assert train["final_loss"] < train["losses"][1] < train["initial_loss"]
+        assert train["monotone"]
 
     def test_unknown_tolerance(self, tmp_path, capsys):
         cfg = base_config(tolerances={"bogus": 1.0})

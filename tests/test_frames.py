@@ -202,6 +202,21 @@ class TestCascade:
         assert report["ok"], report
         assert len(report["per_layer"]) == kappa
 
+    def test_nan_operator_entry_fails_the_check(self, monkeypatch):
+        # a NaN entry in a chained operator (as an overflow leaves) makes
+        # channel 1's deviation NaN; Python's max dropped it behind channel 0's
+        spec = make_spec(kappa=2, r=2, m=8, nonlinearity="none")
+        bank = self._identity_pool_bank(spec, seed=2)
+        mats = list(netbuild.realize(spec, bank))
+        E = mats[1].E.copy()
+        E[0, spec.m[0]] = np.nan
+        mats[1] = dataclasses.replace(mats[1], E=E)
+        monkeypatch.setattr(frames, "realize", lambda *_: tuple(mats))
+        report = frames.cascade_filter_check(spec, bank)
+        assert np.isnan(report["per_layer"][1]["enc_deviation"])
+        assert np.isnan(report["max_deviation"])
+        assert report["ok"] is False
+
     def test_explicit_multi_index_sum(self):
         # independent oracle: brute-force sum over channel paths, then
         # compare the depth-2 block columns directly

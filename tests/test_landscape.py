@@ -447,3 +447,16 @@ class TestTrainGD:
                 landscape.TrainConfig(step_size=1e4, iterations=100,
                                       armijo=False, divergence_loss=1e10),
             )
+
+    def test_raw_step_blow_up_of_a_large_loss_aborts(self):
+        # the loss starts above divergence_loss; a raw step that raises it
+        # further still aborts, while an Armijo run lowers it
+        spec = make_spec(kappa=2, r=2, m=8, q=[1, 2, 4], skip=True)
+        bank = netbuild.random_bank(spec, seed=7, scale=100)
+        data = random_data(spec, seed=0)
+        assert landscape.loss(spec, netbuild.realize(spec, bank), data) > 1e12
+        with pytest.raises(landscape.TrainingDiverged, match="exceeded 1.0e\\+12 and rose"):
+            landscape.train_gd(spec, bank, data,
+                               landscape.TrainConfig(iterations=20, armijo=False))
+        result = landscape.train_gd(spec, bank, data, landscape.TrainConfig(iterations=1))
+        assert result.losses[1] < result.losses[0]
