@@ -4,8 +4,9 @@ For a fixed input x, the ReLU on/off decisions form an
 :class:`ActivationPattern`; freezing the pattern turns the network into
 a linear map that factors as B_tilde(x) B(x)' through the input-dependent
 frame pair built by :func:`linear_rep`.  The map itself needs no frame
-pair: :func:`region_maps` composes the masked layers from the bottleneck
-outward over a block of patterns at once.  On top of it sit a sampling
+pair: :func:`region_maps` is the masked forward pass of the identity,
+X_l = (X_{l-1} E^l) * enc_l from X_0 = I and back down the decoder, over a
+block of patterns at once.  On top of it sit a sampling
 census of activation patterns with the expressiveness bound, exact local
 Lipschitz constants (the spectral norm of each region map), and the
 analytic Jacobian with its finite-difference cross-check; the frame pair
@@ -50,9 +51,10 @@ __all__ = [
 ]
 
 
-#: inputs per stacked forward pass of the census, and patterns per batched
-#: product of region_maps (also the regions per stack of census maps); both
-#: keep the stacks near a megabyte at d_0 = 64
+#: inputs per stacked forward pass of the census, and patterns per block of
+#: region_maps, whose temporaries are (n, d_0, d_l) and (n, d_0, s_l) stacks
+#: (also the regions per stack of census maps); both keep the stacks near a
+#: megabyte at d_0 = 64
 _ROWS = 64
 _BLOCK = 4
 
@@ -185,36 +187,38 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
 def region_maps(spec: NetworkSpec, mats, patterns) -> np.ndarray:
     """Region maps B_tilde B' of a sequence of patterns, shape (N, d_0, d_0).
 
-    Composes the masked layers from the bottleneck outward, with Enc_l,
-    Skip_l, Dec_l the diagonal masks of layer l:
+    Frozen masks make the network linear, so the map is the masked forward
+    pass of the identity.  In row form, with enc_l, skip_l, dec_l the masks
+    of layer l and X_0 = I never formed:
 
-        J_{kappa+1} = I
-        J_l = Dec_l (D^l J_{l+1} Enc_l E^l' + S_tilde^l Skip_l S^l')
+        X_l = (X_{l-1} E^l) * enc_l,   K_l = (X_{l-1} S^l) * skip_l,
+        Y_kappa = X_kappa,   Y_{l-1} = (Y_l D^l' + K_l S_tilde^l') * dec_l,
 
-    and J_1 is the region map; no frame pair is formed.  Patterns go
-    through batched matmul in blocks of ``_BLOCK``, and every row is
-    bit-identical to a one-pattern call.
+    and the map is Y_0'.  Blocks of ``_BLOCK`` patterns go through batched
+    matmul, each product a stack (n, d_0, .) against one shared operator,
+    so every row is bit-identical to a one-pattern call.
     """
     out = np.empty((len(patterns), spec.d[0], spec.d[0]))
     for start in range(0, len(patterns), _BLOCK):
         block = patterns[start:start + _BLOCK]
-        J = None  # J_{kappa+1} = I
-        for l in range(spec.kappa, 0, -1):
-            layer = mats[l - 1]
-            enc = np.stack([p.enc[l - 1] for p in block])[:, None, :]
-            # in place where possible: the (n, d_{l-1}, d_l) products dominate memory
-            if J is None:
-                masked = layer.D * enc
-            else:
-                masked = layer.D @ J
-                masked *= enc
-            J = masked @ layer.E.T
-            del masked
+
+        def mask(kind, l):
+            return np.stack([getattr(p, kind)[l - 1] for p in block])[:, None, :]
+
+        X = mats[0].E * mask("enc", 1)  # X_1, K_1: masked copies; deeper ones mask in place
+        K = [mats[0].S * mask("skip", 1)] if spec.skip else []
+        for l in range(2, spec.kappa + 1):
             if spec.skip:
-                skip = np.stack([p.skip[l - 1] for p in block])[:, None, :]
-                J += (layer.S_tilde * skip) @ layer.S.T
-            J *= np.stack([p.dec[l - 1] for p in block])[:, :, None]
-        out[start:start + len(block)] = J
+                K.append(X @ mats[l - 1].S)
+                K[-1] *= mask("skip", l)
+            X = X @ mats[l - 1].E
+            X *= mask("enc", l)
+        for l in range(spec.kappa, 0, -1):  # Y_kappa = X_kappa
+            X = X @ mats[l - 1].D.T
+            if spec.skip:
+                X += K.pop() @ mats[l - 1].S_tilde.T
+            X *= mask("dec", l)
+        out[start:start + len(block)] = X.transpose(0, 2, 1)
     return out
 
 
@@ -313,6 +317,8 @@ class RegionCensus:
             "samples": self.samples,
             "distinct": self.distinct,
             "singletons": self.singletons,
+            # Good-Turing estimate of the chance that one more sample finds a new region
+            "unseen_mass": self.singletons / self.samples,
             "nrep": self.nrep,
             "pattern_bits": self.pattern_bits,
             "regions": [],

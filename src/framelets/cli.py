@@ -525,14 +525,8 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.generic, np.ndarray)):  # numpy scalars and arrays
         return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 

@@ -169,6 +169,21 @@ class TestRegionMaps:
             assert np.array_equal(got, analysis.region_maps(spec, mats, [pattern])[0])
         assert analysis.region_maps(spec, mats, []).shape == (0, spec.d[0], spec.d[0])
 
+    @pytest.mark.parametrize("unequal_m", [False, True])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_map_times_input_is_the_forward_output(self, kappa, skip, nonlinearity,
+                                                   unequal_m, rng):
+        # the nets are bias-free, so F(x) = J(x) x on the region of x: an
+        # oracle that needs no frame pair
+        spec = map_spec(kappa, skip, nonlinearity, unequal_m)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=10 + kappa))
+        for x in rng.standard_normal((9, spec.d[0])):
+            J = analysis.region_maps(spec, mats, [analysis.extract_pattern(spec, mats, x)])[0]
+            y = netbuild.forward_matrices(spec, mats, x).y
+            assert np.linalg.norm(J @ x - y) <= 1e-13 * np.linalg.norm(y)
+
 
 class TestNrepBound:
     def test_formula_values(self):
@@ -302,6 +317,20 @@ class TestRegionCensus:
         assert 0 < census.singletons < census.distinct
         assert census.singletons == sum(len(xs) == 1 for xs in expected.values())
         assert census.to_dict()["singletons"] == census.singletons
+
+    def test_unseen_mass_is_singletons_over_samples(self):
+        spec = make_spec(kappa=1, m=4)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=200, seed=4))
+        assert 0 < census.singletons < census.distinct
+        assert census.to_dict()["unseen_mass"] == census.singletons / census.samples
+
+    def test_unseen_mass_is_one_on_a_saturated_census(self):
+        spec = make_spec(kappa=2, m=6, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=20, seed=4))
+        assert census.singletons == census.distinct == census.samples
+        assert census.to_dict(include_representatives=False)["unseen_mass"] == 1.0
 
     @pytest.mark.parametrize("count", [1, 150])
     @pytest.mark.parametrize("skip", [False, True])

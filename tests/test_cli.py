@@ -274,6 +274,13 @@ class TestSharedCensus:
         saved = json.loads((tmp_path / "census.json").read_text())
         assert saved["singletons"] == regions["singletons"]
 
+    def test_report_and_census_file_carry_unseen_mass(self, tmp_path):
+        report, _ = cli.execute(self.config(["regions"]), str(tmp_path))
+        regions = report["results"]["regions"]
+        assert regions["unseen_mass"] == regions["singletons"] / regions["samples"]
+        saved = json.loads((tmp_path / "census.json").read_text())
+        assert saved["unseen_mass"] == regions["unseen_mass"]
+
 
 class TestForwardCounts:
     def test_identity_runs_one_forward_per_sample(self, forward_calls):
