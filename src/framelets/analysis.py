@@ -6,15 +6,16 @@ a linear map that factors as B_tilde(x) B(x)' through the input-dependent
 frame pair built by :func:`linear_rep`.  The map itself needs no frame
 pair: :func:`region_maps` is the masked forward pass of the identity,
 X_l = (X_{l-1} E^l) * enc_l from X_0 = I and back down the decoder, over a
-block of patterns at once.  On top of it sit a sampling
+block of patterns, rows of a bit matrix, at once.  On top of it sit a sampling
 census of activation patterns with the expressiveness bound, exact local
 Lipschitz constants (the spectral norm of each region map), and the
 analytic Jacobian with its finite-difference cross-check; the frame pair
 is built only where it is the object under test.
 
 Census sampling draws each input from its own sub-seeded stream, so the
-result is independent of any parallel execution order; regions are merged
-and reported sorted by pattern key.
+result is independent of any parallel execution order; the samples' masks
+are packed into key rows, grouped by one ``np.unique`` and reported sorted
+by pattern key.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ __all__ = [
 ]
 
 
-#: inputs per stacked forward pass of the census, and patterns per block of
-#: region_maps, whose temporaries are (n, d_0, d_l) and (n, d_0, s_l) stacks
-#: (also the regions per stack of census maps); both keep the stacks near a
-#: megabyte at d_0 = 64
+#: inputs per stacked forward pass (and packed key block) of the census, and
+#: patterns per block of region_maps, whose temporaries are (n, d_0, d_l) and
+#: (n, d_0, s_l) stacks (also the census regions unpacked, mapped and put
+#: through one SVD at a time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
 _BLOCK = 4
 
@@ -65,12 +66,13 @@ class KinkMarginError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ActivationPattern:
-    """Binary ReLU masks of one input; the key to a linear region.
+    """Binary ReLU masks of one input (or a stack of N); the key to a linear region.
 
-    enc[l-1]  length d_l, skip[l-1] length s_l (skip nets only),
-    dec[l-1]  length d_{l-1}.  Stages without a ReLU carry all-ones
-    masks so the masked chains stay uniform.  A mask bit is set iff
-    the pre-activation is strictly positive: exact zeros are inactive.
+    enc[l-1] length d_l, skip[l-1] length s_l (skip nets only), dec[l-1]
+    length d_{l-1}, each with a leading N axis when stacked.  Stages without
+    a ReLU carry all-ones masks so the masked chains stay uniform.  A mask bit
+    is set iff the pre-activation is strictly positive: exact zeros are
+    inactive.  ``key``, ``==`` and ``hash`` compare one input's patterns.
     """
 
     enc: tuple
@@ -78,8 +80,8 @@ class ActivationPattern:
     dec: tuple
 
     def bits(self) -> np.ndarray:
-        parts = list(self.enc) + list(self.skip or ()) + list(self.dec)
-        return np.concatenate([p.astype(np.uint8) for p in parts])
+        """The masks end to end (enc, skip, dec) as uint8; (N, n_bits) if stacked."""
+        return np.concatenate([*self.enc, *(self.skip or ()), *self.dec], axis=-1).astype(np.uint8)
 
     @property
     def key(self) -> bytes:
@@ -93,29 +95,21 @@ class ActivationPattern:
         return hash(self.key)
 
 
-def pattern_from_trace(spec: NetworkSpec, trace):
-    """Activation pattern of a single-input trace; for a stacked trace of N
-    inputs, the list of the N row patterns, each equal to its row's own."""
-    enc_relu = spec.relu_at_encoder()
-    dec_relu = spec.relu_at_decoder()
-    d, s = spec.d, spec.s
-    rows = trace.x.shape[:-1]
+def _masks(spec: NetworkSpec, trace) -> list:
+    """Masks of a trace in ``ActivationPattern.bits()`` order, with the trace's
+    leading axes: pre-activation > 0, or all ones where a stage has no ReLU."""
+    enc_on, dec_on = spec.relu_at_encoder(), spec.relu_at_decoder()
+    stages = [(trace.enc_pre, enc_on), (trace.skip_pre or [], enc_on), (trace.dec_pre, dec_on)]
+    return [pre > 0 if relu else np.ones(pre.shape, dtype=bool)
+            for pres, relu in stages for pre in pres]
 
-    def mask(pre, relu, dim):
-        return pre > 0 if relu else np.ones(rows + (dim,), dtype=bool)
 
-    layers = range(1, spec.kappa + 1)
-    enc = [mask(trace.enc_pre[l - 1], enc_relu, d[l]) for l in layers]
-    skip = [mask(trace.skip_pre[l - 1], enc_relu, s[l - 1]) for l in layers] \
-        if spec.skip else None
-    dec = [mask(trace.dec_pre[l - 1], dec_relu, d[l - 1]) for l in layers]
-    if not rows:
-        return ActivationPattern(enc=tuple(enc), skip=skip if skip is None else tuple(skip),
-                                 dec=tuple(dec))
-    return [ActivationPattern(enc=tuple(m[i] for m in enc),
-                              skip=skip if skip is None else tuple(m[i] for m in skip),
-                              dec=tuple(m[i] for m in dec))
-            for i in range(rows[0])]
+def pattern_from_trace(spec: NetworkSpec, trace) -> ActivationPattern:
+    """Activation pattern of a trace; of a stacked trace, the stacked pattern
+    whose row i is row i's own (``bits()`` gives :func:`region_maps` its input)."""
+    masks, k = _masks(spec, trace), spec.kappa
+    return ActivationPattern(enc=tuple(masks[:k]), dec=tuple(masks[-k:]),
+                             skip=tuple(masks[k:2 * k]) if spec.skip else None)
 
 
 def extract_pattern(spec: NetworkSpec, mats, x) -> ActivationPattern:
@@ -184,12 +178,14 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
                      pattern=pattern)
 
 
-def region_maps(spec: NetworkSpec, mats, patterns) -> np.ndarray:
-    """Region maps B_tilde B' of a sequence of patterns, shape (N, d_0, d_0).
+def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
+    """Region maps B_tilde B' of N patterns, shape (N, d_0, d_0).
 
-    Frozen masks make the network linear, so the map is the masked forward
-    pass of the identity.  In row form, with enc_l, skip_l, dec_l the masks
-    of layer l and X_0 = I never formed:
+    ``bits`` holds one pattern per row in ``ActivationPattern.bits()`` order
+    (a stacked pattern's ``bits()``, or unpacked census keys), split per
+    block into its mask columns.  Frozen masks make the network linear, so
+    the map is the masked forward pass of the identity.  In row form, with
+    enc_l, skip_l, dec_l the masks of layer l and X_0 = I never formed:
 
         X_l = (X_{l-1} E^l) * enc_l,   K_l = (X_{l-1} S^l) * skip_l,
         Y_kappa = X_kappa,   Y_{l-1} = (Y_l D^l' + K_l S_tilde^l') * dec_l,
@@ -198,27 +194,29 @@ def region_maps(spec: NetworkSpec, mats, patterns) -> np.ndarray:
     matmul, each product a stack (n, d_0, .) against one shared operator,
     so every row is bit-identical to a one-pattern call.
     """
-    out = np.empty((len(patterns), spec.d[0], spec.d[0]))
-    for start in range(0, len(patterns), _BLOCK):
-        block = patterns[start:start + _BLOCK]
-
-        def mask(kind, l):
-            return np.stack([getattr(p, kind)[l - 1] for p in block])[:, None, :]
-
-        X = mats[0].E * mask("enc", 1)  # X_1, K_1: masked copies; deeper ones mask in place
-        K = [mats[0].S * mask("skip", 1)] if spec.skip else []
-        for l in range(2, spec.kappa + 1):
+    k, d = spec.kappa, spec.d
+    ends = np.cumsum([*d[1:], *(spec.s if spec.skip else ()), *d[:k]]).tolist()
+    bits = np.asarray(bits)
+    if bits.ndim != 2 or bits.shape[1] != ends[-1]:
+        raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {ends[-1]})")
+    out = np.empty((len(bits), d[0], d[0]))
+    for start in range(0, len(bits), _BLOCK):
+        masks = [bits[start:start + _BLOCK, None, a:b] for a, b in zip([0] + ends, ends)]
+        enc, skip, dec = masks[:k], masks[k:-k], masks[-k:]
+        X = mats[0].E * enc[0]  # X_1, K_1: masked copies; deeper ones mask in place
+        K = [mats[0].S * skip[0]] if spec.skip else []
+        for l in range(2, k + 1):
             if spec.skip:
                 K.append(X @ mats[l - 1].S)
-                K[-1] *= mask("skip", l)
+                K[-1] *= skip[l - 1]
             X = X @ mats[l - 1].E
-            X *= mask("enc", l)
-        for l in range(spec.kappa, 0, -1):  # Y_kappa = X_kappa
+            X *= enc[l - 1]
+        for l in range(k, 0, -1):  # Y_kappa = X_kappa
             X = X @ mats[l - 1].D.T
             if spec.skip:
                 X += K.pop() @ mats[l - 1].S_tilde.T
-            X *= mask("dec", l)
-        out[start:start + len(block)] = X.transpose(0, 2, 1)
+            X *= dec[l - 1]
+        out[start:start + len(X)] = X.transpose(0, 2, 1)
     return out
 
 
@@ -354,26 +352,31 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     Every sample has its own derived RNG stream and regions are keyed by
     the packed mask bits, so the census is reproducible and independent
     of evaluation order.  Samples are forwarded in stacks of ``_ROWS``
-    rows, each row bit-identical to its own forward pass.  Each region
-    keeps its inputs in sample order; its constant is the exact spectral
-    norm of its :func:`region_maps` map, taken over stacks of ``_BLOCK``
-    regions in key order.
+    rows, each row bit-identical to its own forward pass; only the stack's
+    bit matrix, packed, is kept.  One ``np.unique`` over the packed rows
+    gives the regions in key order (every key has the same n_bits prefix),
+    each region's first sample and each sample's region.  A region keeps
+    its inputs in sample order; its constant is the exact spectral norm
+    of its :func:`region_maps` map, over blocks of ``_BLOCK`` regions.
     """
-    found: dict = {}
+    xs = np.stack([_sample_input(spec, config, i) for i in range(config.count)])
+    packed = []
     for start in range(0, config.count, _ROWS):
-        xs = np.stack([_sample_input(spec, config, i)
-                       for i in range(start, min(start + _ROWS, config.count))])
-        patterns = pattern_from_trace(spec, forward_matrices(spec, mats, xs))
-        for x, pattern in zip(xs, patterns):
-            found.setdefault(pattern.key, (pattern, []))[1].append(x)
-    keys = sorted(found)
-    regions = []
-    for start in range(0, len(keys), _BLOCK):
-        block = keys[start:start + _BLOCK]
-        norms = spectral_norm(region_maps(spec, mats, [found[key][0] for key in block]))
-        regions.extend(RegionInfo(pattern_hex=key.hex(), lipschitz=float(norm),
-                                  inputs=found[key][1])
-                       for key, norm in zip(block, norms))
+        bits = np.concatenate(_masks(spec, forward_matrices(spec, mats, xs[start:start + _ROWS])),
+                              axis=1)
+        packed.append(np.packbits(bits, axis=1))
+    n_bits, packed = bits.shape[1], np.concatenate(packed)  # n_bits: the same in every block
+    _, first, region_of = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
+                                    return_index=True, return_inverse=True)
+    grouped = list(xs[np.argsort(region_of, kind="stable")])
+    bounds = [0, *np.cumsum(np.bincount(region_of)).tolist()]
+    blocks = (np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits)
+              for at in range(0, len(first), _BLOCK))  # one block of key rows unpacked at a time
+    norms = np.concatenate([spectral_norm(region_maps(spec, mats, b)) for b in blocks]).tolist()
+    prefix = n_bits.to_bytes(4, "little").hex()
+    regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
+                          inputs=grouped[a:b])
+               for i, norm, a, b in zip(first.tolist(), norms, bounds, bounds[1:])]
     return RegionCensus(samples=config.count, nrep=nrep_bound(spec),
                         pattern_bits=pattern_bits(spec), regions=regions)
 
@@ -422,7 +425,7 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8) -> np.nd
             f"input is within {got:.3e} of a ReLU kink (margin {margin:.3e}); "
             "resample the input"
         )
-    return region_maps(spec, mats, [pattern_from_trace(spec, trace)])[0]
+    return region_maps(spec, mats, pattern_from_trace(spec, trace).bits()[None])[0]
 
 
 def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:

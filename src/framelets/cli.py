@@ -278,12 +278,13 @@ def run_lipschitz(spec, mats, census, tolerances) -> dict:
     slack = tolerances["lipschitz_slack"]
     # the pair inequality on the first four sampled inputs of each region
     # (the map is linear there, so no segment condition); a region seen
-    # once has no pair
+    # once has no pair.  One stacked forward serves every region's inputs.
+    repeated = [reg for reg in census.regions if reg.count >= 2]
+    xs = [x for reg in repeated for x in reg.inputs[:4]]
+    ys = iter(netbuild.forward_matrices(spec, mats, np.array(xs)).y if xs else ())
     violations = []
-    for reg in census.regions:
-        if reg.count < 2:
-            continue
-        points = [(x, netbuild.forward_matrices(spec, mats, x).y) for x in reg.inputs[:4]]
+    for reg in repeated:
+        points = [(x, next(ys)) for x in reg.inputs[:4]]
         for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
             violations.append(np.linalg.norm(y1 - y2)
                               - reg.lipschitz * np.linalg.norm(x1 - x2))
@@ -314,16 +315,16 @@ def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
     # than inputs still needed, so ``attempts`` ends at the last accepted
     # draw, as drawing one at a time would.  A NaN margin (an overflowing
     # forward pass) is accepted, so the check fails on a NaN error.  The
-    # analytic Jacobians are the region maps of the accepted rows' patterns.
+    # analytic Jacobians are the region maps of the accepted rows' mask rows.
     while len(errors) < count and attempts < cap:
         block = gen.standard_normal((min(count - len(errors), cap - attempts), spec.d[0]))
         trace = netbuild.forward_matrices(spec, mats, block)
         attempts += len(block)
         accepted = [i for i, got in enumerate(analysis.trace_margin(spec, trace))
                     if not got < margin]
-        patterns = analysis.pattern_from_trace(spec, trace)
+        bits = analysis.pattern_from_trace(spec, trace).bits()[accepted]
         del trace  # the maps and stencils below peak higher with the block's trace alive
-        maps = analysis.region_maps(spec, mats, [patterns[i] for i in accepted])
+        maps = analysis.region_maps(spec, mats, bits)
         for i, J in zip(accepted, maps):
             Jfd = analysis.fd_jacobian(spec, mats, block[i], step=step)
             errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))

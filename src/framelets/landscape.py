@@ -499,33 +499,29 @@ def tap_gradients(spec: NetworkSpec, bank: LayerBank, data: TrainingSet):
     gD = [np.zeros_like(m.D) for m in mats]
     gS = [np.zeros_like(m.S) if m.S is not None else None for m in mats]
     gSt = [np.zeros_like(m.S_tilde) if m.S_tilde is not None else None for m in mats]
-    enc_relu = spec.relu_at_encoder()
-    dec_relu = spec.relu_at_decoder()
     total = 0.0
 
     for i in range(data.T):
         trace = forward_matrices(spec, mats, data.X[:, i])
+        pattern = pattern_from_trace(spec, trace)
         res = trace.y - data.Y[:, i]
         total += 0.5 * float(res @ res)
         d_chi = [None] * kappa
         d_cur = res
         for l in range(1, kappa + 1):
-            mask = (trace.dec_pre[l - 1] > 0) if dec_relu else 1.0
-            d_pre = d_cur * mask
+            d_pre = d_cur * pattern.dec[l - 1]
             gD[l - 1] += np.outer(d_pre, trace.dec[l])
             if spec.skip:
                 gSt[l - 1] += np.outer(d_pre, trace.skip[l - 1])
                 d_chi[l - 1] = mats[l - 1].S_tilde.T @ d_pre
             d_cur = mats[l - 1].D.T @ d_pre
         for l in range(kappa, 0, -1):
-            mask = (trace.enc_pre[l - 1] > 0) if enc_relu else 1.0
-            d_u = d_cur * mask
+            d_u = d_cur * pattern.enc[l - 1]
             xi_prev = trace.enc[l - 2] if l >= 2 else trace.x
             gE[l - 1] += np.outer(xi_prev, d_u)
             d_cur = mats[l - 1].E @ d_u
             if spec.skip:
-                smask = (trace.skip_pre[l - 1] > 0) if enc_relu else 1.0
-                d_v = d_chi[l - 1] * smask
+                d_v = d_chi[l - 1] * pattern.skip[l - 1]
                 gS[l - 1] += np.outer(xi_prev, d_v)
                 d_cur = d_cur + mats[l - 1].S @ d_v
 

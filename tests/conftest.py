@@ -33,13 +33,14 @@ def rng():
 
 @pytest.fixture
 def forward_calls(monkeypatch):
-    """One list entry per netbuild.forward_matrices call, through any binding."""
+    """One list entry per netbuild.forward_matrices call, through any
+    binding: the shape of the call's input."""
     calls = []
     original = netbuild.forward_matrices
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counted(spec, mats, x):
+        calls.append(np.shape(x))
+        return original(spec, mats, x)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("framelets") and vars(module).get("forward_matrices") is original:

@@ -149,10 +149,11 @@ class TestRegionMaps:
         spec = map_spec(kappa, skip, nonlinearity, unequal_m)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
         X = rng.standard_normal((9, spec.d[0]))
-        patterns = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        maps = analysis.region_maps(spec, mats, patterns)
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        maps = analysis.region_maps(spec, mats, bits)
         assert maps.shape == (9, spec.d[0], spec.d[0])
-        for pattern, got in zip(patterns, maps):
+        for x, got in zip(X, maps):
+            pattern = analysis.extract_pattern(spec, mats, x)
             want = analysis.linear_rep(spec, mats, pattern=pattern).matrix()
             assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
@@ -162,12 +163,13 @@ class TestRegionMaps:
         spec = map_spec(2, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((11, spec.d[0]))  # crosses block boundaries
-        patterns = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        maps = analysis.region_maps(spec, mats, patterns)
-        for x, pattern, got in zip(X, patterns, maps):
-            assert pattern == analysis.extract_pattern(spec, mats, x)
-            assert np.array_equal(got, analysis.region_maps(spec, mats, [pattern])[0])
-        assert analysis.region_maps(spec, mats, []).shape == (0, spec.d[0], spec.d[0])
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        maps = analysis.region_maps(spec, mats, bits)
+        for x, row, got in zip(X, bits, maps):
+            pattern = analysis.extract_pattern(spec, mats, x)
+            assert np.array_equal(row, pattern.bits())
+            assert np.array_equal(got, analysis.region_maps(spec, mats, pattern.bits()[None])[0])
+        assert analysis.region_maps(spec, mats, bits[:0]).shape == (0, spec.d[0], spec.d[0])
 
     @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -180,7 +182,8 @@ class TestRegionMaps:
         spec = map_spec(kappa, skip, nonlinearity, unequal_m)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=10 + kappa))
         for x in rng.standard_normal((9, spec.d[0])):
-            J = analysis.region_maps(spec, mats, [analysis.extract_pattern(spec, mats, x)])[0]
+            J = analysis.region_maps(spec, mats,
+                                     analysis.extract_pattern(spec, mats, x).bits()[None])[0]
             y = netbuild.forward_matrices(spec, mats, x).y
             assert np.linalg.norm(J @ x - y) <= 1e-13 * np.linalg.norm(y)
 
@@ -297,7 +300,7 @@ class TestRegionCensus:
         for reg in census.regions:
             pattern = analysis.extract_pattern(spec, mats, reg.representative)
             assert reg.lipschitz == np.linalg.norm(
-                analysis.region_maps(spec, mats, [pattern])[0], 2)
+                analysis.region_maps(spec, mats, pattern.bits()[None])[0], 2)
 
     def test_regions_keep_inputs_in_sample_order(self):
         spec = make_spec(kappa=1, m=4)
@@ -351,6 +354,26 @@ class TestRegionCensus:
             want = expected[reg.pattern_hex]
             assert reg.count == len(want)
             assert all(np.array_equal(a, b) for a, b in zip(reg.inputs, want))
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_keys_match_per_input_patterns(self, skip, nonlinearity):
+        # the census groups samples by packed key rows of its stacked blocks;
+        # grouping by each input's own pattern key, all-ones masks of
+        # ReLU-free stages included, must give the same regions
+        spec = make_spec(kappa=2, m=4, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=9))
+        cfg = analysis.CensusConfig(count=150, seed=2)  # not a multiple of the block rows
+        census = analysis.region_census(spec, mats, cfg)
+        expected = {}
+        for i in range(cfg.count):
+            x = analysis._sample_input(spec, cfg, i)
+            expected.setdefault(analysis.extract_pattern(spec, mats, x).key, []).append(x)
+        keys = sorted(expected)
+        assert [reg.pattern_hex for reg in census.regions] == [key.hex() for key in keys]
+        for reg, key in zip(census.regions, keys):
+            assert reg.count == len(expected[key])
+            assert all(np.array_equal(a, b) for a, b in zip(reg.inputs, expected[key]))
 
     def test_census_independent_of_evaluation_order(self):
         # per-sample streams derive from (seed, index), so evaluating the

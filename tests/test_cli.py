@@ -1,6 +1,7 @@
 """CLI contract: config runs, exit codes, determinism, side files."""
 
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -304,9 +305,47 @@ class TestForwardCounts:
         forward_calls.clear()
         block = cli.run_lipschitz(spec, mats, census, cli.DEFAULT_TOLERANCES)
         used = [min(reg.count, 4) for reg in census.regions if reg.count >= 2]
-        assert len(forward_calls) == sum(used)
+        # one stacked forward over the used inputs, none on a saturated census
+        assert forward_calls == ([(sum(used), spec.d[0])] if used else [])
         assert block["pairs_checked"] == sum(k * (k - 1) // 2 for k in used)
         assert (block["pairs_checked"] == 0) == saturated
+
+
+ITEM_NETWORK = {"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4], "skip": True,
+                "nonlinearity": "relu"}
+
+
+class TestLipschitzPairs:
+    def test_stacked_forward_matches_per_input_reference(self):
+        spec = netbuild.NetworkSpec.from_dict(ITEM_NETWORK)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=1))
+        census = analysis.region_census(spec, mats,
+                                        analysis.CensusConfig(count=300, seed=7))
+        block = cli.run_lipschitz(spec, mats, census, cli.DEFAULT_TOLERANCES)
+        violations = []
+        for reg in census.regions:
+            if reg.count < 2:
+                continue
+            points = [(x, netbuild.forward_matrices(spec, mats, x).y) for x in reg.inputs[:4]]
+            for (x1, y1), (x2, y2) in itertools.combinations(points, 2):
+                violations.append(np.linalg.norm(y1 - y2)
+                                  - reg.lipschitz * np.linalg.norm(x1 - x2))
+        assert block["pairs_checked"] == len(violations) > 0
+        assert block["worst_pair_violation"] == max(violations)
+
+
+class TestRegionBound:
+    @pytest.mark.xfail(strict=True, reason=(
+        "census_within_bound compares distinct activation patterns, bottleneck and "
+        "decoder bits included, with nrep_bound, which nets those bits out"))
+    @pytest.mark.parametrize("nonlinearity", ["relu", "relu_encoder"])
+    def test_census_within_bound_on_a_valid_net(self, tmp_path, nonlinearity):
+        # today: relu finds 614 distinct patterns, relu_encoder 392, nrep 256
+        cfg = {"seed": 7, "network": {**ITEM_NETWORK, "nonlinearity": nonlinearity},
+               "bank": {"source": "random"}, "analyses": ["regions"],
+               "sampler": {"count": 2000}, "enforce": ["regions"]}
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 0
 
 
 class TestConfigErrors:
