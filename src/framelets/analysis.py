@@ -58,6 +58,8 @@ __all__ = [
 #: through one SVD at a time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
 _BLOCK = 4
+#: census sampling distributions
+DISTRIBUTIONS = ("gaussian", "sphere")
 
 
 class KinkMarginError(ValueError):
@@ -271,7 +273,7 @@ class CensusConfig:
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("census needs count >= 1")
-        if self.distribution not in ("gaussian", "sphere"):
+        if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown distribution {self.distribution!r}")
 
 

@@ -6,11 +6,13 @@ output directory.  Re-running with an identical config and seed yields a
 byte-identical report except for the ``timings`` block.  Exit codes:
 0 success, 1 usage or config error, 2 when an enforced check failed.
 
-Every subcommand maps one-to-one onto a module operation with flags
-mirroring the config fields; ``framelets report`` pretty-prints a report
-file as a table.  All randomness derives from the single global seed by
-stable hashing of (seed, component name), so independent analyses could
-be dispatched concurrently without changing any result.
+One table, ``REGISTRY``, names each analysis's runner, subcommand and
+parameter schema; the config checks, the dispatch in ``execute`` and the
+subcommands (one per analysis, with one flag per schema field) all come
+from it.  ``framelets report`` pretty-prints a report file as a table.
+All randomness derives from the single global seed by stable hashing of
+(seed, component name), so independent analyses could be dispatched
+concurrently without changing any result.
 """
 
 from __future__ import annotations
@@ -18,41 +20,24 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import numbers
 import os
 import sys
 import time
+from collections.abc import Callable
 
 import numpy as np
 
 from . import __version__, analysis, frames, landscape, netbuild
 from .seeding import derive, rng
 
-ANALYSES = (
-    "frames",
-    "reconstruct",
-    "identity",
-    "regions",
-    "lipschitz",
-    "jacobian",
-    "landscape",
-    "train",
-)
-
-DEFAULT_TOLERANCES = {
-    "frames": 1e-10,
-    "reconstruct": 1e-10,
-    "identity": 1e-10,
-    "lipschitz_slack": 1e-8,
-    "jacobian": 1e-5,
-    "sandwich_slack": 1e-8,
-    "stationarity_grad": 1e-12,
-    "stationarity_loss_floor": 1e-6,
-}
-
 OUTDIR_ENV = "FRAMELETS_OUTDIR"
+
+#: ``--bank`` choices of the subcommands, and the bank.source each selects
+BANK_FLAG = {"frame": "frame_factory", "random": "random", "file": "file"}
 
 
 class ConfigError(ValueError):
@@ -60,32 +45,89 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# parameter schema
+
+
+@dataclasses.dataclass(frozen=True)
+class Field:
+    """One config key of a block: kind, default, valid range, subcommand flag.
+
+    A ``count`` is an integer >= low; a ``real`` a finite number >= low
+    (> low when strict); a ``bool`` true or false; a ``text`` a nonempty
+    string; a ``choice`` one of ``choices``.  A default of None means the
+    key is required or its runner derives the value (see the README).
+    """
+
+    key: str
+    kind: str
+    default: object = None
+    low: float = -np.inf
+    strict: bool = False
+    choices: tuple = ()
+    flag: str | None = None
+
+
+def _value(field: Field, value, path: str):
+    """``value`` checked against ``field``; a count becomes int, a real float."""
+    kind, low = field.kind, field.low
+    if kind == "count":
+        ok, want = netbuild._integral(value) and value >= low, f"an integer >= {low}"
+    elif kind == "real":
+        # abs() rejects integers beyond the float range; NaN fails every comparison
+        ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+              and abs(value) <= sys.float_info.max
+              and (value > low if field.strict else value >= low))
+        want = "a finite number"
+        if low > -np.inf:
+            want += f" {'>' if field.strict else '>='} {low:g}"
+    elif kind == "bool":
+        ok, want = isinstance(value, bool), "true or false"
+    elif kind == "text":
+        ok, want = isinstance(value, str) and value != "", "a nonempty string"
+    else:
+        ok, want = value in field.choices, f"one of {', '.join(field.choices)}"
+    if not ok:
+        raise ConfigError(f"config field '{path}' must be {want}, got {value!r}")
+    return int(value) if kind == "count" else float(value) if kind == "real" else value
+
+
+def validate(section: str, block: dict) -> dict:
+    """Every field of ``section``'s schema: the checked value or its default."""
+    schema = SCHEMAS[section]
+    known = {field.key for field in schema}
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"config field '{section}.{key}' is not a known field")
+    return {field.key: _value(field, block[field.key], f"{section}.{field.key}")
+            if field.key in block else field.default for field in schema}
+
+
+# ---------------------------------------------------------------------------
 # config handling
 
 
-def _field(cfg: dict, path: str, default=None, required: bool = False):
-    cur = cfg
-    for part in path.split("."):
-        if not isinstance(cur, dict) or part not in cur:
-            if required:
-                raise ConfigError(f"missing required config field '{path}'")
-            return default
-        cur = cur[part]
-    return cur
+def _field(cfg: dict, key: str, default=None, required: bool = False):
+    if key not in cfg:
+        if required:
+            raise ConfigError(f"missing required config field '{key}'")
+        return default
+    return cfg[key]
 
 
-def load_config(path: str) -> dict:
+def _read_json(path: str, what: str):
     try:
         with open(path) as fh:
-            text = fh.read()
+            return json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"{path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+
+
+def load_config(path: str) -> dict:
+    cfg = _read_json(path, "config")
     if not isinstance(cfg, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return cfg
@@ -99,82 +141,82 @@ def _build_spec(cfg: dict) -> netbuild.NetworkSpec:
         raise ConfigError(f"config field 'network': {exc}") from exc
 
 
-def _block(cfg: dict, path: str, required: bool = False) -> dict:
+def _block(cfg: dict, key: str, required: bool = False) -> dict:
     """A config field holding a JSON object; an absent optional one is {}."""
-    value = _field(cfg, path, default={}, required=required)
+    value = _field(cfg, key, default={}, required=required)
     if not isinstance(value, dict):
-        raise ConfigError(f"config field '{path}' must be a JSON object, got {value!r}")
+        raise ConfigError(f"config field '{key}' must be a JSON object, got {value!r}")
     return value
 
 
+def _names(cfg: dict, key: str, required: bool = False) -> list:
+    """A list of distinct analysis names."""
+    names = _field(cfg, key, default=[], required=required)
+    if not isinstance(names, list) or (required and not names):
+        raise ConfigError(f"config field '{key}' must be a "
+                          f"{'nonempty ' if required else ''}list of analysis names")
+    for i, name in enumerate(names):
+        if name not in ANALYSES:
+            raise ConfigError(f"config field '{key}': unknown analysis {name!r} "
+                              f"(recognized: {', '.join(ANALYSES)})")
+        if name in names[:i]:
+            raise ConfigError(f"config field '{key}': {name!r} is listed twice")
+    return names
+
+
 def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
-    bank_cfg = _block(cfg, "bank", required=True)
-    alpha = _real(bank_cfg, "bank", "alpha", 1.0, low=0.0, strict=True)
-    scale = _real(bank_cfg, "bank", "scale", 1.0)
-    source = bank_cfg.get("source")
-    if source == "frame_factory":
-        if seed is None:
-            raise ConfigError("config field 'seed' is required for a frame_factory bank")
-        fc = frames.FrameConfig.for_spec(
-            spec,
-            alpha=alpha,
-            seed=derive(seed, "bank"),
-            pooling=bank_cfg.get("pooling", "orthogonal"),
-        )
-        return frames.frame_bank(spec, fc), fc
-    if source == "random":
-        if seed is None:
-            raise ConfigError("config field 'seed' is required for a random bank")
-        return netbuild.random_bank(spec, seed=derive(seed, "bank"), scale=scale), None
+    """The run's bank and the checked ``bank`` block."""
+    params = validate("bank", _block(cfg, "bank", required=True))
+    source = params["source"]
     if source == "file":
-        path = bank_cfg.get("path")
-        if not path or not os.path.exists(path):
+        path = params["path"]
+        if path is None or not os.path.exists(path):
             raise ConfigError(f"config field 'bank.path': file {path!r} does not exist")
         bank = netbuild.load_bank(path)
         netbuild.validate_bank(spec, bank)
-        return bank, None
-    raise ConfigError(
-        f"config field 'bank.source': expected frame_factory|random|file, got {source!r}"
-    )
-
-
-def _count(params: dict, name: str, key: str, default: int, low: int = 1) -> int:
-    """An integer parameter >= low; a count below 1 would make a check vacuous."""
-    value = params.get(key, default)
-    if not netbuild._integral(value) or value < low:
-        raise ConfigError(
-            f"config field '{name}.{key}' must be an integer >= {low}, got {value!r}"
-        )
-    return int(value)
-
-
-def _real(params: dict, name: str, key: str, default: float,
-          low: float = -np.inf, strict: bool = False) -> float:
-    """A finite real parameter, >= low (> low when strict)."""
-    value = params.get(key, default)
-    # abs() rejects integers beyond the float range; NaN fails every comparison
-    if not (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and abs(value) <= sys.float_info.max
-            and (value > low if strict else value >= low)):
-        bound = f" {'>' if strict else '>='} {low:g}" if low > -np.inf else ""
-        raise ConfigError(
-            f"config field '{name}.{key}' must be a finite number{bound}, got {value!r}"
-        )
-    return float(value)
-
-
-def _tolerances(cfg: dict) -> dict:
-    tols = dict(DEFAULT_TOLERANCES)
-    overrides = _block(cfg, "tolerances")
-    for key in overrides:
-        if key not in tols:
-            raise ConfigError(f"config field 'tolerances.{key}': unknown tolerance")
-        tols[key] = _real(overrides, "tolerances", key, None)
-    return tols
+        return bank, params
+    if source is None:
+        raise ConfigError("missing required config field 'bank.source'")
+    if seed is None:
+        raise ConfigError(f"config field 'seed' is required for a {source} bank")
+    if source == "random":
+        return netbuild.random_bank(spec, seed=derive(seed, "bank"),
+                                    scale=params["scale"]), params
+    fc = frames.FrameConfig.for_spec(spec, alpha=params["alpha"], seed=derive(seed, "bank"),
+                                     pooling=params["pooling"])
+    return frames.frame_bank(spec, fc), params
 
 
 # ---------------------------------------------------------------------------
-# analysis runners; each returns a JSON-ready block with a "checks" list
+# analysis runners; each takes the run's Context and its checked parameter
+# block and returns a JSON-ready block with a "checks" list
+
+
+@dataclasses.dataclass
+class Context:
+    """What the runners of one run share.
+
+    ``mats`` and ``census`` are built on first use, so a run realizes the
+    operators and takes the census at most once; their time counts under
+    the first analysis that reads them.  ``alpha`` is bank.alpha, the frame
+    constant ``frames`` checks unless its own block sets one.
+    """
+
+    spec: netbuild.NetworkSpec
+    bank: netbuild.LayerBank
+    tolerances: dict
+    seed: int | None = None
+    outdir: str | None = None
+    census_config: analysis.CensusConfig | None = None
+    alpha: float = 1.0
+
+    @functools.cached_property
+    def mats(self) -> tuple:
+        return netbuild.realize(self.spec, self.bank)
+
+    @functools.cached_property
+    def census(self) -> analysis.RegionCensus:
+        return analysis.region_census(self.spec, self.mats, self.census_config)
 
 
 def _worst(values: list) -> float:
@@ -188,15 +230,15 @@ def _check(name: str, passed: bool, **extra) -> dict:
     return entry
 
 
-def run_frames(spec, bank, params, tolerances) -> dict:
-    alpha = _real(params, "frames", "alpha", 1.0, low=0.0, strict=True)
-    mode = params.get("mode", "skip" if spec.skip else "no_skip")
-    cfg = frames.FrameConfig(alpha=alpha, mode=mode, seed=0)
-    residuals = frames.frame_residual(spec, bank, cfg)
+def run_frames(ctx: Context, params: dict) -> dict:
+    alpha = ctx.alpha if params["alpha"] is None else params["alpha"]
+    mode = params["mode"] or ("skip" if ctx.spec.skip else "no_skip")
+    residuals = frames.frame_residual(ctx.spec, ctx.bank,
+                                      frames.FrameConfig(alpha=alpha, mode=mode, seed=0))
     worst = _worst(
         [value for entry in residuals for key, value in entry.items() if key != "layer"]
     )
-    tol = tolerances["frames"]
+    tol = ctx.tolerances["frames"]
     return {
         "alpha": alpha,
         "mode": mode,
@@ -206,52 +248,46 @@ def run_frames(spec, bank, params, tolerances) -> dict:
     }
 
 
-def run_reconstruct(spec, bank, params, tolerances, seed) -> dict:
-    count = _count(params, "reconstruct", "count", 100)
-    no_relu = params.get("no_relu", False)
-    if not isinstance(no_relu, bool):
-        raise ConfigError(
-            f"config field 'reconstruct.no_relu' must be true or false, got {no_relu!r}"
-        )
-    eval_spec = dataclasses.replace(spec, nonlinearity="none") if no_relu else spec
-    mats = netbuild.realize(eval_spec, bank)
-    gen = rng(seed, "reconstruct")
+def run_reconstruct(ctx: Context, params: dict) -> dict:
+    # realize does not read the nonlinearity, so the run's operators serve
+    spec = dataclasses.replace(ctx.spec, nonlinearity="none") if params["no_relu"] else ctx.spec
+    gen = rng(ctx.seed, "reconstruct")
     errors = []
-    for _ in range(count):
+    for _ in range(params["count"]):
         x = gen.standard_normal(spec.d[0])
-        y = netbuild.forward_matrices(eval_spec, mats, x).y
+        y = netbuild.forward_matrices(spec, ctx.mats, x).y
         errors.append(np.linalg.norm(y - x) / np.linalg.norm(x))
     worst = _worst(errors)
-    tol = tolerances["reconstruct"]
+    tol = ctx.tolerances["reconstruct"]
     return {
-        "samples": count,
-        "no_relu": no_relu,
+        "samples": params["count"],
+        "no_relu": params["no_relu"],
         "max_relative_error": worst,
         "checks": [_check("perfect_reconstruction", worst <= tol, value=worst, tol=tol)],
     }
 
 
-def run_identity(spec, bank, params, tolerances, seed) -> dict:
-    count = _count(params, "identity", "count", 100)
-    mats = netbuild.realize(spec, bank)
-    gen = rng(seed, "identity")
+def run_identity(ctx: Context, params: dict) -> dict:
+    spec, mats = ctx.spec, ctx.mats
+    gen = rng(ctx.seed, "identity")
     errors = []
-    for _ in range(count):
+    for _ in range(params["count"]):
         x = gen.standard_normal(spec.d[0])
         trace = netbuild.forward_matrices(spec, mats, x)
         y = trace.y
         rep = analysis.linear_rep(spec, mats, pattern=analysis.pattern_from_trace(spec, trace))
         errors.append(np.linalg.norm(rep.matrix() @ x - y) / max(np.linalg.norm(y), 1e-300))
     worst = _worst(errors)
-    tol = tolerances["identity"]
+    tol = ctx.tolerances["identity"]
     return {
-        "samples": count,
+        "samples": params["count"],
         "max_relative_error": worst,
         "checks": [_check("linear_representation", worst <= tol, value=worst, tol=tol)],
     }
 
 
-def run_regions(census, outdir) -> dict:
+def run_regions(ctx: Context, params: dict) -> dict:
+    census, outdir = ctx.census, ctx.outdir
     block = census.to_dict(include_representatives=False)
     block["checks"] = [
         _check("census_within_bound", census.distinct <= census.nrep,
@@ -274,14 +310,15 @@ def run_regions(census, outdir) -> dict:
     return block
 
 
-def run_lipschitz(spec, mats, census, tolerances) -> dict:
-    slack = tolerances["lipschitz_slack"]
+def run_lipschitz(ctx: Context, params: dict) -> dict:
+    census = ctx.census
+    slack = ctx.tolerances["lipschitz_slack"]
     # the pair inequality on the first four sampled inputs of each region
     # (the map is linear there, so no segment condition); a region seen
     # once has no pair.  One stacked forward serves every region's inputs.
     repeated = [reg for reg in census.regions if reg.count >= 2]
     xs = [x for reg in repeated for x in reg.inputs[:4]]
-    ys = iter(netbuild.forward_matrices(spec, mats, np.array(xs)).y if xs else ())
+    ys = iter(netbuild.forward_matrices(ctx.spec, ctx.mats, np.array(xs)).y if xs else ())
     violations = []
     for reg in repeated:
         points = [(x, next(ys)) for x in reg.inputs[:4]]
@@ -302,12 +339,10 @@ def run_lipschitz(spec, mats, census, tolerances) -> dict:
     }
 
 
-def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
-    count = _count(params, "jacobian", "count", 50)
-    margin = _real(params, "jacobian", "margin", 1e-4, low=0.0)
-    step = _real(params, "jacobian", "step", 1e-6, low=0.0, strict=True)
-    mats = netbuild.realize(spec, bank)
-    gen = rng(seed, "jacobian")
+def run_jacobian(ctx: Context, params: dict) -> dict:
+    spec, mats = ctx.spec, ctx.mats
+    count, margin = params["count"], params["margin"]
+    gen = rng(ctx.seed, "jacobian")
     cap = 100 * count
     errors = []
     attempts = 0
@@ -326,7 +361,7 @@ def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
         del trace  # the maps and stencils below peak higher with the block's trace alive
         maps = analysis.region_maps(spec, mats, bits)
         for i, J in zip(accepted, maps):
-            Jfd = analysis.fd_jacobian(spec, mats, block[i], step=step)
+            Jfd = analysis.fd_jacobian(spec, mats, block[i], step=params["step"])
             errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
     if len(errors) < count:
         raise ConfigError(
@@ -334,41 +369,42 @@ def run_jacobian(spec, bank, params, tolerances, seed) -> dict:
             f"accepted {len(errors)} of {attempts} draws; lower jacobian.margin"
         )
     worst = _worst(errors)
-    tol = tolerances["jacobian"]
+    tol = ctx.tolerances["jacobian"]
     return {
         "instances": count,
         "attempts": attempts,
         "margin": margin,
-        "step": step,
+        "step": params["step"],
         "max_relative_error": worst,
         "checks": [_check("jacobian_fd_match", worst <= tol, value=worst, tol=tol)],
     }
 
 
-def run_landscape(spec, bank, params, tolerances, seed) -> dict:
-    T = _count(params, "landscape", "samples", 2)
-    mats = netbuild.realize(spec, bank)
-    gen = rng(seed, "landscape-data")
+def run_landscape(ctx: Context, params: dict) -> dict:
+    spec, mats, T = ctx.spec, ctx.mats, params["samples"]
+    gen = rng(ctx.seed, "landscape-data")
     data = landscape.TrainingSet(
         X=gen.standard_normal((spec.d[0], T)),
         Y=gen.standard_normal((spec.d[0], T)),
     )
-    slack = tolerances["sandwich_slack"]
+    slack = ctx.tolerances["sandwich_slack"]
     certs = []
     if spec.skip:
         certs = [landscape.certify_bounds_skip(spec, mats, data, l)
                  for l in range(1, spec.kappa + 1)]
     certs.append(landscape.certify_bounds_enc(spec, mats, data))
-    checks = []
+    applicable = [cert for cert in certs if cert.applicable]
+    if not applicable:
+        # the preconditions read only the dims and T, so this is the config's doing
+        raise ConfigError(f"config field 'landscape.samples': no gradient certificate "
+                          f"applies to {T} training samples on this network")
     sandwich_ok = True
-    for cert in certs:
-        if not cert.applicable:
-            continue
+    for cert in applicable:
         scale = max(cert.upper, 1e-300)
         holds = (cert.lower <= cert.grad_norm + slack * scale
                  and cert.grad_norm <= cert.upper + slack * scale)
         sandwich_ok = sandwich_ok and holds
-    checks.append(_check("gradient_sandwich", sandwich_ok, tol=slack))
+    checks = [_check("gradient_sandwich", sandwich_ok, tol=slack, checked=len(applicable))]
     block = {
         "training_samples": T,
         "loss": certs[-1].loss,
@@ -377,32 +413,29 @@ def run_landscape(spec, bank, params, tolerances, seed) -> dict:
     if spec.skip:
         report = landscape.check_stationarity(
             spec, mats, data,
-            pos_tol=tolerances["stationarity_grad"],
-            loss_floor=tolerances["stationarity_loss_floor"],
+            pos_tol=ctx.tolerances["stationarity_grad"],
+            loss_floor=ctx.tolerances["stationarity_loss_floor"],
         )
         block["stationarity"] = report.to_dict()
-        checks.append(_check("stationarity_iff_zero_loss", report.ok))
+        checks.append(_check("stationarity_iff_zero_loss", report.ok,
+                             checked=sum(entry["conditions_hold"] for entry in report.layers)))
     block["checks"] = checks
     return block
 
 
-def run_train(spec, bank, params, tolerances, seed, outdir) -> dict:
-    T = _count(params, "train", "samples", 2)
-    gen = rng(seed, "train-data")
+def run_train(ctx: Context, params: dict) -> dict:
+    spec, T = ctx.spec, params["samples"]
+    gen = rng(ctx.seed, "train-data")
     data = landscape.TrainingSet(
         X=gen.standard_normal((spec.d[0], T)),
         Y=gen.standard_normal((spec.d[0], T)),
     )
-    cfg = landscape.TrainConfig(
-        step_size=_real(params, "train", "step_size", 0.25, low=0.0, strict=True),
-        iterations=_count(params, "train", "iterations", 200),
-        checkpoint_every=_count(params, "train", "checkpoint_every", 0, low=0),
-        stop_loss=_real(params, "train", "stop_loss", 0.0),
-    )
-    result = landscape.train_gd(spec, bank, data, cfg)
+    # the train block's other keys are TrainConfig's field names
+    cfg = landscape.TrainConfig(**{k: v for k, v in params.items() if k != "samples"})
+    result = landscape.train_gd(spec, ctx.bank, data, cfg)
     monotone = all(a >= b for a, b in zip(result.losses, result.losses[1:]))
-    if outdir is not None:
-        with open(os.path.join(outdir, "loss_curve.csv"), "w", newline="") as fh:
+    if ctx.outdir is not None:
+        with open(os.path.join(ctx.outdir, "loss_curve.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["iteration", "loss", "grad_norm"])
             for it, value in enumerate(result.losses):
@@ -427,6 +460,90 @@ def run_train(spec, bank, params, tolerances, seed, outdir) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# the analysis table
+
+
+@dataclasses.dataclass(frozen=True)
+class Analysis:
+    """An analysis: its runner, subcommand, help text and parameter schema.
+
+    ``shared`` names the blocks, besides ``bank`` and its own, whose flags
+    its subcommand also takes; a ``seeded`` analysis draws from the seed,
+    so a config that runs it needs one.
+    """
+
+    runner: Callable[[Context, dict], dict]
+    command: str
+    help: str
+    params: tuple = ()
+    shared: tuple = ()
+    seeded: bool = True
+
+
+REGISTRY = {
+    "frames": Analysis(run_frames, "verify-frames", "frame-condition residual table", (
+        Field("alpha", "real", None, low=0.0, strict=True),
+        Field("mode", "choice", None, choices=frames.MODES, flag="--mode"),
+    ), seeded=False),
+    "reconstruct": Analysis(run_reconstruct, "reconstruct", "perfect-reconstruction error", (
+        Field("count", "count", 100, low=1, flag="--samples"),
+        Field("no_relu", "bool", False, flag="--no-relu"),
+    )),
+    "identity": Analysis(run_identity, "identity", "linear-representation identity", (
+        Field("count", "count", 100, low=1, flag="--samples"),
+    )),
+    "regions": Analysis(run_regions, "regions", "activation-pattern census",
+                        shared=("sampler",)),
+    "lipschitz": Analysis(run_lipschitz, "lipschitz", "region Lipschitz constants",
+                          shared=("sampler",)),
+    "jacobian": Analysis(run_jacobian, "jacobian", "analytic vs finite-difference Jacobian", (
+        Field("count", "count", 50, low=1, flag="--count"),
+        Field("margin", "real", 1e-4, low=0.0, flag="--margin"),
+        Field("step", "real", 1e-6, low=0.0, strict=True, flag="--step"),
+    )),
+    "landscape": Analysis(run_landscape, "landscape", "gradient bound certificates", (
+        Field("samples", "count", 2, low=1, flag="--samples"),
+    )),
+    "train": Analysis(run_train, "train", "gradient-descent demonstration", (
+        Field("samples", "count", 2, low=1, flag="--samples"),
+        Field("step_size", "real", 0.25, low=0.0, strict=True, flag="--step-size"),
+        Field("iterations", "count", 200, low=1, flag="--iterations"),
+        Field("checkpoint_every", "count", 0, low=0, flag="--checkpoint-every"),
+        Field("stop_loss", "real", 0.0, flag="--stop-loss"),
+    )),
+}
+
+ANALYSES = tuple(REGISTRY)
+
+#: every config block with a schema: the shared blocks, then one per analysis
+SCHEMAS = {
+    "bank": (
+        Field("source", "choice", None, choices=tuple(BANK_FLAG.values())),
+        Field("path", "text", None, flag="--bank-path"),
+        Field("alpha", "real", 1.0, low=0.0, strict=True, flag="--alpha"),
+        Field("pooling", "choice", "orthogonal", choices=frames.POOLINGS, flag="--pooling"),
+        Field("scale", "real", 1.0, flag="--scale"),
+    ),
+    "sampler": (
+        Field("count", "count", 1000, low=1, flag="--samples"),
+        Field("distribution", "choice", "gaussian", choices=analysis.DISTRIBUTIONS,
+              flag="--distribution"),
+    ),
+    "tolerances": (
+        Field("frames", "real", 1e-10),
+        Field("reconstruct", "real", 1e-10),
+        Field("identity", "real", 1e-10),
+        Field("lipschitz_slack", "real", 1e-8),
+        Field("jacobian", "real", 1e-5),
+        Field("sandwich_slack", "real", 1e-8),
+        Field("stationarity_grad", "real", 1e-12),
+        Field("stationarity_loss_floor", "real", 1e-6),
+    ),
+    **{name: entry.params for name, entry in REGISTRY.items()},
+}
+
+
+# ---------------------------------------------------------------------------
 # experiment orchestration
 
 
@@ -438,77 +555,36 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
         if not netbuild._integral(seed):
             raise ConfigError(f"config field 'seed' must be an integer, got {seed!r}")
         seed = int(seed)
-    names = _field(cfg, "analyses", required=True)
-    if not isinstance(names, list) or not names:
-        raise ConfigError("config field 'analyses' must be a nonempty list")
-    for name in names:
-        if name not in ANALYSES:
-            raise ConfigError(
-                f"config field 'analyses': unknown analysis {name!r} "
-                f"(recognized: {', '.join(ANALYSES)})"
-            )
+    names = _names(cfg, "analyses", required=True)
+    enforce = _names(cfg, "enforce")
+    for name in enforce:
+        if name not in names:
+            raise ConfigError(f"config field 'enforce': {name!r} is not in 'analyses'")
+    params = {name: validate(name, _block(cfg, name)) for name in names}
     sampler = _block(cfg, "sampler")
-    blocks = {name: _block(cfg, name) for name in names}
     if sampler and seed is None:
         raise ConfigError("config field 'seed' is required when a sampler is used")
-    needs_sampler_seed = {"reconstruct", "identity", "regions", "lipschitz",
-                          "jacobian", "landscape", "train"}
-    if seed is None and needs_sampler_seed & set(names):
+    if seed is None and any(REGISTRY[name].seeded for name in names):
         raise ConfigError("config field 'seed' is required for the requested analyses")
-    tolerances = _tolerances(cfg)
-    enforce = _field(cfg, "enforce", default=[])
-    if not isinstance(enforce, list):
-        raise ConfigError("config field 'enforce' must be a list of analysis names")
-    for name in enforce:
-        if name not in ANALYSES:
-            raise ConfigError(f"config field 'enforce': unknown analysis {name!r}")
-    bank, _ = _build_bank(cfg, spec, seed)
+    sampler = validate("sampler", sampler)
+    tolerances = validate("tolerances", _block(cfg, "tolerances"))
+    bank, bank_params = _build_bank(cfg, spec, seed)
+    census_config = None if seed is None else analysis.CensusConfig(
+        count=sampler["count"], distribution=sampler["distribution"],
+        seed=derive(seed, "census"))
+    ctx = Context(spec, bank, tolerances, seed, outdir, census_config, bank_params["alpha"])
 
     results = {}
     timings = {}
-    census = None
     for name in names:
-        params = blocks[name]
         start = time.perf_counter()
-        if name == "frames":
-            bank_params = dict(_block(cfg, "bank"))
-            bank_params.update(params)
-            block = run_frames(spec, bank, bank_params, tolerances)
-        elif name == "reconstruct":
-            block = run_reconstruct(spec, bank, params, tolerances, seed)
-        elif name == "identity":
-            block = run_identity(spec, bank, params, tolerances, seed)
-        elif name in ("regions", "lipschitz"):
-            # one census per run, built (and timed) by the first of the two
-            if census is None:
-                mats = netbuild.realize(spec, bank)
-                census = analysis.region_census(spec, mats, analysis.CensusConfig(
-                    count=_count(sampler, "sampler", "count", 1000),
-                    distribution=sampler.get("distribution", "gaussian"),
-                    seed=derive(seed, "census"),
-                ))
-            if name == "regions":
-                block = run_regions(census, outdir)
-            else:
-                block = run_lipschitz(spec, mats, census, tolerances)
-        elif name == "jacobian":
-            block = run_jacobian(spec, bank, params, tolerances, seed)
-        elif name == "landscape":
-            block = run_landscape(spec, bank, params, tolerances, seed)
-        else:
-            block = run_train(spec, bank, params, tolerances, seed, outdir)
+        results[name] = REGISTRY[name].runner(ctx, params[name])
         timings[name] = time.perf_counter() - start
-        results[name] = block
 
-    failures = []
-    for name in names:
-        for check in results[name].get("checks", []):
-            if name in enforce and not check["passed"]:
-                failures.append(f"{name}:{check['name']}")
-
-    bank_cfg = _field(cfg, "bank", default={})
-    bank_info = {"source": bank_cfg.get("source")}
-    if bank_cfg.get("source") in ("frame_factory", "random"):
+    failures = [f"{name}:{check['name']}" for name in names if name in enforce
+                for check in results[name]["checks"] if not check["passed"]]
+    bank_info = {"source": bank_params["source"]}
+    if bank_params["source"] in ("frame_factory", "random"):
         bank_info["derived_seed"] = derive(seed, "bank")
     report = {
         "version": __version__,
@@ -547,7 +623,9 @@ def _resolve_outdir(explicit: str | None) -> str:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    outdir = _resolve_outdir(args.out or _field(cfg, "output_dir"))
+    if "output_dir" in cfg:
+        _value(Field("output_dir", "text"), cfg["output_dir"], "output_dir")
+    outdir = _resolve_outdir(args.out or cfg.get("output_dir"))
     report, failures = execute(cfg, outdir)
     path = write_report(report, outdir)
     for name, block in report["results"].items():
@@ -562,108 +640,42 @@ def cmd_run(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# one-shot subcommands (thin wrappers over the same runners)
+# one-shot subcommands: one analysis on a spec file
 
 
 def _load_spec_file(path: str) -> netbuild.NetworkSpec:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read spec {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(
-            f"{path} is not valid JSON: line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = _read_json(path, "spec")
     try:
         return netbuild.NetworkSpec.from_dict(data)
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"spec file {path}: {exc}") from exc
 
 
-def _bank_config_from_args(args) -> dict:
-    if args.bank == "frame":
-        return {"source": "frame_factory", "alpha": args.alpha, "pooling": args.pooling}
-    if args.bank == "random":
-        return {"source": "random", "scale": args.scale}
-    if not args.bank_path:
-        raise ConfigError("--bank file needs --bank-path")
-    return {"source": "file", "path": args.bank_path}
-
-
-def _single_analysis(args, name: str, params: dict) -> int:
-    spec_dict = _load_spec_file(args.spec).to_dict()
+def cmd_analysis(args) -> int:
+    """Run ``args.analysis`` alone; its block goes to stdout, the report to --out."""
     cfg = {
         "seed": args.seed,
-        "network": spec_dict,
-        "bank": _bank_config_from_args(args),
-        "analyses": [name],
-        name: params,
+        "network": _load_spec_file(args.spec).to_dict(),
+        "bank": {"source": BANK_FLAG[args.bank]},
+        "analyses": [args.analysis],
     }
-    if name in ("regions", "lipschitz"):
-        cfg["sampler"] = {"count": args.samples, "distribution": args.distribution}
+    # a schema flag's dest is "<block>.<key>"; an absent flag leaves the default
+    for dest, value in vars(args).items():
+        block, dot, key = dest.partition(".")
+        if dot and value is not None:
+            cfg.setdefault(block, {})[key] = value
     if args.enforce:
-        cfg["enforce"] = [name]
+        cfg["enforce"] = [args.analysis]
     outdir = _resolve_outdir(args.out) if args.out else None
     report, failures = execute(cfg, outdir)
-    block = report["results"][name]
-    print(json.dumps(block, indent=1, default=_json_default))
+    print(json.dumps(report["results"][args.analysis], indent=1, default=_json_default))
     if outdir:
         write_report(report, outdir)
     return 2 if failures else 0
 
 
-def cmd_verify_frames(args) -> int:
-    params = {"alpha": args.alpha}
-    if args.mode:
-        params["mode"] = args.mode
-    return _single_analysis(args, "frames", params)
-
-
-def cmd_reconstruct(args) -> int:
-    return _single_analysis(
-        args, "reconstruct", {"count": args.samples, "no_relu": args.no_relu}
-    )
-
-
-def cmd_regions(args) -> int:
-    return _single_analysis(args, "regions", {})
-
-
-def cmd_lipschitz(args) -> int:
-    return _single_analysis(args, "lipschitz", {})
-
-
-def cmd_jacobian(args) -> int:
-    return _single_analysis(
-        args, "jacobian",
-        {"count": args.count, "margin": args.margin, "step": args.step},
-    )
-
-
-def cmd_landscape(args) -> int:
-    return _single_analysis(args, "landscape", {"samples": args.samples})
-
-
-def cmd_train(args) -> int:
-    return _single_analysis(
-        args, "train",
-        {
-            "samples": args.samples,
-            "step_size": args.step_size,
-            "iterations": args.iterations,
-            "checkpoint_every": args.checkpoint_every,
-            "stop_loss": args.stop_loss,
-        },
-    )
-
-
 def cmd_report(args) -> int:
-    try:
-        with open(args.report) as fh:
-            report = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read report {args.report}: {exc}") from exc
+    report = _read_json(args.report, "report")
     print(f"framelets report (version {report.get('version', '?')})")
     print(f"seed: {report.get('seed')}")
     net = report.get("network", {})
@@ -704,20 +716,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _add_bank_args(p):
-    p.add_argument("--spec", required=True, help="network spec JSON file")
-    p.add_argument("--bank", choices=("frame", "random", "file"), default="frame",
-                   help="bank source (default frame factory)")
-    p.add_argument("--bank-path", help="bank JSON file for --bank file")
-    p.add_argument("--alpha", type=float, default=1.0,
-                   help="pooling frame constant (frame factory)")
-    p.add_argument("--pooling", choices=("identity", "orthogonal"),
-                   default="orthogonal", help="frame factory pooling kind")
-    p.add_argument("--scale", type=float, default=1.0, help="random bank scale")
-    p.add_argument("--seed", type=int, default=0, help="global seed")
-    p.add_argument("--out", help="also write report.json and side files here")
-    p.add_argument("--enforce", action="store_true",
-                   help="exit 2 when this analysis' checks fail")
+_FLAG_TYPES = {"count": int, "real": float, "text": str, "choice": str}
+
+
+def _add_flag(p, block: str, field: Field) -> None:
+    dest = f"{block}.{field.key}"
+    text = f"sets {dest}" + ("" if field.default is None else f" (default {field.default})")
+    if field.kind == "bool":
+        p.add_argument(field.flag, dest=dest, action="store_true", default=None, help=text)
+    else:
+        p.add_argument(field.flag, dest=dest, type=_FLAG_TYPES[field.kind],
+                       choices=field.choices or None, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -731,53 +740,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="output directory (overrides config/output_dir)")
     p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("verify-frames", help="frame-condition residual table")
-    _add_bank_args(p)
-    p.add_argument("--mode", choices=("no_skip", "skip"),
-                   help="frame constant mode (default: follow spec skip flag)")
-    p.set_defaults(func=cmd_verify_frames)
-
-    p = sub.add_parser("reconstruct", help="perfect-reconstruction error")
-    _add_bank_args(p)
-    p.add_argument("--no-relu", action="store_true",
-                   help="evaluate the linear network")
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("regions", help="activation-pattern census")
-    _add_bank_args(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--distribution", choices=("gaussian", "sphere"),
-                   default="gaussian")
-    p.set_defaults(func=cmd_regions)
-
-    p = sub.add_parser("lipschitz", help="region Lipschitz constants")
-    _add_bank_args(p)
-    p.add_argument("--samples", type=int, default=1000)
-    p.add_argument("--distribution", choices=("gaussian", "sphere"),
-                   default="gaussian")
-    p.set_defaults(func=cmd_lipschitz)
-
-    p = sub.add_parser("jacobian", help="analytic vs finite-difference Jacobian")
-    _add_bank_args(p)
-    p.add_argument("--count", type=int, default=50)
-    p.add_argument("--margin", type=float, default=1e-4)
-    p.add_argument("--step", type=float, default=1e-6)
-    p.set_defaults(func=cmd_jacobian)
-
-    p = sub.add_parser("landscape", help="gradient bound certificates")
-    _add_bank_args(p)
-    p.add_argument("--samples", type=int, default=2, help="training samples T")
-    p.set_defaults(func=cmd_landscape)
-
-    p = sub.add_parser("train", help="gradient-descent demonstration")
-    _add_bank_args(p)
-    p.add_argument("--samples", type=int, default=2, help="training samples T")
-    p.add_argument("--step-size", type=float, default=0.25)
-    p.add_argument("--iterations", type=int, default=200)
-    p.add_argument("--checkpoint-every", type=int, default=0)
-    p.add_argument("--stop-loss", type=float, default=0.0)
-    p.set_defaults(func=cmd_train)
+    for name, entry in REGISTRY.items():
+        p = sub.add_parser(entry.command, help=entry.help)
+        p.add_argument("--spec", required=True, help="network spec JSON file")
+        p.add_argument("--bank", choices=tuple(BANK_FLAG), default="frame",
+                       help="bank source (default frame factory)")
+        p.add_argument("--seed", type=int, default=0, help="global seed")
+        p.add_argument("--out", help="also write report.json and side files here")
+        p.add_argument("--enforce", action="store_true",
+                       help="exit 2 when this analysis' checks fail")
+        for block in ("bank", *entry.shared, name):
+            for field in SCHEMAS[block]:
+                if field.flag:
+                    _add_flag(p, block, field)
+        p.set_defaults(func=cmd_analysis, analysis=name)
 
     p = sub.add_parser("report", help="pretty-print a report.json")
     p.add_argument("report")

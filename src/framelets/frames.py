@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 MODES = ("no_skip", "skip")
+POOLINGS = ("identity", "orthogonal")
 
 
 @dataclass(frozen=True)
@@ -50,7 +51,7 @@ class FrameConfig:
             raise ValueError(f"frame constant alpha={self.alpha} must be positive")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.pooling not in ("identity", "orthogonal"):
+        if self.pooling not in POOLINGS:
             raise ValueError(f"unknown pooling kind {self.pooling!r}")
 
     @classmethod

@@ -585,7 +585,8 @@ class TestJacobian:
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
         params = {"count": 12, "margin": 0.05}
-        block = cli.run_jacobian(spec, bank, params, {"jacobian": 1e-5}, seed=3)
+        block = cli.run_jacobian(cli.Context(spec, bank, {"jacobian": 1e-5}, seed=3),
+                                 cli.validate("jacobian", params))
         made = len(forward_calls)
         gen = seeded_rng(3, "jacobian")
         mats = netbuild.realize(spec, bank)

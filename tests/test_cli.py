@@ -3,6 +3,7 @@
 import csv
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ import pytest
 from framelets import analysis, cli, netbuild
 from framelets.seeding import rng as seeded_rng
 from conftest import make_spec
+
+TOLERANCES = cli.validate("tolerances", {})
 
 
 def base_config(**overrides):
@@ -223,13 +226,14 @@ class TestJacobianScreen:
         seen = []
         worst = cli._worst
         monkeypatch.setattr(cli, "_worst", lambda values: seen.append(values) or worst(values))
-        params = {"count": count, "margin": margin}
+        ctx = cli.Context(spec, bank, TOLERANCES, seed=99)
+        params = cli.validate("jacobian", {"count": count, "margin": margin})
         if len(want) < count:
             with pytest.raises(cli.ConfigError,
                                match=f"accepted {len(want)} of {attempts} draws"):
-                cli.run_jacobian(spec, bank, params, cli.DEFAULT_TOLERANCES, 99)
+                cli.run_jacobian(ctx, params)
             return
-        block = cli.run_jacobian(spec, bank, params, cli.DEFAULT_TOLERANCES, 99)
+        block = cli.run_jacobian(ctx, params)
         assert block["attempts"] == attempts
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], want)
@@ -287,7 +291,8 @@ class TestForwardCounts:
     def test_identity_runs_one_forward_per_sample(self, forward_calls):
         spec = netbuild.NetworkSpec.from_dict(README_NETWORK)
         bank = netbuild.random_bank(spec, seed=1)
-        block = cli.run_identity(spec, bank, {"count": 7}, cli.DEFAULT_TOLERANCES, 5)
+        block = cli.run_identity(cli.Context(spec, bank, TOLERANCES, seed=5),
+                                 cli.validate("identity", {"count": 7}))
         assert block["samples"] == 7 and len(forward_calls) == 7
 
     @pytest.mark.parametrize("network, count, saturated", [
@@ -298,12 +303,12 @@ class TestForwardCounts:
     def test_lipschitz_forwards_only_regions_with_pairs(self, forward_calls, network,
                                                         count, saturated):
         spec = netbuild.NetworkSpec.from_dict(network)
-        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=1))
-        census = analysis.region_census(spec, mats,
-                                        analysis.CensusConfig(count=count, seed=7))
+        ctx = cli.Context(spec, netbuild.random_bank(spec, seed=1), TOLERANCES,
+                          census_config=analysis.CensusConfig(count=count, seed=7))
+        census = ctx.census
         assert (census.singletons == census.distinct) == saturated
         forward_calls.clear()
-        block = cli.run_lipschitz(spec, mats, census, cli.DEFAULT_TOLERANCES)
+        block = cli.run_lipschitz(ctx, {})
         used = [min(reg.count, 4) for reg in census.regions if reg.count >= 2]
         # one stacked forward over the used inputs, none on a saturated census
         assert forward_calls == ([(sum(used), spec.d[0])] if used else [])
@@ -318,10 +323,10 @@ ITEM_NETWORK = {"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4], "skip": True,
 class TestLipschitzPairs:
     def test_stacked_forward_matches_per_input_reference(self):
         spec = netbuild.NetworkSpec.from_dict(ITEM_NETWORK)
-        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=1))
-        census = analysis.region_census(spec, mats,
-                                        analysis.CensusConfig(count=300, seed=7))
-        block = cli.run_lipschitz(spec, mats, census, cli.DEFAULT_TOLERANCES)
+        ctx = cli.Context(spec, netbuild.random_bank(spec, seed=1), TOLERANCES,
+                          census_config=analysis.CensusConfig(count=300, seed=7))
+        mats, census = ctx.mats, ctx.census
+        block = cli.run_lipschitz(ctx, {})
         violations = []
         for reg in census.regions:
             if reg.count < 2:
@@ -332,6 +337,21 @@ class TestLipschitzPairs:
                                   - reg.lipschitz * np.linalg.norm(x1 - x2))
         assert block["pairs_checked"] == len(violations) > 0
         assert block["worst_pair_violation"] == max(violations)
+
+
+class TestLandscapeChecks:
+    def test_checks_count_what_they_checked(self):
+        cfg = base_config(network=README_NETWORK, bank={"source": "random"},
+                          analyses=["landscape"], enforce=["landscape"],
+                          landscape={"samples": 3})
+        report, failures = cli.execute(cfg, None)
+        block = report["results"]["landscape"]
+        sandwich, stationarity = block["checks"]
+        applicable = [c for c in block["certificates"] if c["applicable"]]
+        assert sandwich["checked"] == len(applicable) > 0
+        levels = block["stationarity"]["layers"]
+        assert stationarity["checked"] == sum(e["conditions_hold"] for e in levels)
+        assert failures == []
 
 
 class TestRegionBound:
@@ -411,11 +431,21 @@ class TestConfigErrors:
         ("landscape.samples", 0, "landscape"),
         ("train.samples", 2.7, "train"),
         ("train.samples", 0, "train"),
+        ("sampler.distribution", "cauchy", "regions"),
+        ("frames.mode", "weird", "frames"),
+        ("frames.mode", 3, "frames"),
+        ("bank.pooling", "xx", "frames"),
+        ("bank.pooling", [], "frames"),
+        ("train.stepsize", 0.1, "train"),
+        ("sampler.seed", 3, "regions"),
+        ("landscape.samples", 50, "landscape"),
     ])
     def test_mistyped_or_non_integral_field_exits_one(self, tmp_path, capsys, path,
                                                        value, analysis_name):
-        # each used to be truncated or coerced (2.7 -> 2, "false" -> True), or
-        # rejected with a message naming no field
+        # each used to be truncated or coerced (2.7 -> 2, "false" -> True),
+        # rejected with a message naming no field, or (an unknown key such
+        # as train.stepsize) ignored; at 50 training samples no landscape
+        # certificate applies, and the sandwich check passed over none
         cfg = base_config(analyses=[analysis_name], enforce=[])
         section, key = path.split(".")
         cfg.setdefault(section, {})[key] = value
@@ -476,11 +506,21 @@ class TestConfigErrors:
         ("bank", "random", "reconstruct"),
         ("train", [], "train"),
         ("tolerances", 1e-10, "reconstruct"),
+        ("enforce", ["frames", "regions"], "frames"),
+        ("enforce", ["frames", "frames"], "frames"),
+        ("analyses", ["regions", "regions"], "regions"),
+        ("output_dir", 5, "frames"),
+        ("output_dir", True, "frames"),
+        ("output_dir", [], "frames"),
+        ("output_dir", "", "frames"),
+        ("output_dir", None, "frames"),
     ])
     def test_invalid_value_names_its_field(self, tmp_path, capsys, path, value,
                                            analysis_name):
-        # each used to raise a TypeError or AttributeError traceback, or to
-        # run with a coerced value (seed 1.5 as 1, checkpoint_every 2.7 as 2)
+        # each used to raise a TypeError or AttributeError traceback, to run
+        # with a coerced value (seed 1.5 as 1, checkpoint_every 2.7 as 2), to
+        # enforce a check that never ran, to run an analysis twice, or to
+        # fall back to "." (output_dir [] and "")
         cfg = base_config(bank={"source": "random", "scale": 1.0},
                           analyses=[analysis_name], enforce=[])
         if "." in path:
@@ -591,6 +631,29 @@ class TestSubcommands:
         assert "PASS frame_residuals" in text
         assert "enforced failures: none" in text
 
+    def test_identity_subcommand(self, tmp_path, capsys):
+        spec_path = write_spec(tmp_path, netbuild.NetworkSpec.from_dict(README_NETWORK))
+        code = cli.main(["identity", "--spec", spec_path, "--bank", "random",
+                         "--samples", "20", "--seed", "7", "--enforce"])
+        assert code == 0
+        block = json.loads(capsys.readouterr().out)
+        assert block["samples"] == 20 and block["max_relative_error"] <= 1e-10
+
+    def test_every_flag_sets_its_config_field(self):
+        parser = cli.build_parser()
+        given = {"count": "3", "real": "0.5", "text": "x"}
+        for name, entry in cli.REGISTRY.items():
+            for block in ("bank", *entry.shared, name):
+                for field in cli.SCHEMAS[block]:
+                    if field.flag is None:
+                        continue
+                    value = field.choices[-1] if field.kind == "choice" else given.get(field.kind)
+                    args = parser.parse_args([entry.command, "--spec", "s.json", field.flag]
+                                             + ([] if value is None else [value]))
+                    got = vars(args)[f"{block}.{field.key}"]
+                    assert got == (True if value is None else type(got)(value))
+                    assert cli.validate(block, {field.key: got})[field.key] == got
+
     def test_landscape_subcommand(self, tmp_path, capsys):
         spec = make_spec(kappa=2, r=2, m=4, q=[1, 2, 3], skip=True,
                          nonlinearity="relu")
@@ -602,3 +665,23 @@ class TestSubcommands:
         kinds = [c["kind"] for c in block["certificates"]]
         assert kinds == ["skip", "skip", "encoder"]
         assert "stationarity" in block
+
+
+def schema_row(block, field):
+    """The README table row of a schema field."""
+    if field.kind == "count" or (field.kind == "real" and field.low > -np.inf):
+        bound = f"{'>' if field.strict else '>='} {field.low:g}"
+    else:
+        bound = {"real": "finite", "bool": "`true`, `false`", "text": "nonempty",
+                 "choice": ", ".join(f"`{c}`" for c in field.choices)}[field.kind]
+    default = "—" if field.default is None else f"`{json.dumps(field.default)}`"
+    flag = "—" if field.flag is None else f"`{field.flag}`"
+    return f"| `{block}.{field.key}` | {field.kind} | {bound} | {default} | {flag} |"
+
+
+def test_readme_schema_table_matches_the_registry():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config schema")[1].split("\n#")[0]
+    rows = [line for line in section.splitlines() if line.startswith("| `")]
+    assert rows == [schema_row(block, field)
+                    for block, schema in cli.SCHEMAS.items() for field in schema]
