@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .netbuild import NetworkSpec, forward_matrices
 from .seeding import rng
@@ -48,7 +47,6 @@ __all__ = [
     "trace_margin",
     "jacobian_analytic",
     "fd_jacobian",
-    "count_sign_regions",
 ]
 
 
@@ -445,34 +443,3 @@ def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:
     y = forward_matrices(spec, mats, np.concatenate([x + shift, x - shift])).y
     return np.ascontiguousarray(((y[:d0] - y[d0:]) / (2.0 * step)).T)
 
-
-def count_sign_regions(normals, max_rows: int = 12) -> int:
-    """Exact number of full-dimensional sign regions of central hyperplanes.
-
-    ``normals`` holds one row per hyperplane {x : a_i x = 0}.  Every one
-    of the 2^h sign vectors is checked for strict feasibility with an LP
-    (margin 1, valid by cone scaling).  Exponential by construction, so
-    capped at ``max_rows`` hyperplanes; rows must be nonzero.
-    """
-    A = np.asarray(normals, dtype=float)
-    if A.ndim != 2:
-        raise ValueError("normals must be a 2-d array")
-    h = A.shape[0]
-    if h > max_rows:
-        raise ValueError(f"{h} hyperplanes exceed the enumeration cap {max_rows}")
-    if np.any(np.all(A == 0.0, axis=1)):
-        raise ValueError("zero normal rows have no sign region")
-    count = 0
-    for code in range(1 << h):
-        signs = np.array([1.0 if code & (1 << i) else -1.0 for i in range(h)])
-        # s_i * a_i x >= 1  <=>  -s_i * a_i x <= -1
-        res = linprog(
-            c=np.zeros(A.shape[1]),
-            A_ub=-signs[:, None] * A,
-            b_ub=-np.ones(h),
-            bounds=[(None, None)] * A.shape[1],
-            method="highs",
-        )
-        if res.status == 0:
-            count += 1
-    return count

@@ -515,6 +515,10 @@ REGISTRY = {
 
 ANALYSES = tuple(REGISTRY)
 
+#: the config's top-level keys, besides one parameter block per analysis
+TOP_LEVEL = ("seed", "output_dir", "network", "bank", "analyses", "enforce",
+             "sampler", "tolerances")
+
 #: every config block with a schema: the shared blocks, then one per analysis
 SCHEMAS = {
     "bank": (
@@ -549,6 +553,9 @@ SCHEMAS = {
 
 def execute(cfg: dict, outdir: str | None) -> tuple:
     """Run every requested analysis in declared order; returns (report, failures)."""
+    for key in cfg:
+        if key not in TOP_LEVEL and key not in REGISTRY:
+            raise ConfigError(f"config field '{key}' is not a known field")
     spec = _build_spec(cfg)
     seed = _field(cfg, "seed")
     if seed is not None:
@@ -560,7 +567,7 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
     for name in enforce:
         if name not in names:
             raise ConfigError(f"config field 'enforce': {name!r} is not in 'analyses'")
-    params = {name: validate(name, _block(cfg, name)) for name in names}
+    params = {name: validate(name, _block(cfg, name)) for name in ANALYSES}
     sampler = _block(cfg, "sampler")
     if sampler and seed is None:
         raise ConfigError("config field 'seed' is required when a sampler is used")

@@ -21,15 +21,10 @@ __all__ = [
     "extended_hankel",
     "circ_conv",
     "circ_corr",
-    "mimo_conv",
     "filters_to_matrix",
     "conv_with_frame",
     "identity_conv",
-    "hankel_inner_identity_check",
 ]
-
-#: default absolute tolerance for exact algebraic identities
-DEFAULT_TOL = 1e-10
 
 
 def as_signal(v, name: str = "signal") -> np.ndarray:
@@ -130,29 +125,6 @@ def filters_to_matrix(Psi) -> np.ndarray:
     return Psi.transpose(0, 2, 1).reshape(p * r, q)
 
 
-def mimo_conv(Z, Psi) -> np.ndarray:
-    """Multi-channel filtering: y_i = sum_j z_j conv flip(psi[j, i]).
-
-    ``Z`` is a length-p sequence of period-n channels, ``Psi`` a
-    (p, q, r) tensor whose [j, i] slice filters input channel j into
-    output channel i.  Equals extended_hankel(Z, r) @ filters_to_matrix(Psi)
-    column by column.
-    """
-    Psi = np.asarray(Psi, dtype=float)
-    if Psi.ndim != 3:
-        raise ValueError(f"filter tensor must be (p, q, r), got shape {Psi.shape}")
-    p, q, r = Psi.shape
-    Z = [as_signal(z, f"channel {j}") for j, z in enumerate(Z)]
-    if len(Z) != p:
-        raise ValueError(f"got {len(Z)} input channels, filter tensor expects {p}")
-    n = len(Z[0])
-    out = np.zeros((q, n))
-    for i in range(q):
-        for j in range(p):
-            out[i] += circ_corr(Z[j], Psi[j, i])
-    return out
-
-
 def conv_with_frame(Phi, psi) -> np.ndarray:
     """Convolve every column of a pooling matrix with one filter.
 
@@ -186,16 +158,3 @@ def identity_conv(m: int, v) -> np.ndarray:
         raise ValueError(f"filter length {len(v)} exceeds m={m}")
     return conv_with_frame(np.eye(m), v)
 
-
-def hankel_inner_identity_check(f, u, v, tol: float = DEFAULT_TOL) -> bool:
-    """Check the inner-product identity u' H(f) v == <f, u conv v>.
-
-    ``u`` shares f's period, ``v`` supplies the Hankel width.  Test-side
-    helper: both sides are evaluated independently.
-    """
-    f = as_signal(f, "f")
-    u = as_signal(u, "u")
-    v = as_signal(v, "v")
-    lhs = u @ hankel(f, len(v)) @ v
-    rhs = f @ circ_conv(u, v)
-    return abs(lhs - rhs) <= tol

@@ -51,7 +51,6 @@ __all__ = [
     "realize_adjoint",
     "forward",
     "forward_matrices",
-    "check_embedding_dims",
     "random_bank",
     "validate_bank",
     "bank_to_dict",
@@ -371,27 +370,6 @@ def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
 def forward(spec: NetworkSpec, bank: LayerBank, x) -> ForwardTrace:
     """Forward pass building the layer matrices on the fly."""
     return forward_matrices(spec, realize(spec, bank), x)
-
-
-def check_embedding_dims(spec: NetworkSpec) -> list:
-    """Advisory dimension checks for the embed-then-quotient design.
-
-    A well-posed encoder should not contract (d_0 <= d_1 <= ... <= d_k)
-    and should more than double the input dimension at the bottleneck.
-    Violations are reported as warnings, never errors.
-    """
-    warnings = []
-    d = spec.d
-    for l in range(1, spec.kappa + 1):
-        if d[l] < d[l - 1]:
-            warnings.append(
-                f"feature dims not monotone at layer {l}: d_{l}={d[l]} < d_{l - 1}={d[l - 1]}"
-            )
-    if d[spec.kappa] <= 2 * d[0]:
-        warnings.append(
-            f"bottleneck too small: d_kappa={d[spec.kappa]} <= 2 d_0={2 * d[0]}"
-        )
-    return warnings
 
 
 def _orthonormal(rows: int, cols: int, gen: np.random.Generator) -> np.ndarray:

@@ -1,0 +1,107 @@
+"""Brute-force oracles that only the tests use.
+
+Each helper checks a library result by an independent route: a loop
+over channels, both sides of an identity, an LP per sign vector.  They
+live here, not in ``framelets``, so the package needs neither their code
+nor scipy at run time.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.optimize import linprog
+
+from framelets import convops
+
+#: default absolute tolerance for exact algebraic identities
+DEFAULT_TOL = 1e-10
+
+
+def mimo_conv(Z, Psi) -> np.ndarray:
+    """Multi-channel filtering: y_i = sum_j z_j conv flip(psi[j, i]).
+
+    ``Z`` is a length-p sequence of period-n channels, ``Psi`` a
+    (p, q, r) tensor whose [j, i] slice filters input channel j into
+    output channel i.  Equals extended_hankel(Z, r) @ filters_to_matrix(Psi)
+    column by column.
+    """
+    Psi = np.asarray(Psi, dtype=float)
+    if Psi.ndim != 3:
+        raise ValueError(f"filter tensor must be (p, q, r), got shape {Psi.shape}")
+    p, q, r = Psi.shape
+    Z = [convops.as_signal(z, f"channel {j}") for j, z in enumerate(Z)]
+    if len(Z) != p:
+        raise ValueError(f"got {len(Z)} input channels, filter tensor expects {p}")
+    n = len(Z[0])
+    out = np.zeros((q, n))
+    for i in range(q):
+        for j in range(p):
+            out[i] += convops.circ_corr(Z[j], Psi[j, i])
+    return out
+
+
+def hankel_inner_identity_check(f, u, v, tol: float = DEFAULT_TOL) -> bool:
+    """Check the inner-product identity u' H(f) v == <f, u conv v>.
+
+    ``u`` shares f's period, ``v`` supplies the Hankel width; both sides
+    are evaluated independently.
+    """
+    f = convops.as_signal(f, "f")
+    u = convops.as_signal(u, "u")
+    v = convops.as_signal(v, "v")
+    lhs = u @ convops.hankel(f, len(v)) @ v
+    rhs = f @ convops.circ_conv(u, v)
+    return abs(lhs - rhs) <= tol
+
+
+def check_embedding_dims(spec) -> list:
+    """Advisory dimension checks for the embed-then-quotient design.
+
+    A well-posed encoder should not contract (d_0 <= d_1 <= ... <= d_k)
+    and should more than double the input dimension at the bottleneck.
+    Violations are reported as warnings, never errors.
+    """
+    warnings = []
+    d = spec.d
+    for l in range(1, spec.kappa + 1):
+        if d[l] < d[l - 1]:
+            warnings.append(
+                f"feature dims not monotone at layer {l}: d_{l}={d[l]} < d_{l - 1}={d[l - 1]}"
+            )
+    if d[spec.kappa] <= 2 * d[0]:
+        warnings.append(
+            f"bottleneck too small: d_kappa={d[spec.kappa]} <= 2 d_0={2 * d[0]}"
+        )
+    return warnings
+
+
+def count_sign_regions(normals, max_rows: int = 12) -> int:
+    """Exact number of full-dimensional sign regions of central hyperplanes.
+
+    ``normals`` holds one row per hyperplane {x : a_i x = 0}.  Every one
+    of the 2^h sign vectors is checked for strict feasibility with an LP
+    (margin 1, valid by cone scaling).  Exponential by construction, so
+    capped at ``max_rows`` hyperplanes; rows must be nonzero.
+    """
+    A = np.asarray(normals, dtype=float)
+    if A.ndim != 2:
+        raise ValueError("normals must be a 2-d array")
+    h = A.shape[0]
+    if h > max_rows:
+        raise ValueError(f"{h} hyperplanes exceed the enumeration cap {max_rows}")
+    if np.any(np.all(A == 0.0, axis=1)):
+        raise ValueError("zero normal rows have no sign region")
+    count = 0
+    for code in range(1 << h):
+        signs = np.array([1.0 if code & (1 << i) else -1.0 for i in range(h)])
+        # s_i * a_i x >= 1  <=>  -s_i * a_i x <= -1
+        res = linprog(
+            c=np.zeros(A.shape[1]),
+            A_ub=-signs[:, None] * A,
+            b_ub=-np.ones(h),
+            bounds=[(None, None)] * A.shape[1],
+            method="highs",
+        )
+        if res.status == 0:
+            count += 1
+    return count

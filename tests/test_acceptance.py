@@ -13,6 +13,7 @@ import pytest
 
 from framelets import analysis, cli, convops, frames, landscape, netbuild
 from conftest import make_frame_pair, make_spec
+import oracles
 
 
 def verdict(num: int, ok: bool, title: str, detail: str) -> None:
@@ -107,7 +108,7 @@ def test_criterion_3_region_bound():
                                 nonlinearity="relu_encoder")
     bank = netbuild.random_bank(tiny, seed=3)
     mats = netbuild.realize(tiny, bank)
-    exact = analysis.count_sign_regions(mats[0].E.T)
+    exact = oracles.count_sign_regions(mats[0].E.T)
     census = analysis.region_census(tiny, mats,
                                     analysis.CensusConfig(count=4000, seed=1))
     # the printed depth-1 cap undercounts (see the pattern_bits field the

@@ -8,6 +8,7 @@ import pytest
 from framelets import analysis, cli, netbuild
 from framelets.seeding import rng as seeded_rng
 from conftest import make_frame_pair, make_spec
+import oracles
 
 
 def positive_bank(spec, seed):
@@ -261,7 +262,7 @@ class TestRegionCensus:
                                     nonlinearity="relu_encoder")
         bank = netbuild.random_bank(spec, seed=3)
         mats = netbuild.realize(spec, bank)
-        exact = analysis.count_sign_regions(mats[0].E.T)
+        exact = oracles.count_sign_regions(mats[0].E.T)
         census = analysis.region_census(
             spec, mats, analysis.CensusConfig(count=4000, seed=1)
         )
@@ -610,13 +611,13 @@ class TestJacobian:
 
 class TestSignRegionOracle:
     def test_small_arrangements(self):
-        assert analysis.count_sign_regions([[1.0, 0.0]]) == 2
-        assert analysis.count_sign_regions([[1.0, 0.0], [0.0, 1.0]]) == 4
+        assert oracles.count_sign_regions([[1.0, 0.0]]) == 2
+        assert oracles.count_sign_regions([[1.0, 0.0], [0.0, 1.0]]) == 4
 
     def test_matches_dense_sampling(self):
         gen = np.random.default_rng(5)
         A = gen.standard_normal((4, 2))
-        exact = analysis.count_sign_regions(A)
+        exact = oracles.count_sign_regions(A)
         seen = set()
         for _ in range(20000):
             x = gen.standard_normal(2)
@@ -625,6 +626,6 @@ class TestSignRegionOracle:
 
     def test_caps_and_zero_rows(self):
         with pytest.raises(ValueError, match="cap"):
-            analysis.count_sign_regions(np.ones((13, 2)))
+            oracles.count_sign_regions(np.ones((13, 2)))
         with pytest.raises(ValueError, match="zero"):
-            analysis.count_sign_regions(np.zeros((2, 2)))
+            oracles.count_sign_regions(np.zeros((2, 2)))

