@@ -12,10 +12,10 @@ Lipschitz constants (the spectral norm of each region map), and the
 analytic Jacobian with its finite-difference cross-check; the frame pair
 is built only where it is the object under test.
 
-Census sampling draws each input from its own sub-seeded stream, so the
-result is independent of any parallel execution order; the samples' masks
-are packed into key rows, grouped by one ``np.unique`` and reported sorted
-by pattern key.
+The census draws all its inputs as one block from one seeded stream
+(:func:`census_inputs`), so a region is named by the index of its first
+sample; the samples' masks are packed into key rows, grouped by one
+``np.unique`` and reported sorted by pattern key.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "nrep_bound",
     "pattern_bits",
     "spectral_norm",
+    "census_inputs",
     "region_census",
     "lipschitz_global",
     "trace_margin",
@@ -277,19 +278,18 @@ class CensusConfig:
 
 @dataclass
 class RegionInfo:
-    """One sampled region: its constant and its inputs in sample order."""
+    """One sampled region: its constant, its inputs in sample order and the
+    index of the first of them in the :func:`census_inputs` block (what the
+    census file records in place of the input)."""
 
     pattern_hex: str
     lipschitz: float
     inputs: list
+    first_sample: int
 
     @property
     def count(self) -> int:
         return len(self.inputs)
-
-    @property
-    def representative(self) -> np.ndarray:
-        return self.inputs[0]
 
 
 @dataclass
@@ -322,44 +322,39 @@ class RegionCensus:
             "regions": [],
         }
         for reg in self.regions:
-            entry = {
-                "pattern": reg.pattern_hex,
-                "count": reg.count,
-                "lipschitz": reg.lipschitz,
-            }
+            entry = {"pattern": reg.pattern_hex, "count": reg.count, "lipschitz": reg.lipschitz}
             if include_representatives:
-                entry["representative"] = list(map(float, reg.representative))
+                entry["first_sample"] = reg.first_sample
             out["regions"].append(entry)
         return out
 
 
-def _sample_input(spec: NetworkSpec, config: CensusConfig, index: int) -> np.ndarray:
-    g = rng(config.seed, "census", index)
-    x = g.standard_normal(spec.d[0])
+def census_inputs(spec: NetworkSpec, config: CensusConfig) -> np.ndarray:
+    """The census's (count, d_0) inputs, drawn as one block from one stream;
+    a census of n samples uses the first n rows of a larger count's block.
+    On the sphere each row is scaled to unit norm (a zero row becomes e_0)."""
+    xs = rng(config.seed, "census").standard_normal((config.count, spec.d[0]))
     if config.distribution == "sphere":
-        norm = np.linalg.norm(x)
-        if norm == 0.0:
-            x = np.zeros(spec.d[0])
-            x[0] = 1.0
-            norm = 1.0
-        x = x / norm
-    return x
+        norms = np.linalg.norm(xs, axis=1, keepdims=True)
+        xs[norms[:, 0] == 0.0] = np.eye(1, spec.d[0])
+        xs /= np.where(norms == 0.0, 1.0, norms)
+    return xs
 
 
 def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus:
     """Sample inputs, group by pattern, attach per-region Lipschitz constants.
 
-    Every sample has its own derived RNG stream and regions are keyed by
-    the packed mask bits, so the census is reproducible and independent
-    of evaluation order.  Samples are forwarded in stacks of ``_ROWS``
-    rows, each row bit-identical to its own forward pass; only the stack's
-    bit matrix, packed, is kept.  One ``np.unique`` over the packed rows
-    gives the regions in key order (every key has the same n_bits prefix),
-    each region's first sample and each sample's region.  A region keeps
-    its inputs in sample order; its constant is the exact spectral norm
-    of its :func:`region_maps` map, over blocks of ``_BLOCK`` regions.
+    The samples are the :func:`census_inputs` block and regions are keyed
+    by the packed mask bits, so the census is reproducible from the seed.
+    Samples are forwarded in stacks of ``_ROWS`` rows, each row
+    bit-identical to its own forward pass; only the stack's bit matrix,
+    packed, is kept.  One ``np.unique`` over the packed rows gives the
+    regions in key order (every key has the same n_bits prefix), each
+    region's first sample and each sample's region.  A region keeps its
+    inputs in sample order; its constant is the exact spectral norm of its
+    :func:`region_maps` map, over blocks of ``_BLOCK`` regions.
     """
-    xs = np.stack([_sample_input(spec, config, i) for i in range(config.count)])
+    xs = census_inputs(spec, config)
     packed = []
     for start in range(0, config.count, _ROWS):
         bits = np.concatenate(_masks(spec, forward_matrices(spec, mats, xs[start:start + _ROWS])),
@@ -375,7 +370,7 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     norms = np.concatenate([spectral_norm(region_maps(spec, mats, b)) for b in blocks]).tolist()
     prefix = n_bits.to_bytes(4, "little").hex()
     regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
-                          inputs=grouped[a:b])
+                          inputs=grouped[a:b], first_sample=i)
                for i, norm, a, b in zip(first.tolist(), norms, bounds, bounds[1:])]
     return RegionCensus(samples=config.count, nrep=nrep_bound(spec),
                         pattern_bits=pattern_bits(spec), regions=regions)

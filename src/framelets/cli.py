@@ -350,13 +350,16 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
     # than inputs still needed, so ``attempts`` ends at the last accepted
     # draw, as drawing one at a time would.  A NaN margin (an overflowing
     # forward pass) is accepted, so the check fails on a NaN error.  The
-    # analytic Jacobians are the region maps of the accepted rows' mask rows.
+    # analytic Jacobians are the region maps of the accepted rows' mask rows;
+    # a block with none accepted goes no further.
     while len(errors) < count and attempts < cap:
         block = gen.standard_normal((min(count - len(errors), cap - attempts), spec.d[0]))
         trace = netbuild.forward_matrices(spec, mats, block)
         attempts += len(block)
         accepted = [i for i, got in enumerate(analysis.trace_margin(spec, trace))
                     if not got < margin]
+        if not accepted:
+            continue
         bits = analysis.pattern_from_trace(spec, trace).bits()[accepted]
         del trace  # the maps and stencils below peak higher with the block's trace alive
         maps = analysis.region_maps(spec, mats, bits)

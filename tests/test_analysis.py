@@ -1,6 +1,7 @@
 """Activation patterns, linear representations, census, Lipschitz, Jacobian."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -299,7 +300,7 @@ class TestRegionCensus:
             spec, mats, analysis.CensusConfig(count=300, seed=3)
         )
         for reg in census.regions:
-            pattern = analysis.extract_pattern(spec, mats, reg.representative)
+            pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
             assert reg.lipschitz == np.linalg.norm(
                 analysis.region_maps(spec, mats, pattern.bits()[None])[0], 2)
 
@@ -311,7 +312,7 @@ class TestRegionCensus:
         census = analysis.region_census(spec, mats, cfg)
         expected = {}
         for i in range(cfg.count):
-            x = analysis._sample_input(spec, cfg, i)
+            x = analysis.census_inputs(spec, cfg)[i]
             key = analysis.extract_pattern(spec, mats, x).key.hex()
             expected.setdefault(key, []).append(x)
         for reg in census.regions:
@@ -347,7 +348,7 @@ class TestRegionCensus:
         census = analysis.region_census(spec, mats, cfg)
         expected = {}
         for i in range(cfg.count):
-            x = analysis._sample_input(spec, cfg, i)
+            x = analysis.census_inputs(spec, cfg)[i]
             trace = netbuild.forward_matrices(spec, mats, x)
             expected.setdefault(analysis.pattern_from_trace(spec, trace).key.hex(), []).append(x)
         assert [reg.pattern_hex for reg in census.regions] == sorted(expected)
@@ -368,7 +369,7 @@ class TestRegionCensus:
         census = analysis.region_census(spec, mats, cfg)
         expected = {}
         for i in range(cfg.count):
-            x = analysis._sample_input(spec, cfg, i)
+            x = analysis.census_inputs(spec, cfg)[i]
             expected.setdefault(analysis.extract_pattern(spec, mats, x).key, []).append(x)
         keys = sorted(expected)
         assert [reg.pattern_hex for reg in census.regions] == [key.hex() for key in keys]
@@ -377,8 +378,8 @@ class TestRegionCensus:
             assert all(np.array_equal(a, b) for a, b in zip(reg.inputs, expected[key]))
 
     def test_census_independent_of_evaluation_order(self):
-        # per-sample streams derive from (seed, index), so evaluating the
-        # samples in any order reproduces the key-sorted census exactly
+        # a region depends only on its input row, so evaluating the rows of
+        # the census block in any order reproduces the key-sorted census exactly
         spec = make_spec(kappa=2, m=5)
         bank = netbuild.random_bank(spec, seed=5)
         mats = netbuild.realize(spec, bank)
@@ -386,12 +387,56 @@ class TestRegionCensus:
         census = analysis.region_census(spec, mats, cfg)
         counts = {}
         for i in reversed(range(cfg.count)):
-            x = analysis._sample_input(spec, cfg, i)
+            x = analysis.census_inputs(spec, cfg)[i]
             key = analysis.extract_pattern(spec, mats, x).key.hex()
             counts[key] = counts.get(key, 0) + 1
         assert sorted(counts) == [r.pattern_hex for r in census.regions]
         assert [counts[r.pattern_hex] for r in census.regions] \
             == [r.count for r in census.regions]
+
+    @pytest.mark.parametrize("count", [1, 2000])
+    def test_census_draws_from_one_stream(self, monkeypatch, count):
+        spec = make_spec(kappa=1, m=4)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
+        calls = []
+        monkeypatch.setattr(analysis, "rng",
+                            lambda *args: calls.append(args) or seeded_rng(*args))
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=count, seed=4))
+        assert calls == [(4, "census")] and census.samples == count
+
+    @pytest.mark.parametrize("distribution", analysis.DISTRIBUTIONS)
+    def test_fewer_samples_use_a_prefix_of_the_block(self, distribution):
+        spec = make_spec(kappa=2, m=4, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
+        small = analysis.CensusConfig(count=70, distribution=distribution, seed=3)
+        xs = analysis.census_inputs(spec, dataclasses.replace(small, count=300))
+        assert np.array_equal(analysis.census_inputs(spec, small), xs[:70])
+        census = analysis.region_census(spec, mats, small)
+        got = np.concatenate([reg.inputs for reg in census.regions])
+        assert np.array_equal(np.unique(got, axis=0), np.unique(xs[:70], axis=0))
+        assert all(np.array_equal(reg.inputs[0], xs[reg.first_sample])
+                   for reg in census.regions)
+
+    def test_sphere_rows_have_unit_norm(self):
+        spec = make_spec(kappa=2, m=4)
+        cfg = analysis.CensusConfig(count=500, distribution="sphere", seed=5)
+        norms = np.linalg.norm(analysis.census_inputs(spec, cfg), axis=1)
+        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-14)
+
+    def test_zero_sphere_row_becomes_e0(self, monkeypatch):
+        spec = make_spec(kappa=2, m=4)
+
+        def one_zero_row(*args):
+            def standard_normal(shape):
+                xs = seeded_rng(*args).standard_normal(shape)
+                xs[1] = 0.0
+                return xs
+            return types.SimpleNamespace(standard_normal=standard_normal)
+
+        monkeypatch.setattr(analysis, "rng", one_zero_row)
+        xs = analysis.census_inputs(spec, analysis.CensusConfig(count=3, distribution="sphere"))
+        assert np.array_equal(xs[1], np.eye(1, spec.d[0])[0])
+        np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, rtol=0, atol=1e-14)
 
     def test_region_consistency(self, rng):
         # every input sharing a pattern yields the identical representation

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from framelets import analysis, cli, netbuild
-from framelets.seeding import rng as seeded_rng
+from framelets.seeding import derive, rng as seeded_rng
 from conftest import make_spec
 
 TOLERANCES = cli.validate("tolerances", {})
@@ -238,6 +238,21 @@ class TestJacobianScreen:
         assert len(seen) == 1
         np.testing.assert_array_equal(seen[0], want)
 
+    def test_no_region_maps_call_gets_zero_rows(self, monkeypatch):
+        # a screen block whose rows all sit near a kink makes no map call;
+        # at margin 0.03 about 10 % of draws pass, so many blocks pass none
+        margin, count = 0.03, 10
+        spec = make_spec(kappa=2, m=5, skip=True)
+        bank = netbuild.random_bank(spec, seed=10)
+        rows = []
+        region_maps = analysis.region_maps
+        monkeypatch.setattr(analysis, "region_maps",
+                            lambda spec, mats, bits: rows.append(len(bits))
+                            or region_maps(spec, mats, bits))
+        block = cli.run_jacobian(cli.Context(spec, bank, TOLERANCES, seed=99),
+                                 cli.validate("jacobian", {"count": count, "margin": margin}))
+        assert block["attempts"] > count and sum(rows) == count and min(rows) > 0
+
     @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
     def test_margin_must_be_finite_and_non_negative(self, tmp_path, capsys, margin):
         # NaN or negative switched the kink guard off and the check passed
@@ -285,6 +300,25 @@ class TestSharedCensus:
         assert regions["unseen_mass"] == regions["singletons"] / regions["samples"]
         saved = json.loads((tmp_path / "census.json").read_text())
         assert saved["unseen_mass"] == regions["unseen_mass"]
+
+    def test_census_file_names_first_samples(self, tmp_path):
+        cfg = self.config(["regions"])
+        report, _ = cli.execute(cfg, str(tmp_path))
+        assert set(report["results"]["regions"]["regions"][0]) == {"pattern", "count",
+                                                                   "lipschitz"}
+        saved = json.loads((tmp_path / "census.json").read_text())
+        spec = netbuild.NetworkSpec.from_dict(cfg["network"])
+        mats = netbuild.realize(spec, cli._build_bank(cfg, spec, cfg["seed"])[0])
+        census_cfg = analysis.CensusConfig(count=cfg["sampler"]["count"],
+                                           distribution=cfg["sampler"]["distribution"],
+                                           seed=derive(cfg["seed"], "census"))
+        xs = analysis.census_inputs(spec, census_cfg)
+        census = analysis.region_census(spec, mats, census_cfg)
+        for entry, reg in zip(saved["regions"], census.regions, strict=True):
+            assert "first_sample" in entry and "representative" not in entry
+            x = xs[entry["first_sample"]]
+            assert np.array_equal(x, reg.inputs[0])
+            assert analysis.extract_pattern(spec, mats, x).key.hex() == entry["pattern"]
 
 
 class TestForwardCounts:
