@@ -124,13 +124,14 @@ def masked_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> tuple:
     ups[l] accumulates E^1 ... E^l, each followed by its encoder mask;
     tus[l] accumulates D^1 ... D^l, each preceded by its decoder mask.
     Entry 0 of both is the identity.  Frozen masks make the network
-    linear: relu(v) == v * (v > 0) entrywise.
+    linear: relu(v) == v * (v > 0) entrywise.  A stacked pattern gives
+    stacked prefixes past entry 0, row i bit-identical to row i's own call.
     """
     ups = [np.eye(spec.d[0])]
     tus = [np.eye(spec.d[0])]
     for l in range(1, spec.kappa + 1):
-        ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][None, :])
-        tus.append((tus[-1] * pattern.dec[l - 1][None, :]) @ mats[l - 1].D)
+        ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][..., None, :])
+        tus.append((tus[-1] * pattern.dec[l - 1][..., None, :]) @ mats[l - 1].D)
     return ups, tus
 
 
@@ -310,7 +311,7 @@ class RegionCensus:
         """Regions seen once; equal to ``distinct`` when the census is saturated."""
         return sum(reg.count == 1 for reg in self.regions)
 
-    def to_dict(self, include_representatives: bool = True) -> dict:
+    def to_dict(self, include_first_samples: bool = True) -> dict:
         out = {
             "samples": self.samples,
             "distinct": self.distinct,
@@ -323,7 +324,7 @@ class RegionCensus:
         }
         for reg in self.regions:
             entry = {"pattern": reg.pattern_hex, "count": reg.count, "lipschitz": reg.lipschitz}
-            if include_representatives:
+            if include_first_samples:
                 entry["first_sample"] = reg.first_sample
             out["regions"].append(entry)
         return out

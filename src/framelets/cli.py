@@ -251,13 +251,9 @@ def run_frames(ctx: Context, params: dict) -> dict:
 def run_reconstruct(ctx: Context, params: dict) -> dict:
     # realize does not read the nonlinearity, so the run's operators serve
     spec = dataclasses.replace(ctx.spec, nonlinearity="none") if params["no_relu"] else ctx.spec
-    gen = rng(ctx.seed, "reconstruct")
-    errors = []
-    for _ in range(params["count"]):
-        x = gen.standard_normal(spec.d[0])
-        y = netbuild.forward_matrices(spec, ctx.mats, x).y
-        errors.append(np.linalg.norm(y - x) / np.linalg.norm(x))
-    worst = _worst(errors)
+    xs = rng(ctx.seed, "reconstruct").standard_normal((params["count"], spec.d[0]))
+    ys = netbuild.forward_matrices(spec, ctx.mats, xs).y
+    worst = _worst([np.linalg.norm(y - x) / np.linalg.norm(x) for x, y in zip(xs, ys)])
     tol = ctx.tolerances["reconstruct"]
     return {
         "samples": params["count"],
@@ -288,14 +284,14 @@ def run_identity(ctx: Context, params: dict) -> dict:
 
 def run_regions(ctx: Context, params: dict) -> dict:
     census, outdir = ctx.census, ctx.outdir
-    block = census.to_dict(include_representatives=False)
+    block = census.to_dict(include_first_samples=False)
     block["checks"] = [
         _check("census_within_bound", census.distinct <= census.nrep,
                distinct=census.distinct, nrep=census.nrep)
     ]
     if outdir is not None:
         with open(os.path.join(outdir, "census.json"), "w") as fh:
-            json.dump(census.to_dict(include_representatives=True), fh, indent=1)
+            json.dump(census.to_dict(include_first_samples=True), fh, indent=1)
             fh.write("\n")
         with open(os.path.join(outdir, "regions.csv"), "w", newline="") as fh:
             writer = csv.writer(fh)

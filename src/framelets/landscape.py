@@ -15,15 +15,20 @@ Both are cross-checked against central finite differences in the test
 suite.  ReLU derivative at zero is 0, matching the mask convention; any
 derivative-based check should respect the kink margin.
 
-Each public call runs one forward pass per training sample and reads
-the cost, gradients, features and factor singular values from those
-per-sample records; sums over samples accumulate in fixed sample order
-so reports are bit-stable.
+Each public call forwards the training set once, as one (T, d_0) stack,
+and, where it needs derivatives, traces the cost back through that stack
+once: the backward trace holds the cost's derivative at every
+pre-activation, and the gradient with respect to any realized operator
+is a sample-order sum of outer products of a backward row and a forward
+row.  Each caller forms only the operators it reads.  The masked
+dual-chain prefixes of :func:`analysis.masked_chains`, one stacked call,
+serve only the certificates' factor singular values and ranks.  Every
+row is bit-identical to its one-sample pass and every sum runs in sample
+order, so reports are bit-stable.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +45,7 @@ from .netbuild import (
     LayerBank,
     LayerMatrices,
     NetworkSpec,
+    _apply,
     forward_matrices,
     realize,
     realize_adjoint,
@@ -55,8 +61,6 @@ __all__ = [
     "loss",
     "grad_skip_analytic",
     "grad_enc_analytic",
-    "fd_grad_skip",
-    "fd_grad_enc",
     "certify_bounds_skip",
     "certify_bounds_enc",
     "check_stationarity",
@@ -95,76 +99,78 @@ class TrainingSet:
         return self.X.shape[1]
 
 
-def _cost(residuals) -> float:
+def _cost(res: np.ndarray) -> float:
+    """Half the squared norm of the (T, d_0) residual rows, summed in sample order."""
     total = 0.0
-    for res in residuals:
-        total += float(res @ res)
+    for row in res:
+        total += float(row @ row)
     return 0.5 * total
 
 
 def loss(spec: NetworkSpec, mats, data: TrainingSet) -> float:
     """Squared-error cost: half the sum of per-sample residual norms squared."""
-    return _cost(forward_matrices(spec, mats, data.X[:, i]).y - data.Y[:, i]
-                 for i in range(data.T))
+    return _cost(forward_matrices(spec, mats, data.X.T).y - data.Y.T)
 
 
 @dataclass(frozen=True)
-class _Sample:
-    """One training sample after its one forward pass.
-
-    The trace, its activation pattern, the dual chain prefixes ``tus`` of
-    its region (see :func:`analysis.masked_chains`) and the residual
-    F(x) - y: everything the gradients and certificates read.
-    """
+class _Pass:
+    """The training set after one stacked forward and one backward trace; row i
+    of every array is sample i.  ``d_enc``, ``d_skip`` and ``d_dec`` hold the
+    cost's derivative at the trace's enc_pre, skip_pre and dec_pre (index l-1)."""
 
     trace: ForwardTrace
     pattern: ActivationPattern
-    tus: list
-    res: np.ndarray
+    cost: float
+    d_enc: list
+    d_skip: list
+    d_dec: list
 
 
-def _guard_margin(spec, trace, margin, index):
+def _pass(spec: NetworkSpec, mats, data: TrainingSet, margin: float = 0.0) -> _Pass:
+    """Forward the (T, d_0) stack of inputs, then trace the cost back through it.
+
+    The backward trace is the chain rule through the realized operators
+    under the zero-at-kink mask convention, one stacked matrix-vector
+    product per operator (each row bit-identical to its one-sample
+    product).  A positive ``margin`` rejects kink-adjacent samples.
+    """
+    trace = forward_matrices(spec, mats, data.X.T)
     if margin > 0.0:
         got = trace_margin(spec, trace)
-        if got < margin:
+        if np.any(got < margin):
+            i = int(np.argmax(got < margin))  # the first sample too close
             raise KinkMarginError(
-                f"training sample {index} sits within {got:.3e} of a ReLU kink "
+                f"training sample {i} sits within {got[i]:.3e} of a ReLU kink "
                 f"(margin {margin:.3e}); resample or perturb the data"
             )
+    pattern = pattern_from_trace(spec, trace)
+    d_cur = trace.y - data.Y.T  # the residuals
+    cost, d_enc, d_skip, d_dec = _cost(d_cur), [], [], []
+    for l in range(1, spec.kappa + 1):
+        d_dec.append(d_cur * pattern.dec[l - 1])
+        d_cur = _apply(mats[l - 1].D.T, d_dec[-1])
+    for l in range(spec.kappa, 0, -1):  # filled from the bottleneck up
+        d_enc.insert(0, d_cur * pattern.enc[l - 1])
+        d_cur = _apply(mats[l - 1].E, d_enc[0])
+        if spec.skip:
+            d_skip.insert(0, _apply(mats[l - 1].S_tilde.T, d_dec[l - 1]) * pattern.skip[l - 1])
+            d_cur = d_cur + _apply(mats[l - 1].S, d_skip[0])
+    return _Pass(trace, pattern, cost, d_enc, d_skip, d_dec)
 
 
-def _samples(spec: NetworkSpec, mats, data: TrainingSet, margin: float = 0.0) -> list:
-    """One :class:`_Sample` per training sample, in sample order."""
-    out = []
-    for i in range(data.T):
-        trace = forward_matrices(spec, mats, data.X[:, i])
-        _guard_margin(spec, trace, margin, i)
-        pattern = pattern_from_trace(spec, trace)
-        out.append(_Sample(trace=trace, pattern=pattern,
-                           tus=masked_chains(spec, mats, pattern)[1],
-                           res=trace.y - data.Y[:, i]))
-    return out
-
-
-def _grad_skip(mats, samples, l: int) -> np.ndarray:
-    grad = np.zeros_like(mats[l - 1].S_tilde)
-    for s in samples:
-        h = s.pattern.dec[l - 1] * (s.tus[l - 1].T @ s.res)
-        grad += np.outer(h, s.trace.skip[l - 1])
-    return grad
-
-
-def _xi_prev(trace, kappa: int) -> np.ndarray:
-    """The features feeding the bottleneck operator E^kappa."""
-    return trace.enc[kappa - 2] if kappa >= 2 else trace.x
-
-
-def _grad_enc(spec: NetworkSpec, mats, samples) -> np.ndarray:
-    kappa = spec.kappa
-    grad = np.zeros_like(mats[kappa - 1].E)
-    for s in samples:
-        g = s.pattern.enc[kappa - 1] * (s.tus[kappa].T @ s.res)
-        grad += np.outer(_xi_prev(s.trace, kappa), g)
+def _grad(p: _Pass, name: str, l: int) -> np.ndarray:
+    """Free-matrix gradient of the cost with respect to operator ``name`` of layer
+    l: the sample-order sum of outer products of each sample's forward row (the
+    operator's input) and backward row, oriented like the operator."""
+    if name in ("E", "S"):
+        rows = [p.trace.x, *p.trace.enc][l - 1]
+        cols = (p.d_enc if name == "E" else p.d_skip)[l - 1]
+    else:
+        rows = p.d_dec[l - 1]
+        cols = p.trace.dec[l] if name == "D" else p.trace.skip[l - 1]
+    grad = np.zeros((rows.shape[1], cols.shape[1]))
+    for a, b in zip(rows, cols):
+        grad += np.outer(a, b)
     return grad
 
 
@@ -176,76 +182,36 @@ def grad_skip_analytic(spec: NetworkSpec, mats, data: TrainingSet, l: int,
     contributes (decoder-mask-filtered dual chain applied to its
     residual) times its skip feature.  The formula is exact under the
     zero-at-kink mask convention; pass a positive ``margin`` to reject
-    kink-adjacent traces when the result will be compared against finite
-    differences.
+    kink-adjacent traces when the result will be compared against
+    finite differences.
     """
     if not spec.skip:
         raise ValueError("skip gradients need a skip network")
     if not 1 <= l <= spec.kappa:
         raise ValueError(f"layer index {l} out of range [1, {spec.kappa}]")
-    return _grad_skip(mats, _samples(spec, mats, data, margin), l)
+    return _grad(_pass(spec, mats, data, margin), "S_tilde", l)
 
 
 def grad_enc_analytic(spec: NetworkSpec, mats, data: TrainingSet,
                       margin: float = 0.0) -> np.ndarray:
     """Free-matrix gradient of the cost with respect to the bottleneck E."""
-    return _grad_enc(spec, mats, _samples(spec, mats, data, margin))
-
-
-def _replace_layer(mats, l: int, **changes):
-    out = list(mats)
-    out[l - 1] = dataclasses.replace(mats[l - 1], **changes)
-    return tuple(out)
-
-
-def _fd_grad_matrix(spec, mats, data, l: int, attr: str, step: float | None,
-                    margin: float) -> np.ndarray:
-    _samples(spec, mats, data, margin)  # the kink guard
-    base = getattr(mats[l - 1], attr)
-    grad = np.zeros_like(base)
-    for idx in np.ndindex(base.shape):
-        h = step if step is not None else 1e-6 * (1.0 + abs(base[idx]))
-        plus = base.copy()
-        plus[idx] += h
-        minus = base.copy()
-        minus[idx] -= h
-        lp = loss(spec, _replace_layer(mats, l, **{attr: plus}), data)
-        lm = loss(spec, _replace_layer(mats, l, **{attr: minus}), data)
-        grad[idx] = (lp - lm) / (2.0 * h)
-    return grad
-
-
-def fd_grad_skip(spec, mats, data, l: int, step: float | None = None,
-                 margin: float = 1e-8) -> np.ndarray:
-    """Central-difference oracle for grad_skip_analytic.
-
-    A derivative-based check, so it rejects traces within ``margin`` of a
-    ReLU kink with a resample advisory.
-    """
-    if not spec.skip:
-        raise ValueError("skip gradients need a skip network")
-    return _fd_grad_matrix(spec, mats, data, l, "S_tilde", step, margin)
-
-
-def fd_grad_enc(spec, mats, data, step: float | None = None,
-                margin: float = 1e-8) -> np.ndarray:
-    """Central-difference oracle for grad_enc_analytic."""
-    return _fd_grad_matrix(spec, mats, data, spec.kappa, "E", step, margin)
+    return _grad(_pass(spec, mats, data, margin), "E", spec.kappa)
 
 
 def _sigma_extremes(A: np.ndarray, name: str) -> tuple:
+    """Smallest and largest singular value of A, or lists of them for each
+    matrix of an (N, ., .) stack, through one batched SVD."""
     if not np.all(np.isfinite(A)):
         raise ValueError(f"{name} contains non-finite entries: the forward pass "
                          "overflowed (is the bank scaled too large?)")
     sv = np.linalg.svd(A, compute_uv=False)
-    return float(sv[-1]), float(sv[0])
+    return sv[..., -1].tolist(), sv[..., 0].tolist()
 
 
-def _rank(A: np.ndarray) -> int:
+def _rank(A: np.ndarray):
+    """Numerical rank of A, or of each matrix of an (N, ., .) stack."""
     sv = np.linalg.svd(A, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > max(A.shape) * np.finfo(float).eps * sv[0]))
+    return np.sum(sv > max(A.shape[-2:]) * np.finfo(float).eps * sv[..., :1], axis=-1)
 
 
 @dataclass
@@ -304,15 +270,11 @@ class BoundCertificate:
         return out
 
 
-def _factor_sigmas(level_masks) -> tuple:
-    """Per-sample singular extremes of mask * dual-chain-prefix transposed."""
-    mins, maxs = [], []
-    for chain_prefix, mask in level_masks:
-        A = mask[:, None] * chain_prefix.T
-        smin, smax = _sigma_extremes(A, "masked dual-chain prefix")
-        mins.append(smin)
-        maxs.append(smax)
-    return mins, maxs
+def _factor_sigmas(prefix: np.ndarray, mask: np.ndarray) -> tuple:
+    """Per-sample singular extremes of mask * dual-chain-prefix transposed,
+    from a stacked :func:`analysis.masked_chains` prefix and its (T, .) masks."""
+    return _sigma_extremes(mask[..., None] * np.swapaxes(prefix, -1, -2),
+                           "masked dual-chain prefix")
 
 
 def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> BoundCertificate:
@@ -324,18 +286,17 @@ def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> B
     """
     if not spec.skip:
         raise ValueError("skip certificates need a skip network")
-    samples = _samples(spec, mats, data)
-    gamma = np.column_stack([s.trace.skip[l - 1] for s in samples])
-    mins, maxs = _factor_sigmas([(s.tus[l - 1], s.pattern.dec[l - 1]) for s in samples])
-    cost = _cost(s.res for s in samples)
-    g_min, g_max = _sigma_extremes(gamma, "skip feature matrix")
+    p = _pass(spec, mats, data)
+    mins, maxs = _factor_sigmas(masked_chains(spec, mats, p.pattern)[1][l - 1],
+                                p.pattern.dec[l - 1])
+    g_min, g_max = _sigma_extremes(p.trace.skip[l - 1].T, "skip feature matrix")
     return BoundCertificate(
         kind="skip",
         layer=l,
-        grad_norm=float(np.linalg.norm(_grad_skip(mats, samples, l))),
-        lower=g_min * min(mins) * np.sqrt(2.0 * cost),
-        upper=g_max * max(maxs) * np.sqrt(2.0 * cost),
-        loss=cost,
+        grad_norm=float(np.linalg.norm(_grad(p, "S_tilde", l))),
+        lower=g_min * min(mins) * np.sqrt(2.0 * p.cost),
+        upper=g_max * max(maxs) * np.sqrt(2.0 * p.cost),
+        loss=p.cost,
         feature_sigma_min=g_min,
         feature_sigma_max=g_max,
         factor_sigma_min=min(mins),
@@ -359,21 +320,20 @@ def certify_bounds_enc(spec: NetworkSpec, mats, data: TrainingSet) -> BoundCerti
     bottleneck output features instead, for side-by-side comparison.
     """
     kappa = spec.kappa
-    samples = _samples(spec, mats, data)
-    xi_prev = np.column_stack([_xi_prev(s.trace, kappa) for s in samples])
-    xi_kappa = np.column_stack([s.trace.enc[-1] for s in samples])
-    mins, maxs = _factor_sigmas([(s.tus[kappa], s.pattern.enc[kappa - 1]) for s in samples])
-    cost = _cost(s.res for s in samples)
-    f_min, f_max = _sigma_extremes(xi_prev, "encoder feature matrix")
-    k_min, k_max = _sigma_extremes(xi_kappa, "bottleneck feature matrix")
-    root = np.sqrt(2.0 * cost)
+    p = _pass(spec, mats, data)
+    mins, maxs = _factor_sigmas(masked_chains(spec, mats, p.pattern)[1][kappa],
+                                p.pattern.enc[kappa - 1])
+    f_min, f_max = _sigma_extremes([p.trace.x, *p.trace.enc][kappa - 1].T,
+                                   "encoder feature matrix")
+    k_min, k_max = _sigma_extremes(p.trace.enc[-1].T, "bottleneck feature matrix")
+    root = np.sqrt(2.0 * p.cost)
     return BoundCertificate(
         kind="encoder",
         layer=kappa,
-        grad_norm=float(np.linalg.norm(_grad_enc(spec, mats, samples))),
+        grad_norm=float(np.linalg.norm(_grad(p, "E", kappa))),
         lower=f_min * min(mins) * root,
         upper=f_max * max(maxs) * root,
-        loss=cost,
+        loss=p.cost,
         feature_sigma_min=f_min,
         feature_sigma_max=f_max,
         factor_sigma_min=min(mins),
@@ -435,29 +395,27 @@ def check_stationarity(spec: NetworkSpec, mats, data: TrainingSet,
                    pos_tol: float = 1e-12, loss_floor: float = 0.0) -> StationarityReport:
     if not spec.skip:
         raise ValueError("the stationarity check needs a skip network")
-    samples = _samples(spec, mats, data)
-    cost = _cost(s.res for s in samples)
-    report = StationarityReport(loss=cost, loss_floor=loss_floor, pos_tol=pos_tol)
+    p = _pass(spec, mats, data)
+    tus = masked_chains(spec, mats, p.pattern)[1]
+    report = StationarityReport(loss=p.cost, loss_floor=loss_floor, pos_tol=pos_tol)
     for l in range(1, spec.kappa + 1):
-        gamma = np.column_stack([s.trace.skip[l - 1] for s in samples])
-        gamma_rank = _rank(gamma)
+        gamma_rank = int(_rank(p.trace.skip[l - 1].T))
         gamma_full = gamma_rank == data.T
-        rows_full = [_rank(s.tus[l - 1] * s.pattern.dec[l - 1][None, :]) == spec.d[0]
-                     for s in samples]
-        conditions = gamma_full and all(rows_full)
-        gnorm = float(np.linalg.norm(_grad_skip(mats, samples, l)))
+        rows_full = bool(np.all(_rank(tus[l - 1] * p.pattern.dec[l - 1][:, None]) == spec.d[0]))
+        conditions = gamma_full and rows_full
+        gnorm = float(np.linalg.norm(_grad(p, "S_tilde", l)))
         entry = {
             "layer": l,
             "gamma_rank": gamma_rank,
             "gamma_full_rank": gamma_full,
-            "dual_full_row_rank": bool(all(rows_full)),
-            "conditions_hold": bool(conditions),
+            "dual_full_row_rank": rows_full,
+            "conditions_hold": conditions,
             "grad_norm": gnorm,
         }
         report.layers.append(entry)
-        if conditions and cost > loss_floor and gnorm <= pos_tol:
+        if conditions and p.cost > loss_floor and gnorm <= pos_tol:
             report.violations.append(
-                {"layer": l, "grad_norm": gnorm, "loss": cost}
+                {"layer": l, "grad_norm": gnorm, "loss": p.cost}
             )
     return report
 
@@ -494,40 +452,12 @@ def tap_gradients(spec: NetworkSpec, bank: LayerBank, data: TrainingSet):
     tensors shaped like the bank's filters.
     """
     mats = realize(spec, bank)
-    kappa = spec.kappa
-    gE = [np.zeros_like(m.E) for m in mats]
-    gD = [np.zeros_like(m.D) for m in mats]
-    gS = [np.zeros_like(m.S) if m.S is not None else None for m in mats]
-    gSt = [np.zeros_like(m.S_tilde) if m.S_tilde is not None else None for m in mats]
-    total = 0.0
-
-    for i in range(data.T):
-        trace = forward_matrices(spec, mats, data.X[:, i])
-        pattern = pattern_from_trace(spec, trace)
-        res = trace.y - data.Y[:, i]
-        total += 0.5 * float(res @ res)
-        d_chi = [None] * kappa
-        d_cur = res
-        for l in range(1, kappa + 1):
-            d_pre = d_cur * pattern.dec[l - 1]
-            gD[l - 1] += np.outer(d_pre, trace.dec[l])
-            if spec.skip:
-                gSt[l - 1] += np.outer(d_pre, trace.skip[l - 1])
-                d_chi[l - 1] = mats[l - 1].S_tilde.T @ d_pre
-            d_cur = mats[l - 1].D.T @ d_pre
-        for l in range(kappa, 0, -1):
-            d_u = d_cur * pattern.enc[l - 1]
-            xi_prev = trace.enc[l - 2] if l >= 2 else trace.x
-            gE[l - 1] += np.outer(xi_prev, d_u)
-            d_cur = mats[l - 1].E @ d_u
-            if spec.skip:
-                d_v = d_chi[l - 1] * pattern.skip[l - 1]
-                gS[l - 1] += np.outer(xi_prev, d_v)
-                d_cur = d_cur + mats[l - 1].S @ d_v
-
-    grads = list(map(LayerMatrices, gE, gD, gS, gSt))
+    p = _pass(spec, mats, data)
+    names = ("E", "D", "S", "S_tilde") if spec.skip else ("E", "D")
+    grads = [LayerMatrices(**{name: _grad(p, name, l) for name in names})
+             for l in range(1, spec.kappa + 1)]
     enc_grads, dec_grads = realize_adjoint(spec, bank, grads)
-    return enc_grads, dec_grads, total
+    return enc_grads, dec_grads, p.cost
 
 
 def _bank_step(bank: LayerBank, enc_grads, dec_grads, step: float) -> LayerBank:

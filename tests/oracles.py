@@ -1,17 +1,20 @@
 """Brute-force oracles that only the tests use.
 
 Each helper checks a library result by an independent route: a loop
-over channels, both sides of an identity, an LP per sign vector.  They
+over channels, both sides of an identity, an LP per sign vector, a
+central difference of the loss.  They
 live here, not in ``framelets``, so the package needs neither their code
 nor scipy at run time.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from scipy.optimize import linprog
 
-from framelets import convops
+from framelets import analysis, convops, landscape, netbuild
 
 #: default absolute tolerance for exact algebraic identities
 DEFAULT_TOL = 1e-10
@@ -105,3 +108,55 @@ def count_sign_regions(normals, max_rows: int = 12) -> int:
         if res.status == 0:
             count += 1
     return count
+
+
+def _kink_guard(spec, mats, data, margin: float) -> None:
+    """Reject training data with a sample within ``margin`` of a ReLU kink."""
+    for i in range(data.T):
+        got = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, data.X[:, i]))
+        if got < margin:
+            raise analysis.KinkMarginError(
+                f"training sample {i} sits within {got:.3e} of a ReLU kink "
+                f"(margin {margin:.3e}); resample or perturb the data"
+            )
+
+
+def _replace_layer(mats, l: int, **changes):
+    out = list(mats)
+    out[l - 1] = dataclasses.replace(mats[l - 1], **changes)
+    return tuple(out)
+
+
+def _fd_grad_matrix(spec, mats, data, l: int, attr: str, step: float | None,
+                    margin: float) -> np.ndarray:
+    _kink_guard(spec, mats, data, margin)
+    base = getattr(mats[l - 1], attr)
+    grad = np.zeros_like(base)
+    for idx in np.ndindex(base.shape):
+        h = step if step is not None else 1e-6 * (1.0 + abs(base[idx]))
+        plus = base.copy()
+        plus[idx] += h
+        minus = base.copy()
+        minus[idx] -= h
+        lp = landscape.loss(spec, _replace_layer(mats, l, **{attr: plus}), data)
+        lm = landscape.loss(spec, _replace_layer(mats, l, **{attr: minus}), data)
+        grad[idx] = (lp - lm) / (2.0 * h)
+    return grad
+
+
+def fd_grad_skip(spec, mats, data, l: int, step: float | None = None,
+                 margin: float = 1e-8) -> np.ndarray:
+    """Central-difference oracle for landscape.grad_skip_analytic.
+
+    A derivative-based check, so it rejects traces within ``margin`` of a
+    ReLU kink with a resample advisory.
+    """
+    if not spec.skip:
+        raise ValueError("skip gradients need a skip network")
+    return _fd_grad_matrix(spec, mats, data, l, "S_tilde", step, margin)
+
+
+def fd_grad_enc(spec, mats, data, step: float | None = None,
+                margin: float = 1e-8) -> np.ndarray:
+    """Central-difference oracle for landscape.grad_enc_analytic."""
+    return _fd_grad_matrix(spec, mats, data, spec.kappa, "E", step, margin)

@@ -218,7 +218,7 @@ def test_criterion_6_gradient_sandwich():
                 (cert.grad_norm - cert.upper) / scale,
             )
             ga = landscape.grad_skip_analytic(spec, mats, data, l)
-            gf = landscape.fd_grad_skip(spec, mats, data, l)
+            gf = oracles.fd_grad_skip(spec, mats, data, l)
             worst_fd = max(
                 worst_fd,
                 np.linalg.norm(ga - gf) / max(np.linalg.norm(gf), 1e-30),

@@ -142,6 +142,22 @@ def map_spec(kappa, skip, nonlinearity, unequal_m):
                      m_list=m_list)
 
 
+class TestMaskedChains:
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_stacked_rows_equal_single_calls(self, skip, nonlinearity, rng):
+        spec = make_spec(kappa=2, m=4, q=[1, 2, 3], skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=5))
+        X = rng.standard_normal((5, spec.d[0]))
+        stacked = analysis.masked_chains(
+            spec, mats, analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)))
+        for i, x in enumerate(X):
+            single = analysis.masked_chains(spec, mats, analysis.extract_pattern(spec, mats, x))
+            for got, want in zip(stacked, single):
+                assert np.array_equal(got[0], want[0])  # the shared identity
+                assert all(np.array_equal(g[i], w) for g, w in zip(got[1:], want[1:]))
+
+
 class TestRegionMaps:
     @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -335,7 +351,7 @@ class TestRegionCensus:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
         census = analysis.region_census(spec, mats, analysis.CensusConfig(count=20, seed=4))
         assert census.singletons == census.distinct == census.samples
-        assert census.to_dict(include_representatives=False)["unseen_mass"] == 1.0
+        assert census.to_dict(include_first_samples=False)["unseen_mass"] == 1.0
 
     @pytest.mark.parametrize("count", [1, 150])
     @pytest.mark.parametrize("skip", [False, True])

@@ -7,6 +7,7 @@ import pytest
 
 from framelets import analysis, convops, landscape, netbuild
 from conftest import make_spec
+import oracles
 
 SANDWICH_SLACK = 1e-8
 
@@ -113,7 +114,7 @@ class TestFeatureMatrices:
 
 
 class TestOneForwardPerSample:
-    """Each public call reads everything from one forward pass per sample."""
+    """Each public call forwards all its samples as one stacked pass."""
 
     @pytest.mark.parametrize("name, args", [
         ("certify_bounds_skip", (1,)),
@@ -122,13 +123,60 @@ class TestOneForwardPerSample:
         ("check_stationarity", ()),
         ("grad_skip_analytic", (2,)),
         ("grad_enc_analytic", ()),
+        ("loss", ()),
+        ("tap_gradients", ()),
     ])
     def test_forward_calls(self, forward_calls, name, args):
         spec = skip_spec()
-        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=2))
+        bank = netbuild.random_bank(spec, seed=2)
+        mats = netbuild.realize(spec, bank)
         data = random_data(spec, seed=3, T=3)
-        getattr(landscape, name)(spec, mats, data, *args)
-        assert len(forward_calls) == data.T
+        getattr(landscape, name)(spec, bank if name == "tap_gradients" else mats, data, *args)
+        assert forward_calls == [(data.T, spec.d[0])]
+
+
+def one_sample(data, i):
+    return landscape.TrainingSet(X=data.X[:, i:i + 1], Y=data.Y[:, i:i + 1])
+
+
+def sample_order_sum(values):
+    total = values[0]
+    for value in values[1:]:
+        total = total + value
+    return total
+
+
+class TestStackedSamplesAreExact:
+    """A T-sample call equals the sample-order sum of its one-sample calls, bit for bit."""
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("T", [2, 4])
+    def test_loss_and_free_matrix_gradients(self, T, skip, nonlinearity):
+        spec = make_spec(kappa=2, r=2, m=4, q=[1, 2, 3], skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=T))
+        data = random_data(spec, seed=10 + T, T=T)
+        singles = [one_sample(data, i) for i in range(T)]
+        assert landscape.loss(spec, mats, data) == sample_order_sum(
+            [landscape.loss(spec, mats, one) for one in singles])
+        assert np.array_equal(
+            landscape.grad_enc_analytic(spec, mats, data),
+            sample_order_sum([landscape.grad_enc_analytic(spec, mats, one) for one in singles]))
+        for l in range(1, spec.kappa + 1) if skip else ():
+            assert np.array_equal(
+                landscape.grad_skip_analytic(spec, mats, data, l),
+                sample_order_sum([landscape.grad_skip_analytic(spec, mats, one, l)
+                                  for one in singles]))
+
+    def test_kink_guard_names_the_first_offending_sample(self):
+        spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=9))
+        data = random_data(spec, seed=7, T=1)
+        assert margin_safe(spec, mats, data)
+        X = np.column_stack([data.X[:, 0], np.zeros(4), np.zeros(4)])
+        data = landscape.TrainingSet(X=X, Y=np.ones((4, 3)))
+        with pytest.raises(analysis.KinkMarginError, match="training sample 1 "):
+            landscape.grad_enc_analytic(spec, mats, data, margin=1e-8)
 
 
 class TestAnalyticGradients:
@@ -149,7 +197,7 @@ class TestAnalyticGradients:
         data = random_data(spec, seed=7, T=1)
         assert margin_safe(spec, mats, data)
         ga = landscape.grad_skip_analytic(spec, mats, data, 1)
-        gf = landscape.fd_grad_skip(spec, mats, data, 1)
+        gf = oracles.fd_grad_skip(spec, mats, data, 1)
         assert np.linalg.norm(ga - gf) <= 1e-5 * np.linalg.norm(gf)
 
     @pytest.mark.parametrize("l", [1, 2])
@@ -163,7 +211,7 @@ class TestAnalyticGradients:
             if not margin_safe(spec, mats, data):
                 continue
             ga = landscape.grad_skip_analytic(spec, mats, data, l)
-            gf = landscape.fd_grad_skip(spec, mats, data, l)
+            gf = oracles.fd_grad_skip(spec, mats, data, l)
             assert np.linalg.norm(ga - gf) <= 1e-5 * max(np.linalg.norm(gf), 1e-30)
             done += 1
             if done >= 10:
@@ -180,7 +228,7 @@ class TestAnalyticGradients:
             if not margin_safe(spec, mats, data):
                 continue
             ga = landscape.grad_enc_analytic(spec, mats, data)
-            gf = landscape.fd_grad_enc(spec, mats, data)
+            gf = oracles.fd_grad_enc(spec, mats, data)
             assert np.linalg.norm(ga - gf) <= 1e-5 * max(np.linalg.norm(gf), 1e-30)
             done += 1
             if done >= 10:
@@ -200,7 +248,7 @@ class TestAnalyticGradients:
         mats = netbuild.realize(spec, bank)
         data = landscape.TrainingSet(X=np.zeros((4, 1)), Y=np.ones((4, 1)))
         with pytest.raises(analysis.KinkMarginError, match="resample"):
-            landscape.fd_grad_skip(spec, mats, data, 1)
+            oracles.fd_grad_skip(spec, mats, data, 1)
         with pytest.raises(analysis.KinkMarginError, match="resample"):
             landscape.grad_skip_analytic(spec, mats, data, 1, margin=1e-8)
         # without a margin request the analytic form stays exact at kinks
