@@ -526,8 +526,14 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
             step = config.step_size
             accepted = None
             for _ in range(config.max_backtracks):
-                cand = _bank_step(current, enc_g, dec_g, step)
-                cand_loss = loss(spec, realize(spec, cand), data)
+                # a step that overflows the taps, or a trial forward that
+                # overflows, gives an infinite or NaN loss: a failed trial
+                with np.errstate(over="ignore", invalid="ignore"):
+                    cand = _bank_step(current, enc_g, dec_g, step)
+                    finite = all(np.isfinite(f).all()
+                                 for f in cand.enc_filters + cand.dec_filters)
+                    cand_loss = loss(spec, realize(spec, cand), data) if finite \
+                        else np.inf
                 if cand_loss <= cur_loss - config.armijo_slope * step * gnorm_sq:
                     accepted = (cand, cand_loss)
                     break

@@ -35,6 +35,7 @@ from __future__ import annotations
 import json
 import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -116,12 +117,14 @@ class NetworkSpec:
         if self.nonlinearity not in NONLINEARITIES:
             raise ValueError(f"unknown nonlinearity {self.nonlinearity!r}")
 
-    @property
+    # computed on first read, after __post_init__ has normalised q and m; the
+    # cache lives outside the fields, so equality and hashing ignore it
+    @cached_property
     def d(self) -> tuple:
         """Total feature dims (d_0, ..., d_kappa), d_l = m_l q_l."""
         return tuple(mm * qq for mm, qq in zip(self.m, self.q))
 
-    @property
+    @cached_property
     def s(self) -> tuple:
         """Skip-branch dims (s_1, ..., s_kappa), s_l = m_{l-1} q_l."""
         return tuple(self.m[l - 1] * self.q[l] for l in range(1, self.kappa + 1))
@@ -206,7 +209,7 @@ def validate_bank(spec: NetworkSpec, bank: LayerBank) -> None:
                 raise ValueError(
                     f"layer {l} {name} has shape {arr.shape}, expected {want}"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise ValueError(f"layer {l} {name} contains non-finite entries")
 
 
@@ -222,13 +225,24 @@ class LayerMatrices:
 
 def _frames(spec: NetworkSpec, bank: LayerBank, l: int) -> dict:
     """Layer l's operators by field: (side, R), side 0 for encoder taps, 1 for
-    decoder taps, R the (r, rows, cols) stack of roll(Phi, t, axis=0), t < r."""
+    decoder taps, R the (r, rows, cols) stack of roll(Phi, t, axis=0), t < r.
+
+    The stack is one gather: row i of shift t is Phi[(i - t) % rows].  It
+    keeps the memory layout of the rolled stack, which np.roll allocates
+    with np.empty_like(Phi): a column-major Phi (random_bank's pooling when
+    m_{l-1} < m_l) gives column-major shifts.  The adjoint's einsum sums in
+    layout order, so the layout is part of its bits."""
+    rows = spec.m[l - 1]  # of every Phi of the layer
+    idx = (np.arange(rows) - np.arange(spec.r)[:, None]) % rows
+
     def shifts(Phi):
-        return np.stack([np.roll(Phi, t, axis=0) for t in range(spec.r)])
+        if Phi.flags.c_contiguous or np.empty_like(Phi).flags.c_contiguous:
+            return Phi[idx]
+        return Phi[idx[:, None, :], np.arange(Phi.shape[1])[:, None]].transpose(0, 2, 1)
 
     frames = {"E": (0, shifts(bank.pool[l - 1])), "D": (1, shifts(bank.unpool[l - 1]))}
     if spec.skip:
-        eye = shifts(np.eye(spec.m[l - 1]))
+        eye = shifts(np.eye(rows))
         frames.update(S=(0, eye), S_tilde=(1, eye))
     return frames
 

@@ -57,6 +57,19 @@ def hankel_inner_identity_check(f, u, v, tol: float = DEFAULT_TOL) -> bool:
     return abs(lhs - rhs) <= tol
 
 
+def roll_frames(spec, bank, l: int) -> dict:
+    """``netbuild._frames`` built shift by shift: each (r, rows, cols) stack is
+    ``np.stack`` of r separate ``np.roll(Phi, t, axis=0)`` calls."""
+    def shifts(Phi):
+        return np.stack([np.roll(Phi, t, axis=0) for t in range(spec.r)])
+
+    frames = {"E": (0, shifts(bank.pool[l - 1])), "D": (1, shifts(bank.unpool[l - 1]))}
+    if spec.skip:
+        eye = shifts(np.eye(spec.m[l - 1]))
+        frames.update(S=(0, eye), S_tilde=(1, eye))
+    return frames
+
+
 def check_embedding_dims(spec) -> list:
     """Advisory dimension checks for the embed-then-quotient design.
 

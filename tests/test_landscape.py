@@ -1,6 +1,7 @@
 """Gradients, singular-value sandwich bounds, stationarity, and the trainer."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -429,6 +430,41 @@ class TestTapGradients:
 
 
 class TestTrainGD:
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    def test_trajectory_matches_roll_oracle(self, skip, nonlinearity, monkeypatch):
+        # every realize and adjoint in a short Armijo run goes through the
+        # shift stacks; the roll-by-roll stacks give the same run bit for
+        # bit.  m grows per layer, so random_bank's pooling is column-major
+        spec = make_spec(kappa=2, r=2, q=[1, 2, 3], m_list=[4, 5, 6], skip=skip,
+                         nonlinearity=nonlinearity)
+        bank = netbuild.random_bank(spec, seed=1)
+        assert not bank.pool[0].flags.c_contiguous
+        data = random_data(spec, seed=2, T=3)
+        config = landscape.TrainConfig(step_size=0.5, iterations=6)
+        got = landscape.train_gd(spec, bank, data, config)
+        monkeypatch.setattr(netbuild, "_frames", oracles.roll_frames)
+        want = landscape.train_gd(spec, bank, data, config)
+        assert len(got.losses) == 7
+        assert got.losses == want.losses and got.grad_norms == want.grad_norms
+
+    @pytest.mark.parametrize("step_size", [1e308, 1e300])
+    def test_overflowing_armijo_trials_backtrack(self, step_size):
+        # a step of 1e308 overflows the candidate taps, one of 1e300 the
+        # trial forward; both are failed trials, silently, not an error
+        spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], skip=True)
+        bank = netbuild.random_bank(spec, seed=3)
+        gen = np.random.default_rng(3)
+        data = landscape.TrainingSet(X=gen.standard_normal((4, 2)),
+                                     Y=gen.standard_normal((4, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = landscape.train_gd(
+                spec, bank, data,
+                landscape.TrainConfig(step_size=step_size, iterations=3))
+        assert result.stop_reason == "line search stalled"
+        assert len(result.losses) == 1 and np.isfinite(result.losses[0])
+
     def test_linear_net_reaches_least_squares_floor(self):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], nonlinearity="none")
         bank = netbuild.random_bank(spec, seed=1)

@@ -98,6 +98,22 @@ class TestNetworkSpec:
     def test_accepts_integral_floats(self):
         spec = netbuild.NetworkSpec(kappa=1, r=2, q=[1.0, np.int64(2)], m=[4, 4])
         assert spec.q == (1, 2)
+        dims = spec.d + spec.s + (spec.feature_dim,)
+        assert dims == (4, 8, 8, 8) and all(type(v) is int for v in dims)
+
+    def test_cached_dims_leave_equality_and_hash_alone(self):
+        spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(4, 4, 4), skip=True)
+        assert (spec.d, spec.s, spec.feature_dim) == ((4, 8, 16), (8, 16), 40)
+        twin = netbuild.NetworkSpec.from_dict(spec.to_dict())
+        assert spec == twin and hash(spec) == hash(twin)
+
+    def test_replace_gets_its_own_dims(self):
+        spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(4, 4, 4))
+        assert spec.d == (4, 8, 16) and spec.s == (8, 16)
+        wider = dataclasses.replace(spec, q=(2, 3, 5), m=(6, 5, 4))
+        assert wider.d == (12, 15, 20) and wider.s == (18, 25)
+        assert wider.feature_dim == 20
+        assert spec.d == (4, 8, 16) and spec.s == (8, 16)
 
 
 class TestBuildLayerMatrices:
@@ -180,6 +196,23 @@ class TestRealizeAdjoint:
                 assert abs(lhs - np.sum(taps * got)) <= 1e-12 * abs(lhs)
                 for g in enc_g + dec_g:  # every other layer and side
                     np.testing.assert_array_equal(g, 0.0)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_byte_equal_to_roll_oracle(self, skip, r, rng, monkeypatch):
+        # the one-gather shift stacks give the adjoint of the roll-by-roll
+        # stacks bit for bit; layer 2's pooling is (5, 6), column-major from
+        # random_bank, and r = 5 = m_1 makes its stack as tall as Phi
+        spec = make_spec(kappa=2, r=r, q=[2, 3, 2], m_list=[7, 5, 6], skip=skip)
+        bank = netbuild.random_bank(spec, seed=5)
+        grads = [dataclasses.replace(
+            m, **{f: rng.standard_normal(getattr(m, f).shape) for f in operator_fields(m)})
+            for m in netbuild.realize(spec, bank)]
+        got = netbuild.realize_adjoint(spec, bank, grads)
+        monkeypatch.setattr(netbuild, "_frames", oracles.roll_frames)
+        want = netbuild.realize_adjoint(spec, bank, grads)
+        for g, w in zip(got[0] + got[1], want[0] + want[1]):
+            assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
 
 class TestMatrixConvEquivalence:
