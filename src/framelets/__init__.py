@@ -8,13 +8,12 @@ constants and optimization-landscape gradient bounds, each against
 independent brute-force oracles.
 """
 
-from . import analysis, convops, frames, landscape, netbuild, seeding
+from . import analysis, frames, landscape, netbuild, seeding
 
 __version__ = "0.1.0"
 
 __all__ = [
     "analysis",
-    "convops",
     "frames",
     "landscape",
     "netbuild",

@@ -36,6 +36,7 @@ __all__ = [
     "RegionCensus",
     "extract_pattern",
     "pattern_from_trace",
+    "dual_chains",
     "masked_chains",
     "linear_rep",
     "region_maps",
@@ -118,21 +119,32 @@ def extract_pattern(spec: NetworkSpec, mats, x) -> ActivationPattern:
     return pattern_from_trace(spec, forward_matrices(spec, mats, x))
 
 
+def dual_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> list:
+    """Masked dual-chain prefixes tus of one region, kappa + 1 entries.
+
+    tus[l] accumulates D^1 ... D^l, each preceded by its decoder mask;
+    tus[0] is the identity.  A stacked pattern gives stacked prefixes past
+    entry 0, row i bit-identical to row i's own call.
+    """
+    tus = [np.eye(spec.d[0])]
+    for l in range(1, spec.kappa + 1):
+        tus.append((tus[-1] * pattern.dec[l - 1][..., None, :]) @ mats[l - 1].D)
+    return tus
+
+
 def masked_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> tuple:
     """Masked chain prefixes (ups, tus) of one region, kappa + 1 entries each.
 
     ups[l] accumulates E^1 ... E^l, each followed by its encoder mask;
-    tus[l] accumulates D^1 ... D^l, each preceded by its decoder mask.
-    Entry 0 of both is the identity.  Frozen masks make the network
-    linear: relu(v) == v * (v > 0) entrywise.  A stacked pattern gives
-    stacked prefixes past entry 0, row i bit-identical to row i's own call.
+    tus is :func:`dual_chains`.  Entry 0 of both is the identity.  Frozen
+    masks make the network linear: relu(v) == v * (v > 0) entrywise.  A
+    stacked pattern gives stacked prefixes past entry 0, row i
+    bit-identical to row i's own call.
     """
     ups = [np.eye(spec.d[0])]
-    tus = [np.eye(spec.d[0])]
     for l in range(1, spec.kappa + 1):
         ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][..., None, :])
-        tus.append((tus[-1] * pattern.dec[l - 1][..., None, :]) @ mats[l - 1].D)
-    return ups, tus
+    return ups, dual_chains(spec, mats, pattern)
 
 
 @dataclass(frozen=True, eq=False)

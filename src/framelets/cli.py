@@ -379,19 +379,22 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
     }
 
 
+def _training_set(ctx: Context, stream: str, T: int) -> landscape.TrainingSet:
+    """T standard-normal input columns, then T target columns, from the run's
+    ``stream``."""
+    gen = rng(ctx.seed, stream)
+    return landscape.TrainingSet(X=gen.standard_normal((ctx.spec.d[0], T)),
+                                 Y=gen.standard_normal((ctx.spec.d[0], T)))
+
+
 def run_landscape(ctx: Context, params: dict) -> dict:
-    spec, mats, T = ctx.spec, ctx.mats, params["samples"]
-    gen = rng(ctx.seed, "landscape-data")
-    data = landscape.TrainingSet(
-        X=gen.standard_normal((spec.d[0], T)),
-        Y=gen.standard_normal((spec.d[0], T)),
-    )
+    spec, T = ctx.spec, params["samples"]
+    # one forward and backward trace of the training set serves every certificate
+    p = landscape.training_pass(spec, ctx.mats, _training_set(ctx, "landscape-data", T))
     slack = ctx.tolerances["sandwich_slack"]
-    certs = []
-    if spec.skip:
-        certs = [landscape.certify_bounds_skip(spec, mats, data, l)
-                 for l in range(1, spec.kappa + 1)]
-    certs.append(landscape.certify_bounds_enc(spec, mats, data))
+    certs = [landscape.certify_bounds_skip(p, l) for l in range(1, spec.kappa + 1)] \
+        if spec.skip else []
+    certs.append(landscape.certify_bounds_enc(p))
     applicable = [cert for cert in certs if cert.applicable]
     if not applicable:
         # the preconditions read only the dims and T, so this is the config's doing
@@ -411,8 +414,7 @@ def run_landscape(ctx: Context, params: dict) -> dict:
     }
     if spec.skip:
         report = landscape.check_stationarity(
-            spec, mats, data,
-            pos_tol=ctx.tolerances["stationarity_grad"],
+            p, pos_tol=ctx.tolerances["stationarity_grad"],
             loss_floor=ctx.tolerances["stationarity_loss_floor"],
         )
         block["stationarity"] = report.to_dict()
@@ -423,15 +425,10 @@ def run_landscape(ctx: Context, params: dict) -> dict:
 
 
 def run_train(ctx: Context, params: dict) -> dict:
-    spec, T = ctx.spec, params["samples"]
-    gen = rng(ctx.seed, "train-data")
-    data = landscape.TrainingSet(
-        X=gen.standard_normal((spec.d[0], T)),
-        Y=gen.standard_normal((spec.d[0], T)),
-    )
+    T = params["samples"]
     # the train block's other keys are TrainConfig's field names
     cfg = landscape.TrainConfig(**{k: v for k, v in params.items() if k != "samples"})
-    result = landscape.train_gd(spec, ctx.bank, data, cfg)
+    result = landscape.train_gd(ctx.spec, ctx.bank, _training_set(ctx, "train-data", T), cfg)
     monotone = all(a >= b for a, b in zip(result.losses, result.losses[1:]))
     if ctx.outdir is not None:
         with open(os.path.join(ctx.outdir, "loss_curve.csv"), "w", newline="") as fh:

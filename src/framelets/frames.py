@@ -19,7 +19,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convops import circ_conv, filters_to_matrix, identity_conv
 from .netbuild import LayerBank, NetworkSpec, _orthonormal, realize
 from .seeding import derive, rng
 
@@ -30,7 +29,7 @@ __all__ = [
     "make_frame_filters",
     "frame_bank",
     "frame_residual",
-    "cascade_filter_check",
+    "filters_to_matrix",
 ]
 
 MODES = ("no_skip", "skip")
@@ -119,8 +118,21 @@ def make_frame_filters(r: int, q_in: int, q_out: int, alpha: float,
     return psi, psi.copy()
 
 
+def filters_to_matrix(Psi) -> np.ndarray:
+    """Stack a (p, q, r) filter tensor into its (r p) x q matrix form.
+
+    Block row i holds the r taps of every filter attached to channel i of
+    the tensor's leading axis.
+    """
+    Psi = np.asarray(Psi, dtype=float)
+    if Psi.ndim != 3:
+        raise ValueError(f"filter tensor must be (p, q, r), got shape {Psi.shape}")
+    p, q, r = Psi.shape
+    return Psi.transpose(0, 2, 1).reshape(p * r, q)
+
+
 def _matrix_to_filters(P: np.ndarray, q_in: int, q_out: int, r: int) -> np.ndarray:
-    """Inverse of convops.filters_to_matrix."""
+    """Inverse of :func:`filters_to_matrix`."""
     return P.reshape(q_in, r, q_out).transpose(0, 2, 1).copy()
 
 
@@ -196,68 +208,3 @@ def frame_residual(spec: NetworkSpec, bank: LayerBank, config: FrameConfig) -> l
         entry["layer_identity_residual"] = _max_dev(recon, np.eye(d_prev))
         out.append(entry)
     return out
-
-
-def cascade_filter_check(spec: NetworkSpec, bank: LayerBank, tol: float = 1e-12) -> dict:
-    """Verify that chained layer operators are single long convolutions.
-
-    With identity pooling everywhere (and a single input channel), every
-    m-column block of the cumulative encoder product must equal the
-    circulant of a sum of cascaded filters over all channel paths into
-    that block; dually for the decoder side.  Returns per-depth maximal
-    deviations and an overall verdict at ``tol``.
-    """
-    m = spec.m[0]
-    if any(mm != m for mm in spec.m):
-        raise ValueError("corollary requires no pooling: spatial dims must be constant")
-    for l in range(spec.kappa):
-        if not (np.array_equal(bank.pool[l], np.eye(m))
-                and np.array_equal(bank.unpool[l], np.eye(m))):
-            raise ValueError("corollary requires no pooling: all pooling matrices "
-                             "must be the identity")
-    if spec.q[0] != 1:
-        raise ValueError("cascade check needs a single input channel (q_0 == 1)")
-
-    mats = realize(spec, bank)
-    report = {"tol": tol, "per_layer": []}
-    worst = 0.0
-
-    def pad(v):
-        out = np.zeros(m)
-        out[: len(v)] = v
-        return out
-
-    enc_sums = [pad(bank.enc_filters[0][0, j]) for j in range(spec.q[1])]
-    dec_sums = [pad(bank.dec_filters[0][0, j]) for j in range(spec.q[1])]
-    prod_e = mats[0].E
-    prod_d = mats[0].D
-    for l in range(1, spec.kappa + 1):
-        if l >= 2:
-            enc_sums = [
-                sum(circ_conv(enc_sums[j], bank.enc_filters[l - 1][j, t])
-                    for j in range(spec.q[l - 1]))
-                for t in range(spec.q[l])
-            ]
-            dec_sums = [
-                sum(circ_conv(dec_sums[j], bank.dec_filters[l - 1][j, t])
-                    for j in range(spec.q[l - 1]))
-                for t in range(spec.q[l])
-            ]
-            prod_e = prod_e @ mats[l - 1].E
-            prod_d = prod_d @ mats[l - 1].D
-        # np.max keeps a NaN deviation (an overflow); Python's max can drop it
-        enc_dev = float(np.max([
-            _max_dev(prod_e[:, t * m:(t + 1) * m], identity_conv(m, enc_sums[t]))
-            for t in range(spec.q[l])
-        ]))
-        dec_dev = float(np.max([
-            _max_dev(prod_d[:, t * m:(t + 1) * m], identity_conv(m, dec_sums[t]))
-            for t in range(spec.q[l])
-        ]))
-        worst = float(np.max([worst, enc_dev, dec_dev]))
-        report["per_layer"].append(
-            {"layer": l, "enc_deviation": enc_dev, "dec_deviation": dec_dev}
-        )
-    report["max_deviation"] = worst
-    report["ok"] = worst <= tol
-    return report

@@ -2,10 +2,10 @@
 
 Two derivative notions live here and must not be confused:
 
-* the *free-matrix* gradients ``grad_skip_analytic`` / ``grad_enc_analytic``
-  treat one realized layer operator (S_tilde at level l, or the bottleneck
-  E) as an unstructured matrix, holding everything else fixed -- that is
-  the object the singular-value sandwich bounds speak about;
+* the *free-matrix* gradients :meth:`Pass.grad` treat one realized layer
+  operator (S_tilde at level l, or the bottleneck E) as an unstructured
+  matrix, holding everything else fixed -- that is the object the
+  singular-value sandwich bounds speak about;
 * the *tap* gradients used by :func:`train_gd` differentiate with respect
   to the shared filter coefficients through the block structure (with
   skips, E and S share encoder taps, D and S_tilde share decoder taps),
@@ -15,28 +15,30 @@ Both are cross-checked against central finite differences in the test
 suite.  ReLU derivative at zero is 0, matching the mask convention; any
 derivative-based check should respect the kink margin.
 
-Each public call forwards the training set once, as one (T, d_0) stack,
-and, where it needs derivatives, traces the cost back through that stack
-once: the backward trace holds the cost's derivative at every
-pre-activation, and the gradient with respect to any realized operator
-is a sample-order sum of outer products of a backward row and a forward
-row.  Each caller forms only the operators it reads.  The masked
-dual-chain prefixes of :func:`analysis.masked_chains`, one stacked call,
-serve only the certificates' factor singular values and ranks.  Every
-row is bit-identical to its one-sample pass and every sum runs in sample
-order, so reports are bit-stable.
+:func:`training_pass` forwards the training set once, as one (T, d_0)
+stack, and traces the cost back through that stack once: the backward
+trace holds the cost's derivative at every pre-activation, and the
+gradient with respect to any realized operator is a sample-order sum of
+outer products of a backward row and a forward row.  The certificates,
+the stationarity check and the tap gradients all read one such
+:class:`Pass`; each forms only the operator gradients it reads.  The
+masked dual-chain prefixes, one stacked call formed on first read, serve
+only the certificates' factor singular values and ranks.  Every row is
+bit-identical to its one-sample pass and every sum runs in sample order,
+so reports are bit-stable.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
 from .analysis import (
     ActivationPattern,
     KinkMarginError,
-    masked_chains,
+    dual_chains,
     pattern_from_trace,
     trace_margin,
 )
@@ -53,14 +55,14 @@ from .netbuild import (
 
 __all__ = [
     "TrainingSet",
+    "Pass",
     "BoundCertificate",
     "StationarityReport",
     "TrainConfig",
     "TrainResult",
     "TrainingDiverged",
     "loss",
-    "grad_skip_analytic",
-    "grad_enc_analytic",
+    "training_pass",
     "certify_bounds_skip",
     "certify_bounds_enc",
     "check_stationarity",
@@ -112,12 +114,15 @@ def loss(spec: NetworkSpec, mats, data: TrainingSet) -> float:
     return _cost(forward_matrices(spec, mats, data.X.T).y - data.Y.T)
 
 
-@dataclass(frozen=True)
-class _Pass:
-    """The training set after one stacked forward and one backward trace; row i
-    of every array is sample i.  ``d_enc``, ``d_skip`` and ``d_dec`` hold the
-    cost's derivative at the trace's enc_pre, skip_pre and dec_pre (index l-1)."""
+@dataclass(frozen=True, eq=False)
+class Pass:
+    """The training set after one stacked forward and one backward trace through
+    ``mats``; row i of every array is sample i.  ``d_enc``, ``d_skip`` and
+    ``d_dec`` hold the cost's derivative at the trace's enc_pre, skip_pre and
+    dec_pre (index l-1)."""
 
+    spec: NetworkSpec
+    mats: tuple
     trace: ForwardTrace
     pattern: ActivationPattern
     cost: float
@@ -125,14 +130,48 @@ class _Pass:
     d_skip: list
     d_dec: list
 
+    def grad(self, name: str, l: int) -> np.ndarray:
+        """Free-matrix gradient of the cost with respect to operator ``name``
+        (E, D, S or S_tilde) of layer l, everything else held fixed: the
+        sample-order sum of outer products of each sample's forward row (the
+        operator's input) and backward row, oriented like the operator.  Exact
+        under the zero-at-kink mask convention."""
+        if name not in ("E", "D", "S", "S_tilde"):
+            raise ValueError(f"unknown operator {name!r}: expected E, D, S or S_tilde")
+        if name in ("S", "S_tilde") and not self.spec.skip:
+            raise ValueError("skip gradients need a skip network")
+        if not 1 <= l <= self.spec.kappa:
+            raise ValueError(f"layer index {l} out of range [1, {self.spec.kappa}]")
+        if name in ("E", "S"):
+            rows = [self.trace.x, *self.trace.enc][l - 1]
+            cols = (self.d_enc if name == "E" else self.d_skip)[l - 1]
+        else:
+            rows = self.d_dec[l - 1]
+            cols = self.trace.dec[l] if name == "D" else self.trace.skip[l - 1]
+        grad = np.zeros((rows.shape[1], cols.shape[1]))
+        for a, b in zip(rows, cols):
+            grad += np.outer(a, b)
+        return grad
 
-def _pass(spec: NetworkSpec, mats, data: TrainingSet, margin: float = 0.0) -> _Pass:
+    @cached_property
+    def dual(self) -> list:
+        """The stacked masked dual-chain prefixes of :func:`analysis.dual_chains`,
+        formed on first read."""
+        return dual_chains(self.spec, self.mats, self.pattern)
+
+    @property
+    def T(self) -> int:
+        return len(self.trace.x)
+
+
+def training_pass(spec: NetworkSpec, mats, data: TrainingSet, margin: float = 0.0) -> Pass:
     """Forward the (T, d_0) stack of inputs, then trace the cost back through it.
 
     The backward trace is the chain rule through the realized operators
     under the zero-at-kink mask convention, one stacked matrix-vector
     product per operator (each row bit-identical to its one-sample
-    product).  A positive ``margin`` rejects kink-adjacent samples.
+    product).  A positive ``margin`` rejects kink-adjacent samples, as a
+    comparison against finite differences needs.
     """
     trace = forward_matrices(spec, mats, data.X.T)
     if margin > 0.0:
@@ -155,47 +194,7 @@ def _pass(spec: NetworkSpec, mats, data: TrainingSet, margin: float = 0.0) -> _P
         if spec.skip:
             d_skip.insert(0, _apply(mats[l - 1].S_tilde.T, d_dec[l - 1]) * pattern.skip[l - 1])
             d_cur = d_cur + _apply(mats[l - 1].S, d_skip[0])
-    return _Pass(trace, pattern, cost, d_enc, d_skip, d_dec)
-
-
-def _grad(p: _Pass, name: str, l: int) -> np.ndarray:
-    """Free-matrix gradient of the cost with respect to operator ``name`` of layer
-    l: the sample-order sum of outer products of each sample's forward row (the
-    operator's input) and backward row, oriented like the operator."""
-    if name in ("E", "S"):
-        rows = [p.trace.x, *p.trace.enc][l - 1]
-        cols = (p.d_enc if name == "E" else p.d_skip)[l - 1]
-    else:
-        rows = p.d_dec[l - 1]
-        cols = p.trace.dec[l] if name == "D" else p.trace.skip[l - 1]
-    grad = np.zeros((rows.shape[1], cols.shape[1]))
-    for a, b in zip(rows, cols):
-        grad += np.outer(a, b)
-    return grad
-
-
-def grad_skip_analytic(spec: NetworkSpec, mats, data: TrainingSet, l: int,
-                       margin: float = 0.0) -> np.ndarray:
-    """Free-matrix gradient of the cost with respect to S_tilde at level l.
-
-    Kronecker form collapsed to a sum of outer products: each sample
-    contributes (decoder-mask-filtered dual chain applied to its
-    residual) times its skip feature.  The formula is exact under the
-    zero-at-kink mask convention; pass a positive ``margin`` to reject
-    kink-adjacent traces when the result will be compared against
-    finite differences.
-    """
-    if not spec.skip:
-        raise ValueError("skip gradients need a skip network")
-    if not 1 <= l <= spec.kappa:
-        raise ValueError(f"layer index {l} out of range [1, {spec.kappa}]")
-    return _grad(_pass(spec, mats, data, margin), "S_tilde", l)
-
-
-def grad_enc_analytic(spec: NetworkSpec, mats, data: TrainingSet,
-                      margin: float = 0.0) -> np.ndarray:
-    """Free-matrix gradient of the cost with respect to the bottleneck E."""
-    return _grad(_pass(spec, mats, data, margin), "E", spec.kappa)
+    return Pass(spec, mats, trace, pattern, cost, d_enc, d_skip, d_dec)
 
 
 def _sigma_extremes(A: np.ndarray, name: str) -> tuple:
@@ -221,12 +220,14 @@ class BoundCertificate:
     ``lower <= grad_norm <= upper`` is guaranteed whenever both
     precondition flags hold (tall feature and factor matrices).  When
     they do not, the certificate is marked inapplicable and nothing is
-    asserted.  For the encoder case, ``printed`` carries the alternative
-    pairing that measures the bottleneck features themselves instead of
-    the input-side features of the derivative.
+    asserted.  ``operator`` names the realized matrix the gradient is
+    taken with respect to.  For the encoder case, ``printed`` carries the
+    alternative pairing that measures the bottleneck features themselves
+    instead of the input-side features of the derivative.
     """
 
     kind: str
+    operator: str
     layer: int
     grad_norm: float
     lower: float
@@ -242,58 +243,37 @@ class BoundCertificate:
     applicable: bool
     printed: dict | None = None
 
-    @property
-    def operator(self) -> str:
-        """Which realized matrix the gradient is taken with respect to."""
-        return f"S_tilde[{self.layer}]" if self.kind == "skip" else f"E[{self.layer}]"
-
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "operator": self.operator,
-            "layer": self.layer,
-            "grad_norm": self.grad_norm,
-            "lower": self.lower,
-            "upper": self.upper,
-            "loss": self.loss,
-            "feature_sigma_min": self.feature_sigma_min,
-            "feature_sigma_max": self.feature_sigma_max,
-            "factor_sigma_min": self.factor_sigma_min,
-            "factor_sigma_max": self.factor_sigma_max,
-            "per_sample_sigma_min": self.per_sample_sigma_min,
-            "per_sample_sigma_max": self.per_sample_sigma_max,
-            "preconditions": self.preconditions,
-            "applicable": self.applicable,
-        }
-        if self.printed is not None:
-            out["printed"] = self.printed
-        return out
+        """The fields in order, without ``printed`` when it is None."""
+        return {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "printed" or self.printed is not None}
 
 
 def _factor_sigmas(prefix: np.ndarray, mask: np.ndarray) -> tuple:
     """Per-sample singular extremes of mask * dual-chain-prefix transposed,
-    from a stacked :func:`analysis.masked_chains` prefix and its (T, .) masks."""
+    from a stacked prefix of :attr:`Pass.dual` and its (T, .) masks."""
     return _sigma_extremes(mask[..., None] * np.swapaxes(prefix, -1, -2),
                            "masked dual-chain prefix")
 
 
-def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> BoundCertificate:
-    """Gradient-norm sandwich for S_tilde at level l.
+def certify_bounds_skip(p: Pass, l: int) -> BoundCertificate:
+    """Gradient-norm sandwich for S_tilde at level l, read from a training pass.
 
     lower = sigma_min(skip features) * min_i sigma_min(masked dual prefix)
     * sqrt(2 loss); upper analogously with maxima.  Valid when s_l >= T
     and d_{l-1} >= d_0.
     """
+    spec = p.spec
     if not spec.skip:
         raise ValueError("skip certificates need a skip network")
-    p = _pass(spec, mats, data)
-    mins, maxs = _factor_sigmas(masked_chains(spec, mats, p.pattern)[1][l - 1],
-                                p.pattern.dec[l - 1])
+    grad_norm = float(np.linalg.norm(p.grad("S_tilde", l)))
+    mins, maxs = _factor_sigmas(p.dual[l - 1], p.pattern.dec[l - 1])
     g_min, g_max = _sigma_extremes(p.trace.skip[l - 1].T, "skip feature matrix")
     return BoundCertificate(
         kind="skip",
+        operator=f"S_tilde[{l}]",
         layer=l,
-        grad_norm=float(np.linalg.norm(_grad(p, "S_tilde", l))),
+        grad_norm=grad_norm,
         lower=g_min * min(mins) * np.sqrt(2.0 * p.cost),
         upper=g_max * max(maxs) * np.sqrt(2.0 * p.cost),
         loss=p.cost,
@@ -304,33 +284,32 @@ def certify_bounds_skip(spec: NetworkSpec, mats, data: TrainingSet, l: int) -> B
         per_sample_sigma_min=mins,
         per_sample_sigma_max=maxs,
         preconditions={
-            "s_l_ge_T": spec.s[l - 1] >= data.T,
+            "s_l_ge_T": spec.s[l - 1] >= p.T,
             "d_prev_ge_d0": spec.d[l - 1] >= spec.d[0],
         },
-        applicable=spec.s[l - 1] >= data.T and spec.d[l - 1] >= spec.d[0],
+        applicable=spec.s[l - 1] >= p.T and spec.d[l - 1] >= spec.d[0],
     )
 
 
-def certify_bounds_enc(spec: NetworkSpec, mats, data: TrainingSet) -> BoundCertificate:
-    """Gradient-norm sandwich for the bottleneck E.
+def certify_bounds_enc(p: Pass) -> BoundCertificate:
+    """Gradient-norm sandwich for the bottleneck E, read from a training pass.
 
     The asserted pairing uses the features feeding the bottleneck (layer
     kappa-1), which is what the free-matrix derivative factors through;
     the ``printed`` block reports the same sandwich evaluated with the
     bottleneck output features instead, for side-by-side comparison.
     """
-    kappa = spec.kappa
-    p = _pass(spec, mats, data)
-    mins, maxs = _factor_sigmas(masked_chains(spec, mats, p.pattern)[1][kappa],
-                                p.pattern.enc[kappa - 1])
+    spec, kappa = p.spec, p.spec.kappa
+    mins, maxs = _factor_sigmas(p.dual[kappa], p.pattern.enc[kappa - 1])
     f_min, f_max = _sigma_extremes([p.trace.x, *p.trace.enc][kappa - 1].T,
                                    "encoder feature matrix")
     k_min, k_max = _sigma_extremes(p.trace.enc[-1].T, "bottleneck feature matrix")
     root = np.sqrt(2.0 * p.cost)
     return BoundCertificate(
         kind="encoder",
+        operator=f"E[{kappa}]",
         layer=kappa,
-        grad_norm=float(np.linalg.norm(_grad(p, "E", kappa))),
+        grad_norm=float(np.linalg.norm(p.grad("E", kappa))),
         lower=f_min * min(mins) * root,
         upper=f_max * max(maxs) * root,
         loss=p.cost,
@@ -341,16 +320,16 @@ def certify_bounds_enc(spec: NetworkSpec, mats, data: TrainingSet) -> BoundCerti
         per_sample_sigma_min=mins,
         per_sample_sigma_max=maxs,
         preconditions={
-            "d_prev_ge_T": spec.d[kappa - 1] >= data.T,
+            "d_prev_ge_T": spec.d[kappa - 1] >= p.T,
             "d_kappa_ge_d0": spec.d[kappa] >= spec.d[0],
         },
-        applicable=spec.d[kappa - 1] >= data.T and spec.d[kappa] >= spec.d[0],
+        applicable=spec.d[kappa - 1] >= p.T and spec.d[kappa] >= spec.d[0],
         printed={
             "feature_sigma_min": k_min,
             "feature_sigma_max": k_max,
             "lower": k_min * min(mins) * root,
             "upper": k_max * max(maxs) * root,
-            "precondition_d_kappa_ge_T": spec.d[kappa] >= data.T,
+            "precondition_d_kappa_ge_T": spec.d[kappa] >= p.T,
         },
     )
 
@@ -391,19 +370,19 @@ class StationarityReport:
         }
 
 
-def check_stationarity(spec: NetworkSpec, mats, data: TrainingSet,
-                   pos_tol: float = 1e-12, loss_floor: float = 0.0) -> StationarityReport:
+def check_stationarity(p: Pass, pos_tol: float = 1e-12,
+                       loss_floor: float = 0.0) -> StationarityReport:
+    """Rank conditions and S_tilde gradient norms of a training pass, per skip level."""
+    spec = p.spec
     if not spec.skip:
         raise ValueError("the stationarity check needs a skip network")
-    p = _pass(spec, mats, data)
-    tus = masked_chains(spec, mats, p.pattern)[1]
     report = StationarityReport(loss=p.cost, loss_floor=loss_floor, pos_tol=pos_tol)
     for l in range(1, spec.kappa + 1):
         gamma_rank = int(_rank(p.trace.skip[l - 1].T))
-        gamma_full = gamma_rank == data.T
-        rows_full = bool(np.all(_rank(tus[l - 1] * p.pattern.dec[l - 1][:, None]) == spec.d[0]))
+        gamma_full = gamma_rank == p.T
+        rows_full = bool(np.all(_rank(p.dual[l - 1] * p.pattern.dec[l - 1][:, None]) == spec.d[0]))
         conditions = gamma_full and rows_full
-        gnorm = float(np.linalg.norm(_grad(p, "S_tilde", l)))
+        gnorm = float(np.linalg.norm(p.grad("S_tilde", l)))
         entry = {
             "layer": l,
             "gamma_rank": gamma_rank,
@@ -451,10 +430,9 @@ def tap_gradients(spec: NetworkSpec, bank: LayerBank, data: TrainingSet):
     to the operator gradients.  Returns (enc_grads, dec_grads, loss) with
     tensors shaped like the bank's filters.
     """
-    mats = realize(spec, bank)
-    p = _pass(spec, mats, data)
+    p = training_pass(spec, realize(spec, bank), data)
     names = ("E", "D", "S", "S_tilde") if spec.skip else ("E", "D")
-    grads = [LayerMatrices(**{name: _grad(p, name, l) for name in names})
+    grads = [LayerMatrices(**{name: p.grad(name, l) for name in names})
              for l in range(1, spec.kappa + 1)]
     enc_grads, dec_grads = realize_adjoint(spec, bank, grads)
     return enc_grads, dec_grads, p.cost
@@ -492,12 +470,9 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
     def emit(iteration):
         if certificates and certificates[-1][0] == iteration:
             return
-        mats = realize(spec, current)
-        if spec.skip:
-            certs = [certify_bounds_skip(spec, mats, data, l)
-                     for l in range(1, spec.kappa + 1)]
-        else:
-            certs = [certify_bounds_enc(spec, mats, data)]
+        p = training_pass(spec, realize(spec, current), data)
+        certs = [certify_bounds_skip(p, l) for l in range(1, spec.kappa + 1)] \
+            if spec.skip else [certify_bounds_enc(p)]
         certificates.append((iteration, certs))
 
     if config.checkpoint_every > 0:

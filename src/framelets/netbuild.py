@@ -175,6 +175,10 @@ class LayerBank:
                       input channel k+1 into output channel j+1
     pool[l-1]         (m_{l-1}, m_l) pooling matrix, applied transposed
     unpool[l-1]       (m_{l-1}, m_l) unpooling matrix, applied directly
+
+    Every array is stored as a C-contiguous float array, so a bank's results
+    do not depend on the memory layout it was built in (sums over an
+    array run in layout order).
     """
 
     enc_filters: tuple
@@ -184,7 +188,7 @@ class LayerBank:
 
     def __post_init__(self):
         for name in ("enc_filters", "dec_filters", "pool", "unpool"):
-            arrays = tuple(np.asarray(a, dtype=float) for a in getattr(self, name))
+            arrays = tuple(np.ascontiguousarray(a, dtype=float) for a in getattr(self, name))
             object.__setattr__(self, name, arrays)
 
     @property
@@ -225,24 +229,13 @@ class LayerMatrices:
 
 def _frames(spec: NetworkSpec, bank: LayerBank, l: int) -> dict:
     """Layer l's operators by field: (side, R), side 0 for encoder taps, 1 for
-    decoder taps, R the (r, rows, cols) stack of roll(Phi, t, axis=0), t < r.
-
-    The stack is one gather: row i of shift t is Phi[(i - t) % rows].  It
-    keeps the memory layout of the rolled stack, which np.roll allocates
-    with np.empty_like(Phi): a column-major Phi (random_bank's pooling when
-    m_{l-1} < m_l) gives column-major shifts.  The adjoint's einsum sums in
-    layout order, so the layout is part of its bits."""
+    decoder taps, R the (r, rows, cols) stack of roll(Phi, t, axis=0), t < r,
+    gathered at once: row i of shift t is Phi[(i - t) % rows]."""
     rows = spec.m[l - 1]  # of every Phi of the layer
     idx = (np.arange(rows) - np.arange(spec.r)[:, None]) % rows
-
-    def shifts(Phi):
-        if Phi.flags.c_contiguous or np.empty_like(Phi).flags.c_contiguous:
-            return Phi[idx]
-        return Phi[idx[:, None, :], np.arange(Phi.shape[1])[:, None]].transpose(0, 2, 1)
-
-    frames = {"E": (0, shifts(bank.pool[l - 1])), "D": (1, shifts(bank.unpool[l - 1]))}
+    frames = {"E": (0, bank.pool[l - 1][idx]), "D": (1, bank.unpool[l - 1][idx])}
     if spec.skip:
-        eye = shifts(np.eye(rows))
+        eye = np.eye(rows)[idx]
         frames.update(S=(0, eye), S_tilde=(1, eye))
     return frames
 

@@ -2,9 +2,15 @@
 
 Each helper checks a library result by an independent route: a loop
 over channels, both sides of an identity, an LP per sign vector, a
-central difference of the loss.  They
-live here, not in ``framelets``, so the package needs neither their code
-nor scipy at run time.
+central difference of the loss, circular convolutions and wrap-around
+Hankel matrices built tap by tap.  They live here, not in ``framelets``,
+so the package needs neither their code nor scipy at run time.
+
+Circular convolution treats a vector as one period of an n-periodic
+sequence; all index arithmetic is modulo the period.  When two operands
+of different lengths meet, the shorter one is zero-padded to the longer
+period first, so the period of a convolution follows the longer vector.
+There is deliberately no FFT path: these are exact dense oracles.
 """
 
 from __future__ import annotations
@@ -14,10 +20,129 @@ import dataclasses
 import numpy as np
 from scipy.optimize import linprog
 
-from framelets import analysis, convops, landscape, netbuild
+from framelets import analysis, landscape, netbuild
 
 #: default absolute tolerance for exact algebraic identities
 DEFAULT_TOL = 1e-10
+
+
+def as_signal(v, name: str = "signal") -> np.ndarray:
+    """Validate and return a finite 1-d float vector."""
+    arr = np.asarray(v, dtype=float)
+    if arr.ndim != 1 or arr.size == 0:
+        raise ValueError(f"{name} must be a nonempty 1-d vector, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{name} contains non-finite entries")
+    return arr
+
+
+def _pad_to(v: np.ndarray, n: int, name: str = "vector") -> np.ndarray:
+    if len(v) > n:
+        raise ValueError(f"{name} of length {len(v)} does not fit period {n}")
+    if len(v) == n:
+        return v
+    out = np.zeros(n)
+    out[: len(v)] = v
+    return out
+
+
+def flip(v, n: int | None = None) -> np.ndarray:
+    """Index-reversed vector under the periodic boundary: out[k] = v[(-k) mod n].
+
+    If ``n`` is given and exceeds len(v), the vector is zero-padded to
+    period ``n`` before reversal.  flip is an involution for fixed n.
+    """
+    v = as_signal(v, "v")
+    period = len(v) if n is None else int(n)
+    vp = _pad_to(v, period, "v")
+    return vp[(-np.arange(period)) % period]
+
+
+def hankel(x, r: int) -> np.ndarray:
+    """n x r wrap-around Hankel matrix with entries H[i, j] = x[(i + j) mod n].
+
+    Generators shorter than the requested period are not accepted here;
+    zero-pad explicitly (see :func:`flip`) when embedding short vectors.
+    """
+    x = as_signal(x, "x")
+    n = len(x)
+    r = int(r)
+    if not 1 <= r <= n:
+        raise ValueError(f"Hankel width r={r} out of range [1, {n}]")
+    idx = (np.arange(n)[:, None] + np.arange(r)[None, :]) % n
+    return x[idx]
+
+
+def extended_hankel(Z, r: int) -> np.ndarray:
+    """Channel-stacked Hankel matrix: the n x (r p) block row [H(z_1) ... H(z_p)]."""
+    cols = [hankel(z, r) for z in Z]
+    if len({h.shape[0] for h in cols}) != 1:
+        raise ValueError("all channels must share one period")
+    return np.hstack(cols)
+
+
+def circ_conv(x, h) -> np.ndarray:
+    """Circular convolution y[t] = sum_k x[(t - k) mod n] h[k].
+
+    The period n follows the longer operand; the shorter one is
+    zero-padded.  Commutative: circ_conv(x, h) == circ_conv(h, x).
+    """
+    x = as_signal(x, "x")
+    h = as_signal(h, "h")
+    if len(h) > len(x):
+        x, h = h, x
+    n = len(x)
+    out = np.zeros(n)
+    for k, tap in enumerate(h):
+        if tap != 0.0:
+            out += tap * np.roll(x, k)
+    return out
+
+
+def circ_corr(x, psi) -> np.ndarray:
+    """Filtering with the flipped filter: hankel(x, r) @ psi == x conv flip(psi).
+
+    This is the encoder-side operation: the matrix form uses the raw taps
+    while the convolutional form uses the index-reversed filter, and the
+    two agree through the Hankel product.
+    """
+    x = as_signal(x, "x")
+    psi = as_signal(psi, "psi")
+    return hankel(x, len(psi)) @ psi
+
+
+def conv_with_frame(Phi, psi) -> np.ndarray:
+    """Convolve every column of a pooling matrix with one filter.
+
+    Column i of the result is circ_conv(Phi[:, i], psi); the output keeps
+    Phi's shape.  This is the building block of every layer operator.
+    """
+    Phi = np.asarray(Phi, dtype=float)
+    if Phi.ndim != 2:
+        raise ValueError(f"pooling matrix must be 2-d, got shape {Phi.shape}")
+    psi = as_signal(psi, "psi")
+    if len(psi) > Phi.shape[0]:
+        raise ValueError(
+            f"filter length {len(psi)} exceeds column period {Phi.shape[0]}"
+        )
+    out = np.zeros_like(Phi)
+    for k, tap in enumerate(psi):
+        if tap != 0.0:
+            out += tap * np.roll(Phi, k, axis=0)
+    return out
+
+
+def identity_conv(m: int, v) -> np.ndarray:
+    """m x m circulant whose first column is v zero-padded to length m.
+
+    Composition law: identity_conv(m, v) @ identity_conv(m, w)
+    == identity_conv(m, circ_conv(w, v)).
+    """
+    v = as_signal(v, "v")
+    m = int(m)
+    if len(v) > m:
+        raise ValueError(f"filter length {len(v)} exceeds m={m}")
+    return conv_with_frame(np.eye(m), v)
 
 
 def mimo_conv(Z, Psi) -> np.ndarray:
@@ -25,21 +150,21 @@ def mimo_conv(Z, Psi) -> np.ndarray:
 
     ``Z`` is a length-p sequence of period-n channels, ``Psi`` a
     (p, q, r) tensor whose [j, i] slice filters input channel j into
-    output channel i.  Equals extended_hankel(Z, r) @ filters_to_matrix(Psi)
+    output channel i.  Equals extended_hankel(Z, r) @ frames.filters_to_matrix(Psi)
     column by column.
     """
     Psi = np.asarray(Psi, dtype=float)
     if Psi.ndim != 3:
         raise ValueError(f"filter tensor must be (p, q, r), got shape {Psi.shape}")
     p, q, r = Psi.shape
-    Z = [convops.as_signal(z, f"channel {j}") for j, z in enumerate(Z)]
+    Z = [as_signal(z, f"channel {j}") for j, z in enumerate(Z)]
     if len(Z) != p:
         raise ValueError(f"got {len(Z)} input channels, filter tensor expects {p}")
     n = len(Z[0])
     out = np.zeros((q, n))
     for i in range(q):
         for j in range(p):
-            out[i] += convops.circ_corr(Z[j], Psi[j, i])
+            out[i] += circ_corr(Z[j], Psi[j, i])
     return out
 
 
@@ -49,11 +174,11 @@ def hankel_inner_identity_check(f, u, v, tol: float = DEFAULT_TOL) -> bool:
     ``u`` shares f's period, ``v`` supplies the Hankel width; both sides
     are evaluated independently.
     """
-    f = convops.as_signal(f, "f")
-    u = convops.as_signal(u, "u")
-    v = convops.as_signal(v, "v")
-    lhs = u @ convops.hankel(f, len(v)) @ v
-    rhs = f @ convops.circ_conv(u, v)
+    f = as_signal(f, "f")
+    u = as_signal(u, "u")
+    v = as_signal(v, "v")
+    lhs = u @ hankel(f, len(v)) @ v
+    rhs = f @ circ_conv(u, v)
     return abs(lhs - rhs) <= tol
 
 
@@ -68,6 +193,75 @@ def roll_frames(spec, bank, l: int) -> dict:
         eye = shifts(np.eye(spec.m[l - 1]))
         frames.update(S=(0, eye), S_tilde=(1, eye))
     return frames
+
+
+def _max_dev(A: np.ndarray, B: np.ndarray) -> float:
+    return float(np.max(np.abs(A - B)))
+
+
+def cascade_filter_check(spec, bank, tol: float = 1e-12) -> dict:
+    """Verify that chained layer operators are single long convolutions.
+
+    With identity pooling everywhere (and a single input channel), every
+    m-column block of the cumulative encoder product must equal the
+    circulant of a sum of cascaded filters over all channel paths into
+    that block; dually for the decoder side.  Returns per-depth maximal
+    deviations and an overall verdict at ``tol``.
+    """
+    m = spec.m[0]
+    if any(mm != m for mm in spec.m):
+        raise ValueError("corollary requires no pooling: spatial dims must be constant")
+    for l in range(spec.kappa):
+        if not (np.array_equal(bank.pool[l], np.eye(m))
+                and np.array_equal(bank.unpool[l], np.eye(m))):
+            raise ValueError("corollary requires no pooling: all pooling matrices "
+                             "must be the identity")
+    if spec.q[0] != 1:
+        raise ValueError("cascade check needs a single input channel (q_0 == 1)")
+
+    mats = netbuild.realize(spec, bank)
+    report = {"tol": tol, "per_layer": []}
+    worst = 0.0
+
+    def pad(v):
+        out = np.zeros(m)
+        out[: len(v)] = v
+        return out
+
+    enc_sums = [pad(bank.enc_filters[0][0, j]) for j in range(spec.q[1])]
+    dec_sums = [pad(bank.dec_filters[0][0, j]) for j in range(spec.q[1])]
+    prod_e = mats[0].E
+    prod_d = mats[0].D
+    for l in range(1, spec.kappa + 1):
+        if l >= 2:
+            enc_sums = [
+                sum(circ_conv(enc_sums[j], bank.enc_filters[l - 1][j, t])
+                    for j in range(spec.q[l - 1]))
+                for t in range(spec.q[l])
+            ]
+            dec_sums = [
+                sum(circ_conv(dec_sums[j], bank.dec_filters[l - 1][j, t])
+                    for j in range(spec.q[l - 1]))
+                for t in range(spec.q[l])
+            ]
+            prod_e = prod_e @ mats[l - 1].E
+            prod_d = prod_d @ mats[l - 1].D
+        # np.max keeps a NaN deviation (an overflow); Python's max can drop it
+        enc_dev = float(np.max([
+            _max_dev(prod_e[:, t * m:(t + 1) * m], identity_conv(m, enc_sums[t]))
+            for t in range(spec.q[l])
+        ]))
+        dec_dev = float(np.max([
+            _max_dev(prod_d[:, t * m:(t + 1) * m], identity_conv(m, dec_sums[t]))
+            for t in range(spec.q[l])
+        ]))
+        worst = float(np.max([worst, enc_dev, dec_dev]))
+        report["per_layer"].append(
+            {"layer": l, "enc_deviation": enc_dev, "dec_deviation": dec_dev}
+        )
+    report["max_deviation"] = worst
+    report["ok"] = worst <= tol
+    return report
 
 
 def check_embedding_dims(spec) -> list:
@@ -159,7 +353,7 @@ def _fd_grad_matrix(spec, mats, data, l: int, attr: str, step: float | None,
 
 def fd_grad_skip(spec, mats, data, l: int, step: float | None = None,
                  margin: float = 1e-8) -> np.ndarray:
-    """Central-difference oracle for landscape.grad_skip_analytic.
+    """Central-difference oracle for the S_tilde gradient ``Pass.grad("S_tilde", l)``.
 
     A derivative-based check, so it rejects traces within ``margin`` of a
     ReLU kink with a resample advisory.
@@ -171,5 +365,5 @@ def fd_grad_skip(spec, mats, data, l: int, step: float | None = None,
 
 def fd_grad_enc(spec, mats, data, step: float | None = None,
                 margin: float = 1e-8) -> np.ndarray:
-    """Central-difference oracle for landscape.grad_enc_analytic."""
+    """Central-difference oracle for the bottleneck gradient ``Pass.grad("E", kappa)``."""
     return _fd_grad_matrix(spec, mats, data, spec.kappa, "E", step, margin)

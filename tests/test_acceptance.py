@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from framelets import analysis, cli, convops, frames, landscape, netbuild
+from framelets import analysis, cli, landscape, netbuild
 from conftest import make_frame_pair, make_spec
 import oracles
 
@@ -208,8 +208,9 @@ def test_criterion_6_gradient_sandwich():
         bank = netbuild.random_bank(spec, seed=seed)
         mats = netbuild.realize(spec, bank)
         data = margin_safe_data(spec, mats, bank_seed=seed, T=2)
+        p = landscape.training_pass(spec, mats, data)
         for l in (1, 2):
-            cert = landscape.certify_bounds_skip(spec, mats, data, l)
+            cert = landscape.certify_bounds_skip(p, l)
             assert cert.applicable
             scale = max(cert.upper, 1e-30)
             worst_slack = max(
@@ -217,7 +218,7 @@ def test_criterion_6_gradient_sandwich():
                 (cert.lower - cert.grad_norm) / scale,
                 (cert.grad_norm - cert.upper) / scale,
             )
-            ga = landscape.grad_skip_analytic(spec, mats, data, l)
+            ga = p.grad("S_tilde", l)
             gf = oracles.fd_grad_skip(spec, mats, data, l)
             worst_fd = max(
                 worst_fd,
@@ -242,7 +243,8 @@ def test_criterion_7_stationarity():
         gen = np.random.default_rng(seed + 5000)
         data = landscape.TrainingSet(X=gen.standard_normal((full.d[0], 2)),
                                      Y=gen.standard_normal((full.d[0], 2)))
-        report = landscape.check_stationarity(full, mats, data, loss_floor=1e-6)
+        report = landscape.check_stationarity(
+            landscape.training_pass(full, mats, data), loss_floor=1e-6)
         assert report.ok, report.violations
         if report.applicable and report.loss > 1e-6:
             applicable += 1
@@ -258,7 +260,8 @@ def test_criterion_7_stationarity():
         gen = np.random.default_rng(seed + 7000)
         data = landscape.TrainingSet(X=gen.standard_normal((enc_only.d[0], 2)),
                                      Y=gen.standard_normal((enc_only.d[0], 2)))
-        report = landscape.check_stationarity(enc_only, mats, data, loss_floor=1e-6)
+        report = landscape.check_stationarity(
+            landscape.training_pass(enc_only, mats, data), loss_floor=1e-6)
         assert report.ok
         if report.applicable and report.loss > 1e-6:
             applicable += 1
@@ -273,11 +276,8 @@ def test_criterion_7_stationarity():
     Y = np.column_stack(
         [netbuild.forward_matrices(spec, mats, X[:, i]).y for i in range(2)]
     )
-    zero_grads = [
-        float(np.linalg.norm(landscape.grad_skip_analytic(
-            spec, mats, landscape.TrainingSet(X=X, Y=Y), l)))
-        for l in (1, 2)
-    ]
+    p = landscape.training_pass(spec, mats, landscape.TrainingSet(X=X, Y=Y))
+    zero_grads = [float(np.linalg.norm(p.grad("S_tilde", l))) for l in (1, 2)]
 
     ok = applicable >= 8 and min_grad > 1e-12 and all(g == 0.0 for g in zero_grads)
     verdict(7, ok, "stationarity iff zero loss",
@@ -293,9 +293,9 @@ def test_criterion_8_cascade_identity():
         for r in (1, 2, 4):
             v = gen.standard_normal(r)
             w = gen.standard_normal(r)
-            left = convops.identity_conv(m, v) @ convops.identity_conv(m, w)
-            right = convops.identity_conv(
-                m, convops.circ_conv(np.pad(w, (0, m - r)), v)
+            left = oracles.identity_conv(m, v) @ oracles.identity_conv(m, w)
+            right = oracles.identity_conv(
+                m, oracles.circ_conv(np.pad(w, (0, m - r)), v)
             )
             worst = max(worst, np.max(np.abs(left - right)))
 
@@ -308,7 +308,7 @@ def test_criterion_8_cascade_identity():
                 enc_filters=bank.enc_filters, dec_filters=bank.dec_filters,
                 pool=eye, unpool=eye,
             )
-            report = frames.cascade_filter_check(spec, bank, tol=1e-12)
+            report = oracles.cascade_filter_check(spec, bank, tol=1e-12)
             worst = max(worst, report["max_deviation"])
     ok = worst <= 1e-12
     verdict(8, ok, "cascade identity", f"max deviation {worst:.3e} <= 1e-12")

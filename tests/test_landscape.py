@@ -1,12 +1,13 @@
 """Gradients, singular-value sandwich bounds, stationarity, and the trainer."""
 
 import dataclasses
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from framelets import analysis, convops, landscape, netbuild
+from framelets import analysis, cli, landscape, netbuild
 from conftest import make_spec
 import oracles
 
@@ -86,11 +87,12 @@ class TestFeatureMatrices:
         mats = netbuild.realize(spec, bank)
         data = random_data(spec, seed=5, T=1)
         trace = netbuild.forward_matrices(spec, mats, data.X[:, 0])
-        printed = landscape.certify_bounds_enc(spec, mats, data).printed
+        printed = landscape.certify_bounds_enc(landscape.training_pass(spec, mats, data)).printed
         np.testing.assert_array_equal(printed["feature_sigma_min"],
                                       column_sigma(trace.enc[-1]))
         np.testing.assert_array_equal(
-            landscape.certify_bounds_skip(spec, mats, data, 1).feature_sigma_min,
+            landscape.certify_bounds_skip(landscape.training_pass(spec, mats, data),
+                                          1).feature_sigma_min,
             column_sigma(trace.skip[0]),
         )
 
@@ -103,7 +105,7 @@ class TestFeatureMatrices:
             X=np.column_stack([x, x]), Y=np.zeros((spec.d[0], 2))
         )
         for l in range(1, spec.kappa + 1):
-            cert = landscape.certify_bounds_skip(spec, mats, data, l)
+            cert = landscape.certify_bounds_skip(landscape.training_pass(spec, mats, data), l)
             assert cert.feature_sigma_min <= 1e-12
 
     def test_overparameterized_full_rank(self):
@@ -111,19 +113,21 @@ class TestFeatureMatrices:
         bank = netbuild.random_bank(spec, seed=4)
         mats = netbuild.realize(spec, bank)
         data = random_data(spec, seed=6, T=2)
-        assert landscape.certify_bounds_skip(spec, mats, data, 2).feature_sigma_min > 0.0
+        p = landscape.training_pass(spec, mats, data)
+        assert landscape.certify_bounds_skip(p, 2).feature_sigma_min > 0.0
 
 
 class TestOneForwardPerSample:
-    """Each public call forwards all its samples as one stacked pass."""
+    """Each public call forwards all its samples as one stacked pass; a call
+    that reads a training pass forwards nothing beyond that pass."""
 
     @pytest.mark.parametrize("name, args", [
         ("certify_bounds_skip", (1,)),
         ("certify_bounds_skip", (2,)),
         ("certify_bounds_enc", ()),
         ("check_stationarity", ()),
-        ("grad_skip_analytic", (2,)),
-        ("grad_enc_analytic", ()),
+        ("grad", ("S_tilde", 2)),
+        ("grad", ("E", 2)),
         ("loss", ()),
         ("tap_gradients", ()),
     ])
@@ -132,8 +136,67 @@ class TestOneForwardPerSample:
         bank = netbuild.random_bank(spec, seed=2)
         mats = netbuild.realize(spec, bank)
         data = random_data(spec, seed=3, T=3)
-        getattr(landscape, name)(spec, bank if name == "tap_gradients" else mats, data, *args)
+        if name in ("loss", "tap_gradients"):
+            getattr(landscape, name)(spec, bank if name == "tap_gradients" else mats, data)
+        else:
+            p = landscape.training_pass(spec, mats, data)
+            if name == "grad":
+                p.grad(*args)
+            else:
+                getattr(landscape, name)(p, *args)
         assert forward_calls == [(data.T, spec.d[0])]
+
+
+@pytest.fixture
+def dual_calls(monkeypatch):
+    """One entry per dual-chain formation of a training pass, and one per
+    analysis.masked_chains call through any framelets binding (the form
+    that also builds the encoder prefixes)."""
+    calls = []
+    for name, original in (("dual_chains", analysis.dual_chains),
+                           ("masked_chains", analysis.masked_chains)):
+        def counted(*args, _name=name, _original=original):
+            calls.append(_name)
+            return _original(*args)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("framelets") and vars(module).get(name) is original:
+                monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOnePassPerTrainingSet:
+    """A landscape analysis and a training checkpoint each forward their
+    training set once and form its dual-chain prefixes once."""
+
+    def test_run_landscape(self, forward_calls, dual_calls):
+        spec = skip_spec()
+        ctx = cli.Context(spec=spec, bank=netbuild.random_bank(spec, seed=4), seed=5,
+                          tolerances=cli.validate("tolerances", {}), outdir=None)
+        block = cli.run_landscape(ctx, {"samples": 2})
+        assert len(block["certificates"]) == spec.kappa + 1  # two skip levels, E
+        assert "stationarity" in block
+        assert forward_calls == [(2, spec.d[0])]
+        assert dual_calls == ["dual_chains"]
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_train_checkpoints(self, dual_calls, skip, monkeypatch):
+        spec = make_spec(kappa=2, r=2, m=4, q=[1, 2, 3], skip=skip)
+        passes = []
+        original = landscape.training_pass
+
+        def counted(*args, **kwargs):
+            passes.append(args[2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(landscape, "training_pass", counted)
+        config = landscape.TrainConfig(step_size=0.01, iterations=6, checkpoint_every=2)
+        result = landscape.train_gd(spec, netbuild.random_bank(spec, seed=1),
+                                    random_data(spec, seed=2), config)
+        assert [it for it, _ in result.certificates] == [0, 2, 4, 6]
+        # one pass per tap gradient and one per checkpoint, which forms its dual once
+        assert len(passes) == len(result.grad_norms) + 4
+        assert dual_calls == ["dual_chains"] * 4
 
 
 def one_sample(data, i):
@@ -161,12 +224,13 @@ class TestStackedSamplesAreExact:
         assert landscape.loss(spec, mats, data) == sample_order_sum(
             [landscape.loss(spec, mats, one) for one in singles])
         assert np.array_equal(
-            landscape.grad_enc_analytic(spec, mats, data),
-            sample_order_sum([landscape.grad_enc_analytic(spec, mats, one) for one in singles]))
+            landscape.training_pass(spec, mats, data).grad("E", spec.kappa),
+            sample_order_sum([landscape.training_pass(spec, mats, one).grad("E", spec.kappa)
+                              for one in singles]))
         for l in range(1, spec.kappa + 1) if skip else ():
             assert np.array_equal(
-                landscape.grad_skip_analytic(spec, mats, data, l),
-                sample_order_sum([landscape.grad_skip_analytic(spec, mats, one, l)
+                landscape.training_pass(spec, mats, data).grad("S_tilde", l),
+                sample_order_sum([landscape.training_pass(spec, mats, one).grad("S_tilde", l)
                                   for one in singles]))
 
     def test_kink_guard_names_the_first_offending_sample(self):
@@ -177,7 +241,7 @@ class TestStackedSamplesAreExact:
         X = np.column_stack([data.X[:, 0], np.zeros(4), np.zeros(4)])
         data = landscape.TrainingSet(X=X, Y=np.ones((4, 3)))
         with pytest.raises(analysis.KinkMarginError, match="training sample 1 "):
-            landscape.grad_enc_analytic(spec, mats, data, margin=1e-8)
+            landscape.training_pass(spec, mats, data, margin=1e-8).grad("E", spec.kappa)
 
 
 class TestAnalyticGradients:
@@ -188,8 +252,8 @@ class TestAnalyticGradients:
         data = zero_loss_data(spec, mats,
                               np.random.default_rng(4).standard_normal((4, 2)))
         for l in (1, 2):
-            assert np.all(landscape.grad_skip_analytic(spec, mats, data, l) == 0.0)
-        assert np.all(landscape.grad_enc_analytic(spec, mats, data) == 0.0)
+            assert np.all(landscape.training_pass(spec, mats, data).grad("S_tilde", l) == 0.0)
+        assert np.all(landscape.training_pass(spec, mats, data).grad("E", spec.kappa) == 0.0)
 
     def test_tiny_case_finite_differences(self):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], skip=True)
@@ -197,7 +261,7 @@ class TestAnalyticGradients:
         mats = netbuild.realize(spec, bank)
         data = random_data(spec, seed=7, T=1)
         assert margin_safe(spec, mats, data)
-        ga = landscape.grad_skip_analytic(spec, mats, data, 1)
+        ga = landscape.training_pass(spec, mats, data).grad("S_tilde", 1)
         gf = oracles.fd_grad_skip(spec, mats, data, 1)
         assert np.linalg.norm(ga - gf) <= 1e-5 * np.linalg.norm(gf)
 
@@ -211,7 +275,7 @@ class TestAnalyticGradients:
             data = random_data(spec, seed=seed + 100)
             if not margin_safe(spec, mats, data):
                 continue
-            ga = landscape.grad_skip_analytic(spec, mats, data, l)
+            ga = landscape.training_pass(spec, mats, data).grad("S_tilde", l)
             gf = oracles.fd_grad_skip(spec, mats, data, l)
             assert np.linalg.norm(ga - gf) <= 1e-5 * max(np.linalg.norm(gf), 1e-30)
             done += 1
@@ -228,7 +292,7 @@ class TestAnalyticGradients:
             data = random_data(spec, seed=seed + 200)
             if not margin_safe(spec, mats, data):
                 continue
-            ga = landscape.grad_enc_analytic(spec, mats, data)
+            ga = landscape.training_pass(spec, mats, data).grad("E", spec.kappa)
             gf = oracles.fd_grad_enc(spec, mats, data)
             assert np.linalg.norm(ga - gf) <= 1e-5 * max(np.linalg.norm(gf), 1e-30)
             done += 1
@@ -241,7 +305,23 @@ class TestAnalyticGradients:
         bank = netbuild.random_bank(spec, seed=0)
         mats = netbuild.realize(spec, bank)
         with pytest.raises(ValueError, match="skip"):
-            landscape.grad_skip_analytic(spec, mats, random_data(spec, 1), 1)
+            landscape.training_pass(spec, mats, random_data(spec, 1)).grad("S_tilde", 1)
+
+    @pytest.mark.parametrize("l", [0, 3])
+    def test_layer_out_of_range(self, l):
+        spec = skip_spec()
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=0))
+        p = landscape.training_pass(spec, mats, random_data(spec, 1))
+        for name in ("E", "D", "S", "S_tilde"):
+            with pytest.raises(ValueError, match=r"layer index .* out of range \[1, 2\]"):
+                p.grad(name, l)
+
+    def test_unknown_operator(self):
+        spec = skip_spec()
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=0))
+        p = landscape.training_pass(spec, mats, random_data(spec, 1))
+        with pytest.raises(ValueError, match="unknown operator 'S_Tilde'"):
+            p.grad("S_Tilde", 1)
 
     def test_kink_adjacent_data_rejected(self):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], skip=True)
@@ -251,9 +331,9 @@ class TestAnalyticGradients:
         with pytest.raises(analysis.KinkMarginError, match="resample"):
             oracles.fd_grad_skip(spec, mats, data, 1)
         with pytest.raises(analysis.KinkMarginError, match="resample"):
-            landscape.grad_skip_analytic(spec, mats, data, 1, margin=1e-8)
+            landscape.training_pass(spec, mats, data, margin=1e-8).grad("S_tilde", 1)
         # without a margin request the analytic form stays exact at kinks
-        grad = landscape.grad_skip_analytic(spec, mats, data, 1)
+        grad = landscape.training_pass(spec, mats, data).grad("S_tilde", 1)
         assert grad.shape == mats[0].S_tilde.shape
 
 
@@ -264,7 +344,7 @@ class TestBoundCertificates:
         mats = netbuild.realize(spec, bank)
         data = zero_loss_data(spec, mats,
                               np.random.default_rng(8).standard_normal((4, 2)))
-        cert = landscape.certify_bounds_skip(spec, mats, data, 1)
+        cert = landscape.certify_bounds_skip(landscape.training_pass(spec, mats, data), 1)
         assert cert.loss == 0.0
         assert cert.grad_norm == 0.0
         assert cert.lower == 0.0 and cert.upper == 0.0
@@ -276,7 +356,7 @@ class TestBoundCertificates:
             bank = netbuild.random_bank(spec, seed=seed)
             mats = netbuild.realize(spec, bank)
             data = random_data(spec, seed=seed + 300)
-            cert = landscape.certify_bounds_skip(spec, mats, data, l)
+            cert = landscape.certify_bounds_skip(landscape.training_pass(spec, mats, data), l)
             assert cert.applicable
             scale = max(cert.upper, 1e-30)
             assert cert.lower <= cert.grad_norm + SANDWICH_SLACK * scale
@@ -288,7 +368,7 @@ class TestBoundCertificates:
             bank = netbuild.random_bank(spec, seed=seed)
             mats = netbuild.realize(spec, bank)
             data = random_data(spec, seed=seed + 400)
-            cert = landscape.certify_bounds_enc(spec, mats, data)
+            cert = landscape.certify_bounds_enc(landscape.training_pass(spec, mats, data))
             assert cert.applicable  # d_1 = 8 >= T, d_2 = 12 >= d_0
             scale = max(cert.upper, 1e-30)
             assert cert.lower <= cert.grad_norm + SANDWICH_SLACK * scale
@@ -305,7 +385,7 @@ class TestBoundCertificates:
             X=np.column_stack([x, x]),
             Y=np.random.default_rng(10).standard_normal((spec.d[0], 2)),
         )
-        cert = landscape.certify_bounds_skip(spec, mats, data, 1)
+        cert = landscape.certify_bounds_skip(landscape.training_pass(spec, mats, data), 1)
         assert cert.feature_sigma_min <= 1e-12
         assert cert.lower <= 1e-10
         assert cert.grad_norm <= cert.upper + SANDWICH_SLACK * cert.upper
@@ -319,7 +399,7 @@ class TestBoundCertificates:
             bank = netbuild.random_bank(spec, seed=seed)
             mats = netbuild.realize(spec, bank)
             data = random_data(spec, seed=seed + 500)
-            cert = landscape.certify_bounds_enc(spec, mats, data)
+            cert = landscape.certify_bounds_enc(landscape.training_pass(spec, mats, data))
             if (cert.applicable and cert.loss > 1e-8
                     and cert.feature_sigma_min > 1e-10
                     and cert.factor_sigma_min > 1e-10):
@@ -340,8 +420,8 @@ class TestBoundCertificates:
         )
         c = 0.125
         scaled = landscape.TrainingSet(X=data.X, Y=outs - c * (outs - data.Y))
-        base = landscape.certify_bounds_skip(spec, mats, data, 2)
-        small = landscape.certify_bounds_skip(spec, mats, scaled, 2)
+        base = landscape.certify_bounds_skip(landscape.training_pass(spec, mats, data), 2)
+        small = landscape.certify_bounds_skip(landscape.training_pass(spec, mats, scaled), 2)
         for attr in ("grad_norm", "lower", "upper"):
             b, s = getattr(base, attr), getattr(small, attr)
             assert abs(s - c * b) <= 1e-10 * max(1.0, abs(b))
@@ -357,7 +437,8 @@ class TestStationarity:
             bank = netbuild.random_bank(spec, seed=seed)
             mats = netbuild.realize(spec, bank)
             data = random_data(spec, seed=seed + 5000)
-            report = landscape.check_stationarity(spec, mats, data, loss_floor=1e-6)
+            report = landscape.check_stationarity(landscape.training_pass(spec, mats, data),
+                                                  loss_floor=1e-6)
             assert report.ok
             if report.applicable and report.loss > 1e-6:
                 hits += 1
@@ -372,7 +453,8 @@ class TestStationarity:
             bank = netbuild.random_bank(spec, seed=seed)
             mats = netbuild.realize(spec, bank)
             data = random_data(spec, seed=seed + 7000)
-            report = landscape.check_stationarity(spec, mats, data, loss_floor=1e-6)
+            report = landscape.check_stationarity(landscape.training_pass(spec, mats, data),
+                                                  loss_floor=1e-6)
             assert report.ok
             assert report.applicable
             assert report.loss > 1e-6
@@ -386,7 +468,7 @@ class TestStationarity:
             X=np.column_stack([x, x]),
             Y=np.random.default_rng(15).standard_normal((spec.d[0], 2)),
         )
-        report = landscape.check_stationarity(spec, mats, data)
+        report = landscape.check_stationarity(landscape.training_pass(spec, mats, data))
         assert not any(e["gamma_full_rank"] for e in report.layers)
         assert report.ok
 
@@ -396,7 +478,7 @@ class TestStationarity:
         mats = netbuild.realize(spec, bank)
         data = zero_loss_data(spec, mats,
                               np.random.default_rng(17).standard_normal((4, 2)))
-        report = landscape.check_stationarity(spec, mats, data)
+        report = landscape.check_stationarity(landscape.training_pass(spec, mats, data))
         assert report.loss == 0.0
         assert all(e["grad_norm"] == 0.0 for e in report.layers)
         assert report.ok
@@ -435,11 +517,12 @@ class TestTrainGD:
     def test_trajectory_matches_roll_oracle(self, skip, nonlinearity, monkeypatch):
         # every realize and adjoint in a short Armijo run goes through the
         # shift stacks; the roll-by-roll stacks give the same run bit for
-        # bit.  m grows per layer, so random_bank's pooling is column-major
+        # bit.  m grows per layer, where random_bank's orthonormal pooling is
+        # built transposed; the bank stores it in C order all the same
         spec = make_spec(kappa=2, r=2, q=[1, 2, 3], m_list=[4, 5, 6], skip=skip,
                          nonlinearity=nonlinearity)
         bank = netbuild.random_bank(spec, seed=1)
-        assert not bank.pool[0].flags.c_contiguous
+        assert bank.pool[0].flags.c_contiguous
         data = random_data(spec, seed=2, T=3)
         config = landscape.TrainConfig(step_size=0.5, iterations=6)
         got = landscape.train_gd(spec, bank, data, config)
@@ -447,6 +530,22 @@ class TestTrainGD:
         want = landscape.train_gd(spec, bank, data, config)
         assert len(got.losses) == 7
         assert got.losses == want.losses and got.grad_norms == want.grad_norms
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_saved_bank_trains_like_the_original(self, skip):
+        # the same values in another memory layout train the same, bit for
+        # bit; with m growing, random_bank builds its pooling transposed
+        spec = make_spec(kappa=2, r=2, q=[1, 2, 3], m_list=[4, 5, 6], skip=skip)
+        bank = netbuild.random_bank(spec, seed=1)
+        loaded = netbuild.bank_from_dict(netbuild.bank_to_dict(spec, bank))
+        fortran = dataclasses.replace(bank, pool=tuple(np.asfortranarray(a) for a in bank.pool),
+                                      unpool=tuple(np.asfortranarray(a) for a in bank.unpool))
+        data = random_data(spec, seed=2, T=3)
+        config = landscape.TrainConfig(step_size=0.5, iterations=30)
+        want = landscape.train_gd(spec, bank, data, config)
+        for other in (loaded, fortran):
+            got = landscape.train_gd(spec, other, data, config)
+            assert got.losses == want.losses and got.grad_norms == want.grad_norms
 
     @pytest.mark.parametrize("step_size", [1e308, 1e300])
     def test_overflowing_armijo_trials_backtrack(self, step_size):
@@ -481,7 +580,7 @@ class TestTrainGD:
             for t in range(spec.r):
                 tap = np.zeros(spec.r)
                 tap[t] = 1.0
-                cols.append(convops.circ_conv(src, tap))
+                cols.append(oracles.circ_conv(src, tap))
         A = np.column_stack(cols)
         sol, *_ = np.linalg.lstsq(A, data.Y[:, 0], rcond=None)
         assert np.linalg.norm(A @ sol - data.Y[:, 0]) <= 1e-10

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from framelets import convops, netbuild
+from framelets import netbuild
 from conftest import make_spec
 import oracles
 
@@ -35,7 +35,7 @@ def encoder_oracle(spec, bank, l, channels):
     for j in range(spec.q[l]):
         acc = np.zeros(spec.m[l - 1])
         for k in range(spec.q[l - 1]):
-            acc += convops.circ_corr(channels[k], bank.enc_filters[l - 1][k, j])
+            acc += oracles.circ_corr(channels[k], bank.enc_filters[l - 1][k, j])
         outs.append(pool.T @ acc)
     return outs
 
@@ -49,7 +49,7 @@ def decoder_oracle(spec, bank, l, channels, skip_channels=None):
             src = unpool @ channels[k]
             if skip_channels is not None:
                 src = src + skip_channels[k]
-            acc += convops.circ_conv(src, bank.dec_filters[l - 1][j, k])
+            acc += oracles.circ_conv(src, bank.dec_filters[l - 1][j, k])
         outs.append(acc)
     return outs
 
@@ -135,8 +135,8 @@ class TestBuildLayerMatrices:
         )
         E = netbuild.build_layer_matrices(spec, bank, 1).E
         assert E.shape == (4, 8)
-        np.testing.assert_allclose(E[:, :4], convops.identity_conv(4, [0.5, 0.5]))
-        np.testing.assert_allclose(E[:, 4:], convops.identity_conv(4, [0.5, -0.5]))
+        np.testing.assert_allclose(E[:, :4], oracles.identity_conv(4, [0.5, 0.5]))
+        np.testing.assert_allclose(E[:, 4:], oracles.identity_conv(4, [0.5, -0.5]))
 
     def test_block_structure_matches_conv_with_frame(self):
         # skip on and off, r in {1, 3, min(m)} with unequal m and channel
@@ -148,13 +148,13 @@ class TestBuildLayerMatrices:
             mats = netbuild.build_layer_matrices(spec, bank, l)
             enc, dec = bank.enc_filters[l - 1], bank.dec_filters[l - 1]
             pool, unpool, m_prev = bank.pool[l - 1], bank.unpool[l - 1], spec.m[l - 1]
-            oracles = {"E": (enc, lambda v: convops.conv_with_frame(pool, v)),
-                       "D": (dec, lambda v: convops.conv_with_frame(unpool, v))}
+            expected = {"E": (enc, lambda v: oracles.conv_with_frame(pool, v)),
+                        "D": (dec, lambda v: oracles.conv_with_frame(unpool, v))}
             if skip:
-                oracles.update(S=(enc, lambda v: convops.identity_conv(m_prev, v)),
-                               S_tilde=(dec, lambda v: convops.identity_conv(m_prev, v)))
+                expected.update(S=(enc, lambda v: oracles.identity_conv(m_prev, v)),
+                                S_tilde=(dec, lambda v: oracles.identity_conv(m_prev, v)))
             assert (mats.S is not None) == skip == (mats.S_tilde is not None)
-            for name, (taps, oracle) in oracles.items():
+            for name, (taps, oracle) in expected.items():
                 blocks = [[oracle(taps[k, j]) for j in range(spec.q[l])]
                           for k in range(spec.q[l - 1])]
                 np.testing.assert_array_equal(getattr(mats, name), np.block(blocks))
@@ -235,7 +235,7 @@ class TestMatrixConvEquivalence:
             )
             if skip:
                 skips = [
-                    sum(convops.circ_corr(channels[k], bank.enc_filters[l - 1][k, j])
+                    sum(oracles.circ_corr(channels[k], bank.enc_filters[l - 1][k, j])
                         for k in range(spec.q[l - 1]))
                     for j in range(spec.q[l])
                 ]

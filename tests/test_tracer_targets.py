@@ -1,0 +1,36 @@
+"""Every function the benchmark tracer wraps still exists in the package.
+
+``perfbench/tracer.py`` names its targets as "<module>.<function>" strings
+and looks them up when a traced run starts, so a rename in ``src/`` would
+only show as a failed ``perfbench/run.py --trace 1``.  The list is read
+from the tracer's source, not imported, so the test runs without the
+benchmark on the path.
+"""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+def tracer_targets() -> tuple:
+    for node in ast.parse(TRACER.read_text()).body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in targets):
+                return ast.literal_eval(node.value)
+    raise AssertionError(f"no TARGETS assignment in {TRACER}")
+
+
+def test_targets_are_listed():
+    assert len(tracer_targets()) >= 10
+
+
+@pytest.mark.parametrize("target", tracer_targets())
+def test_target_resolves(target):
+    module_name, func_name = target.rsplit(".", 1)
+    module = importlib.import_module(f"framelets.{module_name}")
+    assert callable(getattr(module, func_name, None)), f"framelets.{target} is gone"
