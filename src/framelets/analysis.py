@@ -52,10 +52,11 @@ __all__ = [
 ]
 
 
-#: inputs per stacked forward pass (and packed key block) of the census, and
-#: patterns per block of region_maps, whose temporaries are (n, d_0, d_l) and
-#: (n, d_0, s_l) stacks (also the census regions unpacked, mapped and put
-#: through one SVD at a time); both keep the stacks near a megabyte at d_0 = 64
+#: inputs per stacked forward pass (and packed key block) of the census and
+#: per screen block of the jacobian analysis, and patterns per block of
+#: region_maps, whose temporaries are (n, d_0, d_l) and (n, d_0, s_l) stacks
+#: (also the census regions unpacked, mapped and put through one SVD at a
+#: time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
 _BLOCK = 4
 #: census sampling distributions
@@ -440,14 +441,15 @@ def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:
     """Central finite-difference Jacobian from one forward over the stencil.
 
     The (2 d_0, d_0) stencil stacks x + step e_i over x - step e_i; column
-    i of the result is (F(x + step e_i) - F(x - step e_i)) / (2 step),
-    bit-identical to evaluating the columns one at a time.  The result is
-    C-contiguous, like the column-by-column array was, so norms over it
-    sum in the same order.
+    i of the result is (F(x + step e_i) - F(x - step e_i)) / (2 step).
+    The stencil reads no mask, only the outputs, so it is forwarded with
+    one GEMM per operator (``exact_rows=False``): a column may differ from
+    evaluating it on its own by rounding, a few eps of max |F| over step.
+    The result is C-contiguous, so norms over it sum in row-major order.
     """
     x = np.asarray(x, dtype=float)
     d0 = spec.d[0]
     shift = step * np.eye(d0)
-    y = forward_matrices(spec, mats, np.concatenate([x + shift, x - shift])).y
+    y = forward_matrices(spec, mats, np.concatenate([x + shift, x - shift]),
+                         exact_rows=False).y
     return np.ascontiguousarray(((y[:d0] - y[d0:]) / (2.0 * step)).T)
-

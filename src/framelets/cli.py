@@ -342,18 +342,21 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
     cap = 100 * count
     errors = []
     attempts = 0
-    # one forward per block of candidates; a block never holds more rows
-    # than inputs still needed, so ``attempts`` ends at the last accepted
-    # draw, as drawing one at a time would.  A NaN margin (an overflowing
-    # forward pass) is accepted, so the check fails on a NaN error.  The
-    # analytic Jacobians are the region maps of the accepted rows' mask rows;
-    # a block with none accepted goes no further.
+    # one row-exact forward per block of up to ``_ROWS`` candidates, so a
+    # draw's screen decision does not depend on its block.  Only the first
+    # accepted rows still needed are kept, and ``attempts`` ends at the last
+    # of them, as drawing one at a time would: a (k, d_0) draw is the first
+    # k rows of a larger one, and the stream is not read after the screen.
+    # A NaN margin (an overflowing forward pass) is accepted, so the check
+    # fails on a NaN error.  The analytic Jacobians are the region maps of
+    # the accepted rows' mask rows; a block with none accepted goes no further.
     while len(errors) < count and attempts < cap:
-        block = gen.standard_normal((min(count - len(errors), cap - attempts), spec.d[0]))
+        block = gen.standard_normal((min(analysis._ROWS, cap - attempts), spec.d[0]))
         trace = netbuild.forward_matrices(spec, mats, block)
-        attempts += len(block)
+        need = count - len(errors)
         accepted = [i for i, got in enumerate(analysis.trace_margin(spec, trace))
-                    if not got < margin]
+                    if not got < margin][:need]
+        attempts += accepted[-1] + 1 if len(accepted) == need else len(block)
         if not accepted:
             continue
         bits = analysis.pattern_from_trace(spec, trace).bits()[accepted]

@@ -464,7 +464,6 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
     losses = [cur_loss]
     grad_norms = []
     certificates = []
-    converged = False
     stop_reason = "iteration budget exhausted"
 
     def emit(iteration):
@@ -483,7 +482,6 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
         gnorm_sq = sum(float(np.sum(g * g)) for g in enc_g + dec_g)
         grad_norms.append(float(np.sqrt(gnorm_sq)))
         if cur_loss <= config.stop_loss or gnorm_sq == 0.0:
-            converged = True
             stop_reason = "reached stop loss" if cur_loss <= config.stop_loss \
                 else "zero gradient"
             break
@@ -531,10 +529,11 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
         if config.checkpoint_every > 0 and it % config.checkpoint_every == 0:
             emit(it)
 
-    if cur_loss <= config.stop_loss:
-        converged = True
-        if stop_reason == "iteration budget exhausted":
-            stop_reason = "reached stop loss"
+    # only the loss floor counts: a zero gradient above it (a dead net) is a
+    # stop, not convergence
+    converged = cur_loss <= config.stop_loss
+    if converged and stop_reason == "iteration budget exhausted":
+        stop_reason = "reached stop loss"
     if config.checkpoint_every > 0:
         emit(len(losses) - 1)
     return TrainResult(losses=losses, grad_norms=grad_norms, bank=current,

@@ -293,16 +293,19 @@ def _act(v: np.ndarray, relu: bool) -> np.ndarray:
     return np.maximum(v, 0.0) if relu else v
 
 
-def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _apply(M: np.ndarray, v: np.ndarray, exact_rows: bool = True) -> np.ndarray:
     """M @ v for one vector (k,) or a stack (N, k), one vector per row.
 
-    The stack goes through matmul as N (k, 1) matrices, i.e. one
-    matrix-vector product per row, so every row is bit-identical to
-    ``M @ v`` of that row; ``v @ M.T`` would be faster but sums in
-    another order.  A single vector skips the reshaping, which costs a
-    tenth of a small forward pass.
+    With ``exact_rows`` the stack goes through matmul as N (k, 1) matrices,
+    i.e. one matrix-vector product per row, so every row is bit-identical
+    to ``M @ v`` of that row.  Without it the stack is one GEMM,
+    ``v @ M.T``, which is faster but sums in another order, so a row may
+    differ from its one-row product in the last bits.  A single vector
+    skips the reshaping, which costs a tenth of a small forward pass.
     """
-    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
+    if v.ndim == 1:
+        return M @ v
+    return (M @ v[..., None])[..., 0] if exact_rows else v @ M.T
 
 
 @dataclass
@@ -329,12 +332,21 @@ class ForwardTrace:
         return self.dec[0]
 
 
-def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
+def forward_matrices(spec: NetworkSpec, mats, x, exact_rows: bool = True) -> ForwardTrace:
     """Forward pass through pre-realized layer matrices.
 
     ``x`` is one input of shape (d_0,) or a stack of inputs (N, d_0), one
-    per row; every trace array then gains the leading N axis, and each
-    row is bit-identical to the single-input pass of that row.
+    per row; every trace array then gains the leading N axis.  With
+    ``exact_rows`` (the default) each row is bit-identical to the
+    single-input pass of that row.  Every caller that reads a mask or a
+    pinned float keeps it: a census key, a kink-screen decision or an
+    Armijo decision must not depend on the stack a row was forwarded in.
+    The reconstruction and Lipschitz-pair forwards keep it too: they cost
+    a few milliseconds, and the pair check is compared exactly with
+    one-input passes.  ``exact_rows=False`` multiplies the stack by each
+    operator as one GEMM, for a caller that reads only ``y`` and tolerates
+    last-bit rounding: the finite-difference stencil of
+    ``analysis.fd_jacobian``.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != spec.d[0]:
@@ -350,10 +362,10 @@ def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
     cur = x
     for l in range(1, spec.kappa + 1):
         layer = mats[l - 1]
-        u = _apply(layer.E.T, cur)
+        u = _apply(layer.E.T, cur, exact_rows)
         trace.enc_pre.append(u)
         if spec.skip:
-            v = _apply(layer.S.T, cur)
+            v = _apply(layer.S.T, cur, exact_rows)
             trace.skip_pre.append(v)
             trace.skip.append(_act(v, enc_relu))
         cur = _act(u, enc_relu)
@@ -365,9 +377,9 @@ def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
     cur = trace.enc[-1]
     for l in range(spec.kappa, 0, -1):
         layer = mats[l - 1]
-        w = _apply(layer.D, cur)
+        w = _apply(layer.D, cur, exact_rows)
         if spec.skip:
-            w = w + _apply(layer.S_tilde, trace.skip[l - 1])
+            w = w + _apply(layer.S_tilde, trace.skip[l - 1], exact_rows)
         trace.dec_pre[l - 1] = w
         cur = _act(w, dec_relu)
         trace.dec[l - 1] = cur

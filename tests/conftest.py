@@ -34,13 +34,13 @@ def rng():
 @pytest.fixture
 def forward_calls(monkeypatch):
     """One list entry per netbuild.forward_matrices call, through any
-    binding: the shape of the call's input."""
+    binding: (shape of the call's input, its exact_rows)."""
     calls = []
     original = netbuild.forward_matrices
 
-    def counted(spec, mats, x):
-        calls.append(np.shape(x))
-        return original(spec, mats, x)
+    def counted(spec, mats, x, exact_rows=True):
+        calls.append((np.shape(x), exact_rows))
+        return original(spec, mats, x, exact_rows=exact_rows)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("framelets") and vars(module).get("forward_matrices") is original:

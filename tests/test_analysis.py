@@ -600,20 +600,41 @@ class TestJacobian:
     def test_fd_jacobian_equals_column_loop(self, skip, step, rng):
         spec = make_spec(kappa=2, m=5, skip=skip)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=10))
+        # The stencil is one GEMM per operator, the loop one matrix-vector
+        # product per row: the same sums of products added in another order.
+        # A sum of n products is off by at most n eps times the sum of the
+        # terms' magnitudes (Higham, gamma_n), so the two orders differ by
+        # 2 n eps of it.  The stages of a forward sum over d_{l-1} (E', S')
+        # and over d_l plus s_l (D, S_tilde); an error at one stage passes
+        # on through the later ones, which ReLU (1-Lipschitz) and this
+        # bank's 1/sqrt(r q) scaling keep at O(max |y|).  So one output
+        # moves by at most 2 N eps max|y|, N the total length of the
+        # stages' sums, and a column, a difference of two outputs over
+        # 2 step, by 2 N eps max|y| / step.  Measured drift is a few such
+        # units; an indexing, sign or transposition error is O(1).
+        N = sum(spec.d[:-1]) + sum(spec.d[1:]) + (sum(spec.s) if spec.skip else 0)
+        d0 = spec.d[0]
         for _ in range(5):
-            x = rng.standard_normal(spec.d[0])
+            x = rng.standard_normal(d0)
             # the one-column-at-a-time loop the stencil forward replaced
-            d0 = spec.d[0]
             want = np.zeros((d0, d0))
+            ys = []
             for i in range(d0):
                 e = np.zeros(d0)
                 e[i] = step
                 fp = netbuild.forward_matrices(spec, mats, x + e).y
                 fm = netbuild.forward_matrices(spec, mats, x - e).y
+                ys += [fp, fm]
                 want[:, i] = (fp - fm) / (2.0 * step)
             got = analysis.fd_jacobian(spec, mats, x, step=step)
-            assert np.array_equal(got, want)
+            bound = 2 * N * np.finfo(float).eps * np.max(np.abs(ys)) / step
+            assert np.max(np.abs(got - want)) <= bound
             assert got.flags.c_contiguous
+            # exactly the stacked stencil's GEMM forward
+            shift = step * np.eye(d0)
+            Y = netbuild.forward_matrices(spec, mats, np.concatenate([x + shift, x - shift]),
+                                          exact_rows=False).y
+            assert np.array_equal(got, ((Y[:d0] - Y[d0:]) / (2.0 * step)).T)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -650,15 +671,14 @@ class TestJacobian:
         block = cli.run_jacobian(cli.Context(spec, bank, {"jacobian": 1e-5}, seed=3),
                                  cli.validate("jacobian", params))
         made = len(forward_calls)
-        gen = seeded_rng(3, "jacobian")
-        mats = netbuild.realize(spec, bank)
-        blocks = accepted = 0
-        while accepted < params["count"]:
-            X = gen.standard_normal((params["count"] - accepted, spec.d[0]))
-            margins = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
-            accepted += int(np.sum(margins >= params["margin"]))
-            blocks += 1
+        # screen blocks of _ROWS draws up to the count-th accepted draw
+        X = seeded_rng(3, "jacobian").standard_normal((100 * params["count"], spec.d[0]))
+        margins = analysis.trace_margin(
+            spec, netbuild.forward_matrices(spec, netbuild.realize(spec, bank), X))
+        last = np.flatnonzero(margins >= params["margin"])[params["count"] - 1]
+        blocks = last // analysis._ROWS + 1
         assert blocks > 1
+        assert block["attempts"] == last + 1
         assert made == blocks + params["count"]
         assert block["instances"] == params["count"]
 

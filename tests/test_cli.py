@@ -198,7 +198,7 @@ class TestJacobianScreen:
     @staticmethod
     def sequential(spec, mats, seed, count, margin, step):
         gen = seeded_rng(seed, "jacobian")
-        errors, attempts = [], 0
+        errors, inputs, attempts = [], [], 0
         while len(errors) < count and attempts < 100 * count:
             attempts += 1
             x = gen.standard_normal(spec.d[0])
@@ -208,35 +208,41 @@ class TestJacobianScreen:
                 continue
             Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
             errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
-        return errors, attempts
+            inputs.append(x)
+        return errors, inputs, attempts
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scale, margin, count", [
         (1.0, 0.0, 7),      # every draw accepted
         (1.0, 1e-3, 12),    # about 80 % accepted
-        (1.0, 0.03, 10),    # about 10 % accepted, several blocks
-        (1.0, 0.1, 4),      # about 0.05 % accepted: the draw cap is hit
+        (1.0, 0.03, 10),    # about 10 % accepted, several screen blocks
+        (1.0, 0.1, 4),      # about 0.05 % accepted: the draw cap (a short last block) is hit
         (1e200, 1e-4, 3),   # overflow: NaN margins are accepted
     ])
     def test_same_errors_as_sequential_loop(self, monkeypatch, scale, margin, count):
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10, scale=scale)
         mats = netbuild.realize(spec, bank)
-        want, attempts = self.sequential(spec, mats, 99, count, margin, 1e-6)
-        seen = []
-        worst = cli._worst
+        want, inputs, attempts = self.sequential(spec, mats, 99, count, margin, 1e-6)
+        seen, used = [], []
+        worst, fd_jacobian = cli._worst, analysis.fd_jacobian
         monkeypatch.setattr(cli, "_worst", lambda values: seen.append(values) or worst(values))
+        monkeypatch.setattr(analysis, "fd_jacobian", lambda spec, mats, x, step:
+                            used.append(x) or fd_jacobian(spec, mats, x, step))
         ctx = cli.Context(spec, bank, TOLERANCES, seed=99)
         params = cli.validate("jacobian", {"count": count, "margin": margin})
         if len(want) < count:
-            with pytest.raises(cli.ConfigError,
-                               match=f"accepted {len(want)} of {attempts} draws"):
+            with pytest.raises(cli.ConfigError) as err:
                 cli.run_jacobian(ctx, params)
-            return
-        block = cli.run_jacobian(ctx, params)
-        assert block["attempts"] == attempts
-        assert len(seen) == 1
-        np.testing.assert_array_equal(seen[0], want)
+            assert str(err.value) == (
+                f"could not find {count} margin-safe inputs (margin {margin:g}): "
+                f"accepted {len(want)} of {attempts} draws; lower jacobian.margin")
+        else:
+            block = cli.run_jacobian(ctx, params)
+            assert block["attempts"] == attempts
+            assert len(seen) == 1
+            np.testing.assert_array_equal(seen[0], want)
+        np.testing.assert_array_equal(used, inputs)
 
     def test_no_region_maps_call_gets_zero_rows(self, monkeypatch):
         # a screen block whose rows all sit near a kink makes no map call;
@@ -345,9 +351,33 @@ class TestForwardCounts:
         block = cli.run_lipschitz(ctx, {})
         used = [min(reg.count, 4) for reg in census.regions if reg.count >= 2]
         # one stacked forward over the used inputs, none on a saturated census
-        assert forward_calls == ([(sum(used), spec.d[0])] if used else [])
+        assert forward_calls == ([((sum(used), spec.d[0]), True)] if used else [])
         assert block["pairs_checked"] == sum(k * (k - 1) // 2 for k in used)
         assert (block["pairs_checked"] == 0) == saturated
+
+    def test_only_the_fd_stencils_skip_row_exact_sums(self, forward_calls, monkeypatch,
+                                                      tmp_path):
+        # every other forward reads a mask or a pinned float, so it must stay
+        # row-exact; the stencil reads only y and is one GEMM per operator
+        fd_jacobian = analysis.fd_jacobian
+        monkeypatch.setattr(analysis, "fd_jacobian",
+                            lambda *args, **kwargs: forward_calls.append("fd_jacobian")
+                            or fd_jacobian(*args, **kwargs))
+        cfg = base_config(network=README_NETWORK, bank={"source": "random"},
+                          analyses=list(cli.ANALYSES), enforce=[],
+                          sampler={"count": 40}, reconstruct={"count": 5},
+                          identity={"count": 5}, jacobian={"count": 3},
+                          train={"iterations": 3})
+        report, _ = cli.execute(cfg, str(tmp_path))
+        assert set(report["results"]) == set(cli.ANALYSES)
+        d0 = README_NETWORK["m"][0] * README_NETWORK["q"][0]
+        marks = [i for i, call in enumerate(forward_calls) if call == "fd_jacobian"]
+        gemm = [i for i, call in enumerate(forward_calls)
+                if call != "fd_jacobian" and not call[1]]
+        assert len(marks) == report["results"]["jacobian"]["instances"] == 3
+        assert gemm == [i + 1 for i in marks]
+        assert all(forward_calls[i][0] == (2 * d0, d0) for i in gemm)
+        assert len(forward_calls) > 2 * len(marks)  # the other analyses forwarded too
 
 
 ITEM_NETWORK = {"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4], "skip": True,

@@ -144,7 +144,7 @@ class TestOneForwardPerSample:
                 p.grad(*args)
             else:
                 getattr(landscape, name)(p, *args)
-        assert forward_calls == [(data.T, spec.d[0])]
+        assert forward_calls == [((data.T, spec.d[0]), True)]
 
 
 @pytest.fixture
@@ -176,7 +176,7 @@ class TestOnePassPerTrainingSet:
         block = cli.run_landscape(ctx, {"samples": 2})
         assert len(block["certificates"]) == spec.kappa + 1  # two skip levels, E
         assert "stationarity" in block
-        assert forward_calls == [(2, spec.d[0])]
+        assert forward_calls == [((2, spec.d[0]), True)]
         assert dual_calls == ["dual_chains"]
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -619,6 +619,21 @@ class TestTrainGD:
                                     landscape.TrainConfig(iterations=50))
         assert result.losses == [0.0]
         assert result.converged
+
+    def test_zero_gradient_above_stop_loss_is_not_converged(self):
+        # every output unit of this skip relu net is off for all samples, so
+        # the gradient vanishes at a loss far above the floor
+        spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(8, 8, 8), skip=True,
+                                    nonlinearity="relu")
+        bank = netbuild.random_bank(spec, seed=1)
+        g = np.random.default_rng(1)
+        data = landscape.TrainingSet(X=g.standard_normal((8, 4)), Y=g.standard_normal((8, 4)))
+        result = landscape.train_gd(spec, bank, data, landscape.TrainConfig(
+            step_size=0.25, iterations=1500, stop_loss=1e-8))
+        assert result.stop_reason == "zero gradient"
+        assert len(result.losses) == 3 and result.losses[-1] > 10.0  # after 2 steps
+        assert result.grad_norms[-1] == 0.0
+        assert not result.converged
 
     def test_divergence_aborts(self):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], nonlinearity="none")
