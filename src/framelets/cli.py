@@ -170,7 +170,9 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
     source = params["source"]
     if source == "file":
         path = params["path"]
-        if path is None or not os.path.exists(path):
+        if path is None:
+            raise ConfigError("missing required config field 'bank.path' for a file bank")
+        if not os.path.exists(path):
             raise ConfigError(f"config field 'bank.path': file {path!r} does not exist")
         bank = netbuild.load_bank(path)
         netbuild.validate_bank(spec, bank)
@@ -680,8 +682,39 @@ def cmd_analysis(args) -> int:
     return 2 if failures else 0
 
 
+def _check_report(report, path: str) -> None:
+    """Raise ConfigError naming the first part of ``report`` that the pretty
+    printer cannot read as a ``report.json``."""
+    def bad(where: str, want: str, value):
+        raise ConfigError(f"{path} is not a framelets report: {where} must be "
+                          f"{want}, got {value!r}")
+
+    if not isinstance(report, dict):
+        bad("the top level", "a JSON object", report)
+    if not isinstance(report.get("network", {}), dict):
+        bad("field 'network'", "a JSON object", report["network"])
+    # a config file, say, has no results; "enforced failures: none" would mislead
+    if not isinstance(report.get("results"), dict):
+        bad("field 'results'", "a JSON object", report.get("results"))
+    for name, block in report["results"].items():
+        if not isinstance(block, dict):
+            bad(f"field 'results.{name}'", "a JSON object", block)
+        checks = block.get("checks", [])
+        if not isinstance(checks, list):
+            bad(f"field 'results.{name}.checks'", "a list", checks)
+        for i, check in enumerate(checks):
+            where = f"results.{name}.checks[{i}]"
+            if not (isinstance(check, dict) and "name" in check and "passed" in check):
+                bad(f"field '{where}'", "a JSON object with 'name' and 'passed'", check)
+            for key in ("value", "tol"):
+                value = check.get(key, 0.0)
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    bad(f"field '{where}.{key}'", "a number", value)
+
+
 def cmd_report(args) -> int:
     report = _read_json(args.report, "report")
+    _check_report(report, args.report)
     print(f"framelets report (version {report.get('version', '?')})")
     print(f"seed: {report.get('seed')}")
     net = report.get("network", {})

@@ -135,7 +135,11 @@ class Pass:
         (E, D, S or S_tilde) of layer l, everything else held fixed: the
         sample-order sum of outer products of each sample's forward row (the
         operator's input) and backward row, oriented like the operator.  Exact
-        under the zero-at-kink mask convention."""
+        under the zero-at-kink mask convention.
+
+        The sum is one ``einsum`` without ``optimize``, so no BLAS: it adds
+        each entry's T products in sample order starting from zero, and is
+        byte-identical to accumulating ``np.outer`` of each pair of rows."""
         if name not in ("E", "D", "S", "S_tilde"):
             raise ValueError(f"unknown operator {name!r}: expected E, D, S or S_tilde")
         if name in ("S", "S_tilde") and not self.spec.skip:
@@ -148,10 +152,7 @@ class Pass:
         else:
             rows = self.d_dec[l - 1]
             cols = self.trace.dec[l] if name == "D" else self.trace.skip[l - 1]
-        grad = np.zeros((rows.shape[1], cols.shape[1]))
-        for a, b in zip(rows, cols):
-            grad += np.outer(a, b)
-        return grad
+        return np.einsum("ti,tj->ij", rows, cols)
 
     @cached_property
     def dual(self) -> list:

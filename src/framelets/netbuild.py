@@ -80,6 +80,10 @@ class NetworkSpec:
     m       per-channel spatial dims (m_0, ..., m_kappa)
     skip    whether skip branches are present
     nonlinearity  one of NONLINEARITIES
+
+    The derived dims ``d`` and ``s`` and the shift index ``shifts`` of
+    :func:`_frames` are cached on first read; the cache is not a field, so
+    equality, hashing, ``to_dict`` and ``dataclasses.replace`` ignore it.
     """
 
     kappa: int
@@ -128,6 +132,23 @@ class NetworkSpec:
     def s(self) -> tuple:
         """Skip-branch dims (s_1, ..., s_kappa), s_l = m_{l-1} q_l."""
         return tuple(self.m[l - 1] * self.q[l] for l in range(1, self.kappa + 1))
+
+    @cached_property
+    def shifts(self) -> tuple:
+        """Per layer l, the spec-only part of :func:`_frames`: ``(idx, eye)``
+        with ``idx`` the (r, m_{l-1}) gather index, row i of shift t being
+        (i - t) mod m_{l-1}, and ``eye`` the identity's (r, m_{l-1}, m_{l-1})
+        shift stack on skip nets, else None.  Both arrays are read-only."""
+        out = []
+        for rows in self.m[:-1]:
+            idx = (np.arange(rows) - np.arange(self.r)[:, None]) % rows
+            idx.flags.writeable = False
+            eye = None
+            if self.skip:
+                eye = np.eye(rows)[idx]
+                eye.flags.writeable = False
+            out.append((idx, eye))
+        return tuple(out)
 
     @property
     def feature_dim(self) -> int:
@@ -230,12 +251,12 @@ class LayerMatrices:
 def _frames(spec: NetworkSpec, bank: LayerBank, l: int) -> dict:
     """Layer l's operators by field: (side, R), side 0 for encoder taps, 1 for
     decoder taps, R the (r, rows, cols) stack of roll(Phi, t, axis=0), t < r,
-    gathered at once: row i of shift t is Phi[(i - t) % rows]."""
-    rows = spec.m[l - 1]  # of every Phi of the layer
-    idx = (np.arange(rows) - np.arange(spec.r)[:, None]) % rows
+    gathered at once: row i of shift t is Phi[(i - t) % rows].  The gather
+    index and the identity's stack come from the spec's cached
+    :attr:`NetworkSpec.shifts`, so only the two pooling stacks are built."""
+    idx, eye = spec.shifts[l - 1]
     frames = {"E": (0, bank.pool[l - 1][idx]), "D": (1, bank.unpool[l - 1][idx])}
-    if spec.skip:
-        eye = np.eye(rows)[idx]
+    if eye is not None:
         frames.update(S=(0, eye), S_tilde=(1, eye))
     return frames
 

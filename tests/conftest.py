@@ -31,6 +31,16 @@ def rng():
     return np.random.default_rng(20240601)
 
 
+def patch_bindings(monkeypatch, original, replacement) -> None:
+    """Replace ``original`` at every framelets module binding of it: the
+    package imports functions by name, so one function has several."""
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "framelets":
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def forward_calls(monkeypatch):
     """One list entry per netbuild.forward_matrices call, through any
@@ -42,7 +52,5 @@ def forward_calls(monkeypatch):
         calls.append((np.shape(x), exact_rows))
         return original(spec, mats, x, exact_rows=exact_rows)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("framelets") and vars(module).get("forward_matrices") is original:
-            monkeypatch.setattr(module, "forward_matrices", counted)
+    patch_bindings(monkeypatch, original, counted)
     return calls

@@ -195,6 +195,21 @@ def roll_frames(spec, bank, l: int) -> dict:
     return frames
 
 
+def outer_sum_grad(p, name: str, l: int) -> np.ndarray:
+    """``landscape.Pass.grad`` as a loop: start from zeros and add the outer
+    product of each sample's forward and backward row, in sample order."""
+    if name in ("E", "S"):
+        rows = [p.trace.x, *p.trace.enc][l - 1]
+        cols = (p.d_enc if name == "E" else p.d_skip)[l - 1]
+    else:
+        rows = p.d_dec[l - 1]
+        cols = p.trace.dec[l] if name == "D" else p.trace.skip[l - 1]
+    grad = np.zeros((rows.shape[1], cols.shape[1]))
+    for a, b in zip(rows, cols):
+        grad += np.outer(a, b)
+    return grad
+
+
 def _max_dev(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)))
 

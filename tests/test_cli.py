@@ -456,6 +456,15 @@ class TestConfigErrors:
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
         assert "does not exist" in capsys.readouterr().err
 
+    def test_file_bank_without_path(self, tmp_path, capsys):
+        want = "config error: missing required config field 'bank.path' for a file bank\n"
+        cfg = base_config(bank={"source": "file"})
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == want
+        spec_path = write_spec(tmp_path, netbuild.NetworkSpec.from_dict(README_NETWORK))
+        assert cli.main(["regions", "--spec", spec_path, "--bank", "file"]) == 1
+        assert capsys.readouterr().err == want
+
     def test_unknown_flag_exits_one(self, tmp_path):
         with pytest.raises(SystemExit) as err:
             cli.main(["reconstruct", "--frobnicate"])
@@ -702,6 +711,21 @@ class TestSubcommands:
         assert "framelets report" in text
         assert "PASS frame_residuals" in text
         assert "enforced failures: none" in text
+
+    @pytest.mark.parametrize("body, part", [
+        ([1, 2], "the top level must be a JSON object, got [1, 2]"),
+        ({"results": {"x": 5}}, "field 'results.x' must be a JSON object, got 5"),
+        ({"results": {"x": {"checks": [{"passed": True}]}}},
+         "field 'results.x.checks[0]' must be a JSON object with 'name' and 'passed'"),
+        (base_config(), "field 'results' must be a JSON object, got None"),
+    ], ids=["top-level-list", "results-entry-number", "check-without-name", "config"])
+    def test_report_rejects_a_file_that_is_not_a_report(self, tmp_path, capsys, body, part):
+        path = tmp_path / "other.json"
+        path.write_text(json.dumps(body))
+        assert cli.main(["report", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {path} is not a framelets report: ")
+        assert part in captured.err and captured.out == ""
 
     def test_identity_subcommand(self, tmp_path, capsys):
         spec_path = write_spec(tmp_path, netbuild.NetworkSpec.from_dict(README_NETWORK))

@@ -1,14 +1,13 @@
 """Gradients, singular-value sandwich bounds, stationarity, and the trainer."""
 
 import dataclasses
-import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from framelets import analysis, cli, landscape, netbuild
-from conftest import make_spec
+from conftest import make_spec, patch_bindings
 import oracles
 
 SANDWICH_SLACK = 1e-8
@@ -159,9 +158,7 @@ def dual_calls(monkeypatch):
             calls.append(_name)
             return _original(*args)
 
-        for mod_name, module in list(sys.modules.items()):
-            if mod_name.startswith("framelets") and vars(module).get(name) is original:
-                monkeypatch.setattr(module, name, counted)
+        patch_bindings(monkeypatch, original, counted)
     return calls
 
 
@@ -232,6 +229,21 @@ class TestStackedSamplesAreExact:
                 landscape.training_pass(spec, mats, data).grad("S_tilde", l),
                 sample_order_sum([landscape.training_pass(spec, mats, one).grad("S_tilde", l)
                                   for one in singles]))
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("T", [1, 2, 4, 9])
+    def test_gradients_equal_the_outer_product_loop(self, T, skip, nonlinearity):
+        # byte for byte, signed zeros included, for every operator and layer;
+        # m grows per layer so that no operator is square
+        spec = make_spec(kappa=2, r=2, q=[1, 2, 3], m_list=[4, 5, 6], skip=skip,
+                         nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=T))
+        p = landscape.training_pass(spec, mats, random_data(spec, seed=20 + T, T=T))
+        for name in ("E", "D", "S", "S_tilde") if skip else ("E", "D"):
+            for l in range(1, spec.kappa + 1):
+                got, want = p.grad(name, l), oracles.outer_sum_grad(p, name, l)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
     def test_kink_guard_names_the_first_offending_sample(self):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], skip=True)
@@ -658,3 +670,28 @@ class TestTrainGD:
                                landscape.TrainConfig(iterations=20, armijo=False))
         result = landscape.train_gd(spec, bank, data, landscape.TrainConfig(iterations=1))
         assert result.losses[1] < result.losses[0]
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_raw_steps_keep_the_benchmark_call_counts(self, k, monkeypatch):
+        # the benchmark's tracer pins these counts on a raw-step run of this
+        # net; a change to the call structure must re-pin the benchmark
+        # first.  Like the tracer, count through every framelets binding
+        spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(4, 4, 4), skip=True,
+                                    nonlinearity="relu")
+        originals = {"netbuild.realize": netbuild.realize, "landscape.loss": landscape.loss,
+                     "landscape.tap_gradients": landscape.tap_gradients}
+        counts = dict.fromkeys(originals, 0)
+        for target, original in originals.items():
+            def counted(*args, _target=target, _original=original, **kwargs):
+                counts[_target] += 1
+                return _original(*args, **kwargs)
+
+            patch_bindings(monkeypatch, original, counted)
+        gen = np.random.default_rng(1)
+        data = landscape.TrainingSet(X=gen.standard_normal((spec.d[0], 2)),
+                                     Y=gen.standard_normal((spec.d[0], 2)))
+        config = landscape.TrainConfig(step_size=1e-3, iterations=k, armijo=False)
+        result = landscape.train_gd(spec, netbuild.random_bank(spec, seed=3), data, config)
+        assert len(result.losses) == k + 1
+        assert counts == {"netbuild.realize": 2 * k + 1, "landscape.loss": k + 1,
+                          "landscape.tap_gradients": k}

@@ -115,6 +115,30 @@ class TestNetworkSpec:
         assert wider.feature_dim == 20
         assert spec.d == (4, 8, 16) and spec.s == (8, 16)
 
+    def test_cached_shifts_leave_equality_hash_and_dict_alone(self):
+        spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(4, 5, 6), skip=True)
+        assert [(idx.shape, eye.shape) for idx, eye in spec.shifts] == [
+            ((2, 4), (2, 4, 4)), ((2, 5), (2, 5, 5))]
+        twin = netbuild.NetworkSpec.from_dict(spec.to_dict())
+        assert spec == twin and hash(spec) == hash(twin)
+        assert "shifts" not in spec.to_dict()
+        assert [f.name for f in dataclasses.fields(spec)] == list(spec.to_dict())
+
+    def test_replace_gets_its_own_shifts(self):
+        spec = netbuild.NetworkSpec(kappa=1, r=2, q=(1, 2), m=(4, 4), skip=True)
+        ((idx, eye),) = spec.shifts
+        wider = dataclasses.replace(spec, r=3, m=(5, 5), skip=False)
+        ((w_idx, w_eye),) = wider.shifts
+        assert w_idx.shape == (3, 5) and w_eye is None
+        assert spec.shifts[0][0] is idx and idx.shape == (2, 4) and eye.shape == (2, 4, 4)
+
+    def test_cached_shift_arrays_are_read_only(self):
+        spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(4, 4, 4), skip=True)
+        for idx, eye in spec.shifts:
+            for arr in (idx, eye):
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[0, 0] = 1
+
 
 class TestBuildLayerMatrices:
     def test_identity_layer(self):
@@ -213,6 +237,22 @@ class TestRealizeAdjoint:
         want = netbuild.realize_adjoint(spec, bank, grads)
         for g, w in zip(got[0] + got[1], want[0] + want[1]):
             assert g.shape == w.shape and g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("r", [1, 3, 5])
+    def test_frames_byte_equal_to_roll_oracle(self, skip, r):
+        # the cached gather index and identity stack give the roll-by-roll
+        # shift stacks bit for bit, read before and after the cache fills
+        spec = make_spec(kappa=2, r=r, q=[2, 3, 2], m_list=[7, 5, 6], skip=skip)
+        bank = netbuild.random_bank(spec, seed=5)
+        for _ in range(2):
+            for l in range(1, spec.kappa + 1):
+                got = netbuild._frames(spec, bank, l)
+                want = oracles.roll_frames(spec, bank, l)
+                assert list(got) == list(want)
+                for name, (side, R) in got.items():
+                    assert side == want[name][0] and R.shape == want[name][1].shape
+                    assert R.tobytes() == want[name][1].tobytes()
 
 
 class TestMatrixConvEquivalence:
