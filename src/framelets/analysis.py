@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .netbuild import NetworkSpec, forward_matrices
+from .netbuild import NetworkSpec, forward_matrices, forward_y
 from .seeding import rng
 
 __all__ = [
@@ -193,6 +193,50 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
                      pattern=pattern)
 
 
+def _map_blocks(spec: NetworkSpec, mats, blocks):
+    """Region maps of blocks of pattern bit rows, in one set of buffers.
+
+    ``blocks`` yields non-empty (n, n_bits) arrays in
+    ``ActivationPattern.bits()`` order, none longer than the first (a
+    longer one fails on its ``out=`` shapes).  For each block this yields
+    a view Y of shape (n, d_0, d_0) whose ``Y[i].T`` is row i's map.  The
+    next block overwrites the view, so a consumer copies or reduces it
+    before asking for more.  X_l, K_l and one S_tilde product are allocated for
+    the first block, and every product is the batched matmul of
+    :func:`region_maps` written into them with ``out=``, so each row stays
+    bit-identical to a one-row block.
+    """
+    k, d = spec.kappa, spec.d
+    s = spec.s if spec.skip else ()
+    ends = np.cumsum([*d[1:], *s, *d[:k]]).tolist()
+    X = K = tmp = None
+    for bits in blocks:
+        n = len(bits)
+        if X is None:  # X[l] holds X_l, then Y_l on the way back
+            X = [np.empty((n, d[0], w)) for w in d]
+            K = [np.empty((n, d[0], w)) for w in s]
+            tmp = np.empty(n * d[0] * max(d[:k])) if spec.skip else None
+        masks = [bits[:, None, a:b] for a, b in zip([0] + ends, ends)]
+        enc, skip, dec = masks[:k], masks[k:-k], masks[-k:]
+        Xn, Kn = [buf[:n] for buf in X], [buf[:n] for buf in K]
+        np.multiply(mats[0].E, enc[0], out=Xn[1])  # X_1, K_1: masked copies
+        if spec.skip:
+            np.multiply(mats[0].S, skip[0], out=Kn[0])
+        for l in range(2, k + 1):
+            if spec.skip:
+                np.matmul(Xn[l - 1], mats[l - 1].S, out=Kn[l - 1])
+                Kn[l - 1] *= skip[l - 1]
+            np.matmul(Xn[l - 1], mats[l - 1].E, out=Xn[l])
+            Xn[l] *= enc[l - 1]
+        for l in range(k, 0, -1):  # Y_kappa = X_kappa
+            np.matmul(Xn[l], mats[l - 1].D.T, out=Xn[l - 1])
+            if spec.skip:
+                prod = tmp[:n * d[0] * d[l - 1]].reshape(n, d[0], -1)
+                Xn[l - 1] += np.matmul(Kn[l - 1], mats[l - 1].S_tilde.T, out=prod)
+            Xn[l - 1] *= dec[l - 1]
+        yield Xn[0]
+
+
 def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
     """Region maps B_tilde B' of N patterns, shape (N, d_0, d_0).
 
@@ -207,31 +251,17 @@ def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
 
     and the map is Y_0'.  Blocks of ``_BLOCK`` patterns go through batched
     matmul, each product a stack (n, d_0, .) against one shared operator,
-    so every row is bit-identical to a one-pattern call.
+    so every row is bit-identical to a one-pattern call.  The blocks share
+    one set of buffers (:func:`_map_blocks`), copied out block by block.
     """
-    k, d = spec.kappa, spec.d
-    ends = np.cumsum([*d[1:], *(spec.s if spec.skip else ()), *d[:k]]).tolist()
+    n_bits = sum(spec.d[1:]) + sum(spec.s if spec.skip else ()) + sum(spec.d[:spec.kappa])
     bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.shape[1] != ends[-1]:
-        raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {ends[-1]})")
-    out = np.empty((len(bits), d[0], d[0]))
-    for start in range(0, len(bits), _BLOCK):
-        masks = [bits[start:start + _BLOCK, None, a:b] for a, b in zip([0] + ends, ends)]
-        enc, skip, dec = masks[:k], masks[k:-k], masks[-k:]
-        X = mats[0].E * enc[0]  # X_1, K_1: masked copies; deeper ones mask in place
-        K = [mats[0].S * skip[0]] if spec.skip else []
-        for l in range(2, k + 1):
-            if spec.skip:
-                K.append(X @ mats[l - 1].S)
-                K[-1] *= skip[l - 1]
-            X = X @ mats[l - 1].E
-            X *= enc[l - 1]
-        for l in range(k, 0, -1):  # Y_kappa = X_kappa
-            X = X @ mats[l - 1].D.T
-            if spec.skip:
-                X += K.pop() @ mats[l - 1].S_tilde.T
-            X *= dec[l - 1]
-        out[start:start + len(X)] = X.transpose(0, 2, 1)
+    if bits.ndim != 2 or bits.shape[1] != n_bits:
+        raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {n_bits})")
+    out = np.empty((len(bits), spec.d[0], spec.d[0]))
+    blocks = (bits[at:at + _BLOCK] for at in range(0, len(bits), _BLOCK))
+    for at, Y in zip(range(0, len(bits), _BLOCK), _map_blocks(spec, mats, blocks)):
+        out[at:at + len(Y)] = Y.transpose(0, 2, 1)
     return out
 
 
@@ -366,7 +396,8 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     regions in key order (every key has the same n_bits prefix), each
     region's first sample and each sample's region.  A region keeps its
     inputs in sample order; its constant is the exact spectral norm of its
-    :func:`region_maps` map, over blocks of ``_BLOCK`` regions.
+    :func:`region_maps` map, one SVD per block of ``_BLOCK`` regions, all
+    blocks in one set of map buffers.
     """
     xs = census_inputs(spec, config)
     packed = []
@@ -381,7 +412,8 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     bounds = [0, *np.cumsum(np.bincount(region_of)).tolist()]
     blocks = (np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits)
               for at in range(0, len(first), _BLOCK))  # one block of key rows unpacked at a time
-    norms = np.concatenate([spectral_norm(region_maps(spec, mats, b)) for b in blocks]).tolist()
+    norms = np.concatenate([spectral_norm(Y.transpose(0, 2, 1))
+                            for Y in _map_blocks(spec, mats, blocks)]).tolist()
     prefix = n_bits.to_bytes(4, "little").hex()
     regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
                           inputs=grouped[a:b], first_sample=i)
@@ -442,14 +474,14 @@ def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:
 
     The (2 d_0, d_0) stencil stacks x + step e_i over x - step e_i; column
     i of the result is (F(x + step e_i) - F(x - step e_i)) / (2 step).
-    The stencil reads no mask, only the outputs, so it is forwarded with
-    one GEMM per operator (``exact_rows=False``): a column may differ from
-    evaluating it on its own by rounding, a few eps of max |F| over step.
-    The result is C-contiguous, so norms over it sum in row-major order.
+    The stencil reads no mask, only the outputs, so it goes through
+    :func:`netbuild.forward_y`, one GEMM per operator and no trace: a
+    column may differ from evaluating it on its own by rounding, a few eps
+    of max |F| over step.  The result is C-contiguous, so norms over it
+    sum in row-major order.
     """
     x = np.asarray(x, dtype=float)
     d0 = spec.d[0]
     shift = step * np.eye(d0)
-    y = forward_matrices(spec, mats, np.concatenate([x + shift, x - shift]),
-                         exact_rows=False).y
+    y = forward_y(spec, mats, np.concatenate([x + shift, x - shift]))
     return np.ascontiguousarray(((y[:d0] - y[d0:]) / (2.0 * step)).T)

@@ -342,7 +342,7 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
     count, margin = params["count"], params["margin"]
     gen = rng(ctx.seed, "jacobian")
     cap = 100 * count
-    errors = []
+    inputs, bits = [], []
     attempts = 0
     # one row-exact forward per block of up to ``_ROWS`` candidates, so a
     # draw's screen decision does not depend on its block.  Only the first
@@ -350,23 +350,28 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
     # of them, as drawing one at a time would: a (k, d_0) draw is the first
     # k rows of a larger one, and the stream is not read after the screen.
     # A NaN margin (an overflowing forward pass) is accepted, so the check
-    # fails on a NaN error.  The analytic Jacobians are the region maps of
-    # the accepted rows' mask rows; a block with none accepted goes no further.
-    while len(errors) < count and attempts < cap:
+    # fails on a NaN error.
+    while len(inputs) < count and attempts < cap:
         block = gen.standard_normal((min(analysis._ROWS, cap - attempts), spec.d[0]))
         trace = netbuild.forward_matrices(spec, mats, block)
-        need = count - len(errors)
+        need = count - len(inputs)
         accepted = [i for i, got in enumerate(analysis.trace_margin(spec, trace))
                     if not got < margin][:need]
         attempts += accepted[-1] + 1 if len(accepted) == need else len(block)
-        if not accepted:
-            continue
-        bits = analysis.pattern_from_trace(spec, trace).bits()[accepted]
-        del trace  # the maps and stencils below peak higher with the block's trace alive
-        maps = analysis.region_maps(spec, mats, bits)
-        for i, J in zip(accepted, maps):
-            Jfd = analysis.fd_jacobian(spec, mats, block[i], step=params["step"])
-            errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
+        if accepted:
+            inputs.extend(block[accepted])
+            bits.extend(analysis.pattern_from_trace(spec, trace).bits()[accepted])
+    del trace  # the maps and stencils below peak higher with the last trace alive
+    # The analytic Jacobians are the region maps of the accepted rows' mask
+    # rows, one row per block in one set of buffers, each compared with its
+    # stencil before the next is formed.  The difference is taken in C order,
+    # the order in which its norm sums.
+    errors = []
+    maps = analysis._map_blocks(spec, mats, (row[None] for row in bits))
+    for x, Y in zip(inputs, maps):
+        Jfd = analysis.fd_jacobian(spec, mats, x, step=params["step"])
+        diff = np.subtract(Y[0].T, Jfd, order="C")
+        errors.append(np.linalg.norm(diff) / max(np.linalg.norm(Jfd), 1e-300))
     if len(errors) < count:
         raise ConfigError(
             f"could not find {count} margin-safe inputs (margin {margin:g}): "

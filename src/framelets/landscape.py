@@ -448,6 +448,17 @@ def _bank_step(bank: LayerBank, enc_grads, dec_grads, step: float) -> LayerBank:
     )
 
 
+def _trial(spec: NetworkSpec, bank: LayerBank, enc_g, dec_g, step: float,
+           data: TrainingSet) -> tuple:
+    """The bank one ``step`` down the tap gradient, and its loss.  A step that
+    overflows the taps, or a forward that overflows, gives an infinite or
+    NaN loss, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cand = _bank_step(bank, enc_g, dec_g, step)
+        finite = all(np.isfinite(f).all() for f in cand.enc_filters + cand.dec_filters)
+        return cand, loss(spec, realize(spec, cand), data) if finite else np.inf
+
+
 def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
              config: TrainConfig = TrainConfig()) -> TrainResult:
     """Plain gradient descent on the filter taps.
@@ -500,14 +511,8 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
             step = config.step_size
             accepted = None
             for _ in range(config.max_backtracks):
-                # a step that overflows the taps, or a trial forward that
-                # overflows, gives an infinite or NaN loss: a failed trial
-                with np.errstate(over="ignore", invalid="ignore"):
-                    cand = _bank_step(current, enc_g, dec_g, step)
-                    finite = all(np.isfinite(f).all()
-                                 for f in cand.enc_filters + cand.dec_filters)
-                    cand_loss = loss(spec, realize(spec, cand), data) if finite \
-                        else np.inf
+                # an infinite or NaN trial loss (an overflow) is a failed trial
+                cand, cand_loss = _trial(spec, current, enc_g, dec_g, step, data)
                 if cand_loss <= cur_loss - config.armijo_slope * step * gnorm_sq:
                     accepted = (cand, cand_loss)
                     break
@@ -517,12 +522,15 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
                 break
             current, cur_loss = accepted
         else:
-            current = _bank_step(current, enc_g, dec_g, config.step_size)
-            cur_loss = loss(spec, realize(spec, current), data)
+            current, cur_loss = _trial(spec, current, enc_g, dec_g, config.step_size, data)
         losses.append(cur_loss)
+        if not np.isfinite(cur_loss):  # only a raw step gets here
+            raise TrainingDiverged(
+                f"loss is not finite ({cur_loss}) at iteration {it}: the step overflowed; "
+                "reduce the step size"
+            )
         # a large loss that is still falling (a large bank scale) is not a divergence
-        if not np.isfinite(cur_loss) or (cur_loss > config.divergence_loss
-                                         and cur_loss > losses[-2]):
+        if cur_loss > config.divergence_loss and cur_loss > losses[-2]:
             raise TrainingDiverged(
                 f"loss {cur_loss:.3e} exceeded {config.divergence_loss:.1e} and rose "
                 f"at iteration {it}; reduce the step size"

@@ -52,6 +52,7 @@ __all__ = [
     "realize_adjoint",
     "forward",
     "forward_matrices",
+    "forward_y",
     "random_bank",
     "validate_bank",
     "bank_to_dict",
@@ -314,19 +315,15 @@ def _act(v: np.ndarray, relu: bool) -> np.ndarray:
     return np.maximum(v, 0.0) if relu else v
 
 
-def _apply(M: np.ndarray, v: np.ndarray, exact_rows: bool = True) -> np.ndarray:
+def _apply(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     """M @ v for one vector (k,) or a stack (N, k), one vector per row.
 
-    With ``exact_rows`` the stack goes through matmul as N (k, 1) matrices,
-    i.e. one matrix-vector product per row, so every row is bit-identical
-    to ``M @ v`` of that row.  Without it the stack is one GEMM,
-    ``v @ M.T``, which is faster but sums in another order, so a row may
-    differ from its one-row product in the last bits.  A single vector
-    skips the reshaping, which costs a tenth of a small forward pass.
+    The stack goes through matmul as N (k, 1) matrices, i.e. one
+    matrix-vector product per row, so every row is bit-identical to
+    ``M @ v`` of that row.  A single vector skips the reshaping, which
+    costs a tenth of a small forward pass.
     """
-    if v.ndim == 1:
-        return M @ v
-    return (M @ v[..., None])[..., 0] if exact_rows else v @ M.T
+    return M @ v if v.ndim == 1 else (M @ v[..., None])[..., 0]
 
 
 @dataclass
@@ -353,27 +350,26 @@ class ForwardTrace:
         return self.dec[0]
 
 
-def forward_matrices(spec: NetworkSpec, mats, x, exact_rows: bool = True) -> ForwardTrace:
-    """Forward pass through pre-realized layer matrices.
-
-    ``x`` is one input of shape (d_0,) or a stack of inputs (N, d_0), one
-    per row; every trace array then gains the leading N axis.  With
-    ``exact_rows`` (the default) each row is bit-identical to the
-    single-input pass of that row.  Every caller that reads a mask or a
-    pinned float keeps it: a census key, a kink-screen decision or an
-    Armijo decision must not depend on the stack a row was forwarded in.
-    The reconstruction and Lipschitz-pair forwards keep it too: they cost
-    a few milliseconds, and the pair check is compared exactly with
-    one-input passes.  ``exact_rows=False`` multiplies the stack by each
-    operator as one GEMM, for a caller that reads only ``y`` and tolerates
-    last-bit rounding: the finite-difference stencil of
-    ``analysis.fd_jacobian``.
-    """
+def _check_input(spec: NetworkSpec, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != spec.d[0]:
         raise ValueError(
             f"input has shape {x.shape}, expected ({spec.d[0]},) or (N, {spec.d[0]})"
         )
+    return x
+
+
+def forward_matrices(spec: NetworkSpec, mats, x) -> ForwardTrace:
+    """Forward pass through pre-realized layer matrices.
+
+    ``x`` is one input of shape (d_0,) or a stack of inputs (N, d_0), one
+    per row; every trace array then gains the leading N axis.  Each row is
+    bit-identical to the single-input pass of that row, so a census key, a
+    kink-screen decision or an Armijo decision does not depend on the
+    stack a row was forwarded in.  A caller that reads only the outputs
+    and tolerates last-bit rounding uses :func:`forward_y`.
+    """
+    x = _check_input(spec, x)
     enc_relu = spec.relu_at_encoder()
     dec_relu = spec.relu_at_decoder()
 
@@ -383,10 +379,10 @@ def forward_matrices(spec: NetworkSpec, mats, x, exact_rows: bool = True) -> For
     cur = x
     for l in range(1, spec.kappa + 1):
         layer = mats[l - 1]
-        u = _apply(layer.E.T, cur, exact_rows)
+        u = _apply(layer.E.T, cur)
         trace.enc_pre.append(u)
         if spec.skip:
-            v = _apply(layer.S.T, cur, exact_rows)
+            v = _apply(layer.S.T, cur)
             trace.skip_pre.append(v)
             trace.skip.append(_act(v, enc_relu))
         cur = _act(u, enc_relu)
@@ -398,13 +394,37 @@ def forward_matrices(spec: NetworkSpec, mats, x, exact_rows: bool = True) -> For
     cur = trace.enc[-1]
     for l in range(spec.kappa, 0, -1):
         layer = mats[l - 1]
-        w = _apply(layer.D, cur, exact_rows)
+        w = _apply(layer.D, cur)
         if spec.skip:
-            w = w + _apply(layer.S_tilde, trace.skip[l - 1], exact_rows)
+            w = w + _apply(layer.S_tilde, trace.skip[l - 1])
         trace.dec_pre[l - 1] = w
         cur = _act(w, dec_relu)
         trace.dec[l - 1] = cur
     return trace
+
+
+def forward_y(spec: NetworkSpec, mats, x) -> np.ndarray:
+    """Outputs y of a forward pass, with no trace: (d_0,) or (N, d_0) like ``x``.
+
+    A stack is multiplied by each operator as one GEMM, ``v @ M.T``, so a
+    row may differ from its single-input pass in the last bits; only the
+    skip branches' features are kept until the decoder reads them.  For a
+    caller that reads no mask: the finite-difference stencil of
+    ``analysis.fd_jacobian``.
+    """
+    cur = _check_input(spec, x)
+    enc_relu, dec_relu = spec.relu_at_encoder(), spec.relu_at_decoder()
+    skips = []
+    for layer in mats:
+        if spec.skip:
+            skips.append(_act(cur @ layer.S, enc_relu))
+        cur = _act(cur @ layer.E, enc_relu)
+    for layer in reversed(mats):
+        w = cur @ layer.D.T
+        if spec.skip:
+            w += skips.pop() @ layer.S_tilde.T
+        cur = _act(w, dec_relu)
+    return cur
 
 
 def forward(spec: NetworkSpec, bank: LayerBank, x) -> ForwardTrace:

@@ -44,13 +44,28 @@ def patch_bindings(monkeypatch, original, replacement) -> None:
 @pytest.fixture
 def forward_calls(monkeypatch):
     """One list entry per netbuild.forward_matrices call, through any
-    binding: (shape of the call's input, its exact_rows)."""
+    binding: the shape of the call's input."""
     calls = []
     original = netbuild.forward_matrices
 
-    def counted(spec, mats, x, exact_rows=True):
-        calls.append((np.shape(x), exact_rows))
-        return original(spec, mats, x, exact_rows=exact_rows)
+    def counted(spec, mats, x):
+        calls.append(np.shape(x))
+        return original(spec, mats, x)
+
+    patch_bindings(monkeypatch, original, counted)
+    return calls
+
+
+@pytest.fixture
+def forward_y_calls(monkeypatch):
+    """One list entry per netbuild.forward_y call, through any binding: the
+    shape of the call's input."""
+    calls = []
+    original = netbuild.forward_y
+
+    def counted(spec, mats, x):
+        calls.append(np.shape(x))
+        return original(spec, mats, x)
 
     patch_bindings(monkeypatch, original, counted)
     return calls

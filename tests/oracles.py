@@ -210,6 +210,38 @@ def outer_sum_grad(p, name: str, l: int) -> np.ndarray:
     return grad
 
 
+def gemm_forward(spec, mats, x) -> netbuild.ForwardTrace:
+    """A full forward trace with each operator applied to the whole stack as
+    one GEMM, ``v @ M.T``: the stencil forward ``netbuild.forward_y``
+    replaced, keeping every pre-activation and feature."""
+    enc_relu, dec_relu = spec.relu_at_encoder(), spec.relu_at_decoder()
+
+    def act(v, relu):
+        return np.maximum(v, 0.0) if relu else v
+
+    trace = netbuild.ForwardTrace(x=np.asarray(x, dtype=float))
+    if spec.skip:
+        trace.skip_pre, trace.skip = [], []
+    cur = trace.x
+    for layer in mats:
+        trace.enc_pre.append(cur @ layer.E)
+        if spec.skip:
+            trace.skip_pre.append(cur @ layer.S)
+            trace.skip.append(act(trace.skip_pre[-1], enc_relu))
+        cur = act(trace.enc_pre[-1], enc_relu)
+        trace.enc.append(cur)
+    trace.dec = [None] * spec.kappa + [cur]
+    trace.dec_pre = [None] * spec.kappa
+    for l in range(spec.kappa, 0, -1):
+        w = cur @ mats[l - 1].D.T
+        if spec.skip:
+            w = w + trace.skip[l - 1] @ mats[l - 1].S_tilde.T
+        trace.dec_pre[l - 1] = w
+        cur = act(w, dec_relu)
+        trace.dec[l - 1] = cur
+    return trace
+
+
 def _max_dev(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)))
 

@@ -189,6 +189,33 @@ class TestRegionMaps:
             assert np.array_equal(got, analysis.region_maps(spec, mats, pattern.bits()[None])[0])
         assert analysis.region_maps(spec, mats, bits[:0]).shape == (0, spec.d[0], spec.d[0])
 
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_kernel_blocks_equal_single_calls(self, skip, nonlinearity, rng):
+        # 11 rows in blocks of 4, the last one short, through one buffer set
+        spec = map_spec(2, skip, nonlinearity, unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
+        X = rng.standard_normal((11, spec.d[0]))
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        got = [Y.transpose(0, 2, 1).copy()
+               for Y in analysis._map_blocks(spec, mats, (bits[:4], bits[4:8], bits[8:]))]
+        assert [len(Y) for Y in got] == [4, 4, 3]
+        for row, J in zip(bits, np.concatenate(got)):
+            assert J.tobytes() == analysis.region_maps(spec, mats, row[None])[0].tobytes()
+
+    def test_kernel_view_is_overwritten_by_the_next_block(self, rng):
+        # a consumer must copy or reduce a block before asking for the next
+        spec = map_spec(2, True, "relu", unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
+        X = rng.standard_normal((4, spec.d[0]))
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        blocks = analysis._map_blocks(spec, mats, (bits[:2], bits[2:]))
+        first = next(blocks)
+        kept = first.copy()
+        second = next(blocks)
+        assert np.shares_memory(first, second)
+        assert np.array_equal(first, second) and not np.array_equal(first, kept)
+
     @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
@@ -632,8 +659,7 @@ class TestJacobian:
             assert got.flags.c_contiguous
             # exactly the stacked stencil's GEMM forward
             shift = step * np.eye(d0)
-            Y = netbuild.forward_matrices(spec, mats, np.concatenate([x + shift, x - shift]),
-                                          exact_rows=False).y
+            Y = oracles.gemm_forward(spec, mats, np.concatenate([x + shift, x - shift])).y
             assert np.array_equal(got, ((Y[:d0] - Y[d0:]) / (2.0 * step)).T)
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -662,9 +688,10 @@ class TestJacobian:
         # NaN compares False against any margin, so a screen keeps the row
         assert np.all(np.isnan(got))
 
-    def test_run_makes_screen_forwards_and_one_stencil_per_instance(self, forward_calls):
-        # the accepted rows' maps come from the screen block's own trace;
-        # the only other forwards are the fd_jacobian stencils
+    def test_run_makes_screen_forwards_and_one_stencil_per_instance(self, forward_calls,
+                                                                    forward_y_calls):
+        # the accepted rows' maps come from the screen blocks' own traces, the
+        # only traced forwards; each instance adds one y-only stencil forward
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
         params = {"count": 12, "margin": 0.05}
@@ -679,7 +706,8 @@ class TestJacobian:
         blocks = last // analysis._ROWS + 1
         assert blocks > 1
         assert block["attempts"] == last + 1
-        assert made == blocks + params["count"]
+        assert made == blocks
+        assert forward_y_calls == [(2 * spec.d[0], spec.d[0])] * params["count"]
         assert block["instances"] == params["count"]
 
     def test_kink_margin_error(self):

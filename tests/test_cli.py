@@ -245,19 +245,29 @@ class TestJacobianScreen:
         np.testing.assert_array_equal(used, inputs)
 
     def test_no_region_maps_call_gets_zero_rows(self, monkeypatch):
-        # a screen block whose rows all sit near a kink makes no map call;
-        # at margin 0.03 about 10 % of draws pass, so many blocks pass none
-        margin, count = 0.03, 10
+        # the accepted rows are mapped in one kernel call, one row per block:
+        # the kernel gets no empty block, and is not entered when no draw
+        # passes.  At margin 0.03 about 10 % of draws pass, so many screen
+        # blocks pass none; at margin 100 none does
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
-        rows = []
-        region_maps = analysis.region_maps
-        monkeypatch.setattr(analysis, "region_maps",
-                            lambda spec, mats, bits: rows.append(len(bits))
-                            or region_maps(spec, mats, bits))
-        block = cli.run_jacobian(cli.Context(spec, bank, TOLERANCES, seed=99),
-                                 cli.validate("jacobian", {"count": count, "margin": margin}))
-        assert block["attempts"] > count and sum(rows) == count and min(rows) > 0
+        entered, rows = [], []
+        kernel = analysis._map_blocks
+
+        def counted(spec, mats, blocks):
+            entered.append(True)
+            yield from kernel(spec, mats, (rows.append(len(b)) or b for b in blocks))
+
+        monkeypatch.setattr(analysis, "_map_blocks", counted)
+        ctx = cli.Context(spec, bank, TOLERANCES, seed=99)
+        count = 10
+        block = cli.run_jacobian(ctx, cli.validate("jacobian", {"count": count, "margin": 0.03}))
+        assert block["attempts"] > count and entered == [True] and rows == [1] * count
+        entered.clear()
+        rows.clear()
+        with pytest.raises(cli.ConfigError, match="accepted 0 of 200 draws"):
+            cli.run_jacobian(ctx, cli.validate("jacobian", {"count": 2, "margin": 100.0}))
+        assert entered == [] and rows == []
 
     @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
     def test_margin_must_be_finite_and_non_negative(self, tmp_path, capsys, margin):
@@ -351,17 +361,18 @@ class TestForwardCounts:
         block = cli.run_lipschitz(ctx, {})
         used = [min(reg.count, 4) for reg in census.regions if reg.count >= 2]
         # one stacked forward over the used inputs, none on a saturated census
-        assert forward_calls == ([((sum(used), spec.d[0]), True)] if used else [])
+        assert forward_calls == ([(sum(used), spec.d[0])] if used else [])
         assert block["pairs_checked"] == sum(k * (k - 1) // 2 for k in used)
         assert (block["pairs_checked"] == 0) == saturated
 
-    def test_only_the_fd_stencils_skip_row_exact_sums(self, forward_calls, monkeypatch,
-                                                      tmp_path):
-        # every other forward reads a mask or a pinned float, so it must stay
-        # row-exact; the stencil reads only y and is one GEMM per operator
+    def test_only_the_fd_stencils_skip_row_exact_sums(self, forward_calls, forward_y_calls,
+                                                      monkeypatch, tmp_path):
+        # every other forward reads a mask or a pinned float, so it must be a
+        # row-exact forward_matrices; the stencil reads only y and is the one
+        # caller of the GEMM forward_y
         fd_jacobian = analysis.fd_jacobian
         monkeypatch.setattr(analysis, "fd_jacobian",
-                            lambda *args, **kwargs: forward_calls.append("fd_jacobian")
+                            lambda *args, **kwargs: forward_y_calls.append("fd_jacobian")
                             or fd_jacobian(*args, **kwargs))
         cfg = base_config(network=README_NETWORK, bank={"source": "random"},
                           analyses=list(cli.ANALYSES), enforce=[],
@@ -371,13 +382,9 @@ class TestForwardCounts:
         report, _ = cli.execute(cfg, str(tmp_path))
         assert set(report["results"]) == set(cli.ANALYSES)
         d0 = README_NETWORK["m"][0] * README_NETWORK["q"][0]
-        marks = [i for i, call in enumerate(forward_calls) if call == "fd_jacobian"]
-        gemm = [i for i, call in enumerate(forward_calls)
-                if call != "fd_jacobian" and not call[1]]
-        assert len(marks) == report["results"]["jacobian"]["instances"] == 3
-        assert gemm == [i + 1 for i in marks]
-        assert all(forward_calls[i][0] == (2 * d0, d0) for i in gemm)
-        assert len(forward_calls) > 2 * len(marks)  # the other analyses forwarded too
+        assert report["results"]["jacobian"]["instances"] == 3
+        assert forward_y_calls == ["fd_jacobian", (2 * d0, d0)] * 3
+        assert len(forward_calls) > 2 * 3  # the other analyses forwarded too
 
 
 ITEM_NETWORK = {"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4], "skip": True,

@@ -143,7 +143,7 @@ class TestOneForwardPerSample:
                 p.grad(*args)
             else:
                 getattr(landscape, name)(p, *args)
-        assert forward_calls == [((data.T, spec.d[0]), True)]
+        assert forward_calls == [(data.T, spec.d[0])]
 
 
 @pytest.fixture
@@ -173,7 +173,7 @@ class TestOnePassPerTrainingSet:
         block = cli.run_landscape(ctx, {"samples": 2})
         assert len(block["certificates"]) == spec.kappa + 1  # two skip levels, E
         assert "stationarity" in block
-        assert forward_calls == [((2, spec.d[0]), True)]
+        assert forward_calls == [(2, spec.d[0])]
         assert dual_calls == ["dual_chains"]
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -670,6 +670,22 @@ class TestTrainGD:
                                landscape.TrainConfig(iterations=20, armijo=False))
         result = landscape.train_gd(spec, bank, data, landscape.TrainConfig(iterations=1))
         assert result.losses[1] < result.losses[0]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("step_size", [1e300, float("inf")])
+    def test_raw_step_that_overflows_names_a_non_finite_loss(self, step_size):
+        # the forward overflows (1e300), or the taps themselves do (inf).  The
+        # first printed an "invalid value" RuntimeWarning and then called the
+        # NaN loss one that "exceeded 1.0e+12 and rose"; the second raised
+        # the bank check's ValueError
+        spec = netbuild.NetworkSpec(kappa=1, r=2, q=(1, 2), m=(4, 4), skip=True)
+        bank = netbuild.random_bank(spec, seed=1)
+        data = random_data(spec, seed=0)
+        with pytest.raises(landscape.TrainingDiverged,
+                           match=r"loss is not finite \((nan|inf)\) at iteration 1: "
+                                 r"the step overflowed; reduce the step size"):
+            landscape.train_gd(spec, bank, data, landscape.TrainConfig(
+                step_size=step_size, iterations=3, armijo=False))
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_raw_steps_keep_the_benchmark_call_counts(self, k, monkeypatch):

@@ -396,6 +396,21 @@ class TestForward:
         for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(())):
             with pytest.raises(ValueError, match="shape"):
                 netbuild.forward(spec, bank, bad)
+            with pytest.raises(ValueError, match="shape"):
+                netbuild.forward_y(spec, netbuild.realize(spec, bank), bad)
+
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("n", [None, 1, 7])
+    def test_forward_y_equals_the_gemm_trace(self, skip, nonlinearity, n, rng):
+        # the same v @ M.T products as a traced GEMM forward, byte for byte,
+        # with no trace kept
+        spec = make_spec(kappa=2, r=2, m=6, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=11))
+        X = rng.standard_normal(spec.d[0] if n is None else (n, spec.d[0]))
+        got = netbuild.forward_y(spec, mats, X)
+        want = oracles.gemm_forward(spec, mats, X).y
+        assert got.shape == X.shape and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
