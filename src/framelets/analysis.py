@@ -156,10 +156,6 @@ class LinearRep:
     B_tilde: np.ndarray
     pattern: ActivationPattern
 
-    @property
-    def feature_dim(self) -> int:
-        return self.B.shape[1]
-
     def matrix(self) -> np.ndarray:
         """The region's linear map B_tilde B'."""
         return self.B_tilde @ self.B.T

@@ -39,6 +39,9 @@ OUTDIR_ENV = "FRAMELETS_OUTDIR"
 #: ``--bank`` choices of the subcommands, and the bank.source each selects
 BANK_FLAG = {"frame": "frame_factory", "random": "random", "file": "file"}
 
+#: JSON's spelling of the non-finite float reprs
+_JSON_FLOAT = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
 
 class ConfigError(ValueError):
     """Malformed config; the message names the offending field."""
@@ -134,10 +137,12 @@ def load_config(path: str) -> dict:
 
 
 def _build_spec(cfg: dict) -> netbuild.NetworkSpec:
-    net = _field(cfg, "network", required=True)
+    net = _block(cfg, "network", required=True)
     try:
         return netbuild.NetworkSpec.from_dict(net)
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ConfigError(f"missing required config field 'network.{exc.args[0]}'") from exc
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"config field 'network': {exc}") from exc
 
 
@@ -287,24 +292,30 @@ def run_identity(ctx: Context, params: dict) -> dict:
 def run_regions(ctx: Context, params: dict) -> dict:
     census, outdir = ctx.census, ctx.outdir
     block = census.to_dict(include_first_samples=False)
+    if outdir is not None:
+        # byte for byte json.dump(indent=1) of to_dict() plus a newline, and csv.writer
+        # rows with repr floats, from one rendering of each region for all three files
+        head = json.dumps({**block, "regions": []}, indent=1)[:-4]  # ends '"regions": '
+        with (open(os.path.join(outdir, "census.json"), "w") as cj,
+              open(os.path.join(outdir, "regions.csv"), "w", newline="") as rc,
+              open(os.path.join(outdir, "region_lipschitz.csv"), "w", newline="") as rl):
+            cj.write(head)
+            rc.write("pattern,count,lipschitz\r\n")
+            rl.write("region,lipschitz\r\n")
+            sep = "["
+            for idx, reg in enumerate(census.regions):
+                lip = repr(reg.lipschitz)
+                cj.write(f'{sep}\n  {{\n   "pattern": "{reg.pattern_hex}",\n   "count": '
+                         f'{reg.count},\n   "lipschitz": {_JSON_FLOAT.get(lip, lip)},\n   '
+                         f'"first_sample": {reg.first_sample}\n  }}')
+                rc.write(f"{reg.pattern_hex},{reg.count},{lip}\r\n")
+                rl.write(f"{idx},{lip}\r\n")
+                sep = ","
+            cj.write("[]\n}\n" if sep == "[" else "\n ]\n}\n")
     block["checks"] = [
         _check("census_within_bound", census.distinct <= census.nrep,
                distinct=census.distinct, nrep=census.nrep)
     ]
-    if outdir is not None:
-        with open(os.path.join(outdir, "census.json"), "w") as fh:
-            json.dump(census.to_dict(include_first_samples=True), fh, indent=1)
-            fh.write("\n")
-        with open(os.path.join(outdir, "regions.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["pattern", "count", "lipschitz"])
-            for reg in census.regions:
-                writer.writerow([reg.pattern_hex, reg.count, repr(reg.lipschitz)])
-        with open(os.path.join(outdir, "region_lipschitz.csv"), "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["region", "lipschitz"])
-            for idx, reg in enumerate(census.regions):
-                writer.writerow([idx, repr(reg.lipschitz)])
     return block
 
 
@@ -630,7 +641,10 @@ def write_report(report: dict, outdir: str) -> str:
 
 def _resolve_outdir(explicit: str | None) -> str:
     outdir = explicit or os.environ.get(OUTDIR_ENV) or "."
-    os.makedirs(outdir, exist_ok=True)
+    try:
+        os.makedirs(outdir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {outdir!r}: {exc.strerror}") from exc
     return outdir
 
 
@@ -659,8 +673,8 @@ def cmd_run(args) -> int:
 def _load_spec_file(path: str) -> netbuild.NetworkSpec:
     data = _read_json(path, "spec")
     try:
-        return netbuild.NetworkSpec.from_dict(data)
-    except (KeyError, TypeError, ValueError) as exc:
+        return _build_spec({"network": data})
+    except ConfigError as exc:
         raise ConfigError(f"spec file {path}: {exc}") from exc
 
 

@@ -3,7 +3,8 @@
 Each helper checks a library result by an independent route: a loop
 over channels, both sides of an identity, an LP per sign vector, a
 central difference of the loss, circular convolutions and wrap-around
-Hankel matrices built tap by tap.  They live here, not in ``framelets``,
+Hankel matrices built tap by tap, and the census side files written by
+``json.dump`` and ``csv.writer``.  They live here, not in ``framelets``,
 so the package needs neither their code nor scipy at run time.
 
 Circular convolution treats a vector as one period of an n-periodic
@@ -15,7 +16,10 @@ There is deliberately no FFT path: these are exact dense oracles.
 
 from __future__ import annotations
 
+import csv
 import dataclasses
+import json
+import os
 
 import numpy as np
 from scipy.optimize import linprog
@@ -414,3 +418,22 @@ def fd_grad_enc(spec, mats, data, step: float | None = None,
                 margin: float = 1e-8) -> np.ndarray:
     """Central-difference oracle for the bottleneck gradient ``Pass.grad("E", kappa)``."""
     return _fd_grad_matrix(spec, mats, data, spec.kappa, "E", step, margin)
+
+
+def write_census_files(census: analysis.RegionCensus, outdir: str) -> None:
+    """``census.json``, ``regions.csv`` and ``region_lipschitz.csv`` as
+    ``json.dump(indent=1)`` and ``csv.writer`` write them: the byte-for-byte
+    reference for the streamed writer of ``cli.run_regions``."""
+    with open(os.path.join(outdir, "census.json"), "w") as fh:
+        json.dump(census.to_dict(include_first_samples=True), fh, indent=1)
+        fh.write("\n")
+    with open(os.path.join(outdir, "regions.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["pattern", "count", "lipschitz"])
+        for reg in census.regions:
+            writer.writerow([reg.pattern_hex, reg.count, repr(reg.lipschitz)])
+    with open(os.path.join(outdir, "region_lipschitz.csv"), "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["region", "lipschitz"])
+        for idx, reg in enumerate(census.regions):
+            writer.writerow([idx, repr(reg.lipschitz)])

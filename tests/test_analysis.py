@@ -133,7 +133,7 @@ class TestLinearRep:
         bank = netbuild.random_bank(spec, seed=2)
         mats = netbuild.realize(spec, bank)
         rep = analysis.linear_rep(spec, mats, rng.standard_normal(spec.d[0]))
-        assert rep.feature_dim == spec.d[3] + sum(spec.s)
+        assert rep.B.shape[1] == spec.d[3] + sum(spec.s)
 
 
 def map_spec(kappa, skip, nonlinearity, unequal_m):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracles
 from framelets import analysis, cli, netbuild
 from framelets.seeding import derive, rng as seeded_rng
 from conftest import make_spec
@@ -410,6 +411,51 @@ class TestLipschitzPairs:
         assert block["worst_pair_violation"] == max(violations)
 
 
+CENSUS_FILES = ("census.json", "regions.csv", "region_lipschitz.csv")
+
+
+def _hand_census(lipschitz: list) -> analysis.RegionCensus:
+    regions = [analysis.RegionInfo(pattern_hex=f"08000000{i:02x}", lipschitz=value,
+                                   inputs=[np.zeros(2)] * (i % 3 + 1), first_sample=2 * i)
+               for i, value in enumerate(lipschitz)]
+    return analysis.RegionCensus(samples=2 * len(regions) + 1, nrep=2 ** 320,
+                                 pattern_bits=8, regions=regions)
+
+
+class TestCensusFiles:
+    """The streamed census side files equal json.dump / csv.writer output."""
+
+    def assert_files_match_reference(self, tmp_path, ctx):
+        ctx.outdir = str(tmp_path / "streamed")
+        (tmp_path / "streamed").mkdir()
+        (tmp_path / "reference").mkdir()
+        cli.run_regions(ctx, {})
+        oracles.write_census_files(ctx.census, str(tmp_path / "reference"))
+        for name in CENSUS_FILES:
+            assert ((tmp_path / "streamed" / name).read_bytes()
+                    == (tmp_path / "reference" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("distribution", analysis.DISTRIBUTIONS)
+    def test_repeated_regions(self, tmp_path, distribution):
+        spec = netbuild.NetworkSpec.from_dict(ITEM_NETWORK)
+        ctx = cli.Context(spec, netbuild.random_bank(spec, seed=1), TOLERANCES,
+                          census_config=analysis.CensusConfig(
+                              count=300, distribution=distribution, seed=7))
+        assert ctx.census.singletons < ctx.census.distinct
+        self.assert_files_match_reference(tmp_path, ctx)
+
+    @pytest.mark.parametrize("lipschitz", [
+        [float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300, 1.5],
+        [],
+    ], ids=["special_floats", "empty"])
+    def test_hand_built_census(self, tmp_path, lipschitz):
+        ctx = cli.Context(None, None, TOLERANCES)
+        ctx.census = _hand_census(lipschitz)
+        self.assert_files_match_reference(tmp_path, ctx)
+        if not lipschitz:
+            assert '"regions": []' in (tmp_path / "streamed" / "census.json").read_text()
+
+
 class TestLandscapeChecks:
     def test_checks_count_what_they_checked(self):
         cfg = base_config(network=README_NETWORK, bank={"source": "random"},
@@ -651,6 +697,32 @@ class TestConfigErrors:
         cfg = base_config(tolerances={"bogus": 1.0})
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
         assert "tolerance" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("out", ["taken", "taken/sub"])
+    def test_output_directory_that_cannot_be_made_exits_one(self, tmp_path, capsys, out):
+        # a file in the place of the directory, or of its parent, used to
+        # raise FileExistsError / NotADirectoryError with a traceback
+        (tmp_path / "taken").write_text("a file")
+        cfg = base_config(analyses=["frames"], enforce=[])
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / out)]) == 1
+        err = capsys.readouterr().err
+        assert f"output directory {str(tmp_path / out)!r}" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("network, message", [
+        ({"r": 2, "q": [1, 2], "m": [4, 4]}, "missing required config field 'network.kappa'"),
+        ([1, 2], "config field 'network' must be a JSON object, got [1, 2]"),
+    ], ids=["missing_kappa", "list"])
+    @pytest.mark.parametrize("via", ["run", "spec"])
+    def test_bad_network_block_is_named(self, tmp_path, capsys, network, message, via):
+        if via == "run":
+            path = write_config(tmp_path, base_config(network=network, analyses=["frames"]))
+            assert cli.main(["run", path, "--out", str(tmp_path / "out")]) == 1
+        else:
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(network))
+            assert cli.main(["verify-frames", "--spec", str(spec)]) == 1
+            message = f"spec file {spec}: {message}"
+        assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 class TestSubcommands:

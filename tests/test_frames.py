@@ -145,14 +145,14 @@ class TestFrameBasis:
     def test_no_skip_reconstruction(self):
         spec, bank = make_frame_pair(kappa=2, skip=False, seed=13)
         basis = frame_basis(spec, bank)
-        assert basis.feature_dim == spec.d[2]
+        assert basis.B.shape[1] == spec.d[2]
         dev = np.max(np.abs(basis.matrix() - np.eye(spec.d[0])))
         assert dev <= 1e-10
 
     def test_skip_layout_and_reconstruction(self):
         spec, bank = make_frame_pair(kappa=2, skip=True, seed=13)
         basis = frame_basis(spec, bank)
-        assert basis.feature_dim == spec.d[2] + spec.s[0] + spec.s[1]
+        assert basis.B.shape[1] == spec.d[2] + spec.s[0] + spec.s[1]
         dev = np.max(np.abs(basis.matrix() - np.eye(spec.d[0])))
         assert dev <= 1e-10
         # column blocks follow [E-chain | E-prefix @ S, deepest skip first]
