@@ -357,7 +357,10 @@ class StationarityReport:
 
     @property
     def ok(self) -> bool:
-        return not self.violations
+        # a NaN loss or gradient norm fails every comparison, so it makes no
+        # violation; it fails the check instead of passing it
+        finite = np.isfinite([self.loss, *(entry["grad_norm"] for entry in self.layers)]).all()
+        return bool(finite) and not self.violations
 
     def to_dict(self) -> dict:
         return {

@@ -3,9 +3,10 @@
 Each helper checks a library result by an independent route: a loop
 over channels, both sides of an identity, an LP per sign vector, a
 central difference of the loss, circular convolutions and wrap-around
-Hankel matrices built tap by tap, and the census side files written by
-``json.dump`` and ``csv.writer``.  They live here, not in ``framelets``,
-so the package needs neither their code nor scipy at run time.
+Hankel matrices built tap by tap, and ``report.json`` and the census
+side files written by ``json.dump`` and ``csv.writer``.  They live here,
+not in ``framelets``, so the package needs neither their code nor scipy
+at run time.
 
 Circular convolution treats a vector as one period of an n-periodic
 sequence; all index arithmetic is modulo the period.  When two operands
@@ -24,7 +25,7 @@ import os
 import numpy as np
 from scipy.optimize import linprog
 
-from framelets import analysis, landscape, netbuild
+from framelets import analysis, cli, landscape, netbuild
 
 #: default absolute tolerance for exact algebraic identities
 DEFAULT_TOL = 1e-10
@@ -437,3 +438,13 @@ def write_census_files(census: analysis.RegionCensus, outdir: str) -> None:
         writer.writerow(["region", "lipschitz"])
         for idx, reg in enumerate(census.regions):
             writer.writerow([idx, repr(reg.lipschitz)])
+
+
+def write_report(report: dict, outdir: str) -> str:
+    """``report.json`` as ``json.dump(indent=1)`` writes it: the byte-for-byte
+    reference for the streamed ``cli.write_report``."""
+    path = os.path.join(outdir, "report.json")
+    with open(path, "w") as fh:
+        json.dump(report, fh, indent=1, default=cli._json_default)
+        fh.write("\n")
+    return path

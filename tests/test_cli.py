@@ -3,6 +3,9 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ from framelets.seeding import derive, rng as seeded_rng
 from conftest import make_spec
 
 TOLERANCES = cli.validate("tolerances", {})
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def base_config(**overrides):
@@ -191,6 +195,35 @@ class TestOverflow:
         block = json.loads((out / "report.json").read_text())["results"]["jacobian"]
         assert np.isnan(block["max_relative_error"])
         assert block["attempts"] == 3
+
+    def item_config(self, analyses):
+        return {"seed": 1, "network": ITEM_NETWORK,
+                "bank": {"source": "random", "scale": 1e200},
+                "analyses": analyses, "enforce": analyses}
+
+    def test_nan_loss_fails_stationarity(self, tmp_path, capsys):
+        # the NaN loss made no violation, so the check used to pass
+        out = tmp_path / "out"
+        path = write_config(tmp_path, self.item_config(["landscape"]))
+        assert cli.main(["run", path, "--out", str(out)]) == 2
+        assert "FAIL landscape:stationarity_iff_zero_loss" in capsys.readouterr().out
+        block = json.loads((out / "report.json").read_text())["results"]["landscape"]
+        assert np.isnan(block["loss"]) and block["stationarity"]["ok"] is False
+
+    def test_no_numpy_warnings(self, tmp_path):
+        # each analysis printed numpy's RuntimeWarnings, with their source
+        # lines, before its FAIL or named error.  "-W always" shows every one
+        paths = [write_config(tmp_path, self.item_config(analyses), f"{analyses[0]}.json")
+                 for analyses in (["frames", "reconstruct", "identity", "jacobian", "landscape"],
+                                  ["regions"], ["lipschitz"], ["train"])]
+        script = ("import sys; from framelets import cli; "
+                  "print([cli.main(['run', p, '--out', p + '.out']) for p in sys.argv[1:]])")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-W", "always", "-c", script, *paths],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.stdout.splitlines()[-1] == "[2, 1, 1, 1]", proc.stdout + proc.stderr
+        assert "RuntimeWarning" not in proc.stderr, proc.stderr
 
 
 class TestJacobianScreen:
@@ -456,6 +489,69 @@ class TestCensusFiles:
             assert '"regions": []' in (tmp_path / "streamed" / "census.json").read_text()
 
 
+class TestReportFile:
+    """The streamed report.json and regions stdout equal json.dump output."""
+
+    def run(self, tmp_path, monkeypatch, census=None, **overrides):
+        if census is not None:
+            monkeypatch.setattr(cli.analysis, "region_census", lambda *args: census)
+        cfg = base_config(**{"network": README_NETWORK, "bank": {"source": "random"},
+                             "analyses": ["regions"], "enforce": [], **overrides})
+        (tmp_path / "streamed").mkdir()
+        (tmp_path / "reference").mkdir()
+        report, _ = cli.execute(cfg, str(tmp_path / "streamed"))
+        before = json.dumps(report, default=cli._json_default)
+        cli.write_report(report, str(tmp_path / "streamed"))
+        assert json.dumps(report, default=cli._json_default) == before  # left as it was
+        oracles.write_report(report, str(tmp_path / "reference"))
+        streamed = (tmp_path / "streamed" / "report.json").read_bytes()
+        assert streamed == (tmp_path / "reference" / "report.json").read_bytes()
+        return streamed.decode()
+
+    def test_two_thousand_regions(self, tmp_path, monkeypatch):
+        census = _hand_census([0.5 + i / 7 for i in range(2000)])
+        assert self.run(tmp_path, monkeypatch, census).count('"pattern"') == 2000
+
+    def test_special_constants(self, tmp_path, monkeypatch):
+        census = _hand_census([float("nan"), float("inf"), float("-inf"), -0.0, 5e-324, 1e300])
+        assert "-Infinity" in self.run(tmp_path, monkeypatch, census)
+
+    def test_empty_region_list(self, tmp_path, monkeypatch):
+        assert '"regions": []' in self.run(tmp_path, monkeypatch, _hand_census([]))
+
+    def test_run_without_regions(self, tmp_path, monkeypatch):
+        self.run(tmp_path, monkeypatch, analyses=["frames", "lipschitz"])
+
+    def test_six_analyses(self, tmp_path, monkeypatch):
+        self.run(tmp_path, monkeypatch, bank={"source": "frame_factory"},
+                 analyses=["frames", "reconstruct", "identity", "regions", "jacobian", "landscape"],
+                 sampler={"count": 300}, reconstruct={"count": 20, "no_relu": True},
+                 identity={"count": 20}, jacobian={"count": 5}, landscape={"samples": 4})
+
+    @pytest.mark.parametrize("text", ["<regions 0>", '"regions": "<regions 0>"'])
+    def test_marker_text_in_the_config(self, tmp_path, monkeypatch, text):
+        # a config string equal to the marker dumps as the marker does
+        assert json.dumps(text) in self.run(tmp_path, monkeypatch, output_dir=text)
+
+    @pytest.mark.parametrize("lipschitz", [[float("nan"), -0.0, 1e300, 2.5], []],
+                             ids=["special_floats", "empty"])
+    def test_regions_stdout(self, tmp_path, monkeypatch, capsys, lipschitz):
+        monkeypatch.setattr(cli.analysis, "region_census", lambda *args: _hand_census(lipschitz))
+        reports = []
+        execute = cli.execute
+
+        def keep(*args):
+            reports.append(execute(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(cli, "execute", keep)
+        spec_path = write_spec(tmp_path, make_spec(kappa=1, r=2, m=4))
+        assert cli.main(["regions", "--spec", spec_path, "--bank", "random"]) == 0
+        block = reports[0][0]["results"]["regions"]
+        assert capsys.readouterr().out == json.dumps(block, indent=1,
+                                                     default=cli._json_default) + "\n"
+
+
 class TestLandscapeChecks:
     def test_checks_count_what_they_checked(self):
         cfg = base_config(network=README_NETWORK, bank={"source": "random"},
@@ -711,7 +807,10 @@ class TestConfigErrors:
     @pytest.mark.parametrize("network, message", [
         ({"r": 2, "q": [1, 2], "m": [4, 4]}, "missing required config field 'network.kappa'"),
         ([1, 2], "config field 'network' must be a JSON object, got [1, 2]"),
-    ], ids=["missing_kappa", "list"])
+        # a misspelled key used to be dropped, so this ran as relu and exited 2
+        ({**ITEM_NETWORK, "nonlinearty": "none"},
+         "config field 'network.nonlinearty' is not a known field"),
+    ], ids=["missing_kappa", "list", "misspelled"])
     @pytest.mark.parametrize("via", ["run", "spec"])
     def test_bad_network_block_is_named(self, tmp_path, capsys, network, message, via):
         if via == "run":

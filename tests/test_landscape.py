@@ -495,6 +495,16 @@ class TestStationarity:
         assert all(e["grad_norm"] == 0.0 for e in report.layers)
         assert report.ok
 
+    @pytest.mark.parametrize("loss, grad_norm", [
+        (float("nan"), 1.0), (float("inf"), 1.0), (1.0, float("nan")),
+    ])
+    def test_non_finite_loss_or_gradient_fails(self, loss, grad_norm):
+        # no comparison with a NaN holds, so it made no violation and passed
+        report = landscape.StationarityReport(
+            loss=loss, loss_floor=1e-6, pos_tol=1e-12,
+            layers=[{"layer": 1, "conditions_hold": False, "grad_norm": grad_norm}])
+        assert report.violations == [] and not report.ok
+
 
 class TestTapGradients:
     @pytest.mark.parametrize("skip", [False, True])
