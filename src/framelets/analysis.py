@@ -9,8 +9,10 @@ X_l = (X_{l-1} E^l) * enc_l from X_0 = I and back down the decoder, over a
 block of patterns, rows of a bit matrix, at once.  On top of it sit a sampling
 census of activation patterns with the expressiveness bound, exact local
 Lipschitz constants (the spectral norm of each region map), and the
-analytic Jacobian with its finite-difference cross-check; the frame pair
-is built only where it is the object under test.
+analytic Jacobian with its finite-difference cross-check, taken only
+where the input's certified in-region radius (read from the rows the map
+pass forms anyway) keeps the stencil in its region; the frame pair is
+built only where it is the object under test.
 
 The census draws all its inputs as one block from one seeded stream
 (:func:`census_inputs`), so a region is named by the index of its first
@@ -189,7 +191,27 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
                      pattern=pattern)
 
 
-def _map_blocks(spec: NetworkSpec, mats, blocks):
+def _radius(rho, P, x, mask) -> None:
+    """Lower each rho[i] to the least |a_j'x_i| / ||a_j|| over the live rows
+    a_j of one ReLU stage: x_i's distance to the nearest of its hyperplanes.
+
+    ``P`` is the stage's (n, d_0, w) pre-mask products, column j of P[i]
+    being a_j of row i's region; ``x`` the (n, d_0) inputs; ``mask`` the
+    stage's (n, 1, w) mask bits.  A zero column a_j is no kink and is
+    skipped.  A live unit whose mask bit disagrees with the sign of a_j'x_i
+    gives 0; a NaN gives NaN.  Both sums are einsums without ``optimize``,
+    so no BLAS: each adds its d_0 products in index order, and row i is
+    bit-identical whatever block it is in.
+    """
+    dot = np.einsum("nij,ni->nj", P, x)
+    sq = np.einsum("nij,nij->nj", P, P)
+    got = np.full(dot.shape, np.inf)
+    np.divide(np.abs(dot), np.sqrt(sq), out=got, where=sq != 0)
+    got[(dot > 0) != mask[:, 0]] = 0.0
+    np.minimum(rho, got.min(axis=1), out=rho)
+
+
+def _map_blocks(spec: NetworkSpec, mats, blocks, radii: bool = False):
     """Region maps of blocks of pattern bit rows, in one set of buffers.
 
     ``blocks`` yields non-empty (n, n_bits) arrays in
@@ -201,12 +223,25 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     the first block, and every product is the batched matmul of
     :func:`region_maps` written into them with ``out=``, so each row stays
     bit-identical to a one-row block.
+
+    With ``radii`` set, ``blocks`` yields pairs (bits, x) of a block and its
+    (n, d_0) inputs, and this yields pairs (Y, rho): rho[i] is row i's
+    certified in-region radius, lowered by :func:`_radius` at every ReLU
+    stage from the product before its mask multiply.  The nets are
+    bias-free, so the open ball of radius rho[i] about x_i lies in the
+    region of its bits when they are x_i's own pattern: there every live
+    row keeps its sign and every zero row stays zero, layer by layer.  It
+    is inf on a net without ReLUs.
     """
     k, d = spec.kappa, spec.d
     s = spec.s if spec.skip else ()
     ends = np.cumsum([*d[1:], *s, *d[:k]]).tolist()
-    X = K = tmp = None
+    enc_on, dec_on = radii and spec.relu_at_encoder(), radii and spec.relu_at_decoder()
+    X = K = tmp = x = rho = None
     for bits in blocks:
+        if radii:
+            bits, x = bits
+            rho = np.full(len(bits), np.inf)
         n = len(bits)
         if X is None:  # X[l] holds X_l, then Y_l on the way back
             X = [np.empty((n, d[0], w)) for w in d]
@@ -215,22 +250,32 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
         masks = [bits[:, None, a:b] for a, b in zip([0] + ends, ends)]
         enc, skip, dec = masks[:k], masks[k:-k], masks[-k:]
         Xn, Kn = [buf[:n] for buf in X], [buf[:n] for buf in K]
-        np.multiply(mats[0].E, enc[0], out=Xn[1])  # X_1, K_1: masked copies
+        if enc_on:  # X_1, K_1: masked copies of E^1, S^1, the rows of layer 1
+            _radius(rho, np.broadcast_to(mats[0].E, Xn[1].shape), x, enc[0])
+            if spec.skip:
+                _radius(rho, np.broadcast_to(mats[0].S, Kn[0].shape), x, skip[0])
+        np.multiply(mats[0].E, enc[0], out=Xn[1])
         if spec.skip:
             np.multiply(mats[0].S, skip[0], out=Kn[0])
         for l in range(2, k + 1):
+            np.matmul(Xn[l - 1], mats[l - 1].E, out=Xn[l])
+            if enc_on:
+                _radius(rho, Xn[l], x, enc[l - 1])
+            Xn[l] *= enc[l - 1]
             if spec.skip:
                 np.matmul(Xn[l - 1], mats[l - 1].S, out=Kn[l - 1])
+                if enc_on:
+                    _radius(rho, Kn[l - 1], x, skip[l - 1])
                 Kn[l - 1] *= skip[l - 1]
-            np.matmul(Xn[l - 1], mats[l - 1].E, out=Xn[l])
-            Xn[l] *= enc[l - 1]
         for l in range(k, 0, -1):  # Y_kappa = X_kappa
             np.matmul(Xn[l], mats[l - 1].D.T, out=Xn[l - 1])
             if spec.skip:
                 prod = tmp[:n * d[0] * d[l - 1]].reshape(n, d[0], -1)
                 Xn[l - 1] += np.matmul(Kn[l - 1], mats[l - 1].S_tilde.T, out=prod)
+            if dec_on:
+                _radius(rho, Xn[l - 1], x, dec[l - 1])
             Xn[l - 1] *= dec[l - 1]
-        yield Xn[0]
+        yield (Xn[0], rho) if radii else Xn[0]
 
 
 def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
@@ -447,22 +492,26 @@ def trace_margin(spec: NetworkSpec, trace):
     return got if rows else float(got)
 
 
-def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8) -> np.ndarray:
+def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8,
+                      step: float = 0.0) -> np.ndarray:
     """Jacobian of the network at x: the region map B_tilde(x) B(x)'.
 
-    One forward pass, then the :func:`region_maps` map of x's pattern.
-    Requires x to sit at least ``margin`` away from every ReLU kink in
-    pre-activation value; otherwise raises KinkMarginError advising a
-    resample.
+    One forward pass for x's pattern, then its map and its certified
+    in-region radius rho from one :func:`_map_blocks` row.  Requires
+    rho >= ``margin`` and rho > ``step``, so that every point within
+    ``step`` of x, a finite-difference stencil of that step included, is
+    in x's region; otherwise raises KinkMarginError advising a resample.
+    A NaN rho (an overflowing pass) is accepted.
     """
-    trace = forward_matrices(spec, mats, x)
-    got = trace_margin(spec, trace)
-    if got < margin:
+    x = np.asarray(x, dtype=float)
+    bits = extract_pattern(spec, mats, x).bits()[None]
+    Y, rho = next(_map_blocks(spec, mats, [(bits, x[None])], radii=True))
+    if rho[0] < margin or rho[0] <= step:
         raise KinkMarginError(
-            f"input is within {got:.3e} of a ReLU kink (margin {margin:.3e}); "
-            "resample the input"
+            f"input is {rho[0]:.3e} from the nearest ReLU kink of its region "
+            f"(margin {margin:.3e}, step {step:.3e}); resample the input"
         )
-    return region_maps(spec, mats, pattern_from_trace(spec, trace).bits()[None])[0]
+    return Y[0].T.copy()
 
 
 def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:

@@ -355,51 +355,65 @@ def run_lipschitz(ctx: Context, params: dict) -> dict:
 
 def run_jacobian(ctx: Context, params: dict) -> dict:
     spec, mats = ctx.spec, ctx.mats
-    count, margin = params["count"], params["margin"]
+    count, margin, step = params["count"], params["margin"], params["step"]
     gen = rng(ctx.seed, "jacobian")
     cap = 100 * count
-    inputs, bits = [], []
-    attempts = 0
-    # one row-exact forward per block of up to ``_ROWS`` candidates, so a
-    # draw's screen decision does not depend on its block.  Only the first
-    # accepted rows still needed are kept, and ``attempts`` ends at the last
-    # of them, as drawing one at a time would: a (k, d_0) draw is the first
-    # k rows of a larger one, and the stream is not read after the screen.
-    # A NaN margin (an overflowing forward pass) is accepted, so the check
-    # fails on a NaN error.
-    while len(inputs) < count and attempts < cap:
-        block = gen.standard_normal((min(analysis._ROWS, cap - attempts), spec.d[0]))
-        trace = netbuild.forward_matrices(spec, mats, block)
-        need = count - len(inputs)
-        accepted = [i for i, got in enumerate(analysis.trace_margin(spec, trace))
-                    if not got < margin][:need]
-        attempts += accepted[-1] + 1 if len(accepted) == need else len(block)
-        if accepted:
-            inputs.extend(block[accepted])
-            bits.extend(analysis.pattern_from_trace(spec, trace).bits()[accepted])
-    del trace  # the maps and stencils below peak higher with the last trace alive
-    # The analytic Jacobians are the region maps of the accepted rows' mask
-    # rows, one row per block in one set of buffers, each compared with its
-    # stencil before the next is formed.  The difference is taken in C order,
-    # the order in which its norm sums.
-    errors = []
-    maps = analysis._map_blocks(spec, mats, (row[None] for row in bits))
-    for x, Y in zip(inputs, maps):
-        Jfd = analysis.fd_jacobian(spec, mats, x, step=params["step"])
+    pending = []  # the draw the kernel is mapping
+
+    def candidates():
+        # one row-exact forward per screen block of up to ``_ROWS`` draws
+        # gives the mask rows, so a draw's decision does not depend on its
+        # block; the kernel maps them one row per block, which keeps its
+        # buffers as small as the census's.  A (k, d_0) draw is the first k
+        # rows of a larger one, and the stream is not read after the screen
+        drawn = 0
+        while drawn < cap:
+            block = gen.standard_normal((min(analysis._ROWS, cap - drawn), spec.d[0]))
+            drawn += len(block)
+            bits = analysis.pattern_from_trace(
+                spec, netbuild.forward_matrices(spec, mats, block)).bits()
+            for at in range(len(block)):
+                pending.append(block[at])
+                yield bits[at:at + 1], block[at:at + 1]
+
+    # Every draw's map comes with its certified in-region radius rho.  A
+    # draw is accepted when rho >= margin and rho > step, so its stencil
+    # stays in its region; a NaN rho (an overflowing forward pass) is
+    # accepted, so the check fails on a NaN error.  Each accepted map is
+    # compared with its stencil before the kernel maps the next draw, the
+    # difference taken in C order, the order in which its norm sums.
+    # ``attempts`` ends at the last accepted draw, or at the cap.
+    errors, radii, attempts = [], [], 0
+    for Y, rho in analysis._map_blocks(spec, mats, candidates(), radii=True):
+        x, attempts = pending.pop(), attempts + 1
+        if rho[0] < margin or rho[0] <= step:
+            continue
+        Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
         diff = np.subtract(Y[0].T, Jfd, order="C")
         errors.append(np.linalg.norm(diff) / max(np.linalg.norm(Jfd), 1e-300))
+        radii.append(rho[0])
+        if len(errors) == count:
+            break
     if len(errors) < count:
         raise ConfigError(
-            f"could not find {count} margin-safe inputs (margin {margin:g}): "
-            f"accepted {len(errors)} of {attempts} draws; lower jacobian.margin"
+            f"could not find {count} inputs whose certified in-region radius is at "
+            f"least jacobian.margin ({margin:g}) and above jacobian.step ({step:g}): "
+            f"accepted {len(errors)} of {attempts} draws; lower jacobian.margin or jacobian.step"
         )
     worst = _worst(errors)
     tol = ctx.tolerances["jacobian"]
+    # np.min and np.median of the radii, NaN when one is; np.median itself
+    # would import numpy.ma, half a megabyte, on its first call
+    radii, mid = np.sort(radii), count // 2  # NaN sorts last
+    if np.isnan(radii[-1]):
+        radii[:] = np.nan
     return {
         "instances": count,
         "attempts": attempts,
         "margin": margin,
-        "step": params["step"],
+        "step": step,
+        "radius_min": float(radii[0]),
+        "radius_median": float((radii[mid] + radii[~mid]) / 2),
         "max_relative_error": worst,
         "checks": [_check("jacobian_fd_match", worst <= tol, value=worst, tol=tol)],
     }

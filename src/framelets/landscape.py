@@ -154,6 +154,13 @@ class Pass:
             cols = self.trace.dec[l] if name == "D" else self.trace.skip[l - 1]
         return np.einsum("ti,tj->ij", rows, cols)
 
+    def grad_norm(self, name: str, l: int) -> float:
+        """Frobenius norm of :meth:`grad`, its squares summed by an einsum
+        without BLAS.  ``np.linalg.norm`` would sum them with a BLAS dot, whose
+        order follows the BLAS thread count on a long gradient."""
+        g = self.grad(name, l)
+        return float(np.sqrt(np.einsum("ij,ij->", g, g)))
+
     @cached_property
     def dual(self) -> list:
         """The stacked masked dual-chain prefixes of :func:`analysis.dual_chains`,
@@ -267,7 +274,7 @@ def certify_bounds_skip(p: Pass, l: int) -> BoundCertificate:
     spec = p.spec
     if not spec.skip:
         raise ValueError("skip certificates need a skip network")
-    grad_norm = float(np.linalg.norm(p.grad("S_tilde", l)))
+    grad_norm = p.grad_norm("S_tilde", l)
     mins, maxs = _factor_sigmas(p.dual[l - 1], p.pattern.dec[l - 1])
     g_min, g_max = _sigma_extremes(p.trace.skip[l - 1].T, "skip feature matrix")
     return BoundCertificate(
@@ -310,7 +317,7 @@ def certify_bounds_enc(p: Pass) -> BoundCertificate:
         kind="encoder",
         operator=f"E[{kappa}]",
         layer=kappa,
-        grad_norm=float(np.linalg.norm(p.grad("E", kappa))),
+        grad_norm=p.grad_norm("E", kappa),
         lower=f_min * min(mins) * root,
         upper=f_max * max(maxs) * root,
         loss=p.cost,
@@ -386,7 +393,7 @@ def check_stationarity(p: Pass, pos_tol: float = 1e-12,
         gamma_full = gamma_rank == p.T
         rows_full = bool(np.all(_rank(p.dual[l - 1] * p.pattern.dec[l - 1][:, None]) == spec.d[0]))
         conditions = gamma_full and rows_full
-        gnorm = float(np.linalg.norm(p.grad("S_tilde", l)))
+        gnorm = p.grad_norm("S_tilde", l)
         entry = {
             "layer": l,
             "gamma_rank": gamma_rank,

@@ -412,18 +412,21 @@ def forward_y(spec: NetworkSpec, mats, x) -> np.ndarray:
     caller that reads no mask: the finite-difference stencil of
     ``analysis.fd_jacobian``.
     """
+    def act(v, relu):  # each product is fresh, so its ReLU is taken in place
+        return np.maximum(v, 0.0, out=v) if relu else v
+
     cur = _check_input(spec, x)
     enc_relu, dec_relu = spec.relu_at_encoder(), spec.relu_at_decoder()
     skips = []
     for layer in mats:
         if spec.skip:
-            skips.append(_act(cur @ layer.S, enc_relu))
-        cur = _act(cur @ layer.E, enc_relu)
+            skips.append(act(cur @ layer.S, enc_relu))
+        cur = act(cur @ layer.E, enc_relu)
     for layer in reversed(mats):
         w = cur @ layer.D.T
         if spec.skip:
             w += skips.pop() @ layer.S_tilde.T
-        cur = _act(w, dec_relu)
+        cur = act(w, dec_relu)
     return cur
 
 

@@ -25,6 +25,15 @@ def positive_bank(spec, seed):
     )
 
 
+def radius_accepts(spec, mats, x, margin, step) -> bool:
+    """Whether the one-input Jacobian takes x at this margin and step."""
+    try:
+        analysis.jacobian_analytic(spec, mats, x, margin=margin, step=step)
+    except analysis.KinkMarginError:
+        return False
+    return True
+
+
 class TestActivationPattern:
     def test_all_positive_input_gives_all_ones(self):
         spec = make_spec(kappa=2, m=4, skip=True)
@@ -690,19 +699,20 @@ class TestJacobian:
 
     def test_run_makes_screen_forwards_and_one_stencil_per_instance(self, forward_calls,
                                                                     forward_y_calls):
-        # the accepted rows' maps come from the screen blocks' own traces, the
-        # only traced forwards; each instance adds one y-only stencil forward
+        # the candidates' mask rows come from the screen blocks' own traces,
+        # the only traced forwards; each instance adds one y-only stencil
+        # forward.  At margin 0.1 about 2 % of draws pass the radius rule
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
-        params = {"count": 12, "margin": 0.05}
+        params = {"count": 4, "margin": 0.1}
         block = cli.run_jacobian(cli.Context(spec, bank, {"jacobian": 1e-5}, seed=3),
                                  cli.validate("jacobian", params))
         made = len(forward_calls)
         # screen blocks of _ROWS draws up to the count-th accepted draw
         X = seeded_rng(3, "jacobian").standard_normal((100 * params["count"], spec.d[0]))
-        margins = analysis.trace_margin(
-            spec, netbuild.forward_matrices(spec, netbuild.realize(spec, bank), X))
-        last = np.flatnonzero(margins >= params["margin"])[params["count"] - 1]
+        mats = netbuild.realize(spec, bank)
+        last = [i for i, x in enumerate(X)
+                if radius_accepts(spec, mats, x, params["margin"], 1e-6)][params["count"] - 1]
         blocks = last // analysis._ROWS + 1
         assert blocks > 1
         assert block["attempts"] == last + 1
@@ -716,6 +726,121 @@ class TestJacobian:
         mats = netbuild.realize(spec, bank)
         with pytest.raises(analysis.KinkMarginError, match="resample"):
             analysis.jacobian_analytic(spec, mats, np.zeros(spec.d[0]))
+
+
+class TestCertifiedRadius:
+    """The kernel's pre-mask rows and the radius rule of the Jacobian screen."""
+
+    @staticmethod
+    def kernel_rows(monkeypatch, spec, mats, X):
+        """The (n, d_0, w) pre-mask products the kernel takes radii of, one per
+        ReLU stage, and each row's radius; stage order is the trace's: enc_1,
+        skip_1, ..., enc_kappa, skip_kappa, then dec_{kappa-1} down to dec_0."""
+        stages, radius = [], analysis._radius
+        monkeypatch.setattr(analysis, "_radius", lambda rho, P, x, mask:
+                            stages.append(P.copy()) or radius(rho, P, x, mask))
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)], radii=True))
+        monkeypatch.undo()
+        return stages, rho
+
+    @staticmethod
+    def trace_pres(spec, trace) -> list:
+        """The trace's pre-activations of the ReLU stages, in kernel stage order."""
+        pres = []
+        if spec.relu_at_encoder():
+            for l in range(spec.kappa):
+                pres += [trace.enc_pre[l], *([trace.skip_pre[l]] if spec.skip else [])]
+        if spec.relu_at_decoder():
+            pres += trace.dec_pre[::-1]
+        return pres
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_rows_times_input_are_the_pre_activations(self, monkeypatch, skip,
+                                                      nonlinearity, rng):
+        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
+        X = rng.standard_normal((40, spec.d[0]))
+        stages, rho = self.kernel_rows(monkeypatch, spec, mats, X)
+        pres = self.trace_pres(spec, netbuild.forward_matrices(spec, mats, X))
+        assert len(stages) == len(pres)
+        if nonlinearity == "none":  # no ReLU: no kink, no row
+            assert stages == [] and np.all(rho == np.inf)
+        zeros = 0
+        for P, pre in zip(stages, pres):
+            # the trace and the row sum the same products in other orders:
+            # a few eps of the stage's largest sum of their magnitudes
+            scale = np.einsum("nij,ni->nj", np.abs(P), np.abs(X)).max(axis=1, keepdims=True)
+            got = np.einsum("nij,ni->nj", P, X)
+            assert np.all(np.abs(got - pre) <= 8 * np.finfo(float).eps * scale)
+            # a zero row is exactly an exact-zero pre-activation
+            assert np.array_equal(~P.any(axis=1), pre == 0.0)
+            zeros += int(np.sum(pre == 0.0))
+        assert (zeros > 0) == (nonlinearity != "none")  # the zero-row case is exercised
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_a_mask_bit_against_its_row_gives_radius_zero(self, skip, nonlinearity, rng):
+        # flip the first encoder unit's bit of row 0: the bits no longer are
+        # x's own pattern, so no ball about x is certified
+        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
+        X = rng.standard_normal((4, spec.d[0]))
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)], radii=True))
+        rho = rho.copy()
+        bits[0, 0] ^= 1
+        _, got = next(analysis._map_blocks(spec, mats, [(bits, X)], radii=True))
+        want = np.inf if nonlinearity == "none" else 0.0
+        assert got[0] == want and np.array_equal(got[1:], rho[1:])
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_exact_zero_on_a_zero_row_is_accepted(self, skip, nonlinearity, rng):
+        # the old screen rejected every draw with an exact-zero pre-activation;
+        # on a zero row it is no kink, and the stencil agrees with the map
+        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
+        X = rng.standard_normal((1000, spec.d[0]))
+        zero = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X)) == 0.0
+        if nonlinearity == "none":
+            assert not zero.any()
+            return
+        taken = [x for x in X[zero] if radius_accepts(spec, mats, x, 1e-4, 1e-6)]
+        assert len(taken) >= 1
+        for x in taken[:5]:
+            J = analysis.jacobian_analytic(spec, mats, x, margin=1e-4, step=1e-6)
+            Jfd = analysis.fd_jacobian(spec, mats, x, step=1e-6)
+            assert np.linalg.norm(J - Jfd) <= 1e-5 * np.linalg.norm(Jfd)
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_input_near_a_live_row_is_rejected(self, monkeypatch, skip, nonlinearity, rng):
+        # move x along its nearest live row a to distance t from a's
+        # hyperplane, on the same side; the move is shorter than rho(x), so
+        # x stays in its region and rho becomes t
+        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
+        margin, step = 1e-4, 1e-6
+        X = rng.standard_normal((64, spec.d[0]))
+        stages, rho = self.kernel_rows(monkeypatch, spec, mats, X)
+        if nonlinearity == "none":
+            assert np.all(rho == np.inf)
+            return
+        i = int(np.argmax(rho))
+        assert rho[i] > 10 * margin
+        rows = np.concatenate([P[i] for P in stages], axis=1)
+        rows = rows[:, rows.any(axis=0)]
+        dist = X[i] @ rows / np.linalg.norm(rows, axis=0)
+        j = int(np.argmin(np.abs(dist)))
+        assert abs(dist[j]) == pytest.approx(rho[i], rel=1e-12)
+        unit = np.sign(dist[j]) * rows[:, j] / np.linalg.norm(rows[:, j])
+        for t, accepted in ((step / 2, False), (2 * margin, True)):
+            x = X[i] - (abs(dist[j]) - t) * unit
+            _, got = self.kernel_rows(monkeypatch, spec, mats, x[None])
+            assert got[0] == pytest.approx(t, rel=1e-6)
+            assert radius_accepts(spec, mats, x, margin, step) == accepted
 
 
 class TestSignRegionOracle:

@@ -157,6 +157,9 @@ class TestRun:
 
 README_NETWORK = {"kappa": 2, "r": 2, "q": [1, 2, 4], "m": [8, 8, 8],
                   "skip": True, "nonlinearity": "relu"}
+#: the envelope edge, d_0 = 64: the network of the benchmark's verify-d64
+EDGE_NETWORK = {"kappa": 2, "r": 2, "q": [1, 2, 4], "m": [64, 64, 64],
+                "skip": True, "nonlinearity": "relu"}
 
 
 class TestOverflow:
@@ -237,7 +240,7 @@ class TestJacobianScreen:
             attempts += 1
             x = gen.standard_normal(spec.d[0])
             try:
-                J = analysis.jacobian_analytic(spec, mats, x, margin=margin)
+                J = analysis.jacobian_analytic(spec, mats, x, margin=margin, step=step)
             except analysis.KinkMarginError:
                 continue
             Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
@@ -246,62 +249,88 @@ class TestJacobianScreen:
         return errors, inputs, attempts
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("scale, margin, count", [
-        (1.0, 0.0, 7),      # every draw accepted
-        (1.0, 1e-3, 12),    # about 80 % accepted
-        (1.0, 0.03, 10),    # about 10 % accepted, several screen blocks
-        (1.0, 0.1, 4),      # about 0.05 % accepted: the draw cap (a short last block) is hit
-        (1e200, 1e-4, 3),   # overflow: NaN margins are accepted
+    @pytest.mark.parametrize("scale, margin, count, step", [
+        (1.0, 0.0, 7, 1e-6),      # every draw accepted
+        (1.0, 4e-3, 12, 1e-6),    # about 80 % accepted
+        (1.0, 0.05, 10, 1e-6),    # about 10 % accepted, several screen blocks
+        (1.0, 0.2, 4, 1e-6),      # about 0.08 % accepted: the draw cap (a short last block) is hit
+        (1.0, 0.0, 12, 0.01),     # the step binds: about 60 % accepted
+        (1e200, 1e-4, 3, 1e-6),   # overflow: NaN radii are accepted
     ])
-    def test_same_errors_as_sequential_loop(self, monkeypatch, scale, margin, count):
+    def test_same_errors_as_sequential_loop(self, monkeypatch, scale, margin, count, step):
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10, scale=scale)
         mats = netbuild.realize(spec, bank)
-        want, inputs, attempts = self.sequential(spec, mats, 99, count, margin, 1e-6)
+        want, inputs, attempts = self.sequential(spec, mats, 99, count, margin, step)
         seen, used = [], []
         worst, fd_jacobian = cli._worst, analysis.fd_jacobian
         monkeypatch.setattr(cli, "_worst", lambda values: seen.append(values) or worst(values))
         monkeypatch.setattr(analysis, "fd_jacobian", lambda spec, mats, x, step:
                             used.append(x) or fd_jacobian(spec, mats, x, step))
         ctx = cli.Context(spec, bank, TOLERANCES, seed=99)
-        params = cli.validate("jacobian", {"count": count, "margin": margin})
+        params = cli.validate("jacobian", {"count": count, "margin": margin, "step": step})
         if len(want) < count:
             with pytest.raises(cli.ConfigError) as err:
                 cli.run_jacobian(ctx, params)
             assert str(err.value) == (
-                f"could not find {count} margin-safe inputs (margin {margin:g}): "
-                f"accepted {len(want)} of {attempts} draws; lower jacobian.margin")
+                f"could not find {count} inputs whose certified in-region radius is at "
+                f"least jacobian.margin ({margin:g}) and above jacobian.step ({step:g}): "
+                f"accepted {len(want)} of {attempts} draws; "
+                "lower jacobian.margin or jacobian.step")
         else:
             block = cli.run_jacobian(ctx, params)
             assert block["attempts"] == attempts
             assert len(seen) == 1
             np.testing.assert_array_equal(seen[0], want)
+            radii = [self.radius(spec, mats, x) for x in inputs]
+            np.testing.assert_array_equal([block["radius_min"], block["radius_median"]],
+                                          [np.min(radii), np.median(radii)])
         np.testing.assert_array_equal(used, inputs)
 
+    @staticmethod
+    def radius(spec, mats, x) -> float:
+        bits = analysis.extract_pattern(spec, mats, x).bits()[None]
+        return next(analysis._map_blocks(spec, mats, [(bits, x[None])], radii=True))[1][0]
+
+    def test_radius_rule_keeps_most_draws_on_the_edge_net(self):
+        # on the edge net with its frame bank the old pre-activation screen
+        # took 33-62 draws per instance at verify-d64 seeds 1-3: almost every
+        # draw has exact-zero units, each on a zero row, which is no kink
+        count = 10
+        cfg = base_config(network=EDGE_NETWORK, analyses=["jacobian"], enforce=["jacobian"],
+                          jacobian={"count": count})
+        report, failures = cli.execute(cfg, None)
+        block = report["results"]["jacobian"]
+        assert failures == [] and count <= block["attempts"] <= 2 * count
+        assert block["margin"] <= block["radius_min"] <= block["radius_median"]
+
     def test_no_region_maps_call_gets_zero_rows(self, monkeypatch):
-        # the accepted rows are mapped in one kernel call, one row per block:
-        # the kernel gets no empty block, and is not entered when no draw
-        # passes.  At margin 0.03 about 10 % of draws pass, so many screen
-        # blocks pass none; at margin 100 none does
+        # every candidate is mapped in one kernel call, one row per block in
+        # draw order, up to the count-th accepted draw: the kernel gets no
+        # empty block.  At margin 0.05 about 10 % of draws pass, so many
+        # screen blocks pass none; at margin 100 none does, and the kernel
+        # maps every draw up to the cap
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
         entered, rows = [], []
         kernel = analysis._map_blocks
 
-        def counted(spec, mats, blocks):
-            entered.append(True)
-            yield from kernel(spec, mats, (rows.append(len(b)) or b for b in blocks))
+        def counted(spec, mats, blocks, radii=False):
+            entered.append(radii)
+            yield from kernel(spec, mats, (rows.append(len(b[0])) or b for b in blocks),
+                              radii=radii)
 
         monkeypatch.setattr(analysis, "_map_blocks", counted)
         ctx = cli.Context(spec, bank, TOLERANCES, seed=99)
         count = 10
-        block = cli.run_jacobian(ctx, cli.validate("jacobian", {"count": count, "margin": 0.03}))
-        assert block["attempts"] > count and entered == [True] and rows == [1] * count
+        block = cli.run_jacobian(ctx, cli.validate("jacobian", {"count": count, "margin": 0.05}))
+        assert block["attempts"] > count and entered == [True]
+        assert rows == [1] * block["attempts"]
         entered.clear()
         rows.clear()
         with pytest.raises(cli.ConfigError, match="accepted 0 of 200 draws"):
             cli.run_jacobian(ctx, cli.validate("jacobian", {"count": 2, "margin": 100.0}))
-        assert entered == [] and rows == []
+        assert entered == [True] and rows == [1] * 200
 
     @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
     def test_margin_must_be_finite_and_non_negative(self, tmp_path, capsys, margin):
@@ -312,6 +341,27 @@ class TestJacobianScreen:
         assert cli.main(["run", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "out")]) == 1
         assert "'jacobian.margin'" in capsys.readouterr().err
+
+
+class TestBlasThreads:
+    def test_report_bytes_do_not_follow_blas_threads(self, tmp_path):
+        # a BLAS dot splits a long sum across threads; every reported
+        # reduction sums in a fixed order instead
+        cfg = base_config(network=EDGE_NETWORK, analyses=["jacobian", "landscape"],
+                          enforce=[], jacobian={"count": 10}, landscape={"samples": 4})
+        path = write_config(tmp_path, cfg)
+        bodies = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            out = tmp_path / f"out{threads}"
+            proc = subprocess.run([sys.executable, "-m", "framelets.cli", "run", path,
+                                   "--out", str(out)],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stdout + proc.stderr
+            text = (out / "report.json").read_text()
+            bodies.append(text[:text.index('"timings"')])
+        assert "grad_norm" in bodies[0] and bodies[0] == bodies[1]
 
 
 class TestSharedCensus:
