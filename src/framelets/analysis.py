@@ -3,16 +3,16 @@
 For a fixed input x, the ReLU on/off decisions form an
 :class:`ActivationPattern`; freezing the pattern turns the network into
 a linear map that factors as B_tilde(x) B(x)' through the input-dependent
-frame pair built by :func:`linear_rep`.  The map itself needs no frame
-pair: :func:`region_maps` is the masked forward pass of the identity,
-X_l = (X_{l-1} E^l) * enc_l from X_0 = I and back down the decoder, over a
-block of patterns, rows of a bit matrix, at once.  On top of it sit a sampling
-census of activation patterns with the expressiveness bound, exact local
-Lipschitz constants (the spectral norm of each region map), and the
-analytic Jacobian with its finite-difference cross-check, taken only
-where the input's certified in-region radius (read from the rows the map
-pass forms anyway) keeps the stencil in its region; the frame pair is
-built only where it is the object under test.
+frame pair built by :func:`linear_rep`.  One kernel runs the masked
+forward pass of the identity over a block of patterns, rows of a bit
+matrix, at once: its forward half, X_l = (X_{l-1} E^l) * enc_l from
+X_0 = I with the skip products K_l, is the frame B, and its back half
+down the decoder is the region map (:func:`region_maps`).  On top of it
+sit a sampling census of activation patterns with the expressiveness
+bound, exact local Lipschitz constants (the spectral norm of each region
+map), and the analytic Jacobian with its finite-difference cross-check,
+taken only where the input's certified in-region radius (read from the
+rows the kernel forms anyway) keeps the stencil in its region.
 
 The census draws all its inputs as one block from one seeded stream
 (:func:`census_inputs`), so a region is named by the index of its first
@@ -23,6 +23,7 @@ sample; the samples' masks are packed into key rows, grouped by one
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import tee
 
 import numpy as np
 
@@ -39,7 +40,6 @@ __all__ = [
     "extract_pattern",
     "pattern_from_trace",
     "dual_chains",
-    "masked_chains",
     "linear_rep",
     "region_maps",
     "nrep_bound",
@@ -48,7 +48,6 @@ __all__ = [
     "census_inputs",
     "region_census",
     "lipschitz_global",
-    "trace_margin",
     "jacobian_analytic",
     "fd_jacobian",
 ]
@@ -56,7 +55,7 @@ __all__ = [
 
 #: inputs per stacked forward pass (and packed key block) of the census and
 #: per screen block of the jacobian analysis, and patterns per block of
-#: region_maps, whose temporaries are (n, d_0, d_l) and (n, d_0, s_l) stacks
+#: region_maps, whose buffers are (n, d_0, d_l) and (n, d_0, F) stacks
 #: (also the census regions unpacked, mapped and put through one SVD at a
 #: time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
@@ -75,9 +74,9 @@ class ActivationPattern:
 
     enc[l-1] length d_l, skip[l-1] length s_l (skip nets only), dec[l-1]
     length d_{l-1}, each with a leading N axis when stacked.  Stages without
-    a ReLU carry all-ones masks so the masked chains stay uniform.  A mask bit
-    is set iff the pre-activation is strictly positive: exact zeros are
-    inactive.  ``key``, ``==`` and ``hash`` compare one input's patterns.
+    a ReLU carry all-ones masks so the masked products stay uniform.  A mask
+    bit is set iff the pre-activation is strictly positive: exact zeros are
+    inactive.
     """
 
     enc: tuple
@@ -88,31 +87,16 @@ class ActivationPattern:
         """The masks end to end (enc, skip, dec) as uint8; (N, n_bits) if stacked."""
         return np.concatenate([*self.enc, *(self.skip or ()), *self.dec], axis=-1).astype(np.uint8)
 
-    @property
-    def key(self) -> bytes:
-        bits = self.bits()
-        return len(bits).to_bytes(4, "little") + np.packbits(bits).tobytes()
-
-    def __eq__(self, other):
-        return isinstance(other, ActivationPattern) and self.key == other.key
-
-    def __hash__(self):
-        return hash(self.key)
-
-
-def _masks(spec: NetworkSpec, trace) -> list:
-    """Masks of a trace in ``ActivationPattern.bits()`` order, with the trace's
-    leading axes: pre-activation > 0, or all ones where a stage has no ReLU."""
-    enc_on, dec_on = spec.relu_at_encoder(), spec.relu_at_decoder()
-    stages = [(trace.enc_pre, enc_on), (trace.skip_pre or [], enc_on), (trace.dec_pre, dec_on)]
-    return [pre > 0 if relu else np.ones(pre.shape, dtype=bool)
-            for pres, relu in stages for pre in pres]
-
 
 def pattern_from_trace(spec: NetworkSpec, trace) -> ActivationPattern:
-    """Activation pattern of a trace; of a stacked trace, the stacked pattern
-    whose row i is row i's own (``bits()`` gives :func:`region_maps` its input)."""
-    masks, k = _masks(spec, trace), spec.kappa
+    """Activation pattern of a trace: pre-activation > 0, or all ones where a
+    stage has no ReLU.  Of a stacked trace, the stacked pattern whose row i
+    is row i's own (``bits()`` gives :func:`region_maps` its input)."""
+    enc_on, dec_on = spec.relu_at_encoder(), spec.relu_at_decoder()
+    stages = [(trace.enc_pre, enc_on), (trace.skip_pre or [], enc_on), (trace.dec_pre, dec_on)]
+    masks = [pre > 0 if relu else np.ones(pre.shape, dtype=bool)
+             for pres, relu in stages for pre in pres]
+    k = spec.kappa
     return ActivationPattern(enc=tuple(masks[:k]), dec=tuple(masks[-k:]),
                              skip=tuple(masks[k:2 * k]) if spec.skip else None)
 
@@ -135,21 +119,6 @@ def dual_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> list:
     return tus
 
 
-def masked_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> tuple:
-    """Masked chain prefixes (ups, tus) of one region, kappa + 1 entries each.
-
-    ups[l] accumulates E^1 ... E^l, each followed by its encoder mask;
-    tus is :func:`dual_chains`.  Entry 0 of both is the identity.  Frozen
-    masks make the network linear: relu(v) == v * (v > 0) entrywise.  A
-    stacked pattern gives stacked prefixes past entry 0, row i
-    bit-identical to row i's own call.
-    """
-    ups = [np.eye(spec.d[0])]
-    for l in range(1, spec.kappa + 1):
-        ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][..., None, :])
-    return ups, dual_chains(spec, mats, pattern)
-
-
 @dataclass(frozen=True, eq=False)
 class LinearRep:
     """Input-dependent frame pair: F(x) == B_tilde @ B.T @ x on the region."""
@@ -166,29 +135,28 @@ class LinearRep:
 def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     """Frame pair of the region containing x (or of an explicit pattern).
 
-    The depth-kappa blocks are the full :func:`masked_chains`; skip
-    blocks are the masked S / S_tilde operators hung off the chain
-    prefixes, newest skip level first after the depth-kappa block.  On a
-    spec with ``nonlinearity="none"`` every mask is all ones and this is
-    the global frame pair of the linear network.
+    B is the frame block of the kernel's forward half (:func:`_encode`) on
+    the pattern's one row: the masked encoder product X_kappa, then the
+    masked skip products K_kappa ... K_1, newest skip level first.  B_tilde
+    hangs the masked S_tilde operators off the :func:`dual_chains`
+    prefixes in the same order.  On a spec with ``nonlinearity="none"``
+    every mask is all ones and this is the global frame pair of the linear
+    network.
     """
     if pattern is None:
         if x is None:
             raise ValueError("need an input x or an explicit pattern")
         pattern = extract_pattern(spec, mats, x)
-    ups, tus = masked_chains(spec, mats, pattern)
+    B = next(_encode(spec, mats, [(pattern.bits()[None], None)]))[0][0]
+    tus = dual_chains(spec, mats, pattern)
     if not spec.skip:
-        return LinearRep(B=ups[spec.kappa], B_tilde=tus[spec.kappa], pattern=pattern)
+        return LinearRep(B=B, B_tilde=tus[spec.kappa], pattern=pattern)
 
-    blocks = [ups[spec.kappa]]
     dual_blocks = [tus[spec.kappa]]
     for l in range(spec.kappa, 0, -1):
-        M = mats[l - 1].S * pattern.skip[l - 1][None, :]
         M_tilde = mats[l - 1].S_tilde * pattern.dec[l - 1][:, None]
-        blocks.append(ups[l - 1] @ M)
         dual_blocks.append(tus[l - 1] @ M_tilde)
-    return LinearRep(B=np.hstack(blocks), B_tilde=np.hstack(dual_blocks),
-                     pattern=pattern)
+    return LinearRep(B=B, B_tilde=np.hstack(dual_blocks), pattern=pattern)
 
 
 def _radius(rho, P, x, mask) -> None:
@@ -211,71 +179,93 @@ def _radius(rho, P, x, mask) -> None:
     np.minimum(rho, got.min(axis=1), out=rho)
 
 
-def _map_blocks(spec: NetworkSpec, mats, blocks, radii: bool = False):
-    """Region maps of blocks of pattern bit rows, in one set of buffers.
+def _encode(spec: NetworkSpec, mats, blocks):
+    """The kernel's forward half, over the (bits, x) blocks of :func:`_map_blocks`.
 
-    ``blocks`` yields non-empty (n, n_bits) arrays in
-    ``ActivationPattern.bits()`` order, none longer than the first (a
-    longer one fails on its ``out=`` shapes).  For each block this yields
-    a view Y of shape (n, d_0, d_0) whose ``Y[i].T`` is row i's map.  The
-    next block overwrites the view, so a consumer copies or reduces it
-    before asking for more.  X_l, K_l and one S_tilde product are allocated for
-    the first block, and every product is the batched matmul of
-    :func:`region_maps` written into them with ``out=``, so each row stays
-    bit-identical to a one-row block.
-
-    With ``radii`` set, ``blocks`` yields pairs (bits, x) of a block and its
-    (n, d_0) inputs, and this yields pairs (Y, rho): rho[i] is row i's
-    certified in-region radius, lowered by :func:`_radius` at every ReLU
-    stage from the product before its mask multiply.  The nets are
-    bias-free, so the open ball of radius rho[i] about x_i lies in the
-    region of its bits when they are x_i's own pattern: there every live
-    row keeps its sign and every zero row stays zero, layer by layer.  It
-    is inf on a net without ReLUs.
+    Per block, the masked encoder products X_l = (X_{l-1} E^l) * enc_l and
+    K_l = (X_{l-1} S^l) * skip_l from X_0 = I (never formed), in buffers
+    allocated for the first block.  X[0] is left for the back half's Y_0.
+    X[kappa] and the K[l-1] are column views of one (n, d_0, F) frame
+    buffer, in :func:`linear_rep`'s order of B: [X_kappa | K_kappa | ... |
+    K_1].  Yields (B, X, K, rho), rho being None without inputs.
     """
     k, d = spec.kappa, spec.d
     s = spec.s if spec.skip else ()
-    ends = np.cumsum([*d[1:], *s, *d[:k]]).tolist()
-    enc_on, dec_on = radii and spec.relu_at_encoder(), radii and spec.relu_at_decoder()
-    X = K = tmp = x = rho = None
-    for bits in blocks:
-        if radii:
-            bits, x = bits
-            rho = np.full(len(bits), np.inf)
+    ends = np.cumsum([*d[1:], *s]).tolist()
+    cuts = np.cumsum([d[k], *s[::-1]]).tolist()
+    frame = None
+    for bits, x in blocks:
         n = len(bits)
-        if X is None:  # X[l] holds X_l, then Y_l on the way back
-            X = [np.empty((n, d[0], w)) for w in d]
-            K = [np.empty((n, d[0], w)) for w in s]
-            tmp = np.empty(n * d[0] * max(d[:k])) if spec.skip else None
-        masks = [bits[:, None, a:b] for a, b in zip([0] + ends, ends)]
-        enc, skip, dec = masks[:k], masks[k:-k], masks[-k:]
-        Xn, Kn = [buf[:n] for buf in X], [buf[:n] for buf in K]
-        if enc_on:  # X_1, K_1: masked copies of E^1, S^1, the rows of layer 1
-            _radius(rho, np.broadcast_to(mats[0].E, Xn[1].shape), x, enc[0])
+        if frame is None:
+            frame = np.empty((n, d[0], spec.feature_dim))
+            cols = [frame[..., a:b] for a, b in zip([0, *cuts], cuts)]
+            X_buf = [np.empty((n, d[0], w)) for w in d[:k]] + cols[:1]
+            K_buf = cols[:0:-1]
+        masks = [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
+        enc, skip = masks[:k], masks[k:]
+        X, K = [buf[:n] for buf in X_buf], [buf[:n] for buf in K_buf]
+        rho = None if x is None else np.full(n, np.inf)
+        on = x is not None and spec.relu_at_encoder()
+        for l in range(1, k + 1):
+            stages = [(mats[l - 1].E, X[l], enc[l - 1])]
             if spec.skip:
-                _radius(rho, np.broadcast_to(mats[0].S, Kn[0].shape), x, skip[0])
-        np.multiply(mats[0].E, enc[0], out=Xn[1])
-        if spec.skip:
-            np.multiply(mats[0].S, skip[0], out=Kn[0])
-        for l in range(2, k + 1):
-            np.matmul(Xn[l - 1], mats[l - 1].E, out=Xn[l])
-            if enc_on:
-                _radius(rho, Xn[l], x, enc[l - 1])
-            Xn[l] *= enc[l - 1]
-            if spec.skip:
-                np.matmul(Xn[l - 1], mats[l - 1].S, out=Kn[l - 1])
-                if enc_on:
-                    _radius(rho, Kn[l - 1], x, skip[l - 1])
-                Kn[l - 1] *= skip[l - 1]
+                stages.append((mats[l - 1].S, K[l - 1], skip[l - 1]))
+            for M, P, mask in stages:  # P: the pre-mask products, the rows of layer l
+                if l == 1:  # X_0 = I
+                    np.copyto(P, M)
+                else:
+                    np.matmul(X[l - 1], M, out=P)
+                if on:
+                    _radius(rho, P, x, mask)
+            if l < k:
+                X[l] *= enc[l - 1]
+        # the frame's blocks feed no encoder product: they are masked last, in
+        # one multiply over the whole buffer rather than one per strided view
+        B = frame[:n]
+        B *= np.concatenate([enc[-1], *skip[::-1]], axis=-1)
+        yield B, X, K, rho
+
+
+def _map_blocks(spec: NetworkSpec, mats, blocks):
+    """Frames and region maps of blocks of pattern bit rows, in one set of buffers.
+
+    ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array in
+    ``ActivationPattern.bits()`` order, none longer than the first (a
+    longer one fails on its ``out=`` shapes), and its (n, d_0) inputs or
+    None.  The forward half (:func:`_encode`) fills each block's frames,
+    the back half runs down the decoder, and this yields views
+    (Y, B, rho): ``Y[i].T`` is row i's map and B[i] its frame B.  The next
+    block overwrites them, so a consumer copies or reduces them before
+    asking for more.  Every product is a batched matmul written with
+    ``out=``, so each row stays bit-identical to a one-row block.
+
+    With inputs, rho[i] is row i's certified in-region radius, lowered by
+    :func:`_radius` at every ReLU stage from the product before its mask
+    multiply.  The nets are bias-free, so the open ball of radius rho[i]
+    about x_i lies in the region of its bits when they are x_i's own
+    pattern: there every live row keeps its sign and every zero row stays
+    zero, layer by layer.  It is inf on a net without ReLUs.  Without
+    inputs it is None and no radius work runs.
+    """
+    k, d = spec.kappa, spec.d
+    blocks, ahead = tee(blocks)
+    tmp = None  # one S_tilde product of the decoder
+    for (bits, x), (B, X, K, rho) in zip(blocks, _encode(spec, mats, ahead)):
+        if spec.skip and tmp is None:
+            tmp = np.empty(len(B) * d[0] * max(d[:k]))
+        on = x is not None and spec.relu_at_decoder()
+        end = bits.shape[1]  # the decoder masks close the row, dec_kappa last
         for l in range(k, 0, -1):  # Y_kappa = X_kappa
-            np.matmul(Xn[l], mats[l - 1].D.T, out=Xn[l - 1])
+            dec = bits[:, None, end - d[l - 1]:end]
+            end -= d[l - 1]
+            np.matmul(X[l], mats[l - 1].D.T, out=X[l - 1])
             if spec.skip:
-                prod = tmp[:n * d[0] * d[l - 1]].reshape(n, d[0], -1)
-                Xn[l - 1] += np.matmul(Kn[l - 1], mats[l - 1].S_tilde.T, out=prod)
-            if dec_on:
-                _radius(rho, Xn[l - 1], x, dec[l - 1])
-            Xn[l - 1] *= dec[l - 1]
-        yield (Xn[0], rho) if radii else Xn[0]
+                prod = tmp[:X[l - 1].size].reshape(X[l - 1].shape)
+                X[l - 1] += np.matmul(K[l - 1], mats[l - 1].S_tilde.T, out=prod)
+            if on:
+                _radius(rho, X[l - 1], x, dec)
+            X[l - 1] *= dec
+        yield X[0], B, rho
 
 
 def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
@@ -300,8 +290,8 @@ def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
     if bits.ndim != 2 or bits.shape[1] != n_bits:
         raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {n_bits})")
     out = np.empty((len(bits), spec.d[0], spec.d[0]))
-    blocks = (bits[at:at + _BLOCK] for at in range(0, len(bits), _BLOCK))
-    for at, Y in zip(range(0, len(bits), _BLOCK), _map_blocks(spec, mats, blocks)):
+    blocks = ((bits[at:at + _BLOCK], None) for at in range(0, len(bits), _BLOCK))
+    for at, (Y, _, _) in zip(range(0, len(bits), _BLOCK), _map_blocks(spec, mats, blocks)):
         out[at:at + len(Y)] = Y.transpose(0, 2, 1)
     return out
 
@@ -443,18 +433,18 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     xs = census_inputs(spec, config)
     packed = []
     for start in range(0, config.count, _ROWS):
-        bits = np.concatenate(_masks(spec, forward_matrices(spec, mats, xs[start:start + _ROWS])),
-                              axis=1)
+        bits = pattern_from_trace(  # the block's trace is dropped here
+            spec, forward_matrices(spec, mats, xs[start:start + _ROWS])).bits()
         packed.append(np.packbits(bits, axis=1))
     n_bits, packed = bits.shape[1], np.concatenate(packed)  # n_bits: the same in every block
     _, first, region_of = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
     grouped = list(xs[np.argsort(region_of, kind="stable")])
     bounds = [0, *np.cumsum(np.bincount(region_of)).tolist()]
-    blocks = (np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits)
+    blocks = ((np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits), None)
               for at in range(0, len(first), _BLOCK))  # one block of key rows unpacked at a time
     norms = np.concatenate([spectral_norm(Y.transpose(0, 2, 1))
-                            for Y in _map_blocks(spec, mats, blocks)]).tolist()
+                            for Y, _, _ in _map_blocks(spec, mats, blocks)]).tolist()
     prefix = n_bits.to_bytes(4, "little").hex()
     regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
                           inputs=grouped[a:b], first_sample=i)
@@ -470,28 +460,6 @@ def lipschitz_global(census: RegionCensus) -> float:
     return max(reg.lipschitz for reg in census.regions)
 
 
-def trace_margin(spec: NetworkSpec, trace):
-    """Smallest |pre-activation| over all ReLU stages (inf when linear).
-
-    A float for a single-input trace; for a stacked trace of N inputs, an
-    array with each row's margin.  A NaN pre-activation (an overflowing
-    forward pass) makes that input's margin NaN; ``got < margin`` is
-    False for NaN, so a kink screen keeps the input.
-    """
-    parts = []
-    if spec.relu_at_encoder():
-        parts.extend(trace.enc_pre)
-        if spec.skip:
-            parts.extend(trace.skip_pre)
-    if spec.relu_at_decoder():
-        parts.extend(trace.dec_pre)
-    rows = trace.x.shape[:-1]
-    if not parts:
-        return np.full(rows, np.inf) if rows else np.inf
-    got = np.min([np.min(np.abs(p), axis=-1) for p in parts], axis=0)
-    return got if rows else float(got)
-
-
 def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8,
                       step: float = 0.0) -> np.ndarray:
     """Jacobian of the network at x: the region map B_tilde(x) B(x)'.
@@ -505,7 +473,7 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8,
     """
     x = np.asarray(x, dtype=float)
     bits = extract_pattern(spec, mats, x).bits()[None]
-    Y, rho = next(_map_blocks(spec, mats, [(bits, x[None])], radii=True))
+    Y, _, rho = next(_map_blocks(spec, mats, [(bits, x[None])]))
     if rho[0] < margin or rho[0] <= step:
         raise KinkMarginError(
             f"input is {rho[0]:.3e} from the nearest ReLU kink of its region "

@@ -384,7 +384,7 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
     # difference taken in C order, the order in which its norm sums.
     # ``attempts`` ends at the last accepted draw, or at the cap.
     errors, radii, attempts = [], [], 0
-    for Y, rho in analysis._map_blocks(spec, mats, candidates(), radii=True):
+    for Y, _, rho in analysis._map_blocks(spec, mats, candidates()):
         x, attempts = pending.pop(), attempts + 1
         if rho[0] < margin or rho[0] <= step:
             continue

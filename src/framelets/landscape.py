@@ -35,13 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import (
-    ActivationPattern,
-    KinkMarginError,
-    dual_chains,
-    pattern_from_trace,
-    trace_margin,
-)
+from .analysis import ActivationPattern, dual_chains, pattern_from_trace
 from .netbuild import (
     ForwardTrace,
     LayerBank,
@@ -172,24 +166,15 @@ class Pass:
         return len(self.trace.x)
 
 
-def training_pass(spec: NetworkSpec, mats, data: TrainingSet, margin: float = 0.0) -> Pass:
+def training_pass(spec: NetworkSpec, mats, data: TrainingSet) -> Pass:
     """Forward the (T, d_0) stack of inputs, then trace the cost back through it.
 
     The backward trace is the chain rule through the realized operators
     under the zero-at-kink mask convention, one stacked matrix-vector
     product per operator (each row bit-identical to its one-sample
-    product).  A positive ``margin`` rejects kink-adjacent samples, as a
-    comparison against finite differences needs.
+    product).
     """
     trace = forward_matrices(spec, mats, data.X.T)
-    if margin > 0.0:
-        got = trace_margin(spec, trace)
-        if np.any(got < margin):
-            i = int(np.argmax(got < margin))  # the first sample too close
-            raise KinkMarginError(
-                f"training sample {i} sits within {got[i]:.3e} of a ReLU kink "
-                f"(margin {margin:.3e}); resample or perturb the data"
-            )
     pattern = pattern_from_trace(spec, trace)
     d_cur = trace.y - data.Y.T  # the residuals
     cost, d_enc, d_skip, d_dec = _cost(d_cur), [], [], []

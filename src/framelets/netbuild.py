@@ -50,7 +50,6 @@ __all__ = [
     "build_layer_matrices",
     "realize",
     "realize_adjoint",
-    "forward",
     "forward_matrices",
     "forward_y",
     "random_bank",
@@ -428,11 +427,6 @@ def forward_y(spec: NetworkSpec, mats, x) -> np.ndarray:
             w += skips.pop() @ layer.S_tilde.T
         cur = act(w, dec_relu)
     return cur
-
-
-def forward(spec: NetworkSpec, bank: LayerBank, x) -> ForwardTrace:
-    """Forward pass building the layer matrices on the fly."""
-    return forward_matrices(spec, realize(spec, bank), x)
 
 
 def _orthonormal(rows: int, cols: int, gen: np.random.Generator) -> np.ndarray:

@@ -369,10 +369,58 @@ def count_sign_regions(normals, max_rows: int = 12) -> int:
     return count
 
 
+def pattern_key(pattern: analysis.ActivationPattern) -> bytes:
+    """One input's pattern as a key: its n_bits as 4 little-endian bytes,
+    then its packed mask bits, the bytes of a census region's pattern hex."""
+    bits = pattern.bits()
+    return len(bits).to_bytes(4, "little") + np.packbits(bits).tobytes()
+
+
+def chain_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
+    """The frame B of one region by its chain prefixes: the reference for the
+    frame of the map kernel's forward half (``analysis._encode``).
+
+    ups[l] accumulates E^1 ... E^l, each followed by its encoder mask, from
+    ups[0] = I; B is ups[kappa], then with skips each prefix ups[l-1]
+    times the masked S^l, newest skip level first.  A stacked pattern
+    gives stacked prefixes past ups[0], row i bit-identical to row i's own.
+    """
+    ups = [np.eye(spec.d[0])]
+    for l in range(1, spec.kappa + 1):
+        ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][..., None, :])
+    blocks = [ups[spec.kappa]]
+    if spec.skip:
+        blocks += [ups[l - 1] @ (mats[l - 1].S * pattern.skip[l - 1][..., None, :])
+                   for l in range(spec.kappa, 0, -1)]
+    return np.concatenate(blocks, axis=-1)
+
+
+def trace_margin(spec, trace):
+    """Smallest |pre-activation| over all ReLU stages (inf when linear).
+
+    A float for a single-input trace; for a stacked trace of N inputs, an
+    array with each row's margin.  A NaN pre-activation (an overflowing
+    forward pass) makes that input's margin NaN; ``got < margin`` is
+    False for NaN, so a kink screen keeps the input.
+    """
+    parts = []
+    if spec.relu_at_encoder():
+        parts.extend(trace.enc_pre)
+        if spec.skip:
+            parts.extend(trace.skip_pre)
+    if spec.relu_at_decoder():
+        parts.extend(trace.dec_pre)
+    rows = trace.x.shape[:-1]
+    if not parts:
+        return np.full(rows, np.inf) if rows else np.inf
+    got = np.min([np.min(np.abs(p), axis=-1) for p in parts], axis=0)
+    return got if rows else float(got)
+
+
 def _kink_guard(spec, mats, data, margin: float) -> None:
     """Reject training data with a sample within ``margin`` of a ReLU kink."""
     for i in range(data.T):
-        got = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, data.X[:, i]))
+        got = trace_margin(spec, netbuild.forward_matrices(spec, mats, data.X[:, i]))
         if got < margin:
             raise analysis.KinkMarginError(
                 f"training sample {i} sits within {got:.3e} of a ReLU kink "

@@ -30,7 +30,7 @@ def margin_safe_data(spec, mats, bank_seed, T=2, margin=1e-4, tries=25):
             Y=gen.standard_normal((spec.d[0], T)),
         )
         margins = [
-            analysis.trace_margin(
+            oracles.trace_margin(
                 spec, netbuild.forward_matrices(spec, mats, data.X[:, i])
             )
             for i in range(T)
@@ -139,7 +139,7 @@ def test_criterion_4_lipschitz():
         for _ in range(count):
             x = gen.standard_normal(spec.d[0])
             pattern = analysis.extract_pattern(spec, mats, x)
-            buckets.setdefault(pattern.key, (pattern, []))[1].append(x)
+            buckets.setdefault(oracles.pattern_key(pattern), (pattern, []))[1].append(x)
         for pattern, xs in buckets.values():
             if len(xs) < 2:
                 continue

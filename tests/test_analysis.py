@@ -82,11 +82,10 @@ class TestActivationPattern:
         bank = netbuild.random_bank(spec, seed=4)
         mats = netbuild.realize(spec, bank)
         x = rng.standard_normal(spec.d[0])
-        p1 = analysis.extract_pattern(spec, mats, x)
-        p2 = analysis.extract_pattern(spec, mats, x.copy())
-        p3 = analysis.extract_pattern(spec, mats, -x)
-        assert p1 == p2 and hash(p1) == hash(p2)
-        assert p1 != p3
+        k1, k2, k3 = (oracles.pattern_key(analysis.extract_pattern(spec, mats, v))
+                      for v in (x, x.copy(), -x))
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert k1 != k3
 
 
 class TestLinearRep:
@@ -151,20 +150,48 @@ def map_spec(kappa, skip, nonlinearity, unequal_m):
                      m_list=m_list)
 
 
+def kernel_frames(spec, mats, bits) -> np.ndarray:
+    """The kernel's frames B of one block of bit rows, copied out."""
+    return next(analysis._map_blocks(spec, mats, [(bits, None)]))[1].copy()
+
+
 class TestMaskedChains:
+    """The kernel's forward half: the frame B of each row of a block."""
+
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
     def test_stacked_rows_equal_single_calls(self, skip, nonlinearity, rng):
         spec = make_spec(kappa=2, m=4, q=[1, 2, 3], skip=skip, nonlinearity=nonlinearity)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=5))
         X = rng.standard_normal((5, spec.d[0]))
-        stacked = analysis.masked_chains(
-            spec, mats, analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)))
+        pattern = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
+        stacked = kernel_frames(spec, mats, pattern.bits())
+        assert stacked.shape == (5, spec.d[0], spec.feature_dim)
+        duals = analysis.dual_chains(spec, mats, pattern)
         for i, x in enumerate(X):
-            single = analysis.masked_chains(spec, mats, analysis.extract_pattern(spec, mats, x))
-            for got, want in zip(stacked, single):
-                assert np.array_equal(got[0], want[0])  # the shared identity
-                assert all(np.array_equal(g[i], w) for g, w in zip(got[1:], want[1:]))
+            one = analysis.extract_pattern(spec, mats, x)
+            single = kernel_frames(spec, mats, one.bits()[None])
+            assert stacked[i].tobytes() == single[0].tobytes()
+            want = analysis.dual_chains(spec, mats, one)
+            assert np.array_equal(duals[0], want[0])  # the shared identity
+            assert all(np.array_equal(g[i], w) for g, w in zip(duals[1:], want[1:]))
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_frame_equals_chain_products(self, kappa, skip, nonlinearity, rng):
+        # the kernel forms (X S) * m where the chains formed X (S * m), so a
+        # zero may differ in sign: the frames are compared by value
+        spec = map_spec(kappa, skip, nonlinearity, unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
+        X = rng.standard_normal((6, spec.d[0]))
+        pattern = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
+        got = kernel_frames(spec, mats, pattern.bits())
+        assert np.array_equal(got, oracles.chain_frame(spec, mats, pattern))
+        for x, B in zip(X, got):
+            rep = analysis.linear_rep(spec, mats, x)
+            assert np.array_equal(rep.B, oracles.chain_frame(spec, mats, rep.pattern))
+            assert rep.B.tobytes() == B.tobytes()
 
 
 class TestRegionMaps:
@@ -206,8 +233,8 @@ class TestRegionMaps:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((11, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        got = [Y.transpose(0, 2, 1).copy()
-               for Y in analysis._map_blocks(spec, mats, (bits[:4], bits[4:8], bits[8:]))]
+        blocks = ((bits[:4], None), (bits[4:8], None), (bits[8:], None))
+        got = [Y.transpose(0, 2, 1).copy() for Y, _, _ in analysis._map_blocks(spec, mats, blocks)]
         assert [len(Y) for Y in got] == [4, 4, 3]
         for row, J in zip(bits, np.concatenate(got)):
             assert J.tobytes() == analysis.region_maps(spec, mats, row[None])[0].tobytes()
@@ -218,12 +245,13 @@ class TestRegionMaps:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((4, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        blocks = analysis._map_blocks(spec, mats, (bits[:2], bits[2:]))
+        blocks = analysis._map_blocks(spec, mats, ((bits[:2], None), (bits[2:], None)))
         first = next(blocks)
-        kept = first.copy()
+        kept = [view.copy() for view in first[:2]]
         second = next(blocks)
-        assert np.shares_memory(first, second)
-        assert np.array_equal(first, second) and not np.array_equal(first, kept)
+        for view, copy, again in zip(first, kept, second):  # the map, then the frame
+            assert np.shares_memory(view, again)
+            assert np.array_equal(view, again) and not np.array_equal(view, copy)
 
     @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -365,7 +393,7 @@ class TestRegionCensus:
         expected = {}
         for i in range(cfg.count):
             x = analysis.census_inputs(spec, cfg)[i]
-            key = analysis.extract_pattern(spec, mats, x).key.hex()
+            key = oracles.pattern_key(analysis.extract_pattern(spec, mats, x)).hex()
             expected.setdefault(key, []).append(x)
         for reg in census.regions:
             assert len(reg.inputs) == reg.count
@@ -402,7 +430,8 @@ class TestRegionCensus:
         for i in range(cfg.count):
             x = analysis.census_inputs(spec, cfg)[i]
             trace = netbuild.forward_matrices(spec, mats, x)
-            expected.setdefault(analysis.pattern_from_trace(spec, trace).key.hex(), []).append(x)
+            key = oracles.pattern_key(analysis.pattern_from_trace(spec, trace)).hex()
+            expected.setdefault(key, []).append(x)
         assert [reg.pattern_hex for reg in census.regions] == sorted(expected)
         for reg in census.regions:
             want = expected[reg.pattern_hex]
@@ -422,7 +451,8 @@ class TestRegionCensus:
         expected = {}
         for i in range(cfg.count):
             x = analysis.census_inputs(spec, cfg)[i]
-            expected.setdefault(analysis.extract_pattern(spec, mats, x).key, []).append(x)
+            key = oracles.pattern_key(analysis.extract_pattern(spec, mats, x))
+            expected.setdefault(key, []).append(x)
         keys = sorted(expected)
         assert [reg.pattern_hex for reg in census.regions] == [key.hex() for key in keys]
         for reg, key in zip(census.regions, keys):
@@ -440,7 +470,7 @@ class TestRegionCensus:
         counts = {}
         for i in reversed(range(cfg.count)):
             x = analysis.census_inputs(spec, cfg)[i]
-            key = analysis.extract_pattern(spec, mats, x).key.hex()
+            key = oracles.pattern_key(analysis.extract_pattern(spec, mats, x)).hex()
             counts[key] = counts.get(key, 0) + 1
         assert sorted(counts) == [r.pattern_hex for r in census.regions]
         assert [counts[r.pattern_hex] for r in census.regions] \
@@ -498,7 +528,7 @@ class TestRegionCensus:
         buckets = {}
         for _ in range(300):
             x = rng.standard_normal(spec.d[0])
-            key = analysis.extract_pattern(spec, mats, x).key
+            key = oracles.pattern_key(analysis.extract_pattern(spec, mats, x))
             buckets.setdefault(key, []).append(x)
         pairs = [(xs[0], xs[1]) for xs in buckets.values() if len(xs) >= 2]
         assert pairs, "sampling found no repeated region"
@@ -518,7 +548,7 @@ class TestRegionCensus:
         buckets = {}
         for _ in range(400):
             x = rng.standard_normal(spec.d[0])
-            key = analysis.extract_pattern(spec, mats, x).key
+            key = oracles.pattern_key(analysis.extract_pattern(spec, mats, x))
             buckets.setdefault(key, []).append(x)
         checked = 0
         for key, xs in buckets.items():
@@ -527,7 +557,7 @@ class TestRegionCensus:
             x1, x2 = xs[0], xs[1]
             for theta in (0.25, 0.5, 0.75):
                 mid = theta * x1 + (1 - theta) * x2
-                if analysis.extract_pattern(spec, mats, mid).key != key:
+                if oracles.pattern_key(analysis.extract_pattern(spec, mats, mid)) != key:
                     continue
                 y_mid = netbuild.forward_matrices(spec, mats, mid).y
                 y1 = netbuild.forward_matrices(spec, mats, x1).y
@@ -571,7 +601,7 @@ class TestLipschitz:
         for _ in range(300):
             x = rng.standard_normal(spec.d[0])
             pattern = analysis.extract_pattern(spec, mats, x)
-            buckets.setdefault(pattern.key, (pattern, []))[1].append(x)
+            buckets.setdefault(oracles.pattern_key(pattern), (pattern, []))[1].append(x)
         pairs = 0
         for pattern, xs in buckets.values():
             if len(xs) < 2:
@@ -625,7 +655,7 @@ class TestJacobian:
         mats = netbuild.realize(spec, bank)
         x = rng.standard_normal(spec.d[0])
         trace = netbuild.forward_matrices(spec, mats, x)
-        if analysis.trace_margin(spec, trace) < 1e-8:
+        if oracles.trace_margin(spec, trace) < 1e-8:
             pytest.skip("sampled a kink point")
         J1 = analysis.jacobian_analytic(spec, mats, x)
         J2 = analysis.jacobian_analytic(spec, mats, 2.5 * x)
@@ -678,10 +708,10 @@ class TestJacobian:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         X = rng.standard_normal((20, spec.d[0]))
         X[4] = 0.0  # exactly on every kink: margin 0
-        got = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
+        got = oracles.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
         assert got.shape == (20,)
         for x, row in zip(X, got):
-            one = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, x))
+            one = oracles.trace_margin(spec, netbuild.forward_matrices(spec, mats, x))
             assert isinstance(one, float) and row == one
         if nonlinearity == "none":
             assert np.all(got == np.inf)
@@ -693,7 +723,7 @@ class TestJacobian:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3, scale=1e200))
         X = np.random.default_rng(0).standard_normal((3, spec.d[0]))
         with np.errstate(all="ignore"):
-            got = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
+            got = oracles.trace_margin(spec, netbuild.forward_matrices(spec, mats, X))
         # NaN compares False against any margin, so a screen keeps the row
         assert np.all(np.isnan(got))
 
@@ -740,7 +770,7 @@ class TestCertifiedRadius:
         monkeypatch.setattr(analysis, "_radius", lambda rho, P, x, mask:
                             stages.append(P.copy()) or radius(rho, P, x, mask))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)], radii=True))
+        _, _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         monkeypatch.undo()
         return stages, rho
 
@@ -788,10 +818,10 @@ class TestCertifiedRadius:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         X = rng.standard_normal((4, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)], radii=True))
+        _, _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         rho = rho.copy()
         bits[0, 0] ^= 1
-        _, got = next(analysis._map_blocks(spec, mats, [(bits, X)], radii=True))
+        _, _, got = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         want = np.inf if nonlinearity == "none" else 0.0
         assert got[0] == want and np.array_equal(got[1:], rho[1:])
 
@@ -803,7 +833,7 @@ class TestCertifiedRadius:
         spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         X = rng.standard_normal((1000, spec.d[0]))
-        zero = analysis.trace_margin(spec, netbuild.forward_matrices(spec, mats, X)) == 0.0
+        zero = oracles.trace_margin(spec, netbuild.forward_matrices(spec, mats, X)) == 0.0
         if nonlinearity == "none":
             assert not zero.any()
             return

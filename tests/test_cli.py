@@ -290,7 +290,7 @@ class TestJacobianScreen:
     @staticmethod
     def radius(spec, mats, x) -> float:
         bits = analysis.extract_pattern(spec, mats, x).bits()[None]
-        return next(analysis._map_blocks(spec, mats, [(bits, x[None])], radii=True))[1][0]
+        return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[2][0]
 
     def test_radius_rule_keeps_most_draws_on_the_edge_net(self):
         # on the edge net with its frame bank the old pre-activation screen
@@ -309,16 +309,16 @@ class TestJacobianScreen:
         # draw order, up to the count-th accepted draw: the kernel gets no
         # empty block.  At margin 0.05 about 10 % of draws pass, so many
         # screen blocks pass none; at margin 100 none does, and the kernel
-        # maps every draw up to the cap
+        # maps every draw up to the cap.  Each block carries its input, so
+        # the kernel certifies the draw's radius (len(None) would raise)
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
         entered, rows = [], []
         kernel = analysis._map_blocks
 
-        def counted(spec, mats, blocks, radii=False):
-            entered.append(radii)
-            yield from kernel(spec, mats, (rows.append(len(b[0])) or b for b in blocks),
-                              radii=radii)
+        def counted(spec, mats, blocks):
+            entered.append(True)
+            yield from kernel(spec, mats, (rows.append(len(x)) or (bits, x) for bits, x in blocks))
 
         monkeypatch.setattr(analysis, "_map_blocks", counted)
         ctx = cli.Context(spec, bank, TOLERANCES, seed=99)
@@ -418,7 +418,8 @@ class TestSharedCensus:
             assert "first_sample" in entry and "representative" not in entry
             x = xs[entry["first_sample"]]
             assert np.array_equal(x, reg.inputs[0])
-            assert analysis.extract_pattern(spec, mats, x).key.hex() == entry["pattern"]
+            key = oracles.pattern_key(analysis.extract_pattern(spec, mats, x))
+            assert key.hex() == entry["pattern"]
 
 
 class TestForwardCounts:

@@ -120,7 +120,7 @@ class TestPerfectReconstruction:
         spec, bank = make_frame_pair(kappa=2, skip=True, alpha=2.0, seed=6)
         gen = np.random.default_rng(0)
         x = gen.standard_normal(spec.d[0])
-        y = netbuild.forward(spec, bank, x).y
+        y = netbuild.forward_matrices(spec, netbuild.realize(spec, bank), x).y
         assert np.linalg.norm(y - x) <= 1e-10 * np.linalg.norm(x)
 
 
@@ -178,7 +178,7 @@ class TestFrameBasis:
         basis = frame_basis(spec, bank)
         gen = np.random.default_rng(5)
         x = gen.standard_normal(spec.d[0])
-        y = netbuild.forward(spec, bank, x).y
+        y = netbuild.forward_matrices(spec, netbuild.realize(spec, bank), x).y
         np.testing.assert_allclose(basis.matrix() @ x, y, atol=1e-10)
 
 

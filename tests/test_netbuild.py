@@ -329,7 +329,8 @@ class TestForward:
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 1], nonlinearity="none")
         bank = identity_bank(spec)
         x = rng.standard_normal(4)
-        np.testing.assert_allclose(netbuild.forward(spec, bank, x).y, x)
+        mats = netbuild.realize(spec, bank)
+        np.testing.assert_allclose(netbuild.forward_matrices(spec, mats, x).y, x)
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_matches_manual_step_composition(self, skip, rng):
@@ -354,8 +355,8 @@ class TestForward:
 
     def test_relu_features_nonnegative(self, rng):
         spec = make_spec(kappa=2, m=5, skip=True)
-        bank = netbuild.random_bank(spec, seed=4)
-        trace = netbuild.forward(spec, bank, rng.standard_normal(spec.d[0]))
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
+        trace = netbuild.forward_matrices(spec, mats, rng.standard_normal(spec.d[0]))
         for feat in trace.enc + trace.skip + trace.dec:
             assert np.all(feat >= 0.0)
 
@@ -383,8 +384,8 @@ class TestForward:
 
     def test_trace_dimensions(self, rng):
         spec = make_spec(kappa=3, r=2, m=4, skip=True)
-        bank = netbuild.random_bank(spec, seed=6)
-        trace = netbuild.forward(spec, bank, rng.standard_normal(spec.d[0]))
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=6))
+        trace = netbuild.forward_matrices(spec, mats, rng.standard_normal(spec.d[0]))
         for l in range(1, spec.kappa + 1):
             assert trace.enc[l - 1].shape == (spec.d[l],)
             assert trace.skip[l - 1].shape == (spec.s[l - 1],)
@@ -392,12 +393,12 @@ class TestForward:
 
     def test_wrong_input_length(self):
         spec = make_spec(kappa=1, m=4)
-        bank = netbuild.random_bank(spec, seed=0)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=0))
         for bad in (np.zeros(5), np.zeros((3, 5)), np.zeros((2, 3, 4)), np.zeros(())):
             with pytest.raises(ValueError, match="shape"):
-                netbuild.forward(spec, bank, bad)
+                netbuild.forward_matrices(spec, mats, bad)
             with pytest.raises(ValueError, match="shape"):
-                netbuild.forward_y(spec, netbuild.realize(spec, bank), bad)
+                netbuild.forward_y(spec, mats, bad)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
