@@ -385,8 +385,8 @@ class RegionCensus:
         """Regions seen once; equal to ``distinct`` when the census is saturated."""
         return sum(reg.count == 1 for reg in self.regions)
 
-    def to_dict(self, include_first_samples: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "samples": self.samples,
             "distinct": self.distinct,
             "singletons": self.singletons,
@@ -394,14 +394,9 @@ class RegionCensus:
             "unseen_mass": self.singletons / self.samples,
             "nrep": self.nrep,
             "pattern_bits": self.pattern_bits,
-            "regions": [],
+            "regions": [{"pattern": reg.pattern_hex, "count": reg.count,
+                         "lipschitz": reg.lipschitz} for reg in self.regions],
         }
-        for reg in self.regions:
-            entry = {"pattern": reg.pattern_hex, "count": reg.count, "lipschitz": reg.lipschitz}
-            if include_first_samples:
-                entry["first_sample"] = reg.first_sample
-            out["regions"].append(entry)
-        return out
 
 
 def census_inputs(spec: NetworkSpec, config: CensusConfig) -> np.ndarray:

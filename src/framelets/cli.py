@@ -54,6 +54,9 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # parameter schema
 
+#: the default of a config key that must be present
+REQUIRED = object()
+
 
 @dataclasses.dataclass(frozen=True)
 class Field:
@@ -61,8 +64,10 @@ class Field:
 
     A ``count`` is an integer >= low; a ``real`` a finite number >= low
     (> low when strict); a ``bool`` true or false; a ``text`` a nonempty
-    string; a ``choice`` one of ``choices``.  A default of None means the
-    key is required or its runner derives the value (see the README).
+    string; a ``choice`` one of ``choices``; an ``object`` a JSON object;
+    ``names`` a list of distinct ``choices``, at least ``low`` of them.  A
+    key whose default is REQUIRED must be present; a default of None means
+    the key is required or its runner derives the value (see the README).
     """
 
     key: str
@@ -77,48 +82,63 @@ class Field:
 def _value(field: Field, value, path: str):
     """``value`` checked against ``field``; a count becomes int, a real float."""
     kind, low = field.kind, field.low
+    bound = f" {'>' if field.strict else '>='} {low:g}" if low > -np.inf else ""
     if kind == "count":
-        ok, want = netbuild._integral(value) and value >= low, f"an integer >= {low}"
+        ok, want = netbuild._integral(value) and value >= low, "an integer" + bound
     elif kind == "real":
         # abs() rejects integers beyond the float range; NaN fails every comparison
         ok = (isinstance(value, numbers.Real) and not isinstance(value, bool)
               and abs(value) <= sys.float_info.max
               and (value > low if field.strict else value >= low))
-        want = "a finite number"
-        if low > -np.inf:
-            want += f" {'>' if field.strict else '>='} {low:g}"
+        want = "a finite number" + bound
     elif kind == "bool":
         ok, want = isinstance(value, bool), "true or false"
     elif kind == "text":
         ok, want = isinstance(value, str) and value != "", "a nonempty string"
+    elif kind == "object":
+        ok, want = isinstance(value, dict), "a JSON object"
+    elif kind == "names":
+        ok = isinstance(value, list) and len(value) >= low
+        want = f"a {'nonempty ' if low > 0 else ''}list of analysis names"
     else:
         ok, want = value in field.choices, f"one of {', '.join(field.choices)}"
     if not ok:
         raise ConfigError(f"config field '{path}' must be {want}, got {value!r}")
+    if kind == "names":
+        for i, name in enumerate(value):
+            if name not in field.choices:
+                raise ConfigError(f"config field '{path}': unknown analysis {name!r} "
+                                  f"(recognized: {', '.join(field.choices)})")
+            if name in value[:i]:
+                raise ConfigError(f"config field '{path}': {name!r} is listed twice")
     return int(value) if kind == "count" else float(value) if kind == "real" else value
+
+
+def _fields(schema: tuple, prefix: str, block: dict) -> dict:
+    """Every field of ``schema``: ``block``'s checked value or the default.
+    Messages name a key as ``prefix`` followed by the key."""
+    known = {field.key for field in schema}
+    for key in block:
+        if key not in known:
+            raise ConfigError(f"config field '{prefix}{key}' is not a known field")
+    out = {}
+    for field in schema:
+        if field.key in block:
+            out[field.key] = _value(field, block[field.key], prefix + field.key)
+        elif field.default is REQUIRED:
+            raise ConfigError(f"missing required config field '{prefix}{field.key}'")
+        else:
+            out[field.key] = field.default
+    return out
 
 
 def validate(section: str, block: dict) -> dict:
     """Every field of ``section``'s schema: the checked value or its default."""
-    schema = SCHEMAS[section]
-    known = {field.key for field in schema}
-    for key in block:
-        if key not in known:
-            raise ConfigError(f"config field '{section}.{key}' is not a known field")
-    return {field.key: _value(field, block[field.key], f"{section}.{field.key}")
-            if field.key in block else field.default for field in schema}
+    return _fields(SCHEMAS[section], f"{section}.", block)
 
 
 # ---------------------------------------------------------------------------
 # config handling
-
-
-def _field(cfg: dict, key: str, default=None, required: bool = False):
-    if key not in cfg:
-        if required:
-            raise ConfigError(f"missing required config field '{key}'")
-        return default
-    return cfg[key]
 
 
 def _read_json(path: str, what: str):
@@ -140,8 +160,7 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _build_spec(cfg: dict) -> netbuild.NetworkSpec:
-    net = _block(cfg, "network", required=True)
+def _build_spec(net: dict) -> netbuild.NetworkSpec:
     for key in net:
         if key not in NETWORK_FIELDS:
             raise ConfigError(f"config field 'network.{key}' is not a known field")
@@ -153,32 +172,10 @@ def _build_spec(cfg: dict) -> netbuild.NetworkSpec:
         raise ConfigError(f"config field 'network': {exc}") from exc
 
 
-def _block(cfg: dict, key: str, required: bool = False) -> dict:
-    """A config field holding a JSON object; an absent optional one is {}."""
-    value = _field(cfg, key, default={}, required=required)
-    if not isinstance(value, dict):
-        raise ConfigError(f"config field '{key}' must be a JSON object, got {value!r}")
-    return value
-
-
-def _names(cfg: dict, key: str, required: bool = False) -> list:
-    """A list of distinct analysis names."""
-    names = _field(cfg, key, default=[], required=required)
-    if not isinstance(names, list) or (required and not names):
-        raise ConfigError(f"config field '{key}' must be a "
-                          f"{'nonempty ' if required else ''}list of analysis names")
-    for i, name in enumerate(names):
-        if name not in ANALYSES:
-            raise ConfigError(f"config field '{key}': unknown analysis {name!r} "
-                              f"(recognized: {', '.join(ANALYSES)})")
-        if name in names[:i]:
-            raise ConfigError(f"config field '{key}': {name!r} is listed twice")
-    return names
-
-
 def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
-    """The run's bank and the checked ``bank`` block."""
-    params = validate("bank", _block(cfg, "bank", required=True))
+    """The run's bank and the checked ``bank`` block; of ``cfg`` it reads only
+    that block, which the benchmark's bank-only configs also hold."""
+    params = validate("bank", cfg["bank"])
     source = params["source"]
     if source == "file":
         path = params["path"]
@@ -196,9 +193,8 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
     if source == "random":
         return netbuild.random_bank(spec, seed=derive(seed, "bank"),
                                     scale=params["scale"]), params
-    fc = frames.FrameConfig.for_spec(spec, alpha=params["alpha"], seed=derive(seed, "bank"),
-                                     pooling=params["pooling"])
-    return frames.frame_bank(spec, fc), params
+    return frames.frame_bank(spec, params["alpha"], derive(seed, "bank"),
+                             params["pooling"]), params
 
 
 # ---------------------------------------------------------------------------
@@ -247,8 +243,7 @@ def _check(name: str, passed: bool, **extra) -> dict:
 def run_frames(ctx: Context, params: dict) -> dict:
     alpha = ctx.alpha if params["alpha"] is None else params["alpha"]
     mode = params["mode"] or ("skip" if ctx.spec.skip else "no_skip")
-    residuals = frames.frame_residual(ctx.spec, ctx.bank,
-                                      frames.FrameConfig(alpha=alpha, mode=mode, seed=0))
+    residuals = frames.frame_residual(ctx.spec, ctx.bank, alpha, mode)
     worst = _worst(
         [value for entry in residuals for key, value in entry.items() if key != "layer"]
     )
@@ -298,7 +293,7 @@ def run_identity(ctx: Context, params: dict) -> dict:
 
 def run_regions(ctx: Context, params: dict) -> dict:
     census, outdir = ctx.census, ctx.outdir
-    block = census.to_dict(include_first_samples=False)
+    block = census.to_dict()
     if outdir is not None:
         # census.json is json.dump(indent=1) of to_dict() plus a newline, and the
         # CSVs csv.writer rows with repr floats: each region is rendered once, as
@@ -551,10 +546,6 @@ REGISTRY = {
 
 ANALYSES = tuple(REGISTRY)
 
-#: the config's top-level keys, besides one parameter block per analysis
-TOP_LEVEL = ("seed", "output_dir", "network", "bank", "analyses", "enforce",
-             "sampler", "tolerances")
-
 #: every config block with a schema: the shared blocks, then one per analysis
 SCHEMAS = {
     "bank": (
@@ -582,6 +573,16 @@ SCHEMAS = {
     **{name: entry.params for name, entry in REGISTRY.items()},
 }
 
+#: the config's top-level keys; each block of SCHEMAS is a JSON object under its name
+TOP_LEVEL = (
+    Field("seed", "count"),
+    Field("output_dir", "text"),
+    Field("network", "object", REQUIRED),
+    Field("analyses", "names", REQUIRED, low=1, choices=ANALYSES),
+    Field("enforce", "names", (), choices=ANALYSES),
+    *(Field(block, "object", REQUIRED if block == "bank" else {}) for block in SCHEMAS),
+)
+
 
 # ---------------------------------------------------------------------------
 # experiment orchestration
@@ -589,28 +590,19 @@ SCHEMAS = {
 
 def execute(cfg: dict, outdir: str | None) -> tuple:
     """Run every requested analysis in declared order; returns (report, failures)."""
-    for key in cfg:
-        if key not in TOP_LEVEL and key not in REGISTRY:
-            raise ConfigError(f"config field '{key}' is not a known field")
-    spec = _build_spec(cfg)
-    seed = _field(cfg, "seed")
-    if seed is not None:
-        if not netbuild._integral(seed):
-            raise ConfigError(f"config field 'seed' must be an integer, got {seed!r}")
-        seed = int(seed)
-    names = _names(cfg, "analyses", required=True)
-    enforce = _names(cfg, "enforce")
+    top = _fields(TOP_LEVEL, "", cfg)
+    spec = _build_spec(top["network"])
+    seed, names, enforce = top["seed"], top["analyses"], top["enforce"]
     for name in enforce:
         if name not in names:
             raise ConfigError(f"config field 'enforce': {name!r} is not in 'analyses'")
-    params = {name: validate(name, _block(cfg, name)) for name in ANALYSES}
-    sampler = _block(cfg, "sampler")
-    if sampler and seed is None:
+    params = {name: validate(name, top[name]) for name in ANALYSES}
+    if top["sampler"] and seed is None:
         raise ConfigError("config field 'seed' is required when a sampler is used")
     if seed is None and any(REGISTRY[name].seeded for name in names):
         raise ConfigError("config field 'seed' is required for the requested analyses")
-    sampler = validate("sampler", sampler)
-    tolerances = validate("tolerances", _block(cfg, "tolerances"))
+    sampler = validate("sampler", top["sampler"])
+    tolerances = validate("tolerances", top["tolerances"])
     bank, bank_params = _build_bank(cfg, spec, seed)
     census_config = None if seed is None else analysis.CensusConfig(
         count=sampler["count"], distribution=sampler["distribution"],
@@ -732,9 +724,7 @@ def _resolve_outdir(explicit: str | None) -> str:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if "output_dir" in cfg:
-        _value(Field("output_dir", "text"), cfg["output_dir"], "output_dir")
-    outdir = _resolve_outdir(args.out or cfg.get("output_dir"))
+    outdir = _resolve_outdir(args.out or _fields(TOP_LEVEL, "", cfg)["output_dir"])
     report, failures = execute(cfg, outdir)
     path = write_report(report, outdir)
     for name, block in report["results"].items():
@@ -755,7 +745,7 @@ def cmd_run(args) -> int:
 def _load_spec_file(path: str) -> netbuild.NetworkSpec:
     data = _read_json(path, "spec")
     try:
-        return _build_spec({"network": data})
+        return _build_spec(_value(Field("network", "object"), data, "network"))
     except ConfigError as exc:
         raise ConfigError(f"spec file {path}: {exc}") from exc
 

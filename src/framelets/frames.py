@@ -15,7 +15,6 @@ on arbitrary banks that satisfy nothing.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,7 +22,6 @@ from .netbuild import LayerBank, NetworkSpec, _orthonormal, realize
 from .seeding import derive, rng
 
 __all__ = [
-    "FrameConfig",
     "frame_filter_constant",
     "make_frame_pooling",
     "make_frame_filters",
@@ -34,30 +32,6 @@ __all__ = [
 
 MODES = ("no_skip", "skip")
 POOLINGS = ("identity", "orthogonal")
-
-
-@dataclass(frozen=True)
-class FrameConfig:
-    """Pooling frame constant, skip/no-skip constant selection, seed."""
-
-    alpha: float = 1.0
-    mode: str = "no_skip"
-    seed: int = 0
-    pooling: str = "orthogonal"  # or "identity"
-
-    def __post_init__(self):
-        if self.alpha <= 0:
-            raise ValueError(f"frame constant alpha={self.alpha} must be positive")
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.pooling not in POOLINGS:
-            raise ValueError(f"unknown pooling kind {self.pooling!r}")
-
-    @classmethod
-    def for_spec(cls, spec: NetworkSpec, alpha: float = 1.0, seed: int = 0,
-                 pooling: str = "orthogonal") -> "FrameConfig":
-        return cls(alpha=alpha, mode="skip" if spec.skip else "no_skip",
-                   seed=seed, pooling=pooling)
 
 
 def frame_filter_constant(r: int, alpha: float, mode: str) -> float:
@@ -136,24 +110,28 @@ def _matrix_to_filters(P: np.ndarray, q_in: int, q_out: int, r: int) -> np.ndarr
     return P.reshape(q_in, r, q_out).transpose(0, 2, 1).copy()
 
 
-def frame_bank(spec: NetworkSpec, config: FrameConfig) -> LayerBank:
-    """Bank satisfying the frame conditions at every layer.
+def frame_bank(spec: NetworkSpec, alpha: float = 1.0, seed: int = 0,
+               pooling: str = "orthogonal") -> LayerBank:
+    """Bank satisfying the frame conditions at every layer, for pooling
+    frame constant ``alpha`` and the filter constant of the spec's skip mode.
 
     Spatial dims must stay constant (square pooling) and channels must
     grow at least r-fold per layer.  Layers draw independent sub-seeded
-    orthogonal factors, so the bank is reproducible from (spec, config).
+    orthogonal factors, so the bank is reproducible from its arguments.
+    ``pooling`` is "orthogonal" or "identity".
     """
+    mode = "skip" if spec.skip else "no_skip"
     enc, dec, pool, unpool = [], [], [], []
     for l in range(1, spec.kappa + 1):
         m_prev, m_cur = spec.m[l - 1], spec.m[l]
         q_prev, q_cur = spec.q[l - 1], spec.q[l]
         phi, phi_t = make_frame_pooling(
-            m_prev, config.alpha, kind=config.pooling,
-            seed=derive(config.seed, "frame-bank-pool", l), m_out=m_cur,
+            m_prev, alpha, kind=pooling,
+            seed=derive(seed, "frame-bank-pool", l), m_out=m_cur,
         )
         psi, psi_t = make_frame_filters(
-            spec.r, q_prev, q_cur, config.alpha, mode=config.mode,
-            seed=derive(config.seed, "frame-bank-filters", l),
+            spec.r, q_prev, q_cur, alpha, mode=mode,
+            seed=derive(seed, "frame-bank-filters", l),
         )
         pool.append(phi)
         unpool.append(phi_t)
@@ -167,21 +145,25 @@ def _max_dev(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)))
 
 
-def frame_residual(spec: NetworkSpec, bank: LayerBank, config: FrameConfig) -> list:
-    """Per-layer deviations from the frame conditions and the layer identity.
+def frame_residual(spec: NetworkSpec, bank: LayerBank, alpha: float, mode: str) -> list:
+    """Per-layer deviations from the frame conditions, for pooling frame
+    constant ``alpha`` and the filter constant of ``mode``, and from the
+    layer identity.
 
-    Reports, never raises: arbitrary banks are expected to violate
-    everything.  In skip mode the pooled and identity-pooled halves of the
-    layer identity are also reported separately, since the factory
-    guarantees their split but arbitrary banks need not.
+    Reports, never raises on a bank: arbitrary banks are expected to
+    violate everything.  In skip mode the pooled and identity-pooled
+    halves of the layer identity are also reported separately, since the
+    factory guarantees their split but arbitrary banks need not.
     """
-    skip_mode = config.mode == "skip"
+    if alpha <= 0:
+        raise ValueError(f"frame constant alpha={alpha} must be positive")
+    c = frame_filter_constant(spec.r, alpha, mode)
+    skip_mode = mode == "skip"
     eval_spec = dataclasses.replace(spec, skip=True) if skip_mode else spec
     mats = realize(eval_spec, bank)
     out = []
     for l in range(1, spec.kappa + 1):
         m_prev = spec.m[l - 1]
-        c = frame_filter_constant(spec.r, config.alpha, config.mode)
         psi = filters_to_matrix(bank.enc_filters[l - 1])
         psi_t = filters_to_matrix(bank.dec_filters[l - 1])
         phi = bank.pool[l - 1]
@@ -190,7 +172,7 @@ def frame_residual(spec: NetworkSpec, bank: LayerBank, config: FrameConfig) -> l
         d_prev = spec.d[l - 1]
         entry = {
             "layer": l,
-            "pooling_residual": _max_dev(phi_t @ phi.T, config.alpha * np.eye(m_prev)),
+            "pooling_residual": _max_dev(phi_t @ phi.T, alpha * np.eye(m_prev)),
             "filter_residual": _max_dev(psi @ psi_t.T, c * np.eye(psi.shape[0])),
         }
         recon = layer.D @ layer.E.T
@@ -198,12 +180,11 @@ def frame_residual(spec: NetworkSpec, bank: LayerBank, config: FrameConfig) -> l
             pooled = recon.copy()
             skip_part = layer.S_tilde @ layer.S.T
             recon = recon + skip_part
-            a = config.alpha
             entry["pooled_term_residual"] = _max_dev(
-                pooled, a / (a + 1.0) * np.eye(d_prev)
+                pooled, alpha / (alpha + 1.0) * np.eye(d_prev)
             )
             entry["identity_term_residual"] = _max_dev(
-                skip_part, 1.0 / (a + 1.0) * np.eye(d_prev)
+                skip_part, 1.0 / (alpha + 1.0) * np.eye(d_prev)
             )
         entry["layer_identity_residual"] = _max_dev(recon, np.eye(d_prev))
         out.append(entry)

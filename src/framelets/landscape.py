@@ -242,46 +242,52 @@ class BoundCertificate:
                 if f.name != "printed" or self.printed is not None}
 
 
-def _factor_sigmas(prefix: np.ndarray, mask: np.ndarray) -> tuple:
-    """Per-sample singular extremes of mask * dual-chain-prefix transposed,
-    from a stacked prefix of :attr:`Pass.dual` and its (T, .) masks."""
-    return _sigma_extremes(mask[..., None] * np.swapaxes(prefix, -1, -2),
-                           "masked dual-chain prefix")
+def _sandwich(p: Pass, kind: str, name: str, l: int, prefix: np.ndarray, mask: np.ndarray,
+              features: np.ndarray, what: str, preconditions: dict) -> BoundCertificate:
+    """The singular-value sandwich for the gradient of operator ``name`` of
+    layer l: lower = sigma_min(features) * min_i sigma_min(masked dual prefix)
+    * sqrt(2 loss), upper analogously with maxima.  ``prefix`` is a stacked
+    prefix of :attr:`Pass.dual` and ``mask`` its (T, .) masks; ``features``
+    are the (T, .) rows the gradient's sample outer products read, ``what``
+    names them in the non-finite error.  Applicable when every precondition
+    holds."""
+    mins, maxs = _sigma_extremes(mask[..., None] * np.swapaxes(prefix, -1, -2),
+                                 "masked dual-chain prefix")
+    f_min, f_max = _sigma_extremes(features.T, what)
+    root = np.sqrt(2.0 * p.cost)
+    return BoundCertificate(
+        kind=kind,
+        operator=f"{name}[{l}]",
+        layer=l,
+        grad_norm=p.grad_norm(name, l),
+        lower=f_min * min(mins) * root,
+        upper=f_max * max(maxs) * root,
+        loss=p.cost,
+        feature_sigma_min=f_min,
+        feature_sigma_max=f_max,
+        factor_sigma_min=min(mins),
+        factor_sigma_max=max(maxs),
+        per_sample_sigma_min=mins,
+        per_sample_sigma_max=maxs,
+        preconditions=preconditions,
+        applicable=all(preconditions.values()),
+    )
 
 
 def certify_bounds_skip(p: Pass, l: int) -> BoundCertificate:
     """Gradient-norm sandwich for S_tilde at level l, read from a training pass.
 
-    lower = sigma_min(skip features) * min_i sigma_min(masked dual prefix)
-    * sqrt(2 loss); upper analogously with maxima.  Valid when s_l >= T
+    The features are the skip features of level l.  Valid when s_l >= T
     and d_{l-1} >= d_0.
     """
     spec = p.spec
     if not spec.skip:
         raise ValueError("skip certificates need a skip network")
-    grad_norm = p.grad_norm("S_tilde", l)
-    mins, maxs = _factor_sigmas(p.dual[l - 1], p.pattern.dec[l - 1])
-    g_min, g_max = _sigma_extremes(p.trace.skip[l - 1].T, "skip feature matrix")
-    return BoundCertificate(
-        kind="skip",
-        operator=f"S_tilde[{l}]",
-        layer=l,
-        grad_norm=grad_norm,
-        lower=g_min * min(mins) * np.sqrt(2.0 * p.cost),
-        upper=g_max * max(maxs) * np.sqrt(2.0 * p.cost),
-        loss=p.cost,
-        feature_sigma_min=g_min,
-        feature_sigma_max=g_max,
-        factor_sigma_min=min(mins),
-        factor_sigma_max=max(maxs),
-        per_sample_sigma_min=mins,
-        per_sample_sigma_max=maxs,
-        preconditions={
-            "s_l_ge_T": spec.s[l - 1] >= p.T,
-            "d_prev_ge_d0": spec.d[l - 1] >= spec.d[0],
-        },
-        applicable=spec.s[l - 1] >= p.T and spec.d[l - 1] >= spec.d[0],
-    )
+    return _sandwich(p, "skip", "S_tilde", l, p.dual[l - 1], p.pattern.dec[l - 1],
+                     p.trace.skip[l - 1], "skip feature matrix", {
+                         "s_l_ge_T": spec.s[l - 1] >= p.T,
+                         "d_prev_ge_d0": spec.d[l - 1] >= spec.d[0],
+                     })
 
 
 def certify_bounds_enc(p: Pass) -> BoundCertificate:
@@ -293,38 +299,21 @@ def certify_bounds_enc(p: Pass) -> BoundCertificate:
     bottleneck output features instead, for side-by-side comparison.
     """
     spec, kappa = p.spec, p.spec.kappa
-    mins, maxs = _factor_sigmas(p.dual[kappa], p.pattern.enc[kappa - 1])
-    f_min, f_max = _sigma_extremes([p.trace.x, *p.trace.enc][kappa - 1].T,
-                                   "encoder feature matrix")
+    cert = _sandwich(p, "encoder", "E", kappa, p.dual[kappa], p.pattern.enc[kappa - 1],
+                     [p.trace.x, *p.trace.enc][kappa - 1], "encoder feature matrix", {
+                         "d_prev_ge_T": spec.d[kappa - 1] >= p.T,
+                         "d_kappa_ge_d0": spec.d[kappa] >= spec.d[0],
+                     })
     k_min, k_max = _sigma_extremes(p.trace.enc[-1].T, "bottleneck feature matrix")
     root = np.sqrt(2.0 * p.cost)
-    return BoundCertificate(
-        kind="encoder",
-        operator=f"E[{kappa}]",
-        layer=kappa,
-        grad_norm=p.grad_norm("E", kappa),
-        lower=f_min * min(mins) * root,
-        upper=f_max * max(maxs) * root,
-        loss=p.cost,
-        feature_sigma_min=f_min,
-        feature_sigma_max=f_max,
-        factor_sigma_min=min(mins),
-        factor_sigma_max=max(maxs),
-        per_sample_sigma_min=mins,
-        per_sample_sigma_max=maxs,
-        preconditions={
-            "d_prev_ge_T": spec.d[kappa - 1] >= p.T,
-            "d_kappa_ge_d0": spec.d[kappa] >= spec.d[0],
-        },
-        applicable=spec.d[kappa - 1] >= p.T and spec.d[kappa] >= spec.d[0],
-        printed={
-            "feature_sigma_min": k_min,
-            "feature_sigma_max": k_max,
-            "lower": k_min * min(mins) * root,
-            "upper": k_max * max(maxs) * root,
-            "precondition_d_kappa_ge_T": spec.d[kappa] >= p.T,
-        },
-    )
+    cert.printed = {
+        "feature_sigma_min": k_min,
+        "feature_sigma_max": k_max,
+        "lower": k_min * cert.factor_sigma_min * root,
+        "upper": k_max * cert.factor_sigma_max * root,
+        "precondition_d_kappa_ge_T": spec.d[kappa] >= p.T,
+    }
+    return cert
 
 
 @dataclass
@@ -395,17 +384,23 @@ def check_stationarity(p: Pass, pos_tol: float = 1e-12,
     return report
 
 
+#: the Armijo line search: step factor per backtrack, decrease slope and
+#: trials per iteration
+ARMIJO_SHRINK = 0.5
+ARMIJO_SLOPE = 1e-4
+MAX_BACKTRACKS = 40
+
+#: a loss above this that rose over the previous iteration aborts training
+DIVERGENCE_LOSS = 1e12
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     step_size: float = 0.25
     iterations: int = 200
     armijo: bool = True
-    armijo_shrink: float = 0.5
-    armijo_slope: float = 1e-4
-    max_backtracks: int = 40
     checkpoint_every: int = 0
     stop_loss: float = 0.0
-    divergence_loss: float = 1e12
 
 
 @dataclass
@@ -462,7 +457,7 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
     accepted step satisfies the backtracking decrease condition, so the
     loss trajectory is monotone and a step that cannot be backtracked
     into acceptance stalls the run; without it, raw fixed-size steps are
-    taken.  A non-finite loss, or one beyond ``divergence_loss`` that rose
+    taken.  A non-finite loss, or one beyond ``DIVERGENCE_LOSS`` that rose
     over the previous iteration, aborts with a diagnostic.  Emits bound
     certificates every ``checkpoint_every`` iterations when requested.
     """
@@ -505,13 +500,13 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
         if config.armijo:
             step = config.step_size
             accepted = None
-            for _ in range(config.max_backtracks):
+            for _ in range(MAX_BACKTRACKS):
                 # an infinite or NaN trial loss (an overflow) is a failed trial
                 cand, cand_loss = _trial(spec, current, enc_g, dec_g, step, data)
-                if cand_loss <= cur_loss - config.armijo_slope * step * gnorm_sq:
+                if cand_loss <= cur_loss - ARMIJO_SLOPE * step * gnorm_sq:
                     accepted = (cand, cand_loss)
                     break
-                step *= config.armijo_shrink
+                step *= ARMIJO_SHRINK
             if accepted is None:
                 stop_reason = "line search stalled"
                 break
@@ -525,9 +520,9 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
                 "reduce the step size"
             )
         # a large loss that is still falling (a large bank scale) is not a divergence
-        if cur_loss > config.divergence_loss and cur_loss > losses[-2]:
+        if cur_loss > DIVERGENCE_LOSS and cur_loss > losses[-2]:
             raise TrainingDiverged(
-                f"loss {cur_loss:.3e} exceeded {config.divergence_loss:.1e} and rose "
+                f"loss {cur_loss:.3e} exceeded {DIVERGENCE_LOSS:.1e} and rose "
                 f"at iteration {it}; reduce the step size"
             )
         if config.checkpoint_every > 0 and it % config.checkpoint_every == 0:

@@ -14,8 +14,8 @@ operators:
 Every operator is linear in its filter taps: block (k, j) is
 sum_t taps[k, j, t] roll(Phi, t) with Phi the pooling matrix, the
 unpooling matrix or the identity.  E and S share the encoder taps, D and
-S_tilde the decoder taps.  :func:`build_layer_matrices` is that linear
-map and :func:`realize_adjoint` its adjoint, which pulls gradients with
+S_tilde the decoder taps.  :func:`realize` is that linear map and
+:func:`realize_adjoint` its adjoint, which pulls gradients with
 respect to the operators back onto the taps; this module is the only
 place that knows the block layout.
 
@@ -47,7 +47,6 @@ __all__ = [
     "LayerBank",
     "LayerMatrices",
     "ForwardTrace",
-    "build_layer_matrices",
     "realize",
     "realize_adjoint",
     "forward_matrices",
@@ -267,21 +266,6 @@ def _layer(spec: NetworkSpec, bank: LayerBank, l: int) -> LayerMatrices:
         name: np.einsum("kjt,tab->kajb", taps[side], R).reshape(spec.d[l - 1], -1)
         for name, (side, R) in _frames(spec, bank, l).items()
     })
-
-
-def build_layer_matrices(spec: NetworkSpec, bank: LayerBank, l: int) -> LayerMatrices:
-    """Assemble E, D (and S, S_tilde with skips) for layer l in [1, kappa].
-
-    The linear map from taps to operators: block (k, j) of E is
-    sum_t enc[k, j, t] roll(pool, t, axis=0), i.e. the pooling matrix
-    convolved column-wise with the encoder filter k->j; D does the same
-    with the unpooling matrix and the decoder taps, and the skip
-    operators replace the pooling with the identity.
-    """
-    if not 1 <= l <= spec.kappa:
-        raise ValueError(f"layer index {l} out of range [1, {spec.kappa}]")
-    validate_bank(spec, bank)
-    return _layer(spec, bank, l)
 
 
 def realize(spec: NetworkSpec, bank: LayerBank) -> tuple:

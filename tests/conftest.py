@@ -22,8 +22,7 @@ def make_frame_pair(kappa=2, r=2, m=8, skip=False, alpha=1.0, seed=0,
                     pooling="orthogonal", nonlinearity="none"):
     """(spec, bank) satisfying the frame conditions."""
     spec = make_spec(kappa=kappa, r=r, m=m, skip=skip, nonlinearity=nonlinearity)
-    cfg = frames.FrameConfig.for_spec(spec, alpha=alpha, seed=seed, pooling=pooling)
-    return spec, frames.frame_bank(spec, cfg)
+    return spec, frames.frame_bank(spec, alpha=alpha, seed=seed, pooling=pooling)
 
 
 @pytest.fixture

@@ -473,8 +473,11 @@ def write_census_files(census: analysis.RegionCensus, outdir: str) -> None:
     """``census.json``, ``regions.csv`` and ``region_lipschitz.csv`` as
     ``json.dump(indent=1)`` and ``csv.writer`` write them: the byte-for-byte
     reference for the streamed writer of ``cli.run_regions``."""
+    block = census.to_dict()
+    for entry, reg in zip(block["regions"], census.regions):
+        entry["first_sample"] = reg.first_sample
     with open(os.path.join(outdir, "census.json"), "w") as fh:
-        json.dump(census.to_dict(include_first_samples=True), fh, indent=1)
+        json.dump(block, fh, indent=1)
         fh.write("\n")
     with open(os.path.join(outdir, "regions.csv"), "w", newline="") as fh:
         writer = csv.writer(fh)

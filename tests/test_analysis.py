@@ -415,7 +415,7 @@ class TestRegionCensus:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
         census = analysis.region_census(spec, mats, analysis.CensusConfig(count=20, seed=4))
         assert census.singletons == census.distinct == census.samples
-        assert census.to_dict(include_first_samples=False)["unseen_mass"] == 1.0
+        assert census.to_dict()["unseen_mass"] == 1.0
 
     @pytest.mark.parametrize("count", [1, 150])
     @pytest.mark.parametrize("skip", [False, True])

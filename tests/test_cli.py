@@ -154,6 +154,15 @@ class TestRun:
         assert cli.main(["run", write_config(tmp_path, cfg),
                          "--out", str(tmp_path / "out")]) == 0
 
+    def test_bank_only_config_builds_the_run_bank(self):
+        # the benchmark builds its banks from configs that hold only seed,
+        # network and bank, so _build_bank reads no other top-level key
+        cfg = base_config()
+        spec = netbuild.NetworkSpec.from_dict(cfg["network"])
+        bare = {key: cfg[key] for key in ("seed", "network", "bank")}
+        banks = [cli._build_bank(c, spec, cfg["seed"])[0] for c in (cfg, bare)]
+        assert netbuild.bank_to_dict(spec, banks[0]) == netbuild.bank_to_dict(spec, banks[1])
+
 
 README_NETWORK = {"kappa": 2, "r": 2, "q": [1, 2, 4], "m": [8, 8, 8],
                   "skip": True, "nonlinearity": "relu"}
@@ -795,6 +804,10 @@ class TestConfigErrors:
         ("output_dir", [], "frames"),
         ("output_dir", "", "frames"),
         ("output_dir", None, "frames"),
+        ("analyses", [], "frames"),
+        ("analyses", "frames", "frames"),
+        ("seed", True, "reconstruct"),
+        ("seed", "7", "reconstruct"),
     ])
     def test_invalid_value_names_its_field(self, tmp_path, capsys, path, value,
                                            analysis_name):
@@ -828,7 +841,7 @@ class TestConfigErrors:
         assert message in capsys.readouterr().err
 
     def test_large_falling_loss_trains(self, tmp_path):
-        # the initial loss of a scale-100 bank is above divergence_loss
+        # the initial loss of a scale-100 bank is above DIVERGENCE_LOSS
         # (1e12); Armijo steps lower it, which used to abort at iteration 1
         cfg = base_config(network=README_NETWORK,
                           bank={"source": "random", "scale": 100},
@@ -873,6 +886,13 @@ class TestConfigErrors:
             assert cli.main(["verify-frames", "--spec", str(spec)]) == 1
             message = f"spec file {spec}: {message}"
         assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["network", "analyses", "bank"])
+    def test_missing_required_field_is_named(self, tmp_path, capsys, key):
+        cfg = base_config(analyses=["frames"], enforce=["frames"])
+        del cfg[key]
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"config error: missing required config field '{key}'\n"
 
 
 class TestSubcommands:

@@ -65,8 +65,8 @@ class TestFrameResidual:
     def test_factory_bank_residuals_tiny(self):
         for skip in (False, True):
             spec, bank = make_frame_pair(kappa=2, skip=skip, seed=9)
-            cfg = frames.FrameConfig.for_spec(spec, seed=9)
-            for entry in frames.frame_residual(spec, bank, cfg):
+            mode = "skip" if skip else "no_skip"
+            for entry in frames.frame_residual(spec, bank, 1.0, mode):
                 for key, value in entry.items():
                     if key != "layer":
                         assert value <= 1e-10, (skip, entry)
@@ -74,8 +74,7 @@ class TestFrameResidual:
     def test_random_bank_reports_without_error(self):
         spec = make_spec(kappa=2, m=6)
         bank = netbuild.random_bank(spec, seed=5)
-        cfg = frames.FrameConfig.for_spec(spec)
-        report = frames.frame_residual(spec, bank, cfg)
+        report = frames.frame_residual(spec, bank, 1.0, "no_skip")
         assert len(report) == 2
         assert max(e["layer_identity_residual"] for e in report) > 1e-3
 
@@ -87,8 +86,7 @@ class TestFrameResidual:
         one = np.ones((1, 1, 1))
         bank = netbuild.LayerBank(enc_filters=(one,), dec_filters=(one.copy(),),
                                   pool=(np.eye(4),), unpool=(np.eye(4),))
-        cfg = frames.FrameConfig(alpha=1.0, mode="no_skip")
-        entry = frames.frame_residual(spec, bank, cfg)[0]
+        entry = frames.frame_residual(spec, bank, 1.0, "no_skip")[0]
         assert entry["pooling_residual"] == 0.0
         assert entry["filter_residual"] == 0.0
         assert entry["layer_identity_residual"] == 0.0

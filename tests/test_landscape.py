@@ -662,12 +662,11 @@ class TestTrainGD:
         with pytest.raises(landscape.TrainingDiverged, match="step size"):
             landscape.train_gd(
                 spec, bank, data,
-                landscape.TrainConfig(step_size=1e4, iterations=100,
-                                      armijo=False, divergence_loss=1e10),
+                landscape.TrainConfig(step_size=1e4, iterations=100, armijo=False),
             )
 
     def test_raw_step_blow_up_of_a_large_loss_aborts(self):
-        # the loss starts above divergence_loss; a raw step that raises it
+        # the loss starts above DIVERGENCE_LOSS; a raw step that raises it
         # further still aborts, while an Armijo run lowers it
         spec = make_spec(kappa=2, r=2, m=8, q=[1, 2, 4], skip=True)
         bank = netbuild.random_bank(spec, seed=7, scale=100)

@@ -141,10 +141,12 @@ class TestNetworkSpec:
 
 
 class TestBuildLayerMatrices:
+    """Each layer of :func:`netbuild.realize`: the linear map from taps to operators."""
+
     def test_identity_layer(self):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 1], nonlinearity="none")
         bank = identity_bank(spec)
-        mats = netbuild.build_layer_matrices(spec, bank, 1)
+        mats = netbuild.realize(spec, bank)[0]
         np.testing.assert_array_equal(mats.E, np.eye(4))
         np.testing.assert_array_equal(mats.D, np.eye(4))
 
@@ -157,7 +159,7 @@ class TestBuildLayerMatrices:
             enc_filters=(enc,), dec_filters=(enc.copy(),),
             pool=(np.eye(4),), unpool=(np.eye(4),),
         )
-        E = netbuild.build_layer_matrices(spec, bank, 1).E
+        E = netbuild.realize(spec, bank)[0].E
         assert E.shape == (4, 8)
         np.testing.assert_allclose(E[:, :4], oracles.identity_conv(4, [0.5, 0.5]))
         np.testing.assert_allclose(E[:, 4:], oracles.identity_conv(4, [0.5, -0.5]))
@@ -169,7 +171,7 @@ class TestBuildLayerMatrices:
         for skip, r, l in itertools.product((False, True), (1, 3, 5), (1, 2)):
             spec = make_spec(kappa=2, r=r, q=[2, 3, 2], m_list=[7, 5, 6], skip=skip)
             bank = netbuild.random_bank(spec, seed=3)
-            mats = netbuild.build_layer_matrices(spec, bank, l)
+            mats = netbuild.realize(spec, bank)[l - 1]
             enc, dec = bank.enc_filters[l - 1], bank.dec_filters[l - 1]
             pool, unpool, m_prev = bank.pool[l - 1], bank.unpool[l - 1], spec.m[l - 1]
             expected = {"E": (enc, lambda v: oracles.conv_with_frame(pool, v)),
@@ -182,12 +184,6 @@ class TestBuildLayerMatrices:
                 blocks = [[oracle(taps[k, j]) for j in range(spec.q[l])]
                           for k in range(spec.q[l - 1])]
                 np.testing.assert_array_equal(getattr(mats, name), np.block(blocks))
-
-    def test_bad_layer_index(self):
-        spec = make_spec(kappa=1, m=4)
-        bank = netbuild.random_bank(spec, seed=0)
-        with pytest.raises(ValueError, match="out of range"):
-            netbuild.build_layer_matrices(spec, bank, 2)
 
 
 def operator_fields(layer):
