@@ -60,8 +60,6 @@ __all__ = [
 #: time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
 _BLOCK = 4
-#: census sampling distributions
-DISTRIBUTIONS = ("gaussian", "sphere")
 
 
 class KinkMarginError(ValueError):
@@ -85,7 +83,8 @@ class ActivationPattern:
 
     def bits(self) -> np.ndarray:
         """The masks end to end (enc, skip, dec) as uint8; (N, n_bits) if stacked."""
-        return np.concatenate([*self.enc, *(self.skip or ()), *self.dec], axis=-1).astype(np.uint8)
+        return np.concatenate([*self.enc, *(self.skip or ()), *self.dec], axis=-1,
+                              dtype=np.uint8)
 
 
 def pattern_from_trace(spec: NetworkSpec, trace) -> ActivationPattern:
@@ -341,14 +340,11 @@ def spectral_norm(M):
 @dataclass(frozen=True)
 class CensusConfig:
     count: int
-    distribution: str = "gaussian"  # or "sphere"
     seed: int = 0
 
     def __post_init__(self):
         if self.count < 1:
             raise ValueError("census needs count >= 1")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown distribution {self.distribution!r}")
 
 
 @dataclass
@@ -400,15 +396,12 @@ class RegionCensus:
 
 
 def census_inputs(spec: NetworkSpec, config: CensusConfig) -> np.ndarray:
-    """The census's (count, d_0) inputs, drawn as one block from one stream;
-    a census of n samples uses the first n rows of a larger count's block.
-    On the sphere each row is scaled to unit norm (a zero row becomes e_0)."""
-    xs = rng(config.seed, "census").standard_normal((config.count, spec.d[0]))
-    if config.distribution == "sphere":
-        norms = np.linalg.norm(xs, axis=1, keepdims=True)
-        xs[norms[:, 0] == 0.0] = np.eye(1, spec.d[0])
-        xs /= np.where(norms == 0.0, 1.0, norms)
-    return xs
+    """The census's (count, d_0) standard-normal inputs, drawn as one block
+    from one stream; a census of n samples uses the first n rows of a larger
+    count's block.  The nets are bias-free, so positive scaling changes no
+    pattern: rows rescaled to other radii (the unit sphere, say) would give
+    the same regions."""
+    return rng(config.seed, "census").standard_normal((config.count, spec.d[0]))
 
 
 def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus:

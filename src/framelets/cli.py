@@ -37,9 +37,6 @@ from .seeding import derive, rng
 
 OUTDIR_ENV = "FRAMELETS_OUTDIR"
 
-#: ``--bank`` choices of the subcommands, and the bank.source each selects
-BANK_FLAG = {"frame": "frame_factory", "random": "random", "file": "file"}
-
 #: the keys of the ``network`` block: ``netbuild.NetworkSpec``'s fields
 NETWORK_FIELDS = tuple(field.name for field in dataclasses.fields(netbuild.NetworkSpec))
 
@@ -66,8 +63,8 @@ class Field:
     (> low when strict); a ``bool`` true or false; a ``text`` a nonempty
     string; a ``choice`` one of ``choices``; an ``object`` a JSON object;
     ``names`` a list of distinct ``choices``, at least ``low`` of them.  A
-    key whose default is REQUIRED must be present; a default of None means
-    the key is required or its runner derives the value (see the README).
+    key whose default is REQUIRED must be present; whether one whose default
+    is None is needed depends on other keys (see the README).
     """
 
     key: str
@@ -209,7 +206,7 @@ class Context:
     ``mats`` and ``census`` are built on first use, so a run realizes the
     operators and takes the census at most once; their time counts under
     the first analysis that reads them.  ``alpha`` is bank.alpha, the frame
-    constant ``frames`` checks unless its own block sets one.
+    constant ``frames`` checks.
     """
 
     spec: netbuild.NetworkSpec
@@ -241,16 +238,14 @@ def _check(name: str, passed: bool, **extra) -> dict:
 
 
 def run_frames(ctx: Context, params: dict) -> dict:
-    alpha = ctx.alpha if params["alpha"] is None else params["alpha"]
-    mode = params["mode"] or ("skip" if ctx.spec.skip else "no_skip")
-    residuals = frames.frame_residual(ctx.spec, ctx.bank, alpha, mode)
+    residuals = frames.frame_residual(ctx.spec, ctx.bank, ctx.alpha)
     worst = _worst(
         [value for entry in residuals for key, value in entry.items() if key != "layer"]
     )
     tol = ctx.tolerances["frames"]
     return {
-        "alpha": alpha,
-        "mode": mode,
+        "alpha": ctx.alpha,
+        "mode": "skip" if ctx.spec.skip else "no_skip",
         "residuals": residuals,
         "max_residual": worst,
         "checks": [_check("frame_residuals", worst <= tol, value=worst, tol=tol)],
@@ -512,10 +507,8 @@ class Analysis:
 
 
 REGISTRY = {
-    "frames": Analysis(run_frames, "verify-frames", "frame-condition residual table", (
-        Field("alpha", "real", None, low=0.0, strict=True),
-        Field("mode", "choice", None, choices=frames.MODES, flag="--mode"),
-    ), seeded=False),
+    "frames": Analysis(run_frames, "verify-frames", "frame-condition residual table",
+                       seeded=False),
     "reconstruct": Analysis(run_reconstruct, "reconstruct", "perfect-reconstruction error", (
         Field("count", "count", 100, low=1, flag="--samples"),
         Field("no_relu", "bool", False, flag="--no-relu"),
@@ -549,7 +542,8 @@ ANALYSES = tuple(REGISTRY)
 #: every config block with a schema: the shared blocks, then one per analysis
 SCHEMAS = {
     "bank": (
-        Field("source", "choice", None, choices=tuple(BANK_FLAG.values())),
+        Field("source", "choice", None, choices=("frame_factory", "random", "file"),
+              flag="--bank"),
         Field("path", "text", None, flag="--bank-path"),
         Field("alpha", "real", 1.0, low=0.0, strict=True, flag="--alpha"),
         Field("pooling", "choice", "orthogonal", choices=frames.POOLINGS, flag="--pooling"),
@@ -557,8 +551,6 @@ SCHEMAS = {
     ),
     "sampler": (
         Field("count", "count", 1000, low=1, flag="--samples"),
-        Field("distribution", "choice", "gaussian", choices=analysis.DISTRIBUTIONS,
-              flag="--distribution"),
     ),
     "tolerances": (
         Field("frames", "real", 1e-10),
@@ -605,8 +597,7 @@ def execute(cfg: dict, outdir: str | None) -> tuple:
     tolerances = validate("tolerances", top["tolerances"])
     bank, bank_params = _build_bank(cfg, spec, seed)
     census_config = None if seed is None else analysis.CensusConfig(
-        count=sampler["count"], distribution=sampler["distribution"],
-        seed=derive(seed, "census"))
+        count=sampler["count"], seed=derive(seed, "census"))
     ctx = Context(spec, bank, tolerances, seed, outdir, census_config, bank_params["alpha"])
 
     results = {}
@@ -755,7 +746,7 @@ def cmd_analysis(args) -> int:
     cfg = {
         "seed": args.seed,
         "network": _load_spec_file(args.spec).to_dict(),
-        "bank": {"source": BANK_FLAG[args.bank]},
+        "bank": {"source": "frame_factory"},
         "analyses": [args.analysis],
     }
     # a schema flag's dest is "<block>.<key>"; an absent flag leaves the default
@@ -877,8 +868,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, entry in REGISTRY.items():
         p = sub.add_parser(entry.command, help=entry.help)
         p.add_argument("--spec", required=True, help="network spec JSON file")
-        p.add_argument("--bank", choices=tuple(BANK_FLAG), default="frame",
-                       help="bank source (default frame factory)")
         p.add_argument("--seed", type=int, default=0, help="global seed")
         p.add_argument("--out", help="also write report.json and side files here")
         p.add_argument("--enforce", action="store_true",

@@ -14,8 +14,6 @@ on arbitrary banks that satisfy nothing.
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
 from .netbuild import LayerBank, NetworkSpec, _orthonormal, realize
@@ -30,39 +28,18 @@ __all__ = [
     "filters_to_matrix",
 ]
 
-MODES = ("no_skip", "skip")
 POOLINGS = ("identity", "orthogonal")
 
 
-def frame_filter_constant(r: int, alpha: float, mode: str) -> float:
-    """Tight-frame constant for the filter matrices."""
-    if mode == "no_skip":
-        return 1.0 / (r * alpha)
-    if mode == "skip":
-        return 1.0 / (r * (alpha + 1.0))
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+def frame_filter_constant(r: int, alpha: float, skip: bool) -> float:
+    """Tight-frame constant for the filter matrices, with or without a skip branch."""
+    return 1.0 / (r * (alpha + 1.0)) if skip else 1.0 / (r * alpha)
 
 
-def make_frame_pooling(m: int, alpha: float, kind: str = "orthogonal",
-                       seed: int = 0, m_out: int | None = None):
-    """Pooling/unpooling pair with unpool @ pool' == alpha * identity.
-
-    Only square pairs exist: the identity on m coordinates cannot factor
-    through fewer, so contraction is a hard error rather than a silent
-    approximation.
-    """
+def make_frame_pooling(m: int, alpha: float, kind: str = "orthogonal", seed: int = 0):
+    """Square m x m pooling/unpooling pair with unpool @ pool' == alpha * identity."""
     if alpha <= 0:
         raise ValueError(f"frame constant alpha={alpha} must be positive")
-    m_out = m if m_out is None else int(m_out)
-    if m_out < m:
-        raise ValueError(
-            f"frame pooling requires non-contracting dims: rank {m_out} cannot "
-            f"carry an identity on {m} coordinates"
-        )
-    if m_out > m:
-        raise ValueError(
-            f"frame pooling factory builds square matrices only, got {m} -> {m_out}"
-        )
     if kind == "identity":
         phi = np.eye(m)
     elif kind == "orthogonal":
@@ -73,7 +50,7 @@ def make_frame_pooling(m: int, alpha: float, kind: str = "orthogonal",
 
 
 def make_frame_filters(r: int, q_in: int, q_out: int, alpha: float,
-                       mode: str = "no_skip", seed: int = 0):
+                       skip: bool = False, seed: int = 0):
     """Symmetric tight-frame filter matrices (r q_in) x q_out.
 
     Takes r q_in orthonormal rows of a seeded q_out x q_out orthogonal
@@ -81,7 +58,7 @@ def make_frame_filters(r: int, q_in: int, q_out: int, alpha: float,
     Psi @ Psi_tilde' equals the constant times the identity exactly.
     Needs q_out >= r q_in; thinner layers cannot carry the frame.
     """
-    c = frame_filter_constant(r, alpha, mode)
+    c = frame_filter_constant(r, alpha, skip)
     if q_out < r * q_in:
         raise ValueError(
             f"frame filters need q_out >= r * q_in, got {q_out} < {r} * {q_in}"
@@ -115,22 +92,22 @@ def frame_bank(spec: NetworkSpec, alpha: float = 1.0, seed: int = 0,
     """Bank satisfying the frame conditions at every layer, for pooling
     frame constant ``alpha`` and the filter constant of the spec's skip mode.
 
-    Spatial dims must stay constant (square pooling) and channels must
-    grow at least r-fold per layer.  Layers draw independent sub-seeded
-    orthogonal factors, so the bank is reproducible from its arguments.
-    ``pooling`` is "orthogonal" or "identity".
+    Spatial dims must stay constant and channels must grow at least
+    r-fold per layer.  Layers draw independent sub-seeded orthogonal
+    factors, so the bank is reproducible from its arguments.  ``pooling``
+    is "orthogonal" or "identity".
     """
-    mode = "skip" if spec.skip else "no_skip"
+    if len(set(spec.m)) > 1:
+        raise ValueError(f"frame banks need equal spatial dims, got m={list(spec.m)}: "
+                         "pooling cannot contract, and the factory builds square pairs only")
     enc, dec, pool, unpool = [], [], [], []
     for l in range(1, spec.kappa + 1):
-        m_prev, m_cur = spec.m[l - 1], spec.m[l]
         q_prev, q_cur = spec.q[l - 1], spec.q[l]
         phi, phi_t = make_frame_pooling(
-            m_prev, alpha, kind=pooling,
-            seed=derive(seed, "frame-bank-pool", l), m_out=m_cur,
+            spec.m[l - 1], alpha, kind=pooling, seed=derive(seed, "frame-bank-pool", l),
         )
         psi, psi_t = make_frame_filters(
-            spec.r, q_prev, q_cur, alpha, mode=mode,
+            spec.r, q_prev, q_cur, alpha, skip=spec.skip,
             seed=derive(seed, "frame-bank-filters", l),
         )
         pool.append(phi)
@@ -145,22 +122,20 @@ def _max_dev(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)))
 
 
-def frame_residual(spec: NetworkSpec, bank: LayerBank, alpha: float, mode: str) -> list:
+def frame_residual(spec: NetworkSpec, bank: LayerBank, alpha: float) -> list:
     """Per-layer deviations from the frame conditions, for pooling frame
-    constant ``alpha`` and the filter constant of ``mode``, and from the
-    layer identity.
+    constant ``alpha`` and the filter constant of the spec's skip mode, and
+    from the layer identity.
 
     Reports, never raises on a bank: arbitrary banks are expected to
-    violate everything.  In skip mode the pooled and identity-pooled
+    violate everything.  On a skip spec the pooled and identity-pooled
     halves of the layer identity are also reported separately, since the
     factory guarantees their split but arbitrary banks need not.
     """
     if alpha <= 0:
         raise ValueError(f"frame constant alpha={alpha} must be positive")
-    c = frame_filter_constant(spec.r, alpha, mode)
-    skip_mode = mode == "skip"
-    eval_spec = dataclasses.replace(spec, skip=True) if skip_mode else spec
-    mats = realize(eval_spec, bank)
+    c = frame_filter_constant(spec.r, alpha, spec.skip)
+    mats = realize(spec, bank)
     out = []
     for l in range(1, spec.kappa + 1):
         m_prev = spec.m[l - 1]
@@ -176,7 +151,7 @@ def frame_residual(spec: NetworkSpec, bank: LayerBank, alpha: float, mode: str) 
             "filter_residual": _max_dev(psi @ psi_t.T, c * np.eye(psi.shape[0])),
         }
         recon = layer.D @ layer.E.T
-        if skip_mode:
+        if spec.skip:
             pooled = recon.copy()
             skip_part = layer.S_tilde @ layer.S.T
             recon = recon + skip_part

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import numbers
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -65,8 +66,9 @@ NONLINEARITIES = ("none", "relu", "relu_encoder")
 
 
 def _integral(value) -> bool:
+    # abs() rejects integers beyond the float range, on which float() raises
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and float(value).is_integer())
+            and abs(value) <= sys.float_info.max and float(value).is_integer())
 
 
 @dataclass(frozen=True)

@@ -322,7 +322,7 @@ def test_criterion_9_determinism(tmp_path):
                     "skip": True, "nonlinearity": "relu"},
         "bank": {"source": "random", "scale": 1.0},
         "analyses": ["identity", "regions", "lipschitz", "jacobian"],
-        "sampler": {"count": 150, "distribution": "gaussian"},
+        "sampler": {"count": 150},
         "jacobian": {"count": 5},
         "enforce": ["identity", "regions", "lipschitz", "jacobian"],
     }

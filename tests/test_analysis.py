@@ -1,7 +1,6 @@
 """Activation patterns, linear representations, census, Lipschitz, Jacobian."""
 
 import dataclasses
-import types
 
 import numpy as np
 import pytest
@@ -86,6 +85,34 @@ class TestActivationPattern:
                       for v in (x, x.copy(), -x))
         assert k1 == k2 and hash(k1) == hash(k2)
         assert k1 != k3
+
+    # the nets are bias-free, so a region is a cone: a positively scaled
+    # input has the input's pattern, and a census gains nothing from
+    # sampling another radial law (the unit sphere, say)
+    @staticmethod
+    def census_net_bits(skip, nonlinearity, seed):
+        """The pattern bits of a stack on the census benchmark's net shape."""
+        spec = netbuild.NetworkSpec(kappa=3, r=2, q=(1, 2, 4, 8), m=(16, 16, 16, 16),
+                                    skip=skip, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=seed))
+        return spec, lambda X: analysis.pattern_from_trace(
+            spec, netbuild.forward_matrices(spec, mats, X)).bits()
+
+    @pytest.mark.parametrize("c", [2.0 ** -20, 2.0 ** 20])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_exact_positive_scaling_keeps_the_pattern(self, skip, nonlinearity, c, rng):
+        spec, bits = self.census_net_bits(skip, nonlinearity, seed=7)
+        X = rng.standard_normal((500, spec.d[0]))
+        assert np.array_equal(bits(c * X), bits(X))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_unit_norm_rows_keep_the_pattern(self, skip, nonlinearity, seed):
+        spec, bits = self.census_net_bits(skip, nonlinearity, seed)
+        X = analysis.census_inputs(spec, analysis.CensusConfig(count=2000, seed=seed))
+        assert np.array_equal(bits(X / np.linalg.norm(X, axis=1, keepdims=True)), bits(X))
 
 
 class TestLinearRep:
@@ -424,7 +451,7 @@ class TestRegionCensus:
         # pass must give the same keys, counts and inputs in sample order
         spec = make_spec(kappa=2, m=4, skip=skip)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
-        cfg = analysis.CensusConfig(count=count, seed=6, distribution="sphere")
+        cfg = analysis.CensusConfig(count=count, seed=6)
         census = analysis.region_census(spec, mats, cfg)
         expected = {}
         for i in range(cfg.count):
@@ -486,11 +513,10 @@ class TestRegionCensus:
         census = analysis.region_census(spec, mats, analysis.CensusConfig(count=count, seed=4))
         assert calls == [(4, "census")] and census.samples == count
 
-    @pytest.mark.parametrize("distribution", analysis.DISTRIBUTIONS)
-    def test_fewer_samples_use_a_prefix_of_the_block(self, distribution):
+    def test_fewer_samples_use_a_prefix_of_the_block(self):
         spec = make_spec(kappa=2, m=4, skip=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=8))
-        small = analysis.CensusConfig(count=70, distribution=distribution, seed=3)
+        small = analysis.CensusConfig(count=70, seed=3)
         xs = analysis.census_inputs(spec, dataclasses.replace(small, count=300))
         assert np.array_equal(analysis.census_inputs(spec, small), xs[:70])
         census = analysis.region_census(spec, mats, small)
@@ -498,27 +524,6 @@ class TestRegionCensus:
         assert np.array_equal(np.unique(got, axis=0), np.unique(xs[:70], axis=0))
         assert all(np.array_equal(reg.inputs[0], xs[reg.first_sample])
                    for reg in census.regions)
-
-    def test_sphere_rows_have_unit_norm(self):
-        spec = make_spec(kappa=2, m=4)
-        cfg = analysis.CensusConfig(count=500, distribution="sphere", seed=5)
-        norms = np.linalg.norm(analysis.census_inputs(spec, cfg), axis=1)
-        np.testing.assert_allclose(norms, 1.0, rtol=0, atol=1e-14)
-
-    def test_zero_sphere_row_becomes_e0(self, monkeypatch):
-        spec = make_spec(kappa=2, m=4)
-
-        def one_zero_row(*args):
-            def standard_normal(shape):
-                xs = seeded_rng(*args).standard_normal(shape)
-                xs[1] = 0.0
-                return xs
-            return types.SimpleNamespace(standard_normal=standard_normal)
-
-        monkeypatch.setattr(analysis, "rng", one_zero_row)
-        xs = analysis.census_inputs(spec, analysis.CensusConfig(count=3, distribution="sphere"))
-        assert np.array_equal(xs[1], np.eye(1, spec.d[0])[0])
-        np.testing.assert_allclose(np.linalg.norm(xs, axis=1), 1.0, rtol=0, atol=1e-14)
 
     def test_region_consistency(self, rng):
         # every input sharing a pattern yields the identical representation

@@ -18,6 +18,7 @@ from conftest import make_spec
 
 TOLERANCES = cli.validate("tolerances", {})
 SRC = Path(__file__).resolve().parents[1] / "src"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def base_config(**overrides):
@@ -28,7 +29,7 @@ def base_config(**overrides):
         "bank": {"source": "frame_factory", "alpha": 1.0,
                  "pooling": "orthogonal"},
         "analyses": ["frames", "reconstruct", "regions", "lipschitz"],
-        "sampler": {"count": 120, "distribution": "gaussian"},
+        "sampler": {"count": 120},
         "reconstruct": {"count": 50, "no_relu": True},
         "enforce": ["frames", "reconstruct", "regions", "lipschitz"],
     }
@@ -380,7 +381,7 @@ class TestSharedCensus:
                      "skip": True, "nonlinearity": "relu"},
             bank={"source": "random", "scale": 1.0},
             analyses=analyses, enforce=analyses,
-            sampler={"count": 200, "distribution": "gaussian"},
+            sampler={"count": 200},
         )
 
     def test_one_census_serves_regions_and_lipschitz(self, tmp_path, monkeypatch):
@@ -419,7 +420,6 @@ class TestSharedCensus:
         spec = netbuild.NetworkSpec.from_dict(cfg["network"])
         mats = netbuild.realize(spec, cli._build_bank(cfg, spec, cfg["seed"])[0])
         census_cfg = analysis.CensusConfig(count=cfg["sampler"]["count"],
-                                           distribution=cfg["sampler"]["distribution"],
                                            seed=derive(cfg["seed"], "census"))
         xs = analysis.census_inputs(spec, census_cfg)
         census = analysis.region_census(spec, mats, census_cfg)
@@ -528,12 +528,10 @@ class TestCensusFiles:
             assert ((tmp_path / "streamed" / name).read_bytes()
                     == (tmp_path / "reference" / name).read_bytes()), name
 
-    @pytest.mark.parametrize("distribution", analysis.DISTRIBUTIONS)
-    def test_repeated_regions(self, tmp_path, distribution):
+    def test_repeated_regions(self, tmp_path):
         spec = netbuild.NetworkSpec.from_dict(ITEM_NETWORK)
         ctx = cli.Context(spec, netbuild.random_bank(spec, seed=1), TOLERANCES,
-                          census_config=analysis.CensusConfig(
-                              count=300, distribution=distribution, seed=7))
+                          census_config=analysis.CensusConfig(count=300, seed=7))
         assert ctx.census.singletons < ctx.census.distinct
         self.assert_files_match_reference(tmp_path, ctx)
 
@@ -679,6 +677,36 @@ class TestConfigErrors:
             cli.main(["reconstruct", "--frobnicate"])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-frames", "--mode", "skip"],
+        ["regions", "--distribution", "sphere"],
+        ["regions", "--bank", "frame"],
+    ], ids=["mode", "distribution", "bank-frame"])
+    def test_removed_flag_spellings_are_usage_errors(self, tmp_path, capsys, argv):
+        # --bank takes the bank.source values; the frame mode and the
+        # census distribution are no settings
+        spec_path = write_spec(tmp_path, make_spec(kappa=1, r=2, m=4))
+        with pytest.raises(SystemExit) as err:
+            cli.main([argv[0], "--spec", spec_path, *argv[1:]])
+        assert err.value.code == 1 and "usage: framelets" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("path, value, analysis_name", [
+        ("sampler.distribution", "gaussian", "regions"),
+        ("frames.alpha", 1.0, "frames"),
+        ("frames.mode", "skip", "frames"),
+    ])
+    def test_removed_settings_are_unknown_fields(self, tmp_path, capsys, path, value,
+                                                 analysis_name):
+        # a sampled pattern does not change under positive scaling, bank.alpha
+        # is the frame constant, and network.skip fixes the frame mode
+        cfg = base_config(analyses=[analysis_name], enforce=[])
+        section, key = path.split(".")
+        cfg[section] = {key: value}
+        assert cli.main(["run", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (f"config error: config field '{path}' "
+                                           f"is not a known field\n")
+
     @pytest.mark.parametrize("analysis_name, key", [
         ("reconstruct", "count"), ("identity", "count"), ("jacobian", "count"),
         ("train", "iterations"),
@@ -713,6 +741,7 @@ class TestConfigErrors:
         ("landscape.samples", 0, "landscape"),
         ("train.samples", 2.7, "train"),
         ("train.samples", 0, "train"),
+        # removed settings: now unknown keys, named the same way
         ("sampler.distribution", "cauchy", "regions"),
         ("frames.mode", "weird", "frames"),
         ("frames.mode", 3, "frames"),
@@ -724,6 +753,8 @@ class TestConfigErrors:
         ("tolerence", {"reconstruct": 1e-30}, "reconstruct"),
         ("train.stepsize", 0.1, "reconstruct"),
         ("train.step_size", 0, "reconstruct"),
+        *(pytest.param(path, 10 ** 400, "reconstruct", id=f"{path}-huge")
+          for path in ("seed", "reconstruct.count", "network.kappa")),
     ])
     def test_mistyped_or_non_integral_field_exits_one(self, tmp_path, capsys, path,
                                                        value, analysis_name):
@@ -732,7 +763,8 @@ class TestConfigErrors:
         # as train.stepsize, a misspelled top-level block, or any key of
         # the block of an analysis that is not run) ignored; at 50 training
         # samples no landscape certificate applies, and the sandwich check
-        # passed over none
+        # passed over none; an integer beyond the float range raised an
+        # OverflowError traceback
         cfg = base_config(analyses=[analysis_name], enforce=[])
         section, _, key = path.partition(".")
         if key:
@@ -900,10 +932,10 @@ class TestSubcommands:
         spec = make_spec(kappa=2, r=2, m=8, skip=True, nonlinearity="none")
         spec_path = write_spec(tmp_path, spec)
         code = cli.main(["verify-frames", "--spec", spec_path, "--alpha", "1",
-                         "--mode", "skip", "--seed", "3", "--enforce"])
+                         "--seed", "3", "--enforce"])
         assert code == 0
         block = json.loads(capsys.readouterr().out)
-        assert len(block["residuals"]) == 2
+        assert block["mode"] == "skip" and len(block["residuals"]) == 2
         assert block["max_residual"] <= 1e-10
         assert "identity_term_residual" in block["residuals"][0]
 
@@ -1025,8 +1057,31 @@ def schema_row(block, field):
 
 
 def test_readme_schema_table_matches_the_registry():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = readme.split("### Config schema")[1].split("\n#")[0]
+    section = README.read_text().split("### Config schema")[1].split("\n#")[0]
     rows = [line for line in section.splitlines() if line.startswith("| `")]
     assert rows == [schema_row(block, field)
                     for block, schema in cli.SCHEMAS.items() for field in schema]
+
+
+def readme_blocks(lang):
+    """The README's fenced code blocks in ``lang``."""
+    parts = README.read_text().split("```")
+    return [part[len(lang) + 1:] for part in parts[1::2] if part.startswith(lang + "\n")]
+
+
+def test_readme_cli_examples_parse():
+    parser = cli.build_parser()
+    lines = [line for block in readme_blocks("sh") for line in block.splitlines()
+             if line.startswith("framelets ")]
+    assert len(lines) == len(cli.REGISTRY) + 2  # run, each subcommand, report
+    for line in lines:
+        try:
+            parser.parse_args(line.split()[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
+
+
+def test_readme_session_runs(capsys):
+    (session,) = readme_blocks("python")
+    exec(compile(session, "README.md session", "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == session.count("print(")

@@ -27,12 +27,12 @@ class TestFramePooling:
         np.testing.assert_allclose(phi_t @ phi.T, 2.0 * np.eye(5), atol=1e-12)
 
     def test_contracting_dims_rejected(self):
-        with pytest.raises(ValueError, match="non-contracting"):
-            frames.make_frame_pooling(6, 1.0, m_out=4)
+        with pytest.raises(ValueError, match="cannot contract"):
+            frames.frame_bank(make_spec(kappa=1, m_list=[6, 4]))
 
     def test_expanding_dims_rejected(self):
         with pytest.raises(ValueError, match="square"):
-            frames.make_frame_pooling(4, 1.0, m_out=6)
+            frames.frame_bank(make_spec(kappa=1, m_list=[4, 6]))
 
 
 class TestFrameFilters:
@@ -40,19 +40,19 @@ class TestFrameFilters:
         # the scaled Haar pair is one valid solution at r=2, 1 -> 2 channels
         psi = 0.5 * np.array([[1.0, 1.0], [1.0, -1.0]])
         np.testing.assert_allclose(psi @ psi.T, 0.5 * np.eye(2), atol=1e-15)
-        assert frames.frame_filter_constant(2, 1.0, "no_skip") == 0.5
+        assert frames.frame_filter_constant(2, 1.0, False) == 0.5
 
     def test_factory_no_skip(self):
-        psi, psi_t = frames.make_frame_filters(2, 1, 2, 1.0, mode="no_skip", seed=0)
+        psi, psi_t = frames.make_frame_filters(2, 1, 2, 1.0, skip=False, seed=0)
         np.testing.assert_allclose(psi @ psi_t.T, 0.5 * np.eye(2), atol=1e-12)
 
     def test_factory_skip_rescales(self):
-        psi, psi_t = frames.make_frame_filters(2, 1, 2, 1.0, mode="skip", seed=0)
+        psi, psi_t = frames.make_frame_filters(2, 1, 2, 1.0, skip=True, seed=0)
         np.testing.assert_allclose(psi @ psi_t.T, 0.25 * np.eye(2), atol=1e-12)
 
     def test_factory_wide(self):
-        psi, psi_t = frames.make_frame_filters(2, 2, 8, 1.0, mode="no_skip", seed=5)
-        c = frames.frame_filter_constant(2, 1.0, "no_skip")
+        psi, psi_t = frames.make_frame_filters(2, 2, 8, 1.0, skip=False, seed=5)
+        c = frames.frame_filter_constant(2, 1.0, False)
         dev = np.max(np.abs(psi @ psi_t.T - c * np.eye(4)))
         assert dev <= 1e-12
 
@@ -65,8 +65,7 @@ class TestFrameResidual:
     def test_factory_bank_residuals_tiny(self):
         for skip in (False, True):
             spec, bank = make_frame_pair(kappa=2, skip=skip, seed=9)
-            mode = "skip" if skip else "no_skip"
-            for entry in frames.frame_residual(spec, bank, 1.0, mode):
+            for entry in frames.frame_residual(spec, bank, 1.0):
                 for key, value in entry.items():
                     if key != "layer":
                         assert value <= 1e-10, (skip, entry)
@@ -74,7 +73,7 @@ class TestFrameResidual:
     def test_random_bank_reports_without_error(self):
         spec = make_spec(kappa=2, m=6)
         bank = netbuild.random_bank(spec, seed=5)
-        report = frames.frame_residual(spec, bank, 1.0, "no_skip")
+        report = frames.frame_residual(spec, bank, 1.0)
         assert len(report) == 2
         assert max(e["layer_identity_residual"] for e in report) > 1e-3
 
@@ -86,7 +85,7 @@ class TestFrameResidual:
         one = np.ones((1, 1, 1))
         bank = netbuild.LayerBank(enc_filters=(one,), dec_filters=(one.copy(),),
                                   pool=(np.eye(4),), unpool=(np.eye(4),))
-        entry = frames.frame_residual(spec, bank, 1.0, "no_skip")[0]
+        entry = frames.frame_residual(spec, bank, 1.0)[0]
         assert entry["pooling_residual"] == 0.0
         assert entry["filter_residual"] == 0.0
         assert entry["layer_identity_residual"] == 0.0
