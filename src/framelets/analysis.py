@@ -5,9 +5,11 @@ For a fixed input x, the ReLU on/off decisions form an
 a linear map that factors as B_tilde(x) B(x)' through the input-dependent
 frame pair built by :func:`linear_rep`.  One kernel runs the masked
 forward pass of the identity over a block of patterns, rows of a bit
-matrix, at once: its forward half, X_l = (X_{l-1} E^l) * enc_l from
-X_0 = I with the skip products K_l, is the frame B, and its back half
-down the decoder is the region map (:func:`region_maps`).  On top of it
+matrix: its forward half, X_l = (X_{l-1} E^l) * enc_l from X_0 = I with
+the skip products K_l, is the frame B, and its back half down the
+decoder is the region map (:func:`region_maps`).  On small nets a block
+goes through batched matmul at once; on large ones each row multiplies
+only over the units its pattern leaves on (:func:`_live`).  On top of it
 sit a sampling census of activation patterns with the expressiveness
 bound, exact local Lipschitz constants (the spectral norm of each region
 map), and the analytic Jacobian with its finite-difference cross-check,
@@ -60,6 +62,17 @@ __all__ = [
 #: time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
 _BLOCK = 4
+
+#: the map kernel multiplies row by row over each pattern's live units once
+#: a net's widest product d_0 d_{l-1} d_l (or d_0 d_{l-1} s_l) reaches this
+#: many multiply-adds; below it the Python calls per row cost more than the
+#: zero columns they skip, and every block goes through batched matmul
+_LIVE_FLOPS = 1 << 19
+#: a default OpenBLAS build runs a product of fewer multiply-adds than this
+#: on one thread at any thread count, so the live path's products, whose odd
+#: shapes would otherwise split across threads at boundaries that move their
+#: last bits, are made in pieces below it
+_ONE_THREAD = 1 << 19
 
 
 class KinkMarginError(ValueError):
@@ -178,6 +191,132 @@ def _radius(rho, P, x, mask) -> None:
     np.minimum(rho, got.min(axis=1), out=rho)
 
 
+def _live(spec: NetworkSpec) -> bool:
+    """Whether the map kernel takes its per-row live-unit path on this net:
+    whether its widest product reaches ``_LIVE_FLOPS`` multiply-adds."""
+    d = spec.d
+    widest = max(d[l - 1] * max(d[l], spec.s[l - 1] if spec.skip else 0)
+                 for l in range(1, spec.kappa + 1))
+    return d[0] * widest >= _LIVE_FLOPS
+
+
+def _dot(A, M):
+    """A @ M in pieces of A's rows, each under ``_ONE_THREAD`` multiply-adds."""
+    pieces = -(-A.shape[0] * M.size // (_ONE_THREAD - 1))
+    if pieces <= 1:
+        return A @ M
+    out = np.empty((A.shape[0], M.shape[1]))
+    step = -(-A.shape[0] // pieces)
+    for at in range(0, A.shape[0], step):
+        np.matmul(A[at:at + step], M, out=out[at:at + step])
+    return out
+
+
+def _live_product(terms, keep, radius=None):
+    """One product of the kernel's live path, on one row.
+
+    ``terms`` are (A, rows, M): A holds only the live columns ``rows`` of
+    its stage, so only M's matching rows enter A @ M; A is None for
+    X_0 = I, whose product is M itself (such a term comes alone, and M is
+    never written to).  Returns the columns ``keep`` of the sum over the
+    terms.  ``radius``, the row's (rho, x, mask) as one-row arrays, forms
+    every column first and lowers rho through :func:`_radius` before the
+    dead columns are dropped.
+    """
+    total = None
+    for A, rows, M in terms:
+        if A is None:
+            P = M if radius is not None else M.take(keep, 1)
+        else:
+            P = _dot(A, M.take(rows, 0) if radius is not None else M.take(rows, 0).take(keep, 1))
+        total = P if total is None else np.add(total, P, out=total)
+    if radius is None:
+        return total
+    rho, x, mask = radius
+    _radius(rho, total[None], x, mask)
+    return total.take(keep, 1)
+
+
+def _live_row(spec: NetworkSpec, mats, T, masks, i, x, rho):
+    """Row i of a block on the kernel's live path, over its live units only.
+
+    ``masks`` are the block's (n, 1, w) mask views, enc_1 .. enc_kappa,
+    skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa.  The
+    forward half forms the compact X_l and K_l by :func:`_live_product`;
+    given ``T``, each layer's (D', S_tilde') made contiguous, the back half
+    runs down the decoder.  Returns the live units of each mask, the
+    compact X_kappa and [K_1 .. K_kappa], and the compact Y_0 (None
+    without ``T``).  With inputs, every ReLU stage lowers rho[i], in the
+    batched path's order.
+    """
+    k = spec.kappa
+    units = [np.flatnonzero(mask[i, 0]) for mask in masks]
+    # a stage with no live unit keeps its first one, times its mask bit 0 as
+    # in the batched product, so that an overflow before it reaches the map
+    dead = [not len(u) for u in units]
+    units = [np.zeros(1, np.intp) if no else u for u, no in zip(units, dead)]
+    enc, skip, dec = units[:k], units[k:-k], units[-k:]
+
+    def stage(terms, j, relu):
+        radius = (rho[i:i + 1], x[i:i + 1], masks[j][i:i + 1]) if relu and x is not None else None
+        P = _live_product(terms, units[j], radius)
+        return P * 0.0 if dead[j] else P
+
+    relu, Xc, Kc = spec.relu_at_encoder(), None, []
+    for l in range(1, k + 1):
+        a = enc[l - 2] if l > 1 else None
+        X_next = stage([(Xc, a, mats[l - 1].E)], l - 1, relu)
+        if spec.skip:
+            Kc.append(stage([(Xc, a, mats[l - 1].S)], k + l - 1, relu))
+        Xc = X_next
+    if T is None:
+        return units, Xc, Kc, None
+    relu, Yc, a = spec.relu_at_decoder(), Xc, enc[-1]
+    for l in range(k, 0, -1):  # Y_kappa = X_kappa; a: the live units of Y_l
+        terms = [(Yc, a, T[l - 1][0])]
+        if spec.skip:
+            terms.append((Kc[l - 1], skip[l - 1], T[l - 1][1]))
+        Yc, a = stage(terms, len(masks) - k + l - 1, relu), dec[l - 1]
+    return units, Xc, Kc, Yc
+
+
+def _live_blocks(spec: NetworkSpec, mats, blocks, maps: bool):
+    """The kernel's live path (:func:`_live`), over the (bits, x) blocks of
+    :func:`_map_blocks`.
+
+    A block goes row by row through :func:`_live_row`, so one row's compact
+    products are alive at a time.  Without ``maps`` each row scatters its
+    compact X_kappa and K_l into its zeroed row of one (n, d_0, F) frame
+    buffer, and this yields (B, rho); with ``maps`` it forms no frame but
+    runs its back half at once and scatters Y_0 into its zeroed row of one
+    (n, d_0, d_0) buffer, and this yields (Y, rho).  Both buffers are
+    allocated for the first block.
+    """
+    k, d = spec.kappa, spec.d
+    s = spec.s if spec.skip else ()
+    ends = np.cumsum([*d[1:], *s, *d[:k]]).tolist()
+    cuts = np.cumsum([0, d[k], *s[::-1]]).tolist()  # of the frame's blocks
+    T = [(np.ascontiguousarray(m.D.T), np.ascontiguousarray(m.S_tilde.T) if spec.skip else None)
+         for m in mats] if maps else None
+    out = None
+    for bits, x in blocks:
+        n = len(bits)
+        if out is None:
+            out = np.empty((n, d[0], d[0] if maps else spec.feature_dim))
+        buf = out[:n]
+        buf[...] = 0.0
+        masks = [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
+        rho = None if x is None else np.full(n, np.inf)
+        for i in range(n):
+            units, Xc, Kc, Yc = _live_row(spec, mats, T, masks, i, x, rho)
+            if maps:
+                buf[i][:, units[-k]] = Yc
+                continue
+            for at, P, cols in zip(cuts, [Xc, *Kc[::-1]], [units[k - 1], *units[k:-k][::-1]]):
+                buf[i][:, at + cols] = P
+        yield buf, rho
+
+
 def _encode(spec: NetworkSpec, mats, blocks):
     """The kernel's forward half, over the (bits, x) blocks of :func:`_map_blocks`.
 
@@ -186,8 +325,14 @@ def _encode(spec: NetworkSpec, mats, blocks):
     allocated for the first block.  X[0] is left for the back half's Y_0.
     X[kappa] and the K[l-1] are column views of one (n, d_0, F) frame
     buffer, in :func:`linear_rep`'s order of B: [X_kappa | K_kappa | ... |
-    K_1].  Yields (B, X, K, rho), rho being None without inputs.
+    K_1].  Yields (B, X, K, rho), rho being None without inputs.  On the
+    live path (:func:`_live_blocks`) only the frame is formed; X and K are
+    None.
     """
+    if _live(spec):
+        for B, rho in _live_blocks(spec, mats, blocks, False):
+            yield B, None, None, rho
+        return
     k, d = spec.kappa, spec.d
     s = spec.s if spec.skip else ()
     ends = np.cumsum([*d[1:], *s]).tolist()
@@ -226,17 +371,18 @@ def _encode(spec: NetworkSpec, mats, blocks):
 
 
 def _map_blocks(spec: NetworkSpec, mats, blocks):
-    """Frames and region maps of blocks of pattern bit rows, in one set of buffers.
+    """Region maps of blocks of pattern bit rows, in one set of buffers.
 
     ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array in
     ``ActivationPattern.bits()`` order, none longer than the first (a
     longer one fails on its ``out=`` shapes), and its (n, d_0) inputs or
-    None.  The forward half (:func:`_encode`) fills each block's frames,
-    the back half runs down the decoder, and this yields views
-    (Y, B, rho): ``Y[i].T`` is row i's map and B[i] its frame B.  The next
-    block overwrites them, so a consumer copies or reduces them before
-    asking for more.  Every product is a batched matmul written with
-    ``out=``, so each row stays bit-identical to a one-row block.
+    None.  The forward half (:func:`_encode`) forms each block's encoder
+    products, the back half runs down the decoder, and this yields views
+    (Y, rho): ``Y[i].T`` is row i's map.  The next block overwrites them,
+    so a consumer copies or reduces them before asking for more.  On the
+    batched path every product is a batched matmul written with ``out=``;
+    on the live path (:func:`_live_blocks`) every row has its own
+    products.  Either way each row stays bit-identical to a one-row block.
 
     With inputs, rho[i] is row i's certified in-region radius, lowered by
     :func:`_radius` at every ReLU stage from the product before its mask
@@ -246,6 +392,9 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     zero, layer by layer.  It is inf on a net without ReLUs.  Without
     inputs it is None and no radius work runs.
     """
+    if _live(spec):
+        yield from _live_blocks(spec, mats, blocks, True)
+        return
     k, d = spec.kappa, spec.d
     blocks, ahead = tee(blocks)
     tmp = None  # one S_tilde product of the decoder
@@ -264,7 +413,7 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
             if on:
                 _radius(rho, X[l - 1], x, dec)
             X[l - 1] *= dec
-        yield X[0], B, rho
+        yield X[0], rho
 
 
 def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
@@ -279,10 +428,12 @@ def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
         X_l = (X_{l-1} E^l) * enc_l,   K_l = (X_{l-1} S^l) * skip_l,
         Y_kappa = X_kappa,   Y_{l-1} = (Y_l D^l' + K_l S_tilde^l') * dec_l,
 
-    and the map is Y_0'.  Blocks of ``_BLOCK`` patterns go through batched
-    matmul, each product a stack (n, d_0, .) against one shared operator,
-    so every row is bit-identical to a one-pattern call.  The blocks share
-    one set of buffers (:func:`_map_blocks`), copied out block by block.
+    and the map is Y_0'.  Blocks of ``_BLOCK`` patterns go through the map
+    kernel (:func:`_map_blocks`): on small nets batched matmul, each
+    product a stack (n, d_0, .) against one shared operator; on large ones
+    row by row over the live units only.  Either way every row is
+    bit-identical to a one-pattern call.  The blocks share one set of
+    buffers, copied out block by block.
     """
     n_bits = sum(spec.d[1:]) + sum(spec.s if spec.skip else ()) + sum(spec.d[:spec.kappa])
     bits = np.asarray(bits)
@@ -290,7 +441,7 @@ def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
         raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {n_bits})")
     out = np.empty((len(bits), spec.d[0], spec.d[0]))
     blocks = ((bits[at:at + _BLOCK], None) for at in range(0, len(bits), _BLOCK))
-    for at, (Y, _, _) in zip(range(0, len(bits), _BLOCK), _map_blocks(spec, mats, blocks)):
+    for at, (Y, _) in zip(range(0, len(bits), _BLOCK), _map_blocks(spec, mats, blocks)):
         out[at:at + len(Y)] = Y.transpose(0, 2, 1)
     return out
 
@@ -432,7 +583,7 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     blocks = ((np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits), None)
               for at in range(0, len(first), _BLOCK))  # one block of key rows unpacked at a time
     norms = np.concatenate([spectral_norm(Y.transpose(0, 2, 1))
-                            for Y, _, _ in _map_blocks(spec, mats, blocks)]).tolist()
+                            for Y, _ in _map_blocks(spec, mats, blocks)]).tolist()
     prefix = n_bits.to_bytes(4, "little").hex()
     regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
                           inputs=grouped[a:b], first_sample=i)
@@ -461,7 +612,7 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8,
     """
     x = np.asarray(x, dtype=float)
     bits = extract_pattern(spec, mats, x).bits()[None]
-    Y, _, rho = next(_map_blocks(spec, mats, [(bits, x[None])]))
+    Y, rho = next(_map_blocks(spec, mats, [(bits, x[None])]))
     if rho[0] < margin or rho[0] <= step:
         raise KinkMarginError(
             f"input is {rho[0]:.3e} from the nearest ReLU kink of its region "

@@ -374,7 +374,7 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
     # difference taken in C order, the order in which its norm sums.
     # ``attempts`` ends at the last accepted draw, or at the cap.
     errors, radii, attempts = [], [], 0
-    for Y, _, rho in analysis._map_blocks(spec, mats, candidates()):
+    for Y, rho in analysis._map_blocks(spec, mats, candidates()):
         x, attempts = pending.pop(), attempts + 1
         if rho[0] < margin or rho[0] <= step:
             continue
@@ -746,10 +746,11 @@ def cmd_analysis(args) -> int:
     cfg = {
         "seed": args.seed,
         "network": _load_spec_file(args.spec).to_dict(),
-        "bank": {"source": "frame_factory"},
+        "bank": {},
         "analyses": [args.analysis],
     }
-    # a schema flag's dest is "<block>.<key>"; an absent flag leaves the default
+    # a schema flag's dest is "<block>.<key>"; an absent flag leaves the
+    # default, the schema's or the subcommand's (SUBCOMMAND_DEFAULTS)
     for dest, value in vars(args).items():
         block, dot, key = dest.partition(".")
         if dot and value is not None:
@@ -844,13 +845,20 @@ class _Parser(argparse.ArgumentParser):
 _FLAG_TYPES = {"count": int, "real": float, "text": str, "choice": str}
 
 
+#: a subcommand's own defaults for fields whose schema has none: the value
+#: its flag parses to when absent, and the default its help names
+SUBCOMMAND_DEFAULTS = {"bank.source": "frame_factory"}
+
+
 def _add_flag(p, block: str, field: Field) -> None:
     dest = f"{block}.{field.key}"
-    text = f"sets {dest}" + ("" if field.default is None else f" (default {field.default})")
+    default = SUBCOMMAND_DEFAULTS.get(dest)
+    shown = field.default if default is None else default
+    text = f"sets {dest}" + ("" if shown is None else f" (default {shown})")
     if field.kind == "bool":
         p.add_argument(field.flag, dest=dest, action="store_true", default=None, help=text)
     else:
-        p.add_argument(field.flag, dest=dest, type=_FLAG_TYPES[field.kind],
+        p.add_argument(field.flag, dest=dest, type=_FLAG_TYPES[field.kind], default=default,
                        choices=field.choices or None, help=text)
 
 

@@ -30,6 +30,7 @@ so reports are bit-stable.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
@@ -442,11 +443,10 @@ def _trial(spec: NetworkSpec, bank: LayerBank, enc_g, dec_g, step: float,
            data: TrainingSet) -> tuple:
     """The bank one ``step`` down the tap gradient, and its loss.  A step that
     overflows the taps, or a forward that overflows, gives an infinite or
-    NaN loss, without a warning."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        cand = _bank_step(bank, enc_g, dec_g, step)
-        finite = all(np.isfinite(f).all() for f in cand.enc_filters + cand.dec_filters)
-        return cand, loss(spec, realize(spec, cand), data) if finite else np.inf
+    NaN loss; :func:`train_gd` filters numpy's warnings about them."""
+    cand = _bank_step(bank, enc_g, dec_g, step)
+    finite = all(np.isfinite(f).all() for f in cand.enc_filters + cand.dec_filters)
+    return cand, loss(spec, realize(spec, cand), data) if finite else np.inf
 
 
 def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
@@ -479,54 +479,60 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
     if config.checkpoint_every > 0:
         emit(0)
 
-    for it in range(1, config.iterations + 1):
-        enc_g, dec_g, _ = tap_gradients(spec, current, data)
-        gnorm_sq = sum(float(np.sum(g * g)) for g in enc_g + dec_g)
-        grad_norms.append(float(np.sqrt(gnorm_sq)))
-        if cur_loss <= config.stop_loss or gnorm_sq == 0.0:
-            stop_reason = "reached stop loss" if cur_loss <= config.stop_loss \
-                else "zero gradient"
-            break
-        # a NaN or infinite entry makes the squared norm non-finite too
-        bad = [] if np.isfinite(gnorm_sq) else [
-            f"layer {l} {side}" for side, grads in (("encoder", enc_g), ("decoder", dec_g))
-            for l, g in enumerate(grads, 1) if not np.all(np.isfinite(g))
-        ]
-        if bad:
-            raise TrainingDiverged(
-                f"{bad[0]} tap gradient contains non-finite entries at iteration {it} "
-                f"(loss {cur_loss:.3e}): the forward pass overflowed; reduce the bank scale"
-            )
-        if config.armijo:
-            step = config.step_size
-            accepted = None
-            for _ in range(MAX_BACKTRACKS):
-                # an infinite or NaN trial loss (an overflow) is a failed trial
-                cand, cand_loss = _trial(spec, current, enc_g, dec_g, step, data)
-                if cand_loss <= cur_loss - ARMIJO_SLOPE * step * gnorm_sq:
-                    accepted = (cand, cand_loss)
-                    break
-                step *= ARMIJO_SHRINK
-            if accepted is None:
-                stop_reason = "line search stalled"
+    # an overflowing trial is a failed trial, without a warning: the warnings
+    # are filtered once around the loop, as cli.execute does, rather than
+    # switched off per trial with np.errstate, which costs a little per trial
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "(overflow|invalid value) encountered",
+                                RuntimeWarning)
+        for it in range(1, config.iterations + 1):
+            enc_g, dec_g, _ = tap_gradients(spec, current, data)
+            gnorm_sq = sum(float(np.sum(g * g)) for g in enc_g + dec_g)
+            grad_norms.append(float(np.sqrt(gnorm_sq)))
+            if cur_loss <= config.stop_loss or gnorm_sq == 0.0:
+                stop_reason = "reached stop loss" if cur_loss <= config.stop_loss \
+                    else "zero gradient"
                 break
-            current, cur_loss = accepted
-        else:
-            current, cur_loss = _trial(spec, current, enc_g, dec_g, config.step_size, data)
-        losses.append(cur_loss)
-        if not np.isfinite(cur_loss):  # only a raw step gets here
-            raise TrainingDiverged(
-                f"loss is not finite ({cur_loss}) at iteration {it}: the step overflowed; "
-                "reduce the step size"
-            )
-        # a large loss that is still falling (a large bank scale) is not a divergence
-        if cur_loss > DIVERGENCE_LOSS and cur_loss > losses[-2]:
-            raise TrainingDiverged(
-                f"loss {cur_loss:.3e} exceeded {DIVERGENCE_LOSS:.1e} and rose "
-                f"at iteration {it}; reduce the step size"
-            )
-        if config.checkpoint_every > 0 and it % config.checkpoint_every == 0:
-            emit(it)
+            # a NaN or infinite entry makes the squared norm non-finite too
+            bad = [] if np.isfinite(gnorm_sq) else [
+                f"layer {l} {side}" for side, grads in (("encoder", enc_g), ("decoder", dec_g))
+                for l, g in enumerate(grads, 1) if not np.all(np.isfinite(g))
+            ]
+            if bad:
+                raise TrainingDiverged(
+                    f"{bad[0]} tap gradient contains non-finite entries at iteration {it} "
+                    f"(loss {cur_loss:.3e}): the forward pass overflowed; reduce the bank scale"
+                )
+            if config.armijo:
+                step = config.step_size
+                accepted = None
+                for _ in range(MAX_BACKTRACKS):
+                    # an infinite or NaN trial loss (an overflow) is a failed trial
+                    cand, cand_loss = _trial(spec, current, enc_g, dec_g, step, data)
+                    if cand_loss <= cur_loss - ARMIJO_SLOPE * step * gnorm_sq:
+                        accepted = (cand, cand_loss)
+                        break
+                    step *= ARMIJO_SHRINK
+                if accepted is None:
+                    stop_reason = "line search stalled"
+                    break
+                current, cur_loss = accepted
+            else:
+                current, cur_loss = _trial(spec, current, enc_g, dec_g, config.step_size, data)
+            losses.append(cur_loss)
+            if not np.isfinite(cur_loss):  # only a raw step gets here
+                raise TrainingDiverged(
+                    f"loss is not finite ({cur_loss}) at iteration {it}: the step overflowed; "
+                    "reduce the step size"
+                )
+            # a large loss that is still falling (a large bank scale) is not a divergence
+            if cur_loss > DIVERGENCE_LOSS and cur_loss > losses[-2]:
+                raise TrainingDiverged(
+                    f"loss {cur_loss:.3e} exceeded {DIVERGENCE_LOSS:.1e} and rose "
+                    f"at iteration {it}; reduce the step size"
+                )
+            if config.checkpoint_every > 0 and it % config.checkpoint_every == 0:
+                emit(it)
 
     # only the loss floor counts: a zero gradient above it (a dead net) is a
     # stop, not convergence

@@ -3,7 +3,7 @@ import sys
 import numpy as np
 import pytest
 
-from framelets import frames, netbuild
+from framelets import analysis, frames, netbuild
 
 
 def make_spec(kappa=2, r=2, m=6, skip=False, nonlinearity="relu", q=None, m_list=None):
@@ -28,6 +28,14 @@ def make_frame_pair(kappa=2, r=2, m=8, skip=False, alpha=1.0, seed=0,
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)
+
+
+@pytest.fixture(params=["batched", "live"])
+def kernel_path(request, monkeypatch):
+    """Runs a test on each path of the map kernel: the path-selection
+    threshold is set so that every net takes the named path."""
+    monkeypatch.setattr(analysis, "_LIVE_FLOPS", 0 if request.param == "live" else np.inf)
+    return request.param
 
 
 def patch_bindings(monkeypatch, original, replacement) -> None:

@@ -179,7 +179,7 @@ def map_spec(kappa, skip, nonlinearity, unequal_m):
 
 def kernel_frames(spec, mats, bits) -> np.ndarray:
     """The kernel's frames B of one block of bit rows, copied out."""
-    return next(analysis._map_blocks(spec, mats, [(bits, None)]))[1].copy()
+    return next(analysis._encode(spec, mats, [(bits, None)]))[0].copy()
 
 
 class TestMaskedChains:
@@ -221,12 +221,24 @@ class TestMaskedChains:
             assert rep.B.tobytes() == B.tobytes()
 
 
+class TestKernelPath:
+    def test_profile_net_is_batched_and_edge_net_is_live(self):
+        # the benchmark's nets: the d_0 = 16 profile net's widest product
+        # d_0 d_{l-1} d_l is 16 * 64 * 128, the d_0 = 64 edge net's 64 * 128 * 256
+        profile = netbuild.NetworkSpec(kappa=3, r=2, q=(1, 2, 4, 8), m=(16, 16, 16, 16),
+                                       skip=True)
+        edge = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(64, 64, 64), skip=True)
+        assert not analysis._live(profile)
+        assert analysis._live(edge)
+
+
 class TestRegionMaps:
     @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("kappa", [1, 2, 3])
-    def test_equals_frame_pair_product(self, kappa, skip, nonlinearity, unequal_m, rng):
+    def test_equals_frame_pair_product(self, kappa, skip, nonlinearity, unequal_m, rng,
+                                       kernel_path):
         spec = map_spec(kappa, skip, nonlinearity, unequal_m)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
         X = rng.standard_normal((9, spec.d[0]))
@@ -240,7 +252,7 @@ class TestRegionMaps:
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
-    def test_stacked_rows_equal_single_calls(self, skip, nonlinearity, rng):
+    def test_stacked_rows_equal_single_calls(self, skip, nonlinearity, rng, kernel_path):
         spec = map_spec(2, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((11, spec.d[0]))  # crosses block boundaries
@@ -261,22 +273,23 @@ class TestRegionMaps:
         X = rng.standard_normal((11, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
         blocks = ((bits[:4], None), (bits[4:8], None), (bits[8:], None))
-        got = [Y.transpose(0, 2, 1).copy() for Y, _, _ in analysis._map_blocks(spec, mats, blocks)]
+        got = [Y.transpose(0, 2, 1).copy() for Y, _ in analysis._map_blocks(spec, mats, blocks)]
         assert [len(Y) for Y in got] == [4, 4, 3]
         for row, J in zip(bits, np.concatenate(got)):
             assert J.tobytes() == analysis.region_maps(spec, mats, row[None])[0].tobytes()
 
     def test_kernel_view_is_overwritten_by_the_next_block(self, rng):
-        # a consumer must copy or reduce a block before asking for the next
+        # a consumer must copy or reduce a block before asking for the next:
+        # the map of the kernel, then the frame of its forward half
         spec = map_spec(2, True, "relu", unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((4, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        blocks = analysis._map_blocks(spec, mats, ((bits[:2], None), (bits[2:], None)))
-        first = next(blocks)
-        kept = [view.copy() for view in first[:2]]
-        second = next(blocks)
-        for view, copy, again in zip(first, kept, second):  # the map, then the frame
+        for kernel in (analysis._map_blocks, analysis._encode):
+            blocks = kernel(spec, mats, ((bits[:2], None), (bits[2:], None)))
+            view = next(blocks)[0]
+            copy = view.copy()
+            again = next(blocks)[0]
             assert np.shares_memory(view, again)
             assert np.array_equal(view, again) and not np.array_equal(view, copy)
 
@@ -285,7 +298,7 @@ class TestRegionMaps:
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_map_times_input_is_the_forward_output(self, kappa, skip, nonlinearity,
-                                                   unequal_m, rng):
+                                                   unequal_m, rng, kernel_path):
         # the nets are bias-free, so F(x) = J(x) x on the region of x: an
         # oracle that needs no frame pair
         spec = map_spec(kappa, skip, nonlinearity, unequal_m)
@@ -467,7 +480,7 @@ class TestRegionCensus:
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
-    def test_keys_match_per_input_patterns(self, skip, nonlinearity):
+    def test_keys_match_per_input_patterns(self, skip, nonlinearity, kernel_path):
         # the census groups samples by packed key rows of its stacked blocks;
         # grouping by each input's own pattern key, all-ones masks of
         # ReLU-free stages included, must give the same regions
@@ -763,6 +776,7 @@ class TestJacobian:
             analysis.jacobian_analytic(spec, mats, np.zeros(spec.d[0]))
 
 
+@pytest.mark.usefixtures("kernel_path")
 class TestCertifiedRadius:
     """The kernel's pre-mask rows and the radius rule of the Jacobian screen."""
 
@@ -772,11 +786,17 @@ class TestCertifiedRadius:
         ReLU stage, and each row's radius; stage order is the trace's: enc_1,
         skip_1, ..., enc_kappa, skip_kappa, then dec_{kappa-1} down to dec_0."""
         stages, radius = [], analysis._radius
-        monkeypatch.setattr(analysis, "_radius", lambda rho, P, x, mask:
-                            stages.append(P.copy()) or radius(rho, P, x, mask))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        _, _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(analysis, "_radius", lambda rho, P, x, mask:
+                          stages.append(P.copy()) or radius(rho, P, x, mask))
+            bits = analysis.pattern_from_trace(
+                spec, netbuild.forward_matrices(spec, mats, X)).bits()
+            _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+        if len(X) > 1 and stages and len(stages[0]) == 1:
+            # the live path takes each row's radius on its own, stage by
+            # stage, one row after another: stack each stage's rows
+            per_row = len(stages) // len(X)
+            stages = [np.concatenate(stages[j::per_row]) for j in range(per_row)]
         return stages, rho
 
     @staticmethod
@@ -823,10 +843,10 @@ class TestCertifiedRadius:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         X = rng.standard_normal((4, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        _, _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         rho = rho.copy()
         bits[0, 0] ^= 1
-        _, _, got = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+        _, got = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         want = np.inf if nonlinearity == "none" else 0.0
         assert got[0] == want and np.array_equal(got[1:], rho[1:])
 

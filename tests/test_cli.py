@@ -186,8 +186,10 @@ class TestOverflow:
         ("lipschitz", "region map"),
         ("landscape", "skip feature matrix"),
     ])
-    def test_overflow_is_named(self, tmp_path, capsys, name, matrix):
-        # each used to exit with "SVD did not converge"
+    def test_overflow_is_named(self, tmp_path, capsys, name, matrix, kernel_path):
+        # each used to exit with "SVD did not converge".  On the map kernel's
+        # live path the decoder stages of an overflowed pass have no live
+        # unit, and the overflow must still reach the map
         assert cli.main(["run", write_config(tmp_path, self.config(name)),
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
@@ -300,7 +302,7 @@ class TestJacobianScreen:
     @staticmethod
     def radius(spec, mats, x) -> float:
         bits = analysis.extract_pattern(spec, mats, x).bits()[None]
-        return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[2][0]
+        return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[1][0]
 
     def test_radius_rule_keeps_most_draws_on_the_edge_net(self):
         # on the edge net with its frame bank the old pre-activation screen
@@ -356,9 +358,12 @@ class TestJacobianScreen:
 class TestBlasThreads:
     def test_report_bytes_do_not_follow_blas_threads(self, tmp_path):
         # a BLAS dot splits a long sum across threads; every reported
-        # reduction sums in a fixed order instead
-        cfg = base_config(network=EDGE_NETWORK, analyses=["jacobian", "landscape"],
-                          enforce=[], jacobian={"count": 10}, landscape={"samples": 4})
+        # reduction sums in a fixed order instead.  The edge net takes the
+        # map kernel's live path, which regions and identity run on too
+        cfg = base_config(network=EDGE_NETWORK,
+                          analyses=["identity", "regions", "jacobian", "landscape"],
+                          enforce=[], identity={"count": 5}, sampler={"count": 20},
+                          jacobian={"count": 10}, landscape={"samples": 4})
         path = write_config(tmp_path, cfg)
         bodies = []
         for threads in ("1", "2"):
@@ -371,7 +376,8 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stdout + proc.stderr
             text = (out / "report.json").read_text()
             bodies.append(text[:text.index('"timings"')])
-        assert "grad_norm" in bodies[0] and bodies[0] == bodies[1]
+        assert "grad_norm" in bodies[0] and '"distinct"' in bodies[0]
+        assert bodies[0] == bodies[1]
 
 
 class TestSharedCensus:
@@ -1030,6 +1036,23 @@ class TestSubcommands:
                     got = vars(args)[f"{block}.{field.key}"]
                     assert got == (True if value is None else type(got)(value))
                     assert cli.validate(block, {field.key: got})[field.key] == got
+
+    def test_help_names_the_bank_a_subcommand_builds(self, tmp_path, capsys):
+        # --bank used to print "sets bank.source" with no default, while the
+        # subcommand built a frame_factory bank
+        parser = cli.build_parser()
+        for entry in cli.REGISTRY.values():
+            with pytest.raises(SystemExit):
+                parser.parse_args([entry.command, "--help"])
+            text = " ".join(capsys.readouterr().out.split())
+            used = vars(parser.parse_args([entry.command, "--spec", "s.json"]))["bank.source"]
+            assert ("--bank {frame_factory,random,file} sets bank.source "
+                    f"(default {used})") in text
+        spec_path = write_spec(tmp_path, make_spec(kappa=1, r=2, m=4, nonlinearity="none"))
+        out = tmp_path / "out"
+        assert cli.main(["verify-frames", "--spec", spec_path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["bank"]["source"] == used == "frame_factory"
 
     def test_landscape_subcommand(self, tmp_path, capsys):
         spec = make_spec(kappa=2, r=2, m=4, q=[1, 2, 3], skip=True,
