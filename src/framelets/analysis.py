@@ -25,7 +25,7 @@ sample; the samples' masks are packed into key rows, grouped by one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import tee
+from itertools import accumulate, tee
 
 import numpy as np
 
@@ -133,42 +133,94 @@ def dual_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> list:
 
 @dataclass(frozen=True, eq=False)
 class LinearRep:
-    """Input-dependent frame pair: F(x) == B_tilde @ B.T @ x on the region."""
+    """Input-dependent frame pair: F(x) == B_tilde @ B.T @ x on the region.
 
-    B: np.ndarray
-    B_tilde: np.ndarray
+    Held over the pattern's live units: ``frame`` is B's columns ``cols``,
+    the live frame units, and ``dual`` is B_tilde's rows ``rows``, the live
+    output units, at the same columns.  Every other entry of either is 0: a
+    dead frame unit is a zero column of both, a dead output unit a zero row
+    of B_tilde.  ``B`` and ``B_tilde`` are formed at full size on read; on
+    the batched path ``B`` is the kernel's own frame, signed zeros included.
+    """
+
     pattern: ActivationPattern
+    rows: np.ndarray
+    cols: np.ndarray
+    frame: np.ndarray
+    dual: np.ndarray
+    feature_dim: int
+    kernel_frame: np.ndarray | None = None
+
+    @property
+    def B(self) -> np.ndarray:
+        if self.kernel_frame is not None:
+            return self.kernel_frame
+        B = np.zeros((len(self.frame), self.feature_dim))
+        B[:, self.cols] = self.frame
+        return B
+
+    @property
+    def B_tilde(self) -> np.ndarray:
+        B_tilde = np.zeros((len(self.frame), self.feature_dim))
+        B_tilde[np.ix_(self.rows, self.cols)] = self.dual
+        return B_tilde
 
     def matrix(self) -> np.ndarray:
-        """The region's linear map B_tilde B'."""
-        return self.B_tilde @ self.B.T
+        """The region's linear map B_tilde B', multiplied over the live units."""
+        out = np.zeros((len(self.frame),) * 2)
+        out[self.rows] = _dot(self.dual, self.frame.T)
+        return out
 
 
 def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     """Frame pair of the region containing x (or of an explicit pattern).
 
-    B is the frame block of the kernel's forward half (:func:`_encode`) on
-    the pattern's one row: the masked encoder product X_kappa, then the
-    masked skip products K_kappa ... K_1, newest skip level first.  B_tilde
-    hangs the masked S_tilde operators off the :func:`dual_chains`
-    prefixes in the same order.  On a spec with ``nonlinearity="none"``
-    every mask is all ones and this is the global frame pair of the linear
-    network.
+    B is the frame of the kernel's forward half on the pattern's one row:
+    the masked encoder product X_kappa, then the masked skip products
+    K_kappa ... K_1, newest skip level first.  On the live path its live
+    columns are :func:`_live_row`'s compact products; on the batched path
+    it is :func:`_encode`'s frame.  B_tilde, the masked dual frame, comes
+    from the adjoint recursion over live units: with a_l the live units of
+    dec_l and T_0 = I on a_1, T_l = T_{l-1} D^l[a_l][:, a_{l+1}], the
+    encoder block is T_kappa on the live units of enc_kappa and skip block
+    l is T_{l-1} S_tilde^l[a_l] on those of skip_l.  On a spec with
+    ``nonlinearity="none"`` every mask is all ones and this is the global
+    frame pair of the linear network.
     """
     if pattern is None:
         if x is None:
             raise ValueError("need an input x or an explicit pattern")
         pattern = extract_pattern(spec, mats, x)
-    B = next(_encode(spec, mats, [(pattern.bits()[None], None)]))[0][0]
-    tus = dual_chains(spec, mats, pattern)
-    if not spec.skip:
-        return LinearRep(B=B, B_tilde=tus[spec.kappa], pattern=pattern)
+    k, bits = spec.kappa, pattern.bits()[None]
+    masks = _masks(spec, bits)
+    kernel_frame = None
+    if _live(spec):
+        units, dead, Xc, Kc, _ = _live_row(spec, mats, None, masks, 0, None, None)
+        frame = np.hstack([Xc, *Kc[::-1]])
+    else:
+        units, dead = _units(masks, 0)
+        kernel_frame = next(_encode(spec, mats, [(bits, None)]))[0][0]
+    # the frame's stages: enc_kappa, then skip_kappa .. skip_1
+    stages = [k - 1, *(range(2 * k - 1, k - 1, -1) if spec.skip else ())]
+    at = accumulate((masks[j].shape[-1] for j in stages), initial=0)
+    cols = np.concatenate([a + units[j] for a, j in zip(at, stages)])
+    if kernel_frame is not None:
+        frame = kernel_frame[:, cols]
 
-    dual_blocks = [tus[spec.kappa]]
-    for l in range(spec.kappa, 0, -1):
-        M_tilde = mats[l - 1].S_tilde * pattern.dec[l - 1][:, None]
-        dual_blocks.append(tus[l - 1] @ M_tilde)
-    return LinearRep(B=B, B_tilde=np.hstack(dual_blocks), pattern=pattern)
+    def hang(T, M, j, c):  # T M over the live units of stage j (rows of M) and c (columns)
+        P = M.take(units[j], 0).take(units[c], 1)
+        P = P if T is None else _dot(T, P)
+        return P * 0.0 if dead[j] or dead[c] else P
+
+    T, skips = None, []
+    for l in range(1, k + 1):
+        j = len(masks) - k + l - 1  # dec_l
+        if spec.skip:
+            skips.append(hang(T, mats[l - 1].S_tilde, j, k + l - 1))
+        T = hang(T, mats[l - 1].D, j, j + 1 if l < k else k - 1)
+    return LinearRep(pattern=pattern, rows=units[-k], cols=cols, frame=frame,
+                     dual=np.hstack([T, *skips[::-1]]), feature_dim=spec.feature_dim,
+                     kernel_frame=kernel_frame)
 
 
 def _radius(rho, P, x, mask) -> None:
@@ -237,24 +289,37 @@ def _live_product(terms, keep, radius=None):
     return total.take(keep, 1)
 
 
+def _masks(spec: NetworkSpec, bits) -> list:
+    """The (n, 1, w) mask views of a block's bit rows: enc_1 .. enc_kappa,
+    skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa."""
+    ends = list(accumulate([*spec.d[1:], *(spec.s if spec.skip else ()), *spec.d[:spec.kappa]]))
+    return [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _units(masks, i):
+    """The live units of row i of each mask, and whether the stage has none.
+
+    A stage with no live unit keeps its first one, to be multiplied by its
+    mask bit 0 as in the batched product, so that an overflow before it
+    reaches the map.
+    """
+    units = [mask[i, 0].nonzero()[0] for mask in masks]
+    dead = [not len(u) for u in units]
+    return [np.zeros(1, np.intp) if no else u for u, no in zip(units, dead)], dead
+
+
 def _live_row(spec: NetworkSpec, mats, T, masks, i, x, rho):
     """Row i of a block on the kernel's live path, over its live units only.
 
-    ``masks`` are the block's (n, 1, w) mask views, enc_1 .. enc_kappa,
-    skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa.  The
-    forward half forms the compact X_l and K_l by :func:`_live_product`;
-    given ``T``, each layer's (D', S_tilde') made contiguous, the back half
-    runs down the decoder.  Returns the live units of each mask, the
-    compact X_kappa and [K_1 .. K_kappa], and the compact Y_0 (None
-    without ``T``).  With inputs, every ReLU stage lowers rho[i], in the
-    batched path's order.
+    ``masks`` are the block's :func:`_masks` views.  The forward half forms
+    the compact X_l and K_l by :func:`_live_product`; given ``T``, each
+    layer's (D', S_tilde') made contiguous, the back half runs down the
+    decoder.  Returns :func:`_units`, the compact X_kappa and [K_1 ..
+    K_kappa], and the compact Y_0 (None without ``T``).  With inputs, every
+    ReLU stage lowers rho[i], in the batched path's order.
     """
     k = spec.kappa
-    units = [np.flatnonzero(mask[i, 0]) for mask in masks]
-    # a stage with no live unit keeps its first one, times its mask bit 0 as
-    # in the batched product, so that an overflow before it reaches the map
-    dead = [not len(u) for u in units]
-    units = [np.zeros(1, np.intp) if no else u for u, no in zip(units, dead)]
+    units, dead = _units(masks, i)
     enc, skip, dec = units[:k], units[k:-k], units[-k:]
 
     def stage(terms, j, relu):
@@ -270,72 +335,57 @@ def _live_row(spec: NetworkSpec, mats, T, masks, i, x, rho):
             Kc.append(stage([(Xc, a, mats[l - 1].S)], k + l - 1, relu))
         Xc = X_next
     if T is None:
-        return units, Xc, Kc, None
+        return units, dead, Xc, Kc, None
     relu, Yc, a = spec.relu_at_decoder(), Xc, enc[-1]
     for l in range(k, 0, -1):  # Y_kappa = X_kappa; a: the live units of Y_l
         terms = [(Yc, a, T[l - 1][0])]
         if spec.skip:
             terms.append((Kc[l - 1], skip[l - 1], T[l - 1][1]))
         Yc, a = stage(terms, len(masks) - k + l - 1, relu), dec[l - 1]
-    return units, Xc, Kc, Yc
+    return units, dead, Xc, Kc, Yc
 
 
-def _live_blocks(spec: NetworkSpec, mats, blocks, maps: bool):
+def _live_blocks(spec: NetworkSpec, mats, blocks):
     """The kernel's live path (:func:`_live`), over the (bits, x) blocks of
     :func:`_map_blocks`.
 
     A block goes row by row through :func:`_live_row`, so one row's compact
-    products are alive at a time.  Without ``maps`` each row scatters its
-    compact X_kappa and K_l into its zeroed row of one (n, d_0, F) frame
-    buffer, and this yields (B, rho); with ``maps`` it forms no frame but
-    runs its back half at once and scatters Y_0 into its zeroed row of one
-    (n, d_0, d_0) buffer, and this yields (Y, rho).  Both buffers are
-    allocated for the first block.
+    products are alive at a time.  Each row scatters its compact Y_0 into
+    its zeroed row of one (n, d_0, d_0) buffer, allocated for the first
+    block, and this yields (Y, rho).
     """
-    k, d = spec.kappa, spec.d
-    s = spec.s if spec.skip else ()
-    ends = np.cumsum([*d[1:], *s, *d[:k]]).tolist()
-    cuts = np.cumsum([0, d[k], *s[::-1]]).tolist()  # of the frame's blocks
+    k, d0 = spec.kappa, spec.d[0]
     T = [(np.ascontiguousarray(m.D.T), np.ascontiguousarray(m.S_tilde.T) if spec.skip else None)
-         for m in mats] if maps else None
+         for m in mats]
     out = None
     for bits, x in blocks:
         n = len(bits)
         if out is None:
-            out = np.empty((n, d[0], d[0] if maps else spec.feature_dim))
+            out = np.empty((n, d0, d0))
         buf = out[:n]
         buf[...] = 0.0
-        masks = [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
+        masks = _masks(spec, bits)
         rho = None if x is None else np.full(n, np.inf)
         for i in range(n):
-            units, Xc, Kc, Yc = _live_row(spec, mats, T, masks, i, x, rho)
-            if maps:
-                buf[i][:, units[-k]] = Yc
-                continue
-            for at, P, cols in zip(cuts, [Xc, *Kc[::-1]], [units[k - 1], *units[k:-k][::-1]]):
-                buf[i][:, at + cols] = P
+            units, _, _, _, Yc = _live_row(spec, mats, T, masks, i, x, rho)
+            buf[i][:, units[-k]] = Yc
         yield buf, rho
 
 
 def _encode(spec: NetworkSpec, mats, blocks):
-    """The kernel's forward half, over the (bits, x) blocks of :func:`_map_blocks`.
+    """The batched path's forward half, over the (bits, x) blocks of
+    :func:`_map_blocks`.
 
     Per block, the masked encoder products X_l = (X_{l-1} E^l) * enc_l and
     K_l = (X_{l-1} S^l) * skip_l from X_0 = I (never formed), in buffers
     allocated for the first block.  X[0] is left for the back half's Y_0.
     X[kappa] and the K[l-1] are column views of one (n, d_0, F) frame
     buffer, in :func:`linear_rep`'s order of B: [X_kappa | K_kappa | ... |
-    K_1].  Yields (B, X, K, rho), rho being None without inputs.  On the
-    live path (:func:`_live_blocks`) only the frame is formed; X and K are
-    None.
+    K_1].  Yields (B, X, K, rho), rho being None without inputs.  The live
+    path forms its frame in :func:`_live_row` instead.
     """
-    if _live(spec):
-        for B, rho in _live_blocks(spec, mats, blocks, False):
-            yield B, None, None, rho
-        return
     k, d = spec.kappa, spec.d
     s = spec.s if spec.skip else ()
-    ends = np.cumsum([*d[1:], *s]).tolist()
     cuts = np.cumsum([d[k], *s[::-1]]).tolist()
     frame = None
     for bits, x in blocks:
@@ -345,8 +395,8 @@ def _encode(spec: NetworkSpec, mats, blocks):
             cols = [frame[..., a:b] for a, b in zip([0, *cuts], cuts)]
             X_buf = [np.empty((n, d[0], w)) for w in d[:k]] + cols[:1]
             K_buf = cols[:0:-1]
-        masks = [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
-        enc, skip = masks[:k], masks[k:]
+        masks = _masks(spec, bits)
+        enc, skip = masks[:k], masks[k:-k]
         X, K = [buf[:n] for buf in X_buf], [buf[:n] for buf in K_buf]
         rho = None if x is None else np.full(n, np.inf)
         on = x is not None and spec.relu_at_encoder()
@@ -393,7 +443,7 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     inputs it is None and no radius work runs.
     """
     if _live(spec):
-        yield from _live_blocks(spec, mats, blocks, True)
+        yield from _live_blocks(spec, mats, blocks)
         return
     k, d = spec.kappa, spec.d
     blocks, ahead = tee(blocks)
@@ -580,10 +630,16 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
                                     return_index=True, return_inverse=True)
     grouped = list(xs[np.argsort(region_of, kind="stable")])
     bounds = [0, *np.cumsum(np.bincount(region_of)).tolist()]
-    blocks = ((np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits), None)
-              for at in range(0, len(first), _BLOCK))  # one block of key rows unpacked at a time
-    norms = np.concatenate([spectral_norm(Y.transpose(0, 2, 1))
-                            for Y, _ in _map_blocks(spec, mats, blocks)]).tolist()
+    keys = (np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits)
+            for at in range(0, len(first), _BLOCK))  # one block of key rows unpacked at a time
+    if not _live(spec):
+        norms = np.concatenate([spectral_norm(Y.transpose(0, 2, 1)) for Y, _ in
+                                _map_blocks(spec, mats, ((b, None) for b in keys))]).tolist()
+    else:  # a map's rows off the live units of dec_1 are exactly 0: each SVD skips them
+        keys, ahead = tee(keys)
+        norms = [spectral_norm(M[live] if len(live := np.flatnonzero(row)) else M)
+                 for bits, (Y, _) in zip(keys, _map_blocks(spec, mats, ((b, None) for b in ahead)))
+                 for row, M in zip(_masks(spec, bits)[-spec.kappa][:, 0], Y.transpose(0, 2, 1))]
     prefix = n_bits.to_bytes(4, "little").hex()
     regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
                           inputs=grouped[a:b], first_sample=i)

@@ -190,6 +190,11 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
     if source == "random":
         return netbuild.random_bank(spec, seed=derive(seed, "bank"),
                                     scale=params["scale"]), params
+    for l in range(1, spec.kappa + 1):
+        if spec.q[l] < spec.r * spec.q[l - 1]:
+            raise ConfigError(f"config field 'network.q': a frame_factory bank needs q_l >= "
+                              f"r * q_(l-1) at every layer, got {spec.q[l]} < {spec.r} * "
+                              f"{spec.q[l - 1]} at layer {l}")
     return frames.frame_bank(spec, params["alpha"], derive(seed, "bank"),
                              params["pooling"]), params
 
@@ -552,16 +557,11 @@ SCHEMAS = {
     "sampler": (
         Field("count", "count", 1000, low=1, flag="--samples"),
     ),
-    "tolerances": (
-        Field("frames", "real", 1e-10),
-        Field("reconstruct", "real", 1e-10),
-        Field("identity", "real", 1e-10),
-        Field("lipschitz_slack", "real", 1e-8),
-        Field("jacobian", "real", 1e-5),
-        Field("sandwich_slack", "real", 1e-8),
-        Field("stationarity_grad", "real", 1e-12),
-        Field("stationarity_loss_floor", "real", 1e-6),
-    ),
+    "tolerances": tuple(Field(key, "real", default, low=0.0) for key, default in (
+        ("frames", 1e-10), ("reconstruct", 1e-10), ("identity", 1e-10),
+        ("lipschitz_slack", 1e-8), ("jacobian", 1e-5), ("sandwich_slack", 1e-8),
+        ("stationarity_grad", 1e-12), ("stationarity_loss_floor", 1e-6),
+    )),
     **{name: entry.params for name, entry in REGISTRY.items()},
 }
 

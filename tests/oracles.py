@@ -395,6 +395,24 @@ def chain_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
     return np.concatenate(blocks, axis=-1)
 
 
+def dual_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
+    """The masked dual frame B_tilde of one region by its chain prefixes: the
+    reference for ``analysis.linear_rep``'s compact adjoint recursion.
+
+    The :func:`analysis.dual_chains` prefix tus[kappa], then with skips
+    each prefix tus[l-1] times S_tilde^l under the decoder mask dec_l,
+    newest skip level first; the columns of the frame's dead units (the
+    masks enc_kappa, skip_kappa .. skip_1) are zeroed, as in B.
+    """
+    tus = analysis.dual_chains(spec, mats, pattern)
+    blocks, masks = [tus[spec.kappa]], [pattern.enc[-1]]
+    if spec.skip:
+        for l in range(spec.kappa, 0, -1):
+            blocks.append(tus[l - 1] @ (mats[l - 1].S_tilde * pattern.dec[l - 1][:, None]))
+            masks.append(pattern.skip[l - 1])
+    return np.hstack(blocks) * np.concatenate(masks)
+
+
 def trace_margin(spec, trace):
     """Smallest |pre-activation| over all ReLU stages (inf when linear).
 

@@ -163,6 +163,37 @@ class TestLinearRep:
             err = np.linalg.norm(rep.matrix() @ x - y)
             assert err <= 1e-12 * max(1.0, np.linalg.norm(y))
 
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_frame_pair_equals_masked_chains(self, skip, nonlinearity, rng, kernel_path):
+        # the pair is formed over the live units only; at full size B_tilde
+        # is the masked dual frame and B the chain frame
+        spec = map_spec(3, skip, nonlinearity, unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=7))
+        for x in rng.standard_normal((6, spec.d[0])):
+            rep = analysis.linear_rep(spec, mats, x)
+            for got, want in ((rep.B_tilde, oracles.dual_frame(spec, mats, rep.pattern)),
+                              (rep.B, oracles.chain_frame(spec, mats, rep.pattern))):
+                assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_stage_without_live_units(self, skip, rng, kernel_path):
+        # such a stage keeps one unit, times its mask bit 0, in both frames
+        spec = map_spec(2, skip, "relu", unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=7))
+        base = analysis.extract_pattern(spec, mats, rng.standard_normal(spec.d[0]))
+        for group in ("enc", "skip", "dec") if skip else ("enc", "dec"):
+            for l in range(spec.kappa):
+                masks = list(getattr(base, group))
+                masks[l] = np.zeros_like(masks[l])
+                pattern = dataclasses.replace(base, **{group: tuple(masks)})
+                rep = analysis.linear_rep(spec, mats, pattern=pattern)
+                M = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
+                for got, want in ((rep.B_tilde, oracles.dual_frame(spec, mats, pattern)),
+                                  (rep.B, oracles.chain_frame(spec, mats, pattern)),
+                                  (rep.matrix(), M)):
+                    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
     def test_skip_feature_dimension(self, rng):
         spec = make_spec(kappa=3, r=2, m=4, skip=True)
         bank = netbuild.random_bank(spec, seed=2)
@@ -423,6 +454,24 @@ class TestRegionCensus:
             pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
             assert reg.lipschitz == np.linalg.norm(
                 analysis.region_maps(spec, mats, pattern.bits()[None])[0], 2)
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    def test_constants_are_norms_over_the_live_rows(self, nonlinearity, kernel_path):
+        # the map's rows off the live units of dec_1 are exactly 0, and the
+        # live path takes each SVD over the other rows only
+        spec = make_spec(kappa=2, m=4, skip=True, nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=6))
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=300, seed=3))
+        dead_rows = 0
+        for reg in census.regions:
+            pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
+            M = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
+            live = pattern.dec[0].astype(bool)
+            assert np.all(M[~live] == 0)
+            dead_rows += np.sum(~live)
+            want = M[live] if kernel_path == "live" and live.any() else M
+            assert reg.lipschitz == np.linalg.norm(want, 2)
+        assert (dead_rows > 0) == (nonlinearity == "relu")
 
     def test_regions_keep_inputs_in_sample_order(self):
         spec = make_spec(kappa=1, m=4)

@@ -197,6 +197,20 @@ class TestOverflow:
         assert "overflowed" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_identity_error_is_nan(self, tmp_path, kernel_path):
+        # the frame pair drops dead units, and a stage with none keeps one,
+        # so the overflow still reaches the map
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, self.config("identity")),
+                         "--out", str(out)]) == 2
+        block = json.loads((out / "report.json").read_text())["results"]["identity"]
+        assert np.isnan(block["max_relative_error"])
+        spec = netbuild.NetworkSpec.from_dict(README_NETWORK)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=1, scale=1e200))
+        for x in seeded_rng(1, "identity").standard_normal((5, spec.d[0])):
+            assert not np.all(np.isfinite(analysis.linear_rep(spec, mats, x).matrix()))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_jacobian_fails_with_nan_not_config_error(self, tmp_path, capsys):
         # NaN margins pass the kink screen, so the check fails on a NaN error
         # instead of running out of margin-safe draws
@@ -356,14 +370,9 @@ class TestJacobianScreen:
 
 
 class TestBlasThreads:
-    def test_report_bytes_do_not_follow_blas_threads(self, tmp_path):
-        # a BLAS dot splits a long sum across threads; every reported
-        # reduction sums in a fixed order instead.  The edge net takes the
-        # map kernel's live path, which regions and identity run on too
-        cfg = base_config(network=EDGE_NETWORK,
-                          analyses=["identity", "regions", "jacobian", "landscape"],
-                          enforce=[], identity={"count": 5}, sampler={"count": 20},
-                          jacobian={"count": 10}, landscape={"samples": 4})
+    def bodies(self, tmp_path, cfg) -> list:
+        """The report bytes of ``cfg`` before ``timings``, run in
+        subprocesses at 1 and at 2 BLAS threads."""
         path = write_config(tmp_path, cfg)
         bodies = []
         for threads in ("1", "2"):
@@ -376,7 +385,30 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stdout + proc.stderr
             text = (out / "report.json").read_text()
             bodies.append(text[:text.index('"timings"')])
+        return bodies
+
+    def test_report_bytes_do_not_follow_blas_threads(self, tmp_path):
+        # a BLAS dot splits a long sum across threads; every reported
+        # reduction sums in a fixed order instead.  The edge net takes the
+        # map kernel's live path, which regions and identity run on too
+        cfg = base_config(network=EDGE_NETWORK,
+                          analyses=["identity", "regions", "jacobian", "landscape"],
+                          enforce=[], identity={"count": 5}, sampler={"count": 20},
+                          jacobian={"count": 10}, landscape={"samples": 4})
+        bodies = self.bodies(tmp_path, cfg)
         assert "grad_norm" in bodies[0] and '"distinct"' in bodies[0]
+        assert bodies[0] == bodies[1]
+
+    def test_identity_and_regions_do_not_follow_blas_threads_on_odd_widths(self, tmp_path):
+        # widths 50, 100 and 200 split unevenly across threads, which moved
+        # the last bits of B_tilde B' when it was one full-size product; the
+        # live frame pair multiplies in one-thread pieces.  jacobian's
+        # stencil forward still follows the thread count on such widths
+        network = {**EDGE_NETWORK, "m": [50, 50, 50]}
+        cfg = base_config(seed=3, network=network, analyses=["identity", "regions"],
+                          enforce=[], identity={"count": 100}, sampler={"count": 100})
+        bodies = self.bodies(tmp_path, cfg)
+        assert "max_relative_error" in bodies[0] and '"distinct"' in bodies[0]
         assert bodies[0] == bodies[1]
 
 
@@ -827,6 +859,8 @@ class TestConfigErrors:
         ("tolerances.identity", None, "reconstruct"),
         ("tolerances.reconstruct", "1e-10", "reconstruct"),
         ("tolerances.jacobian", True, "reconstruct"),
+        ("tolerances.identity", -1, "identity"),
+        ("tolerances.stationarity_loss_floor", -1e-6, "reconstruct"),
         ("seed", 1.5, "reconstruct"),
         ("reconstruct.no_relu", "false", "reconstruct"),
         ("reconstruct.no_relu", 1, "reconstruct"),
@@ -850,7 +884,8 @@ class TestConfigErrors:
     def test_invalid_value_names_its_field(self, tmp_path, capsys, path, value,
                                            analysis_name):
         # each used to raise a TypeError or AttributeError traceback, to run
-        # with a coerced value (seed 1.5 as 1, checkpoint_every 2.7 as 2), to
+        # with a coerced value (seed 1.5 as 1, checkpoint_every 2.7 as 2) or a
+        # negative tolerance (identity -1 printed FAIL identity:...), to
         # enforce a check that never ran, to run an analysis twice, or to
         # fall back to "." (output_dir [] and "")
         cfg = base_config(bank={"source": "random", "scale": 1.0},
@@ -895,6 +930,18 @@ class TestConfigErrors:
         cfg = base_config(tolerances={"bogus": 1.0})
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
         assert "tolerance" in capsys.readouterr().err
+
+    def test_frame_rule_names_network_q_before_any_bank(self, tmp_path, capsys, monkeypatch):
+        # used to exit 1 from the bank builder, naming no field
+        def build(*args, **kwargs):
+            raise AssertionError("a bank was built")
+
+        monkeypatch.setattr(cli.frames, "frame_bank", build)
+        cfg = base_config(network={**README_NETWORK, "q": [1, 2, 3]},
+                          analyses=["frames"], enforce=[])
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "config field 'network.q'" in err and "3 < 2 * 2 at layer 2" in err
 
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_output_directory_that_cannot_be_made_exits_one(self, tmp_path, capsys, out):
