@@ -3,13 +3,16 @@
 For a fixed input x, the ReLU on/off decisions form an
 :class:`ActivationPattern`; freezing the pattern turns the network into
 a linear map that factors as B_tilde(x) B(x)' through the input-dependent
-frame pair built by :func:`linear_rep`.  One kernel runs the masked
-forward pass of the identity over a block of patterns, rows of a bit
-matrix: its forward half, X_l = (X_{l-1} E^l) * enc_l from X_0 = I with
-the skip products K_l, is the frame B, and its back half down the
-decoder is the region map (:func:`region_maps`).  On small nets a block
-goes through batched matmul at once; on large ones each row multiplies
-only over the units its pattern leaves on (:func:`_live`).  On top of it
+frame pair built by :func:`linear_rep`.  Two recursions carry frozen
+masks, rows of a bit matrix.  The forward recursion (:func:`_forward`)
+runs the masked network on the identity: its encoder half, X_l =
+(X_{l-1} E^l) * enc_l with the skip products K_l, is the frame B, and its
+decoder half is the region map (:func:`region_maps`).  The decoder
+:func:`adjoint`, T_l = (T_{l-1} * dec_l) D^l from a co-probe, gives the
+dual frame B_tilde, and ``landscape`` its dual-chain prefixes and
+backward trace.  Both take one column choice per net (:func:`_live`):
+every column of a block through batched matmul on small nets, each row
+over only the units its pattern leaves on on large ones.  On top of them
 sit a sampling census of activation patterns with the expressiveness
 bound, exact local Lipschitz constants (the spectral norm of each region
 map), and the analytic Jacobian with its finite-difference cross-check,
@@ -41,7 +44,7 @@ __all__ = [
     "RegionCensus",
     "extract_pattern",
     "pattern_from_trace",
-    "dual_chains",
+    "adjoint",
     "linear_rep",
     "region_maps",
     "nrep_bound",
@@ -57,7 +60,7 @@ __all__ = [
 
 #: inputs per stacked forward pass (and packed key block) of the census and
 #: per screen block of the jacobian analysis, and patterns per block of
-#: region_maps, whose buffers are (n, d_0, d_l) and (n, d_0, F) stacks
+#: region_maps, whose buffers are (n, d_0, w) stacks, one per stage
 #: (also the census regions unpacked, mapped and put through one SVD at a
 #: time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
@@ -118,29 +121,17 @@ def extract_pattern(spec: NetworkSpec, mats, x) -> ActivationPattern:
     return pattern_from_trace(spec, forward_matrices(spec, mats, x))
 
 
-def dual_chains(spec: NetworkSpec, mats, pattern: ActivationPattern) -> list:
-    """Masked dual-chain prefixes tus of one region, kappa + 1 entries.
-
-    tus[l] accumulates D^1 ... D^l, each preceded by its decoder mask;
-    tus[0] is the identity.  A stacked pattern gives stacked prefixes past
-    entry 0, row i bit-identical to row i's own call.
-    """
-    tus = [np.eye(spec.d[0])]
-    for l in range(1, spec.kappa + 1):
-        tus.append((tus[-1] * pattern.dec[l - 1][..., None, :]) @ mats[l - 1].D)
-    return tus
-
-
 @dataclass(frozen=True, eq=False)
 class LinearRep:
     """Input-dependent frame pair: F(x) == B_tilde @ B.T @ x on the region.
 
-    Held over the pattern's live units: ``frame`` is B's columns ``cols``,
-    the live frame units, and ``dual`` is B_tilde's rows ``rows``, the live
-    output units, at the same columns.  Every other entry of either is 0: a
-    dead frame unit is a zero column of both, a dead output unit a zero row
-    of B_tilde.  ``B`` and ``B_tilde`` are formed at full size on read; on
-    the batched path ``B`` is the kernel's own frame, signed zeros included.
+    ``frame`` is B's columns ``cols`` and ``dual`` is B_tilde's rows
+    ``rows`` at the same columns; every other entry of either is 0.  On
+    the live path they are the live units: the live frame units, and the
+    live output units.  A dead frame unit is a zero column of both, a dead
+    output unit a zero row of B_tilde.  On the batched path they are every
+    unit, and ``frame`` is the kernel's own frame, signed zeros included.
+    ``B`` and ``B_tilde`` are formed at full size on read.
     """
 
     pattern: ActivationPattern
@@ -149,12 +140,9 @@ class LinearRep:
     frame: np.ndarray
     dual: np.ndarray
     feature_dim: int
-    kernel_frame: np.ndarray | None = None
 
     @property
     def B(self) -> np.ndarray:
-        if self.kernel_frame is not None:
-            return self.kernel_frame
         B = np.zeros((len(self.frame), self.feature_dim))
         B[:, self.cols] = self.frame
         return B
@@ -166,7 +154,7 @@ class LinearRep:
         return B_tilde
 
     def matrix(self) -> np.ndarray:
-        """The region's linear map B_tilde B', multiplied over the live units."""
+        """The region's linear map B_tilde B', multiplied over the held units."""
         out = np.zeros((len(self.frame),) * 2)
         out[self.rows] = _dot(self.dual, self.frame.T)
         return out
@@ -175,52 +163,31 @@ class LinearRep:
 def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     """Frame pair of the region containing x (or of an explicit pattern).
 
-    B is the frame of the kernel's forward half on the pattern's one row:
-    the masked encoder product X_kappa, then the masked skip products
-    K_kappa ... K_1, newest skip level first.  On the live path its live
-    columns are :func:`_live_row`'s compact products; on the batched path
-    it is :func:`_encode`'s frame.  B_tilde, the masked dual frame, comes
-    from the adjoint recursion over live units: with a_l the live units of
-    dec_l and T_0 = I on a_1, T_l = T_{l-1} D^l[a_l][:, a_{l+1}], the
-    encoder block is T_kappa on the live units of enc_kappa and skip block
-    l is T_{l-1} S_tilde^l[a_l] on those of skip_l.  On a spec with
-    ``nonlinearity="none"`` every mask is all ones and this is the global
-    frame pair of the linear network.
+    B is [X_kappa | K_kappa ... K_1] of the forward recursion
+    (:func:`_forward`) on the pattern's one row; B_tilde, the masked dual
+    frame, is [T_kappa | H_kappa ... H_1] of the decoder :func:`adjoint`.
+    Both take the kernel's column choice: on the batched path every column
+    from the co-probe I, on the live path the live units only.  On a spec
+    with ``nonlinearity="none"`` every mask is all ones and this is the
+    global frame pair of the linear network.
     """
     if pattern is None:
         if x is None:
             raise ValueError("need an input x or an explicit pattern")
         pattern = extract_pattern(spec, mats, x)
-    k, bits = spec.kappa, pattern.bits()[None]
-    masks = _masks(spec, bits)
-    kernel_frame = None
-    if _live(spec):
-        units, dead, Xc, Kc, _ = _live_row(spec, mats, None, masks, 0, None, None)
-        frame = np.hstack([Xc, *Kc[::-1]])
-    else:
-        units, dead = _units(masks, 0)
-        kernel_frame = next(_encode(spec, mats, [(bits, None)]))[0][0]
+    k, F, masks = spec.kappa, spec.feature_dim, _masks(spec, pattern.bits()[None])
+    live = _units(masks) if _live(spec) else None
+    X, K, _ = _forward(spec, mats, masks, live, bufs={})
+    T, H = adjoint(spec, mats, masks[-k:], None if live else np.eye(spec.d[0]), live)
+    frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H)))
     # the frame's stages: enc_kappa, then skip_kappa .. skip_1
     stages = [k - 1, *(range(2 * k - 1, k - 1, -1) if spec.skip else ())]
+    if live is None:  # B_tilde's columns masked as B's
+        dual = dual[0] * np.concatenate([masks[j][0] for j in stages], axis=-1)
+        return LinearRep(pattern, np.arange(spec.d[0]), np.arange(F), frame[0], dual, F)
     at = accumulate((masks[j].shape[-1] for j in stages), initial=0)
-    cols = np.concatenate([a + units[j] for a, j in zip(at, stages)])
-    if kernel_frame is not None:
-        frame = kernel_frame[:, cols]
-
-    def hang(T, M, j, c):  # T M over the live units of stage j (rows of M) and c (columns)
-        P = M.take(units[j], 0).take(units[c], 1)
-        P = P if T is None else _dot(T, P)
-        return P * 0.0 if dead[j] or dead[c] else P
-
-    T, skips = None, []
-    for l in range(1, k + 1):
-        j = len(masks) - k + l - 1  # dec_l
-        if spec.skip:
-            skips.append(hang(T, mats[l - 1].S_tilde, j, k + l - 1))
-        T = hang(T, mats[l - 1].D, j, j + 1 if l < k else k - 1)
-    return LinearRep(pattern=pattern, rows=units[-k], cols=cols, frame=frame,
-                     dual=np.hstack([T, *skips[::-1]]), feature_dim=spec.feature_dim,
-                     kernel_frame=kernel_frame)
+    cols = np.concatenate([a + live[0][j] for a, j in zip(at, stages)])
+    return LinearRep(pattern, live[0][-k], cols, frame, dual, F)
 
 
 def _radius(rho, P, x, mask) -> None:
@@ -264,31 +231,6 @@ def _dot(A, M):
     return out
 
 
-def _live_product(terms, keep, radius=None):
-    """One product of the kernel's live path, on one row.
-
-    ``terms`` are (A, rows, M): A holds only the live columns ``rows`` of
-    its stage, so only M's matching rows enter A @ M; A is None for
-    X_0 = I, whose product is M itself (such a term comes alone, and M is
-    never written to).  Returns the columns ``keep`` of the sum over the
-    terms.  ``radius``, the row's (rho, x, mask) as one-row arrays, forms
-    every column first and lowers rho through :func:`_radius` before the
-    dead columns are dropped.
-    """
-    total = None
-    for A, rows, M in terms:
-        if A is None:
-            P = M if radius is not None else M.take(keep, 1)
-        else:
-            P = _dot(A, M.take(rows, 0) if radius is not None else M.take(rows, 0).take(keep, 1))
-        total = P if total is None else np.add(total, P, out=total)
-    if radius is None:
-        return total
-    rho, x, mask = radius
-    _radius(rho, total[None], x, mask)
-    return total.take(keep, 1)
-
-
 def _masks(spec: NetworkSpec, bits) -> list:
     """The (n, 1, w) mask views of a block's bit rows: enc_1 .. enc_kappa,
     skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa."""
@@ -296,128 +238,112 @@ def _masks(spec: NetworkSpec, bits) -> list:
     return [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
 
 
-def _units(masks, i):
-    """The live units of row i of each mask, and whether the stage has none.
-
-    A stage with no live unit keeps its first one, to be multiplied by its
+def _units(masks):
+    """The live units of each mask of a one-row block, and whether the stage
+    has none.  Such a stage keeps its first unit, to be multiplied by its
     mask bit 0 as in the batched product, so that an overflow before it
-    reaches the map.
-    """
-    units = [mask[i, 0].nonzero()[0] for mask in masks]
+    reaches the map."""
+    units = [mask[0, 0].nonzero()[0] for mask in masks]
     dead = [not len(u) for u in units]
     return [np.zeros(1, np.intp) if no else u for u, no in zip(units, dead)], dead
 
 
-def _live_row(spec: NetworkSpec, mats, T, masks, i, x, rho):
-    """Row i of a block on the kernel's live path, over its live units only.
+def _forward(spec: NetworkSpec, mats, masks, units=None, x=None, rho=None, back=None,
+             bufs=None):
+    """The frozen-mask forward recursion over one block of pattern rows.
 
-    ``masks`` are the block's :func:`_masks` views.  The forward half forms
-    the compact X_l and K_l by :func:`_live_product`; given ``T``, each
-    layer's (D', S_tilde') made contiguous, the back half runs down the
-    decoder.  Returns :func:`_units`, the compact X_kappa and [K_1 ..
-    K_kappa], and the compact Y_0 (None without ``T``).  With inputs, every
-    ReLU stage lowers rho[i], in the batched path's order.
-    """
-    k = spec.kappa
-    units, dead = _units(masks, i)
-    enc, skip, dec = units[:k], units[k:-k], units[-k:]
+    ``masks`` are the block's :func:`_masks` views.  From X_0 = I (never
+    formed) the stage loop forms X_l = (X_{l-1} E^l) * enc_l and K_l =
+    (X_{l-1} S^l) * skip_l; given ``back``, each layer's (D^l', S_tilde^l'),
+    it runs down the decoder: Y_kappa = X_kappa and Y_{l-1} = (Y_l D^l' +
+    K_l S_tilde^l') * dec_l.  Returns (X_kappa, [K_1 .. K_kappa], Y_0), Y_0
+    None without ``back``.  With inputs ``x``, each ReLU stage lowers
+    ``rho`` through :func:`_radius` from its product before the mask.
 
-    def stage(terms, j, relu):
-        radius = (rho[i:i + 1], x[i:i + 1], masks[j][i:i + 1]) if relu and x is not None else None
-        P = _live_product(terms, units[j], radius)
-        return P * 0.0 if dead[j] else P
-
-    relu, Xc, Kc = spec.relu_at_encoder(), None, []
-    for l in range(1, k + 1):
-        a = enc[l - 2] if l > 1 else None
-        X_next = stage([(Xc, a, mats[l - 1].E)], l - 1, relu)
-        if spec.skip:
-            Kc.append(stage([(Xc, a, mats[l - 1].S)], k + l - 1, relu))
-        Xc = X_next
-    if T is None:
-        return units, dead, Xc, Kc, None
-    relu, Yc, a = spec.relu_at_decoder(), Xc, enc[-1]
-    for l in range(k, 0, -1):  # Y_kappa = X_kappa; a: the live units of Y_l
-        terms = [(Yc, a, T[l - 1][0])]
-        if spec.skip:
-            terms.append((Kc[l - 1], skip[l - 1], T[l - 1][1]))
-        Yc, a = stage(terms, len(masks) - k + l - 1, relu), dec[l - 1]
-    return units, dead, Xc, Kc, Yc
-
-
-def _live_blocks(spec: NetworkSpec, mats, blocks):
-    """The kernel's live path (:func:`_live`), over the (bits, x) blocks of
-    :func:`_map_blocks`.
-
-    A block goes row by row through :func:`_live_row`, so one row's compact
-    products are alive at a time.  Each row scatters its compact Y_0 into
-    its zeroed row of one (n, d_0, d_0) buffer, allocated for the first
-    block, and this yields (Y, rho).
+    The one variable is the column choice.  Batched (``units`` None): each
+    product is the (n, d_0, w) block stack over every column, written by
+    ``np.matmul(..., out=)`` into its stage's buffer in ``bufs`` (a dict
+    the caller keeps across blocks; a stage's buffer is allocated for the
+    first block that reaches it), then masked.  Live (``units``, the
+    :func:`_units` of a one-row block): each product is the row's (d_0, w)
+    product over the live units of its two stages, gathered from the
+    operator and made by :func:`_dot`.  With inputs a live stage forms
+    every column for the radius, then keeps its live ones.
     """
     k, d0 = spec.kappa, spec.d[0]
-    T = [(np.ascontiguousarray(m.D.T), np.ascontiguousarray(m.S_tilde.T) if spec.skip else None)
-         for m in mats]
-    out = None
-    for bits, x in blocks:
-        n = len(bits)
-        if out is None:
-            out = np.empty((n, d0, d0))
-        buf = out[:n]
-        buf[...] = 0.0
-        masks = _masks(spec, bits)
-        rho = None if x is None else np.full(n, np.inf)
-        for i in range(n):
-            units, _, _, _, Yc = _live_row(spec, mats, T, masks, i, x, rho)
-            buf[i][:, units[-k]] = Yc
-        yield buf, rho
+    live, dead = units or (None, None)
+
+    def stage(terms, j, relu):  # terms (A, i, M): A the product of stage i, None for X_0 = I
+        radius, total = relu and x is not None, None
+        for t, (A, i, M) in enumerate(terms):
+            if live is None:
+                if (j, t) not in bufs:
+                    bufs[j, t] = np.empty((len(masks[j]), d0, M.shape[1]))
+                P = bufs[j, t][:len(masks[j])]
+                np.copyto(P, M) if A is None else np.matmul(A, M, out=P)
+            else:  # an X_0 term comes alone, so its M is never written to
+                M = M if i is None else M.take(live[i], 0)
+                M = M if radius else M.take(live[j], 1)
+                P = M if A is None else _dot(A, M)
+            total = P if total is None else np.add(total, P, out=total)
+        if radius:
+            _radius(rho, total if live is None else total[None], x, masks[j])
+        if live is None:
+            total *= masks[j]
+            return total
+        total = total.take(live[j], 1) if radius else total
+        return total * 0.0 if dead[j] else total
+
+    relu, X, i, K = spec.relu_at_encoder(), None, None, []
+    for l in range(1, k + 1):
+        X_next = stage([(X, i, mats[l - 1].E)], l - 1, relu)
+        if spec.skip:
+            K.append(stage([(X, i, mats[l - 1].S)], k + l - 1, relu))
+        X, i = X_next, l - 1
+    if back is None:
+        return X, K, None
+    relu, Y = spec.relu_at_decoder(), X
+    for l in range(k, 0, -1):  # i: the stage of Y_l, enc_kappa for Y_kappa = X_kappa
+        terms = [(Y, i, back[l - 1][0])]
+        if spec.skip:
+            terms.append((K[l - 1], k + l - 1, back[l - 1][1]))
+        j = len(masks) - k + l - 1  # dec_l
+        Y, i = stage(terms, j, relu), j
+    return X, K, Y
 
 
-def _encode(spec: NetworkSpec, mats, blocks):
-    """The batched path's forward half, over the (bits, x) blocks of
-    :func:`_map_blocks`.
+def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True) -> tuple:
+    """The decoder adjoint from a co-probe T_0 = ``probe``: T_l = (T_{l-1} *
+    dec_l) D^l and, on skip nets given ``hang``, H_l = (T_{l-1} * dec_l)
+    S_tilde^l.  Returns ([T_0 .. T_kappa], [H_1 .. H_kappa]).  From I, T_l
+    is the masked dual-chain prefix of D^1 ... D^l; from a residual row,
+    T_{l-1} * dec_l is the cost's derivative at dec_pre[l-1].
 
-    Per block, the masked encoder products X_l = (X_{l-1} E^l) * enc_l and
-    K_l = (X_{l-1} S^l) * skip_l from X_0 = I (never formed), in buffers
-    allocated for the first block.  X[0] is left for the back half's Y_0.
-    X[kappa] and the K[l-1] are column views of one (n, d_0, F) frame
-    buffer, in :func:`linear_rep`'s order of B: [X_kappa | K_kappa | ... |
-    K_1].  Yields (B, X, K, rho), rho being None without inputs.  The live
-    path forms its frame in :func:`_live_row` instead.
+    The column choice is :func:`_forward`'s.  Batched (``units`` None):
+    every column, ``dec`` the decoder masks broadcasting against the T_l,
+    so a (T, 1, d_0) stack of co-probes makes T vector-matrix products.
+    Live (``units``): the co-probe is I on the live units of dec_1 (pass
+    None), each T_l and H_l is formed over the live units of dec_l (the
+    operator's rows) and of the next stage (its columns: dec_{l+1},
+    enc_kappa for T_kappa, skip_l for H_l), and ``dec`` is not read.
     """
-    k, d = spec.kappa, spec.d
-    s = spec.s if spec.skip else ()
-    cuts = np.cumsum([d[k], *s[::-1]]).tolist()
-    frame = None
-    for bits, x in blocks:
-        n = len(bits)
-        if frame is None:
-            frame = np.empty((n, d[0], spec.feature_dim))
-            cols = [frame[..., a:b] for a, b in zip([0, *cuts], cuts)]
-            X_buf = [np.empty((n, d[0], w)) for w in d[:k]] + cols[:1]
-            K_buf = cols[:0:-1]
-        masks = _masks(spec, bits)
-        enc, skip = masks[:k], masks[k:-k]
-        X, K = [buf[:n] for buf in X_buf], [buf[:n] for buf in K_buf]
-        rho = None if x is None else np.full(n, np.inf)
-        on = x is not None and spec.relu_at_encoder()
-        for l in range(1, k + 1):
-            stages = [(mats[l - 1].E, X[l], enc[l - 1])]
-            if spec.skip:
-                stages.append((mats[l - 1].S, K[l - 1], skip[l - 1]))
-            for M, P, mask in stages:  # P: the pre-mask products, the rows of layer l
-                if l == 1:  # X_0 = I
-                    np.copyto(P, M)
-                else:
-                    np.matmul(X[l - 1], M, out=P)
-                if on:
-                    _radius(rho, P, x, mask)
-            if l < k:
-                X[l] *= enc[l - 1]
-        # the frame's blocks feed no encoder product: they are masked last, in
-        # one multiply over the whole buffer rather than one per strided view
-        B = frame[:n]
-        B *= np.concatenate([enc[-1], *skip[::-1]], axis=-1)
-        yield B, X, K, rho
+    k, (live, dead) = spec.kappa, units or (None, None)
+    T, H = [probe], []
+    for l in range(1, k + 1):
+        j = k + l - 1 + (k if spec.skip else 0)  # dec_l
+        U = T[-1] * dec[l - 1] if live is None else None
+
+        def mul(M, c):  # (T_{l-1} * dec_l) M; on the live path at stage c's live units
+            if live is None:
+                return U @ M
+            P = M.take(live[j], 0).take(live[c], 1)
+            P = P if T[-1] is None else _dot(T[-1], P)
+            return P * 0.0 if dead[j] or dead[c] else P
+
+        if hang and spec.skip:
+            H.append(mul(mats[l - 1].S_tilde, k + l - 1))
+        T.append(mul(mats[l - 1].D, j + 1 if l < k else k - 1))
+    return T, H
 
 
 def _map_blocks(spec: NetworkSpec, mats, blocks):
@@ -426,13 +352,14 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array in
     ``ActivationPattern.bits()`` order, none longer than the first (a
     longer one fails on its ``out=`` shapes), and its (n, d_0) inputs or
-    None.  The forward half (:func:`_encode`) forms each block's encoder
-    products, the back half runs down the decoder, and this yields views
-    (Y, rho): ``Y[i].T`` is row i's map.  The next block overwrites them,
-    so a consumer copies or reduces them before asking for more.  On the
-    batched path every product is a batched matmul written with ``out=``;
-    on the live path (:func:`_live_blocks`) every row has its own
-    products.  Either way each row stays bit-identical to a one-row block.
+    None.  Each block goes through :func:`_forward` with its decoder half,
+    and this yields views (Y, rho): ``Y[i].T`` is row i's map.  The next
+    block overwrites them, so a consumer copies or reduces them before
+    asking for more.  On the batched path a block is one call; on the live
+    path (:func:`_live`) each row is a call of its own, and its compact
+    Y_0 is scattered into its zeroed row of one (n, d_0, d_0) buffer,
+    allocated for the first block.  Either way each row stays
+    bit-identical to a one-row block.
 
     With inputs, rho[i] is row i's certified in-region radius, lowered by
     :func:`_radius` at every ReLU stage from the product before its mask
@@ -442,28 +369,27 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     zero, layer by layer.  It is inf on a net without ReLUs.  Without
     inputs it is None and no radius work runs.
     """
-    if _live(spec):
-        yield from _live_blocks(spec, mats, blocks)
-        return
-    k, d = spec.kappa, spec.d
-    blocks, ahead = tee(blocks)
-    tmp = None  # one S_tilde product of the decoder
-    for (bits, x), (B, X, K, rho) in zip(blocks, _encode(spec, mats, ahead)):
-        if spec.skip and tmp is None:
-            tmp = np.empty(len(B) * d[0] * max(d[:k]))
-        on = x is not None and spec.relu_at_decoder()
-        end = bits.shape[1]  # the decoder masks close the row, dec_kappa last
-        for l in range(k, 0, -1):  # Y_kappa = X_kappa
-            dec = bits[:, None, end - d[l - 1]:end]
-            end -= d[l - 1]
-            np.matmul(X[l], mats[l - 1].D.T, out=X[l - 1])
-            if spec.skip:
-                prod = tmp[:X[l - 1].size].reshape(X[l - 1].shape)
-                X[l - 1] += np.matmul(K[l - 1], mats[l - 1].S_tilde.T, out=prod)
-            if on:
-                _radius(rho, X[l - 1], x, dec)
-            X[l - 1] *= dec
-        yield X[0], rho
+    k, live = spec.kappa, _live(spec)
+    back = [(m.D.T, m.S_tilde.T if spec.skip else None) for m in mats]
+    if live:  # each row gathers rows of D' and S_tilde': contiguous copies, once
+        back = [[M if M is None else np.ascontiguousarray(M) for M in ops] for ops in back]
+    bufs, out = {}, None
+    for bits, x in blocks:
+        n, masks = len(bits), _masks(spec, bits)
+        rho = None if x is None else np.full(n, np.inf)
+        if not live:
+            yield _forward(spec, mats, masks, None, x, rho, back, bufs)[2], rho
+            continue
+        if out is None:
+            out = np.empty((n, spec.d[0], spec.d[0]))
+        Y = out[:n]
+        Y[...] = 0.0
+        for i in range(n):
+            row = [mask[i:i + 1] for mask in masks]
+            units = _units(row)
+            at = (None, None) if x is None else (x[i:i + 1], rho[i:i + 1])
+            Y[i][:, units[0][-k]] = _forward(spec, mats, row, units, *at, back)[2]
+        yield Y, rho
 
 
 def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
@@ -472,13 +398,8 @@ def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
     ``bits`` holds one pattern per row in ``ActivationPattern.bits()`` order
     (a stacked pattern's ``bits()``, or unpacked census keys), split per
     block into its mask columns.  Frozen masks make the network linear, so
-    the map is the masked forward pass of the identity.  In row form, with
-    enc_l, skip_l, dec_l the masks of layer l and X_0 = I never formed:
-
-        X_l = (X_{l-1} E^l) * enc_l,   K_l = (X_{l-1} S^l) * skip_l,
-        Y_kappa = X_kappa,   Y_{l-1} = (Y_l D^l' + K_l S_tilde^l') * dec_l,
-
-    and the map is Y_0'.  Blocks of ``_BLOCK`` patterns go through the map
+    the map is Y_0' of the masked forward recursion of the identity
+    (:func:`_forward`).  Blocks of ``_BLOCK`` patterns go through the map
     kernel (:func:`_map_blocks`): on small nets batched matmul, each
     product a stack (n, d_0, .) against one shared operator; on large ones
     row by row over the live units only.  Either way every row is

@@ -180,7 +180,11 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
             raise ConfigError("missing required config field 'bank.path' for a file bank")
         if not os.path.exists(path):
             raise ConfigError(f"config field 'bank.path': file {path!r} does not exist")
-        bank = netbuild.load_bank(path)
+        try:  # a structural error of the file names the field that points to it
+            bank = netbuild.bank_from_dict(_read_json(path, "bank file"))
+        except (ConfigError, KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config field 'bank.path': {path!r} is not a bank file: "
+                              f"{type(exc).__name__}: {exc}") from exc
         netbuild.validate_bank(spec, bank)
         return bank, params
     if source is None:

@@ -21,11 +21,12 @@ trace holds the cost's derivative at every pre-activation, and the
 gradient with respect to any realized operator is a sample-order sum of
 outer products of a backward row and a forward row.  The certificates,
 the stationarity check and the tap gradients all read one such
-:class:`Pass`; each forms only the operator gradients it reads.  The
-masked dual-chain prefixes, one stacked call formed on first read, serve
-only the certificates' factor singular values and ranks.  Every row is
-bit-identical to its one-sample pass and every sum runs in sample order,
-so reports are bit-stable.
+:class:`Pass`; each forms only the operator gradients it reads.  Down the
+decoder the trace is :func:`analysis.adjoint` from the residual rows; the
+masked dual-chain prefixes, the same adjoint from the co-probe I in one
+stacked call formed on first read, serve only the certificates' factor
+singular values and ranks.  Every row is bit-identical to its one-sample
+pass and every sum runs in sample order, so reports are bit-stable.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import ActivationPattern, dual_chains, pattern_from_trace
+from .analysis import ActivationPattern, adjoint, pattern_from_trace
 from .netbuild import (
     ForwardTrace,
     LayerBank,
@@ -158,9 +159,11 @@ class Pass:
 
     @cached_property
     def dual(self) -> list:
-        """The stacked masked dual-chain prefixes of :func:`analysis.dual_chains`,
+        """The masked dual-chain prefixes [I, T_1 .. T_kappa], T_l stacked over
+        the samples: the decoder :func:`analysis.adjoint` from the co-probe I,
         formed on first read."""
-        return dual_chains(self.spec, self.mats, self.pattern)
+        return adjoint(self.spec, self.mats, [m[:, None] for m in self.pattern.dec],
+                       np.eye(self.spec.d[0]), hang=False)[0]
 
     @property
     def T(self) -> int:
@@ -171,24 +174,24 @@ def training_pass(spec: NetworkSpec, mats, data: TrainingSet) -> Pass:
     """Forward the (T, d_0) stack of inputs, then trace the cost back through it.
 
     The backward trace is the chain rule through the realized operators
-    under the zero-at-kink mask convention, one stacked matrix-vector
-    product per operator (each row bit-identical to its one-sample
-    product).
+    under the zero-at-kink mask convention.  Down the decoder it is the
+    :func:`analysis.adjoint` from the (T, 1, d_0) residual rows, with the
+    skip hangs; up the encoder, one stacked matrix-vector product per
+    operator.  Each row is bit-identical to its one-sample trace.
     """
     trace = forward_matrices(spec, mats, data.X.T)
     pattern = pattern_from_trace(spec, trace)
-    d_cur = trace.y - data.Y.T  # the residuals
-    cost, d_enc, d_skip, d_dec = _cost(d_cur), [], [], []
-    for l in range(1, spec.kappa + 1):
-        d_dec.append(d_cur * pattern.dec[l - 1])
-        d_cur = _apply(mats[l - 1].D.T, d_dec[-1])
+    res, dec = trace.y - data.Y.T, [m[:, None] for m in pattern.dec]
+    T, H = adjoint(spec, mats, dec, res[:, None])
+    d_dec = [(t * m)[:, 0] for t, m in zip(T, dec)]
+    d_cur, d_enc, d_skip = T[-1][:, 0], [], []
     for l in range(spec.kappa, 0, -1):  # filled from the bottleneck up
         d_enc.insert(0, d_cur * pattern.enc[l - 1])
         d_cur = _apply(mats[l - 1].E, d_enc[0])
         if spec.skip:
-            d_skip.insert(0, _apply(mats[l - 1].S_tilde.T, d_dec[l - 1]) * pattern.skip[l - 1])
+            d_skip.insert(0, H[l - 1][:, 0] * pattern.skip[l - 1])
             d_cur = d_cur + _apply(mats[l - 1].S, d_skip[0])
-    return Pass(spec, mats, trace, pattern, cost, d_enc, d_skip, d_dec)
+    return Pass(spec, mats, trace, pattern, _cost(res), d_enc, d_skip, d_dec)
 
 
 def _sigma_extremes(A: np.ndarray, name: str) -> tuple:

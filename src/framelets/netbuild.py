@@ -57,7 +57,6 @@ __all__ = [
     "bank_to_dict",
     "bank_from_dict",
     "save_bank",
-    "load_bank",
 ]
 
 #: recognized nonlinearity modes; "relu_encoder" keeps the decoder linear,
@@ -500,8 +499,3 @@ def save_bank(spec: NetworkSpec, bank: LayerBank, path) -> None:
     with open(path, "w") as fh:
         json.dump(bank_to_dict(spec, bank), fh, indent=1)
         fh.write("\n")
-
-
-def load_bank(path) -> LayerBank:
-    with open(path) as fh:
-        return bank_from_dict(json.load(fh))

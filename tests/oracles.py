@@ -378,7 +378,7 @@ def pattern_key(pattern: analysis.ActivationPattern) -> bytes:
 
 def chain_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
     """The frame B of one region by its chain prefixes: the reference for the
-    frame of the map kernel's forward half (``analysis._encode``).
+    frame of the forward recursion (``analysis._forward``).
 
     ups[l] accumulates E^1 ... E^l, each followed by its encoder mask, from
     ups[0] = I; B is ups[kappa], then with skips each prefix ups[l-1]
@@ -395,16 +395,50 @@ def chain_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
     return np.concatenate(blocks, axis=-1)
 
 
+def dual_chains(spec, mats, pattern: analysis.ActivationPattern) -> list:
+    """Masked dual-chain prefixes tus of one region, kappa + 1 entries: the
+    reference for the decoder adjoint from the co-probe I
+    (``analysis.adjoint``, read by ``landscape.Pass.dual``).
+
+    tus[l] accumulates D^1 ... D^l, each preceded by its decoder mask;
+    tus[0] is the identity.  A stacked pattern gives stacked prefixes past
+    entry 0, row i bit-identical to row i's own call.
+    """
+    tus = [np.eye(spec.d[0])]
+    for l in range(1, spec.kappa + 1):
+        tus.append((tus[-1] * pattern.dec[l - 1][..., None, :]) @ mats[l - 1].D)
+    return tus
+
+
+def backward_row(spec, mats, pattern, res: np.ndarray, i: int) -> tuple:
+    """Sample i's backward trace of the cost from its residual row ``res``, by
+    one-vector ``netbuild._apply`` products: the reference for
+    ``landscape.training_pass``'s (d_enc, d_skip, d_dec) rows, each list
+    indexed by layer l-1."""
+    k, d_cur, d_enc, d_skip, d_dec = spec.kappa, res, [], [], []
+    for l in range(1, k + 1):
+        d_dec.append(d_cur * pattern.dec[l - 1][i])
+        d_cur = netbuild._apply(mats[l - 1].D.T, d_dec[-1])
+    for l in range(k, 0, -1):
+        d_enc.insert(0, d_cur * pattern.enc[l - 1][i])
+        d_cur = netbuild._apply(mats[l - 1].E, d_enc[0])
+        if spec.skip:
+            d_skip.insert(0, netbuild._apply(mats[l - 1].S_tilde.T, d_dec[l - 1])
+                          * pattern.skip[l - 1][i])
+            d_cur = d_cur + netbuild._apply(mats[l - 1].S, d_skip[0])
+    return d_enc, d_skip, d_dec
+
+
 def dual_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
     """The masked dual frame B_tilde of one region by its chain prefixes: the
-    reference for ``analysis.linear_rep``'s compact adjoint recursion.
+    reference for ``analysis.linear_rep``'s dual frame.
 
-    The :func:`analysis.dual_chains` prefix tus[kappa], then with skips
-    each prefix tus[l-1] times S_tilde^l under the decoder mask dec_l,
-    newest skip level first; the columns of the frame's dead units (the
-    masks enc_kappa, skip_kappa .. skip_1) are zeroed, as in B.
+    The :func:`dual_chains` prefix tus[kappa], then with skips each prefix
+    tus[l-1] times S_tilde^l under the decoder mask dec_l, newest skip
+    level first; the columns of the frame's dead units (the masks
+    enc_kappa, skip_kappa .. skip_1) are zeroed, as in B.
     """
-    tus = analysis.dual_chains(spec, mats, pattern)
+    tus = dual_chains(spec, mats, pattern)
     blocks, masks = [tus[spec.kappa]], [pattern.enc[-1]]
     if spec.skip:
         for l in range(spec.kappa, 0, -1):

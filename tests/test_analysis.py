@@ -209,12 +209,19 @@ def map_spec(kappa, skip, nonlinearity, unequal_m):
 
 
 def kernel_frames(spec, mats, bits) -> np.ndarray:
-    """The kernel's frames B of one block of bit rows, copied out."""
-    return next(analysis._encode(spec, mats, [(bits, None)]))[0].copy()
+    """The frames B of one block of bit rows, by the batched forward recursion."""
+    X, K, _ = analysis._forward(spec, mats, analysis._masks(spec, bits), bufs={})
+    return np.concatenate([X, *K[::-1]], axis=-1)
+
+
+def kernel_duals(spec, mats, pattern) -> list:
+    """The masked dual-chain prefixes of a pattern: the adjoint from the co-probe I."""
+    dec = [m[..., None, :] for m in pattern.dec]
+    return analysis.adjoint(spec, mats, dec, np.eye(spec.d[0]), hang=False)[0]
 
 
 class TestMaskedChains:
-    """The kernel's forward half: the frame B of each row of a block."""
+    """The forward recursion's encoder half: the frame B of each row of a block."""
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
@@ -225,12 +232,12 @@ class TestMaskedChains:
         pattern = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         stacked = kernel_frames(spec, mats, pattern.bits())
         assert stacked.shape == (5, spec.d[0], spec.feature_dim)
-        duals = analysis.dual_chains(spec, mats, pattern)
+        duals = kernel_duals(spec, mats, pattern)
         for i, x in enumerate(X):
             one = analysis.extract_pattern(spec, mats, x)
             single = kernel_frames(spec, mats, one.bits()[None])
             assert stacked[i].tobytes() == single[0].tobytes()
-            want = analysis.dual_chains(spec, mats, one)
+            want = kernel_duals(spec, mats, one)
             assert np.array_equal(duals[0], want[0])  # the shared identity
             assert all(np.array_equal(g[i], w) for g, w in zip(duals[1:], want[1:]))
 
@@ -311,12 +318,18 @@ class TestRegionMaps:
 
     def test_kernel_view_is_overwritten_by_the_next_block(self, rng):
         # a consumer must copy or reduce a block before asking for the next:
-        # the map of the kernel, then the frame of its forward half
+        # the map of the kernel, then X_kappa of its forward recursion
         spec = map_spec(2, True, "relu", unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((4, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        for kernel in (analysis._map_blocks, analysis._encode):
+
+        def frames(spec, mats, blocks):  # X_kappa of each block, in one set of buffers
+            bufs = {}
+            for block, _ in blocks:
+                yield analysis._forward(spec, mats, analysis._masks(spec, block), bufs=bufs)
+
+        for kernel in (analysis._map_blocks, frames):
             blocks = kernel(spec, mats, ((bits[:2], None), (bits[2:], None)))
             view = next(blocks)[0]
             copy = view.copy()

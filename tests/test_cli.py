@@ -701,6 +701,18 @@ class TestConfigErrors:
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
         assert "does not exist" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ['{}', '{"layers":[{"enc_filters":{"data":[1]}}]}',
+                                      '{"layers": 3}', '[1]', None])
+    def test_malformed_bank_file_names_its_field(self, tmp_path, capsys, body):
+        # None: the path is a directory
+        path = tmp_path / "bank.json"
+        if body is not None:
+            path.write_text(body)
+        cfg = base_config(bank={"source": "file", "path": "." if body is None else str(path)})
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "config field 'bank.path'" in err
+
     def test_file_bank_without_path(self, tmp_path, capsys):
         want = "config error: missing required config field 'bank.path' for a file bank\n"
         cfg = base_config(bank={"source": "file"})

@@ -148,17 +148,23 @@ class TestOneForwardPerSample:
 
 @pytest.fixture
 def dual_calls(monkeypatch):
-    """One entry per dual-chain formation of a training pass, and one per
-    call of the map kernel's forward half, the only code that forms
-    encoder prefixes."""
+    """One entry per dual-chain formation of a training pass, an adjoint
+    call from the co-probe I, and one per call of the forward recursion,
+    the only code that forms encoder prefixes."""
     calls = []
-    for name, original in (("dual_chains", analysis.dual_chains),
-                           ("_encode", analysis._encode)):
-        def counted(*args, _name=name, _original=original):
-            calls.append(_name)
-            return _original(*args)
+    adjoint, forward = analysis.adjoint, analysis._forward
 
-        patch_bindings(monkeypatch, original, counted)
+    def counted_adjoint(spec, mats, dec, probe, *args, **kwargs):
+        if np.ndim(probe) == 2 and np.array_equal(probe, np.eye(spec.d[0])):
+            calls.append("adjoint")
+        return adjoint(spec, mats, dec, probe, *args, **kwargs)
+
+    def counted_forward(*args, **kwargs):
+        calls.append("_forward")
+        return forward(*args, **kwargs)
+
+    patch_bindings(monkeypatch, adjoint, counted_adjoint)
+    patch_bindings(monkeypatch, forward, counted_forward)
     return calls
 
 
@@ -174,7 +180,7 @@ class TestOnePassPerTrainingSet:
         assert len(block["certificates"]) == spec.kappa + 1  # two skip levels, E
         assert "stationarity" in block
         assert forward_calls == [(2, spec.d[0])]
-        assert dual_calls == ["dual_chains"]
+        assert dual_calls == ["adjoint"]
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_train_checkpoints(self, dual_calls, skip, monkeypatch):
@@ -193,7 +199,7 @@ class TestOnePassPerTrainingSet:
         assert [it for it, _ in result.certificates] == [0, 2, 4, 6]
         # one pass per tap gradient and one per checkpoint, which forms its dual once
         assert len(passes) == len(result.grad_norms) + 4
-        assert dual_calls == ["dual_chains"] * 4
+        assert dual_calls == ["adjoint"] * 4
 
 
 def one_sample(data, i):
@@ -254,6 +260,39 @@ class TestStackedSamplesAreExact:
         data = landscape.TrainingSet(X=X, Y=np.ones((4, 3)))
         with pytest.raises(analysis.KinkMarginError, match="training sample 1 "):
             oracles.fd_grad_enc(spec, mats, data)
+
+
+@pytest.mark.usefixtures("kernel_path")
+class TestDecoderAdjoint:
+    """The pass's dual prefixes and its backward trace down the decoder run the
+    decoder adjoint; each equals its reference recursion exactly."""
+
+    @staticmethod
+    def stacked_pass(skip, nonlinearity, T=5):
+        spec = make_spec(kappa=2, r=2, q=[1, 2, 3], m_list=[4, 5, 6], skip=skip,
+                         nonlinearity=nonlinearity)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=T))
+        data = random_data(spec, seed=30 + T, T=T)
+        return spec, mats, data, landscape.training_pass(spec, mats, data)
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_dual_equals_the_dual_chains(self, skip, nonlinearity):
+        spec, mats, _, p = self.stacked_pass(skip, nonlinearity)
+        want = oracles.dual_chains(spec, mats, p.pattern)
+        assert len(p.dual) == len(want) == spec.kappa + 1
+        assert all(np.array_equal(got, w) for got, w in zip(p.dual, want))
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_trace_equals_the_per_row_apply_oracle(self, skip, nonlinearity):
+        spec, mats, data, p = self.stacked_pass(skip, nonlinearity)
+        res = p.trace.y - data.Y.T
+        for i in range(p.T):
+            rows = oracles.backward_row(spec, mats, p.pattern, res[i], i)
+            for got, want in zip((p.d_enc, p.d_skip, p.d_dec), rows):
+                assert len(got) == len(want)
+                assert all(np.array_equal(g[i], w) for g, w in zip(got, want))
 
 
 class TestAnalyticGradients:

@@ -455,7 +455,7 @@ class TestBankIO:
         bank = netbuild.random_bank(spec, seed=123)
         path = tmp_path / "bank.json"
         netbuild.save_bank(spec, bank, path)
-        loaded = netbuild.load_bank(path)
+        loaded = netbuild.bank_from_dict(json.loads(path.read_text()))
         netbuild.validate_bank(spec, loaded)
         for a, b in zip(bank.enc_filters, loaded.enc_filters):
             np.testing.assert_array_equal(a, b)
