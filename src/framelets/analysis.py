@@ -32,7 +32,7 @@ from itertools import accumulate, tee
 
 import numpy as np
 
-from .netbuild import NetworkSpec, forward_matrices, forward_y
+from .netbuild import NetworkSpec, _dot, forward_matrices, forward_y
 from .seeding import rng
 
 __all__ = [
@@ -71,11 +71,6 @@ _BLOCK = 4
 #: many multiply-adds; below it the Python calls per row cost more than the
 #: zero columns they skip, and every block goes through batched matmul
 _LIVE_FLOPS = 1 << 19
-#: a default OpenBLAS build runs a product of fewer multiply-adds than this
-#: on one thread at any thread count, so the live path's products, whose odd
-#: shapes would otherwise split across threads at boundaries that move their
-#: last bits, are made in pieces below it
-_ONE_THREAD = 1 << 19
 
 
 class KinkMarginError(ValueError):
@@ -178,7 +173,7 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     k, F, masks = spec.kappa, spec.feature_dim, _masks(spec, pattern.bits()[None])
     live = _units(masks) if _live(spec) else None
     X, K, _ = _forward(spec, mats, masks, live, bufs={})
-    T, H = adjoint(spec, mats, masks[-k:], None if live else np.eye(spec.d[0]), live)
+    T, H, _ = adjoint(spec, mats, masks[-k:], None if live else np.eye(spec.d[0]), live)
     frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H)))
     # the frame's stages: enc_kappa, then skip_kappa .. skip_1
     stages = [k - 1, *(range(2 * k - 1, k - 1, -1) if spec.skip else ())]
@@ -219,18 +214,6 @@ def _live(spec: NetworkSpec) -> bool:
     return d[0] * widest >= _LIVE_FLOPS
 
 
-def _dot(A, M):
-    """A @ M in pieces of A's rows, each under ``_ONE_THREAD`` multiply-adds."""
-    pieces = -(-A.shape[0] * M.size // (_ONE_THREAD - 1))
-    if pieces <= 1:
-        return A @ M
-    out = np.empty((A.shape[0], M.shape[1]))
-    step = -(-A.shape[0] // pieces)
-    for at in range(0, A.shape[0], step):
-        np.matmul(A[at:at + step], M, out=out[at:at + step])
-    return out
-
-
 def _masks(spec: NetworkSpec, bits) -> list:
     """The (n, 1, w) mask views of a block's bit rows: enc_1 .. enc_kappa,
     skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa."""
@@ -267,8 +250,8 @@ def _forward(spec: NetworkSpec, mats, masks, units=None, x=None, rho=None, back=
     first block that reaches it), then masked.  Live (``units``, the
     :func:`_units` of a one-row block): each product is the row's (d_0, w)
     product over the live units of its two stages, gathered from the
-    operator and made by :func:`_dot`.  With inputs a live stage forms
-    every column for the radius, then keeps its live ones.
+    operator and made by :func:`netbuild._dot`.  With inputs a live stage
+    forms every column for the radius, then keeps its live ones.
     """
     k, d0 = spec.kappa, spec.d[0]
     live, dead = units or (None, None)
@@ -315,9 +298,10 @@ def _forward(spec: NetworkSpec, mats, masks, units=None, x=None, rho=None, back=
 def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True) -> tuple:
     """The decoder adjoint from a co-probe T_0 = ``probe``: T_l = (T_{l-1} *
     dec_l) D^l and, on skip nets given ``hang``, H_l = (T_{l-1} * dec_l)
-    S_tilde^l.  Returns ([T_0 .. T_kappa], [H_1 .. H_kappa]).  From I, T_l
-    is the masked dual-chain prefix of D^1 ... D^l; from a residual row,
-    T_{l-1} * dec_l is the cost's derivative at dec_pre[l-1].
+    S_tilde^l.  Returns ([T_0 .. T_kappa], [H_1 .. H_kappa], [U_1 ..
+    U_kappa]) with U_l = T_{l-1} * dec_l, the masked co-probes.  From I, T_l
+    is the masked dual-chain prefix of D^1 ... D^l; from a residual row, U_l
+    is the cost's derivative at dec_pre[l-1].
 
     The column choice is :func:`_forward`'s.  Batched (``units`` None):
     every column, ``dec`` the decoder masks broadcasting against the T_l,
@@ -325,17 +309,19 @@ def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True) -> tuple
     Live (``units``): the co-probe is I on the live units of dec_1 (pass
     None), each T_l and H_l is formed over the live units of dec_l (the
     operator's rows) and of the next stage (its columns: dec_{l+1},
-    enc_kappa for T_kappa, skip_l for H_l), and ``dec`` is not read.
+    enc_kappa for T_kappa, skip_l for H_l), ``dec`` is not read and no U_l
+    is formed.
     """
     k, (live, dead) = spec.kappa, units or (None, None)
-    T, H = [probe], []
+    T, H, U = [probe], [], []
     for l in range(1, k + 1):
         j = k + l - 1 + (k if spec.skip else 0)  # dec_l
-        U = T[-1] * dec[l - 1] if live is None else None
+        if live is None:
+            U.append(T[-1] * dec[l - 1])
 
         def mul(M, c):  # (T_{l-1} * dec_l) M; on the live path at stage c's live units
             if live is None:
-                return U @ M
+                return U[-1] @ M
             P = M.take(live[j], 0).take(live[c], 1)
             P = P if T[-1] is None else _dot(T[-1], P)
             return P * 0.0 if dead[j] or dead[c] else P
@@ -343,7 +329,7 @@ def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True) -> tuple
         if hang and spec.skip:
             H.append(mul(mats[l - 1].S_tilde, k + l - 1))
         T.append(mul(mats[l - 1].D, j + 1 if l < k else k - 1))
-    return T, H
+    return T, H, U
 
 
 def _map_blocks(spec: NetworkSpec, mats, blocks):
@@ -425,10 +411,7 @@ def nrep_bound(spec: NetworkSpec) -> int:
     for the raw mask-bit count of this construction, which both the
     census and the reports also carry.
     """
-    exponent = sum(spec.d[1:]) - spec.d[spec.kappa]
-    if spec.skip:
-        exponent += sum(spec.s)
-    return 1 << exponent
+    return 1 << sum(spec.d[1:]) - spec.d[spec.kappa] + (sum(spec.s) if spec.skip else 0)
 
 
 def pattern_bits(spec: NetworkSpec) -> int:

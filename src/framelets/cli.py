@@ -185,7 +185,11 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
         except (ConfigError, KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"config field 'bank.path': {path!r} is not a bank file: "
                               f"{type(exc).__name__}: {exc}") from exc
-        netbuild.validate_bank(spec, bank)
+        try:  # a bank saved for another spec names the file and the network
+            netbuild.validate_bank(spec, bank)
+        except ValueError as exc:
+            raise ConfigError(f"config field 'bank.path': the bank in {path!r} is not valid "
+                              f"for config field 'network' {spec.to_dict()}: {exc}") from exc
         return bank, params
     if source is None:
         raise ConfigError("missing required config field 'bank.source'")
@@ -241,9 +245,7 @@ def _worst(values: list) -> float:
 
 
 def _check(name: str, passed: bool, **extra) -> dict:
-    entry = {"name": name, "passed": bool(passed)}
-    entry.update(extra)
-    return entry
+    return {"name": name, "passed": bool(passed), **extra}
 
 
 def run_frames(ctx: Context, params: dict) -> dict:
@@ -479,6 +481,7 @@ def run_train(ctx: Context, params: dict) -> dict:
     return {
         "training_samples": T,
         "iterations_run": len(result.losses) - 1,
+        "backtracks": result.backtracks,
         "initial_loss": result.losses[0],
         "final_loss": result.losses[-1],
         "stop_reason": result.stop_reason,

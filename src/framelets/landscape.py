@@ -21,12 +21,16 @@ trace holds the cost's derivative at every pre-activation, and the
 gradient with respect to any realized operator is a sample-order sum of
 outer products of a backward row and a forward row.  The certificates,
 the stationarity check and the tap gradients all read one such
-:class:`Pass`; each forms only the operator gradients it reads.  Down the
-decoder the trace is :func:`analysis.adjoint` from the residual rows; the
-masked dual-chain prefixes, the same adjoint from the co-probe I in one
-stacked call formed on first read, serve only the certificates' factor
-singular values and ranks.  Every row is bit-identical to its one-sample
-pass and every sum runs in sample order, so reports are bit-stable.
+:class:`Pass`.  The first two form only the operator gradients they read
+(:meth:`Pass.grad`); the tap gradients form none, and pull the rows
+(:meth:`Pass.factors`) back onto the taps directly.  Down the decoder the
+trace is :func:`analysis.adjoint` from the residual rows, whose masked
+co-probes are the decoder's backward rows; the masked dual-chain
+prefixes, the same adjoint from the co-probe I in one stacked call formed
+on first read, serve only the certificates' factor singular values and
+ranks.  Every row is bit-identical to its one-sample pass, and every sum
+runs in sample order or in BLAS products made on one thread, so reports
+are bit-stable.
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ from .analysis import ActivationPattern, adjoint, pattern_from_trace
 from .netbuild import (
     ForwardTrace,
     LayerBank,
-    LayerMatrices,
     NetworkSpec,
     _apply,
     forward_matrices,
@@ -126,16 +129,11 @@ class Pass:
     d_skip: list
     d_dec: list
 
-    def grad(self, name: str, l: int) -> np.ndarray:
-        """Free-matrix gradient of the cost with respect to operator ``name``
-        (E, D, S or S_tilde) of layer l, everything else held fixed: the
-        sample-order sum of outer products of each sample's forward row (the
-        operator's input) and backward row, oriented like the operator.  Exact
-        under the zero-at-kink mask convention.
-
-        The sum is one ``einsum`` without ``optimize``, so no BLAS: it adds
-        each entry's T products in sample order starting from zero, and is
-        byte-identical to accumulating ``np.outer`` of each pair of rows."""
+    def factors(self, name: str, l: int) -> tuple:
+        """The free-matrix gradient of operator ``name`` (E, D, S or S_tilde)
+        of layer l in factored form (rows, cols): each sample's forward row
+        (the operator's input) and backward row, oriented like the operator,
+        so that the gradient is rows' cols."""
         if name not in ("E", "D", "S", "S_tilde"):
             raise ValueError(f"unknown operator {name!r}: expected E, D, S or S_tilde")
         if name in ("S", "S_tilde") and not self.spec.skip:
@@ -143,12 +141,20 @@ class Pass:
         if not 1 <= l <= self.spec.kappa:
             raise ValueError(f"layer index {l} out of range [1, {self.spec.kappa}]")
         if name in ("E", "S"):
-            rows = [self.trace.x, *self.trace.enc][l - 1]
-            cols = (self.d_enc if name == "E" else self.d_skip)[l - 1]
-        else:
-            rows = self.d_dec[l - 1]
-            cols = self.trace.dec[l] if name == "D" else self.trace.skip[l - 1]
-        return np.einsum("ti,tj->ij", rows, cols)
+            cols = self.d_enc if name == "E" else self.d_skip
+            return [self.trace.x, *self.trace.enc][l - 1], cols[l - 1]
+        return self.d_dec[l - 1], self.trace.dec[l] if name == "D" else self.trace.skip[l - 1]
+
+    def grad(self, name: str, l: int) -> np.ndarray:
+        """Free-matrix gradient of the cost with respect to operator ``name``
+        of layer l, everything else held fixed: the sample-order sum of outer
+        products of the rows of :meth:`factors`.  Exact under the zero-at-kink
+        mask convention.
+
+        The sum is one ``einsum`` without ``optimize``, so no BLAS: it adds
+        each entry's T products in sample order starting from zero, and is
+        byte-identical to accumulating ``np.outer`` of each pair of rows."""
+        return np.einsum("ti,tj->ij", *self.factors(name, l))
 
     def grad_norm(self, name: str, l: int) -> float:
         """Frobenius norm of :meth:`grad`, its squares summed by an einsum
@@ -182,8 +188,8 @@ def training_pass(spec: NetworkSpec, mats, data: TrainingSet) -> Pass:
     trace = forward_matrices(spec, mats, data.X.T)
     pattern = pattern_from_trace(spec, trace)
     res, dec = trace.y - data.Y.T, [m[:, None] for m in pattern.dec]
-    T, H = adjoint(spec, mats, dec, res[:, None])
-    d_dec = [(t * m)[:, 0] for t, m in zip(T, dec)]
+    T, H, U = adjoint(spec, mats, dec, res[:, None])
+    d_dec = [u[:, 0] for u in U]
     d_cur, d_enc, d_skip = T[-1][:, 0], [], []
     for l in range(spec.kappa, 0, -1):  # filled from the bottleneck up
         d_enc.insert(0, d_cur * pattern.enc[l - 1])
@@ -348,15 +354,8 @@ class StationarityReport:
         return bool(finite) and not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "loss_floor": self.loss_floor,
-            "pos_tol": self.pos_tol,
-            "applicable": self.applicable,
-            "ok": self.ok,
-            "layers": self.layers,
-            "violations": self.violations,
-        }
+        return {key: getattr(self, key) for key in ("loss", "loss_floor", "pos_tol",
+                                                    "applicable", "ok", "layers", "violations")}
 
 
 def check_stationarity(p: Pass, pos_tol: float = 1e-12,
@@ -415,6 +414,7 @@ class TrainResult:
     certificates: list
     converged: bool
     stop_reason: str
+    backtracks: int
 
 
 def tap_gradients(spec: NetworkSpec, bank: LayerBank, data: TrainingSet):
@@ -422,14 +422,14 @@ def tap_gradients(spec: NetworkSpec, bank: LayerBank, data: TrainingSet):
 
     Backpropagates through the realized matrices, then applies the
     adjoint of the taps-to-operators map (:func:`netbuild.realize_adjoint`)
-    to the operator gradients.  Returns (enc_grads, dec_grads, loss) with
-    tensors shaped like the bank's filters.
+    to each operator's gradient in the pass's factored form
+    (:meth:`Pass.factors`), so no operator gradient is formed.  Returns
+    (enc_grads, dec_grads, loss) with tensors shaped like the bank's filters.
     """
     p = training_pass(spec, realize(spec, bank), data)
     names = ("E", "D", "S", "S_tilde") if spec.skip else ("E", "D")
-    grads = [LayerMatrices(**{name: p.grad(name, l) for name in names})
-             for l in range(1, spec.kappa + 1)]
-    enc_grads, dec_grads = realize_adjoint(spec, bank, grads)
+    enc_grads, dec_grads = realize_adjoint(spec, bank, [
+        {name: p.factors(name, l) for name in names} for l in range(1, spec.kappa + 1)])
     return enc_grads, dec_grads, p.cost
 
 
@@ -460,9 +460,11 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
     accepted step satisfies the backtracking decrease condition, so the
     loss trajectory is monotone and a step that cannot be backtracked
     into acceptance stalls the run; without it, raw fixed-size steps are
-    taken.  A non-finite loss, or one beyond ``DIVERGENCE_LOSS`` that rose
-    over the previous iteration, aborts with a diagnostic.  Emits bound
-    certificates every ``checkpoint_every`` iterations when requested.
+    taken.  The result's ``backtracks`` counts the rejected trials, 0 on
+    raw steps.  A non-finite loss, or one beyond ``DIVERGENCE_LOSS`` that
+    rose over the previous iteration, aborts with a diagnostic.  Emits
+    bound certificates every ``checkpoint_every`` iterations when
+    requested.
     """
     current = bank
     cur_loss = loss(spec, realize(spec, current), data)
@@ -470,6 +472,7 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
     grad_norms = []
     certificates = []
     stop_reason = "iteration budget exhausted"
+    backtracks = 0  # rejected Armijo trials
 
     def emit(iteration):
         if certificates and certificates[-1][0] == iteration:
@@ -515,6 +518,7 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
                     if cand_loss <= cur_loss - ARMIJO_SLOPE * step * gnorm_sq:
                         accepted = (cand, cand_loss)
                         break
+                    backtracks += 1
                     step *= ARMIJO_SHRINK
                 if accepted is None:
                     stop_reason = "line search stalled"
@@ -546,4 +550,4 @@ def train_gd(spec: NetworkSpec, bank: LayerBank, data: TrainingSet,
         emit(len(losses) - 1)
     return TrainResult(losses=losses, grad_norms=grad_norms, bank=current,
                        certificates=certificates, converged=converged,
-                       stop_reason=stop_reason)
+                       stop_reason=stop_reason, backtracks=backtracks)

@@ -16,8 +16,9 @@ sum_t taps[k, j, t] roll(Phi, t) with Phi the pooling matrix, the
 unpooling matrix or the identity.  E and S share the encoder taps, D and
 S_tilde the decoder taps.  :func:`realize` is that linear map and
 :func:`realize_adjoint` its adjoint, which pulls gradients with
-respect to the operators back onto the taps; this module is the only
-place that knows the block layout.
+respect to the operators, given as factored pairs of row stacks, back
+onto the taps; this module is the only place that knows the block
+layout.
 
 Channel-major stacking throughout: a feature vector is the concatenation
 of its per-channel signals in channel order.  Networks are bias-free, so
@@ -35,7 +36,7 @@ from __future__ import annotations
 import json
 import numbers
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -165,14 +166,8 @@ class NetworkSpec:
         return self.nonlinearity == "relu"
 
     def to_dict(self) -> dict:
-        return {
-            "kappa": self.kappa,
-            "r": self.r,
-            "q": list(self.q),
-            "m": list(self.m),
-            "skip": self.skip,
-            "nonlinearity": self.nonlinearity,
-        }
+        return {f.name: list(v) if isinstance(v := getattr(self, f.name), tuple) else v
+                for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "NetworkSpec":
@@ -184,6 +179,10 @@ class NetworkSpec:
             skip=d.get("skip", False),
             nonlinearity=d.get("nonlinearity", "relu"),
         )
+
+
+#: the array fields of a LayerBank, in field order
+_BANK_ARRAYS = ("enc_filters", "dec_filters", "pool", "unpool")
 
 
 @dataclass(frozen=True)
@@ -208,7 +207,7 @@ class LayerBank:
     unpool: tuple
 
     def __post_init__(self):
-        for name in ("enc_filters", "dec_filters", "pool", "unpool"):
+        for name in _BANK_ARRAYS:
             arrays = tuple(np.ascontiguousarray(a, dtype=float) for a in getattr(self, name))
             object.__setattr__(self, name, arrays)
 
@@ -222,18 +221,12 @@ def validate_bank(spec: NetworkSpec, bank: LayerBank) -> None:
     if bank.kappa != spec.kappa:
         raise ValueError(f"bank has {bank.kappa} layers, spec wants {spec.kappa}")
     for l in range(1, spec.kappa + 1):
-        want_f = (spec.q[l - 1], spec.q[l], spec.r)
-        want_p = (spec.m[l - 1], spec.m[l])
-        for name, arr, want in (
-            ("enc_filters", bank.enc_filters[l - 1], want_f),
-            ("dec_filters", bank.dec_filters[l - 1], want_f),
-            ("pool", bank.pool[l - 1], want_p),
-            ("unpool", bank.unpool[l - 1], want_p),
-        ):
+        for name in _BANK_ARRAYS:
+            arr = getattr(bank, name)[l - 1]
+            want = (spec.q[l - 1], spec.q[l], spec.r) if name.endswith("filters") \
+                else (spec.m[l - 1], spec.m[l])
             if arr.shape != want:
-                raise ValueError(
-                    f"layer {l} {name} has shape {arr.shape}, expected {want}"
-                )
+                raise ValueError(f"layer {l} {name} has shape {arr.shape}, expected {want}")
             if not np.isfinite(arr).all():
                 raise ValueError(f"layer {l} {name} contains non-finite entries")
 
@@ -278,21 +271,49 @@ def realize(spec: NetworkSpec, bank: LayerBank) -> tuple:
 def realize_adjoint(spec: NetworkSpec, bank: LayerBank, grads) -> tuple:
     """Adjoint of :func:`realize`: pull operator gradients back onto the taps.
 
-    ``grads`` is shaped like realize's output (LayerMatrices per layer).
-    Returns (enc_grads, dec_grads) shaped like the bank's filters; each sums
-    the operators that share that side's taps.
+    ``grads`` holds per layer a dict from each of realize's operator names
+    to its gradient in factored form (rows, cols): (T, d_{l-1}) and (T, d_l)
+    stacks, or (T, s_l) on the skip side, with G = rows' cols oriented like
+    the operator.  A dense G goes in as (I, G).  No G is formed: per
+    operator two GEMMs contract the pair with the layer's shift stack R,
+    (T q_{l-1}, m_{l-1}) @ (m_{l-1}, r m_l) and then (q_{l-1} r, T m_l) @
+    (T m_l, q_l), each in :func:`_dot`'s one-thread pieces.  Returns
+    (enc_grads, dec_grads) shaped like the bank's filters; each sums the
+    operators that share that side's taps.
     """
     validate_bank(spec, bank)
     enc_grads, dec_grads = [], []
     for l in range(1, spec.kappa + 1):
-        sides = [0.0, 0.0]
-        blocks = (spec.q[l - 1], spec.m[l - 1], spec.q[l], -1)
+        sides, qa, ma, qb = [0.0, 0.0], spec.q[l - 1], spec.m[l - 1], spec.q[l]
         for name, (side, R) in _frames(spec, bank, l).items():
-            G = getattr(grads[l - 1], name).reshape(blocks)
-            sides[side] = sides[side] + np.einsum("kajb,tab->kjt", G, R)
-        enc_grads.append(sides[0])
-        dec_grads.append(sides[1])
+            rows, cols = grads[l - 1][name]
+            T, r, mb = len(rows), *R.shape[::2]
+            P = _dot(rows.reshape(T * qa, ma), R.transpose(1, 0, 2).reshape(ma, r * mb))
+            P = P.reshape(T, qa, r, mb).transpose(1, 2, 0, 3).reshape(qa * r, T * mb)
+            g = _dot(P, cols.reshape(T, qb, mb).transpose(0, 2, 1).reshape(T * mb, qb))
+            sides[side] = sides[side] + g.reshape(qa, r, qb).transpose(0, 2, 1)
+        enc_grads.append(np.ascontiguousarray(sides[0]))
+        dec_grads.append(np.ascontiguousarray(sides[1]))
     return enc_grads, dec_grads
+
+
+#: a default OpenBLAS build runs a product of fewer multiply-adds than this
+#: on one thread at any thread count, so products whose odd shapes would
+#: otherwise split across threads at boundaries that move their last bits
+#: are made in pieces below it
+_ONE_THREAD = 1 << 19
+
+
+def _dot(A, M):
+    """A @ M in pieces of A's rows, each under ``_ONE_THREAD`` multiply-adds."""
+    pieces = -(-A.shape[0] * M.size // (_ONE_THREAD - 1))
+    if pieces <= 1:
+        return A @ M
+    out = np.empty((A.shape[0], M.shape[1]))
+    step = -(-A.shape[0] // pieces)
+    for at in range(0, A.shape[0], step):
+        np.matmul(A[at:at + step], M, out=out[at:at + step])
+    return out
 
 
 def _act(v: np.ndarray, relu: bool) -> np.ndarray:
@@ -467,32 +488,16 @@ def _entry_array(entry: dict, name: str) -> np.ndarray:
 def bank_to_dict(spec: NetworkSpec, bank: LayerBank) -> dict:
     """JSON-ready bank with explicit shape fields and fixed key order."""
     validate_bank(spec, bank)
-    layers = []
-    for l in range(spec.kappa):
-        layers.append(
-            {
-                "enc_filters": _array_entry(bank.enc_filters[l]),
-                "dec_filters": _array_entry(bank.dec_filters[l]),
-                "pool": _array_entry(bank.pool[l]),
-                "unpool": _array_entry(bank.unpool[l]),
-            }
-        )
+    layers = [{name: _array_entry(getattr(bank, name)[l]) for name in _BANK_ARRAYS}
+              for l in range(spec.kappa)]
     return {"kappa": spec.kappa, "r": spec.r, "q": list(spec.q), "m": list(spec.m),
             "layers": layers}
 
 
 def bank_from_dict(d: dict) -> LayerBank:
-    layers = d["layers"]
-    return LayerBank(
-        enc_filters=tuple(_entry_array(e["enc_filters"], f"layer {i} enc_filters")
-                          for i, e in enumerate(layers, 1)),
-        dec_filters=tuple(_entry_array(e["dec_filters"], f"layer {i} dec_filters")
-                          for i, e in enumerate(layers, 1)),
-        pool=tuple(_entry_array(e["pool"], f"layer {i} pool")
-                   for i, e in enumerate(layers, 1)),
-        unpool=tuple(_entry_array(e["unpool"], f"layer {i} unpool")
-                     for i, e in enumerate(layers, 1)),
-    )
+    return LayerBank(**{name: tuple(_entry_array(e[name], f"layer {i} {name}")
+                                    for i, e in enumerate(d["layers"], 1))
+                        for name in _BANK_ARRAYS})
 
 
 def save_bank(spec: NetworkSpec, bank: LayerBank, path) -> None:

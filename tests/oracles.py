@@ -215,6 +215,24 @@ def outer_sum_grad(p, name: str, l: int) -> np.ndarray:
     return grad
 
 
+def einsum_tap_gradients(spec, bank, data) -> tuple:
+    """``landscape.tap_gradients`` the long way: each dense free-matrix
+    gradient of ``Pass.grad``, contracted with its layer's shift stack by
+    ``einsum("kajb,tab->kjt")`` and summed over the operators of a side.
+    Returns (enc_grads, dec_grads, loss)."""
+    p = landscape.training_pass(spec, netbuild.realize(spec, bank), data)
+    enc, dec = [], []
+    for l in range(1, spec.kappa + 1):
+        sides = [0.0, 0.0]
+        blocks = (spec.q[l - 1], spec.m[l - 1], spec.q[l], -1)
+        for name, (side, R) in netbuild._frames(spec, bank, l).items():
+            G = p.grad(name, l).reshape(blocks)
+            sides[side] = sides[side] + np.einsum("kajb,tab->kjt", G, R)
+        enc.append(sides[0])
+        dec.append(sides[1])
+    return enc, dec, p.cost
+
+
 def gemm_forward(spec, mats, x) -> netbuild.ForwardTrace:
     """A full forward trace with each operator applied to the whole stack as
     one GEMM, ``v @ M.T``: the stencil forward ``netbuild.forward_y``

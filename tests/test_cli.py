@@ -412,6 +412,20 @@ class TestBlasThreads:
         assert bodies[0] == bodies[1]
 
 
+    @pytest.mark.parametrize("r, m", [(2, 64), (3, 60)])
+    def test_train_does_not_follow_blas_threads(self, tmp_path, r, m):
+        # at 64 samples layer 2's first tap-gradient product, (2 T, m) @
+        # (m, r m), is past the 2^19 multiply-adds at which OpenBLAS splits a
+        # product across threads: 2^20 on the edge net, and 1 382 400 at
+        # r m = 180, a width whose last bits moved with the thread count
+        # when the product was made whole.  It is made in one-thread pieces
+        cfg = base_config(network={**EDGE_NETWORK, "r": r, "m": [m] * 3},
+                          bank={"source": "random"}, analyses=["train"], enforce=[],
+                          train={"samples": 64, "iterations": 20})
+        bodies = self.bodies(tmp_path, cfg)
+        assert '"grad_norms"' in bodies[0] and '"backtracks"' in bodies[0]
+        assert bodies[0] == bodies[1]
+
 class TestSharedCensus:
     def config(self, analyses):
         return base_config(
@@ -712,6 +726,23 @@ class TestConfigErrors:
         assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
         err = capsys.readouterr().err
         assert "Traceback" not in err and "config field 'bank.path'" in err
+
+    def test_bank_file_for_another_spec_names_the_file_and_the_network(self, tmp_path,
+                                                                        capsys):
+        # a d0 = 4 bank under a d0 = 6 config exited 1 with only
+        # "error: layer 1 pool has shape (4, 4), expected (6, 6)"
+        network = {"kappa": 1, "r": 2, "q": [1, 2], "m": [4, 4], "skip": True,
+                   "nonlinearity": "relu"}
+        spec = netbuild.NetworkSpec.from_dict(network)
+        path = tmp_path / "bank.json"
+        path.write_text(json.dumps(netbuild.bank_to_dict(spec, netbuild.random_bank(spec, 1))))
+        cfg = base_config(network={**network, "m": [6, 6]}, analyses=["reconstruct"],
+                          enforce=[], bank={"source": "file", "path": str(path)})
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field 'bank.path'")
+        assert repr(str(path)) in err and "config field 'network'" in err and "[6, 6]" in err
+        assert "layer 1 pool has shape (4, 4), expected (6, 6)" in err
 
     def test_file_bank_without_path(self, tmp_path, capsys):
         want = "config error: missing required config field 'bank.path' for a file bank\n"
@@ -1046,6 +1077,11 @@ class TestSubcommands:
         assert rows[0] == ["iteration", "loss", "grad_norm"]
         losses = [float(r[1]) for r in rows[1:]]
         assert all(a >= b for a, b in zip(losses, losses[1:]))
+        capsys.readouterr()
+        train = json.loads((out / "report.json").read_text())["results"]["train"]
+        assert isinstance(train["backtracks"], int) and train["backtracks"] >= 0
+        assert cli.main(["report", str(out / "report.json")]) == 0
+        assert f"  {'backtracks':<24} {train['backtracks']}\n" in capsys.readouterr().out
 
     def test_report_pretty_printer(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())

@@ -570,6 +570,25 @@ class TestTapGradients:
                     assert abs(fd - grads[l][idx]) <= 1e-5 * max(abs(fd), 1e-6)
 
 
+    @pytest.mark.parametrize("T", [1, 3, 8])
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    def test_equals_the_einsum_composition(self, skip, nonlinearity, T):
+        # the factored adjoint never forms an operator gradient; the dense
+        # gradients of Pass.grad pulled back by einsum give the same taps to
+        # a few eps of the largest entry, and the same loss
+        spec = make_spec(kappa=3, r=2, q=[1, 2, 4, 8], m_list=[8, 8, 8, 8], skip=skip,
+                         nonlinearity=nonlinearity)
+        bank = netbuild.random_bank(spec, seed=T)
+        data = random_data(spec, seed=T, T=T)
+        enc_g, dec_g, cost = landscape.tap_gradients(spec, bank, data)
+        enc_w, dec_w, want = oracles.einsum_tap_gradients(spec, bank, data)
+        assert cost == want
+        tol = 8 * np.finfo(float).eps * max(np.abs(w).max() for w in enc_w + dec_w)
+        for g, w in zip(enc_g + dec_g, enc_w + dec_w):
+            assert g.shape == w.shape and np.abs(g - w).max() <= tol
+
+
 class TestTrainGD:
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -622,6 +641,22 @@ class TestTrainGD:
                 landscape.TrainConfig(step_size=step_size, iterations=3))
         assert result.stop_reason == "line search stalled"
         assert len(result.losses) == 1 and np.isfinite(result.losses[0])
+        assert result.backtracks == landscape.MAX_BACKTRACKS
+
+    @pytest.mark.parametrize("armijo, step_size", [(True, 4.0), (False, 1e-3)])
+    def test_backtracks_count_the_rejected_trials(self, armijo, step_size, monkeypatch):
+        # each iteration accepts its last trial; every other trial is a
+        # backtrack, and raw steps make none
+        spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], skip=True)
+        data = random_data(spec, seed=3)
+        trials, trial = [], landscape._trial
+        monkeypatch.setattr(landscape, "_trial", lambda *args: trials.append(1) or trial(*args))
+        result = landscape.train_gd(spec, netbuild.random_bank(spec, seed=3), data,
+                                    landscape.TrainConfig(step_size=step_size, iterations=20,
+                                                          armijo=armijo))
+        assert len(result.losses) == 21
+        assert result.backtracks == len(trials) - 20
+        assert result.backtracks > 0 if armijo else result.backtracks == 0
 
     def test_linear_net_reaches_least_squares_floor(self):
         spec = make_spec(kappa=1, r=2, m=4, q=[1, 2], nonlinearity="none")

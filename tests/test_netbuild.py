@@ -190,44 +190,55 @@ def operator_fields(layer):
     return [f for f in ("E", "D", "S", "S_tilde") if getattr(layer, f) is not None]
 
 
+def factored(op, T, rng=None):
+    """A gradient shaped like operator ``op`` in realize_adjoint's factored
+    form (rows, cols): T random rows of each, a random dense G as (I, G)
+    when T is None, or one zero row of each without ``rng``."""
+    if rng is None:
+        return np.zeros((1, op.shape[0])), np.zeros((1, op.shape[1]))
+    if T is None:
+        return np.eye(op.shape[0]), rng.standard_normal(op.shape)
+    return rng.standard_normal((T, op.shape[0])), rng.standard_normal((T, op.shape[1]))
+
+
 class TestRealizeAdjoint:
+    @pytest.mark.parametrize("T", [1, 3, None])
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("r", [1, 3, 5])
-    def test_dot_product_per_operator(self, skip, r, rng):
-        # <forward(w), G> == <w, adjoint(G)> with G nonzero on one operator;
-        # the bank's random filters are the taps w
+    def test_dot_product_per_operator(self, skip, r, T, rng):
+        # <realize(w), rows' cols> == <w, adjoint(rows, cols)> with the pair
+        # nonzero on one operator; T rows, or a dense G as (I, G) when T is
+        # None.  The bank's random filters are the taps w
         spec = make_spec(kappa=2, r=r, q=[2, 3, 2], m_list=[7, 5, 6], skip=skip)
         bank = netbuild.random_bank(spec, seed=5)
         mats = netbuild.realize(spec, bank)
-        zeros = [dataclasses.replace(
-            m, **{f: np.zeros_like(getattr(m, f)) for f in operator_fields(m)})
-            for m in mats]
+        zeros = [{f: factored(getattr(m, f), T) for f in operator_fields(m)} for m in mats]
         for l, layer in enumerate(mats, 1):
             for name in operator_fields(layer):
-                G = rng.standard_normal(getattr(layer, name).shape)
+                rows, cols = factored(getattr(layer, name), T, rng)
                 grads = list(zeros)
-                grads[l - 1] = dataclasses.replace(zeros[l - 1], **{name: G})
+                grads[l - 1] = {**zeros[l - 1], name: (rows, cols)}
                 enc_g, dec_g = netbuild.realize_adjoint(spec, bank, grads)
                 shared = name in ("E", "S")
                 taps = (bank.enc_filters if shared else bank.dec_filters)[l - 1]
                 got = (enc_g if shared else dec_g).pop(l - 1)
                 assert got.shape == taps.shape
-                lhs = np.sum(getattr(layer, name) * G)
+                lhs = np.sum(getattr(layer, name) * (rows.T @ cols))
                 assert abs(lhs - np.sum(taps * got)) <= 1e-12 * abs(lhs)
                 for g in enc_g + dec_g:  # every other layer and side
                     np.testing.assert_array_equal(g, 0.0)
 
+    @pytest.mark.parametrize("T", [1, 3, None])
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("r", [1, 3, 5])
-    def test_byte_equal_to_roll_oracle(self, skip, r, rng, monkeypatch):
+    def test_byte_equal_to_roll_oracle(self, skip, r, T, rng, monkeypatch):
         # the one-gather shift stacks give the adjoint of the roll-by-roll
         # stacks bit for bit; layer 2's pooling is (5, 6), column-major from
         # random_bank, and r = 5 = m_1 makes its stack as tall as Phi
         spec = make_spec(kappa=2, r=r, q=[2, 3, 2], m_list=[7, 5, 6], skip=skip)
         bank = netbuild.random_bank(spec, seed=5)
-        grads = [dataclasses.replace(
-            m, **{f: rng.standard_normal(getattr(m, f).shape) for f in operator_fields(m)})
-            for m in netbuild.realize(spec, bank)]
+        grads = [{f: factored(getattr(m, f), T, rng) for f in operator_fields(m)}
+                 for m in netbuild.realize(spec, bank)]
         got = netbuild.realize_adjoint(spec, bank, grads)
         monkeypatch.setattr(netbuild, "_frames", oracles.roll_frames)
         want = netbuild.realize_adjoint(spec, bank, grads)
