@@ -7,12 +7,12 @@ frame pair built by :func:`linear_rep`.  Two recursions carry frozen
 masks, rows of a bit matrix.  The forward recursion (:func:`_forward`)
 runs the masked network on the identity: its encoder half, X_l =
 (X_{l-1} E^l) * enc_l with the skip products K_l, is the frame B, and its
-decoder half is the region map (:func:`region_maps`).  The decoder
-:func:`adjoint`, T_l = (T_{l-1} * dec_l) D^l from a co-probe, gives the
-dual frame B_tilde, and ``landscape`` its dual-chain prefixes and
-backward trace.  Both take one column choice per net (:func:`_live`):
-every column of a block through batched matmul on small nets, each row
-over only the units its pattern leaves on on large ones.  On top of them
+decoder half the Jacobian's maps.  The reverse pass, :func:`adjoint`, T_l
+= (T_{l-1} * dec_l) D^l from a co-probe, then :func:`encoder_adjoint`,
+gives B_tilde, ``landscape``'s backward trace and the region maps.  Both
+take one column choice per net (:func:`_live`): every column of a block
+through batched matmul on small nets, each row over only the units its
+pattern leaves on on large ones.  On top of them
 sit a sampling census of activation patterns with the expressiveness
 bound, exact local Lipschitz constants (the spectral norm of each region
 map), and the analytic Jacobian with its finite-difference cross-check,
@@ -28,7 +28,7 @@ sample; the samples' masks are packed into key rows, grouped by one
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, tee
+from itertools import accumulate
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "extract_pattern",
     "pattern_from_trace",
     "adjoint",
+    "encoder_adjoint",
     "linear_rep",
     "region_maps",
     "nrep_bound",
@@ -59,9 +60,9 @@ __all__ = [
 
 
 #: inputs per stacked forward pass (and packed key block) of the census and
-#: per screen block of the jacobian analysis, and patterns per block of
-#: region_maps, whose buffers are (n, d_0, w) stacks, one per stage
-#: (also the census regions unpacked, mapped and put through one SVD at a
+#: per screen block of the jacobian analysis, and _BLOCK d_0 map rows per
+#: block of the reverse pass, (n, a, w) stacks as tall as _BLOCK identity
+#: maps (also the census regions unpacked and put through one SVD at a
 #: time); both keep the stacks near a megabyte at d_0 = 64
 _ROWS = 64
 _BLOCK = 4
@@ -71,6 +72,9 @@ _BLOCK = 4
 #: many multiply-adds; below it the Python calls per row cost more than the
 #: zero columns they skip, and every block goes through batched matmul
 _LIVE_FLOPS = 1 << 19
+
+_OVERFLOW = ("region map contains non-finite entries: the forward pass overflowed "
+             "(is the bank scaled too large?)")
 
 
 class KinkMarginError(ValueError):
@@ -243,15 +247,13 @@ def _forward(spec: NetworkSpec, mats, masks, units=None, x=None, rho=None, back=
     None without ``back``.  With inputs ``x``, each ReLU stage lowers
     ``rho`` through :func:`_radius` from its product before the mask.
 
-    The one variable is the column choice.  Batched (``units`` None): each
-    product is the (n, d_0, w) block stack over every column, written by
-    ``np.matmul(..., out=)`` into its stage's buffer in ``bufs`` (a dict
-    the caller keeps across blocks; a stage's buffer is allocated for the
-    first block that reaches it), then masked.  Live (``units``, the
-    :func:`_units` of a one-row block): each product is the row's (d_0, w)
-    product over the live units of its two stages, gathered from the
-    operator and made by :func:`netbuild._dot`.  With inputs a live stage
-    forms every column for the radius, then keeps its live ones.
+    Batched (``units`` None), each product is the (n, d_0, w) block stack
+    over every column, written into its stage's buffer in ``bufs`` (a dict
+    the caller keeps across blocks), then masked.  Live (``units``, the
+    :func:`_units` of a one-row block), each is the row's product over the
+    live units of its two stages, gathered and made by
+    :func:`netbuild._dot`; with inputs a stage forms every column for the
+    radius, then keeps its live ones.
     """
     k, d0 = spec.kappa, spec.d[0]
     live, dead = units or (None, None)
@@ -303,14 +305,10 @@ def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True) -> tuple
     is the masked dual-chain prefix of D^1 ... D^l; from a residual row, U_l
     is the cost's derivative at dec_pre[l-1].
 
-    The column choice is :func:`_forward`'s.  Batched (``units`` None):
-    every column, ``dec`` the decoder masks broadcasting against the T_l,
-    so a (T, 1, d_0) stack of co-probes makes T vector-matrix products.
-    Live (``units``): the co-probe is I on the live units of dec_1 (pass
-    None), each T_l and H_l is formed over the live units of dec_l (the
-    operator's rows) and of the next stage (its columns: dec_{l+1},
-    enc_kappa for T_kappa, skip_l for H_l), ``dec`` is not read and no U_l
-    is formed.
+    Batched (``units`` None): every column, ``dec`` the decoder masks
+    broadcasting against the T_l.  Live (``units``): the co-probe is I on
+    the live units of dec_1 (pass None), each product is gathered over the
+    live units of its two stages, ``dec`` is not read and no U_l is formed.
     """
     k, (live, dead) = spec.kappa, units or (None, None)
     T, H, U = [probe], [], []
@@ -332,28 +330,47 @@ def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True) -> tuple
     return T, H, U
 
 
+def encoder_adjoint(spec: NetworkSpec, mats, enc, skip, T, H, units=None) -> tuple:
+    """The encoder half of :func:`adjoint` from its T and H: G_kappa = T_kappa,
+    G_{l-1} = V_l E^l' + W_l S^l', V_l = G_l * enc_l, W_l = H_l * skip_l.
+    Returns (G_0, [V_1 ..], [W_1 ..]): from I on a pattern's live outputs G_0
+    is its map's rows there, from residual rows V_l and W_l are backward rows.
+    Batched, E^l' is the view ``E.T``, each row bit-equal to ``E @ v``."""
+    k, (live, dead) = spec.kappa, units or (None, None)
+    G, V, W = T[-1], [], []
+    for l in range(k, 0, -1):
+        def mul(P, masks, kept, c, M):  # (P * masks_l) M'; live: over stage c's live units
+            if live is None:
+                kept.insert(0, P * masks[l - 1])
+                return kept[0] @ M.T
+            M = (M if l == 1 else M.take(live[l - 2], 0)).take(live[c], 1)
+            return _dot(P, M.T) * 0.0 if dead[c] else _dot(P, M.T)
+        G = mul(G, enc, V, l - 1, mats[l - 1].E)
+        if spec.skip:
+            G = G + mul(H[l - 1], skip, W, k + l - 1, mats[l - 1].S)
+    return G, V, W
+
+
 def _map_blocks(spec: NetworkSpec, mats, blocks):
-    """Region maps of blocks of pattern bit rows, in one set of buffers.
+    """Region maps of blocks of pattern bit rows by the forward recursion, in
+    one set of buffers: the Jacobian's kernel (a map alone comes cheaper
+    from :func:`region_maps`).
 
     ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array in
     ``ActivationPattern.bits()`` order, none longer than the first (a
-    longer one fails on its ``out=`` shapes), and its (n, d_0) inputs or
-    None.  Each block goes through :func:`_forward` with its decoder half,
-    and this yields views (Y, rho): ``Y[i].T`` is row i's map.  The next
-    block overwrites them, so a consumer copies or reduces them before
-    asking for more.  On the batched path a block is one call; on the live
-    path (:func:`_live`) each row is a call of its own, and its compact
-    Y_0 is scattered into its zeroed row of one (n, d_0, d_0) buffer,
-    allocated for the first block.  Either way each row stays
-    bit-identical to a one-row block.
+    longer one fails on its ``out=`` shapes), and its (n, d_0) inputs.
+    Each block goes through :func:`_forward` with its decoder half,
+    and this yields views (Y, rho), ``Y[i].T`` row i's map, which the next
+    block overwrites.  Batched, a block is one call; live (:func:`_live`),
+    each row is, its compact Y_0 scattered into its zeroed row of one (n,
+    d_0, d_0) buffer.  Either way each row is bit-identical to a one-row
+    block.
 
-    With inputs, rho[i] is row i's certified in-region radius, lowered by
-    :func:`_radius` at every ReLU stage from the product before its mask
-    multiply.  The nets are bias-free, so the open ball of radius rho[i]
-    about x_i lies in the region of its bits when they are x_i's own
-    pattern: there every live row keeps its sign and every zero row stays
-    zero, layer by layer.  It is inf on a net without ReLUs.  Without
-    inputs it is None and no radius work runs.
+    rho[i] is row i's certified in-region radius, lowered by :func:`_radius`
+    at every ReLU stage from the product before its mask.  The nets are
+    bias-free, so the open ball of radius rho[i] about x_i lies in the
+    region of x_i's own bits: there every live row keeps its sign and every
+    zero row stays zero.  It is inf on a net without ReLUs.
     """
     k, live = spec.kappa, _live(spec)
     back = [(m.D.T, m.S_tilde.T if spec.skip else None) for m in mats]
@@ -362,7 +379,7 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     bufs, out = {}, None
     for bits, x in blocks:
         n, masks = len(bits), _masks(spec, bits)
-        rho = None if x is None else np.full(n, np.inf)
+        rho = np.full(n, np.inf)
         if not live:
             yield _forward(spec, mats, masks, None, x, rho, back, bufs)[2], rho
             continue
@@ -372,10 +389,31 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
         Y[...] = 0.0
         for i in range(n):
             row = [mask[i:i + 1] for mask in masks]
-            units = _units(row)
-            at = (None, None) if x is None else (x[i:i + 1], rho[i:i + 1])
+            units, at = _units(row), (x[i:i + 1], rho[i:i + 1])
             Y[i][:, units[0][-k]] = _forward(spec, mats, row, units, *at, back)[2]
         yield Y, rho
+
+
+def _reverse_blocks(spec: NetworkSpec, mats, counts, bits_of):
+    """The reverse pass from I on each bit row's a = ``counts`` live dec_1
+    outputs, in blocks of ``_BLOCK`` d_0 // a rows ``bits_of(rows)`` of one a.
+    Yields (rows, G_0, outputs), G_0[i, j] row outputs[i, j] of row rows[i]'s
+    map as in a one-row block; no live output keeps unit 0 times its bit 0."""
+    k, d0, live = spec.kappa, spec.d[0], _live(spec)
+    for a in range(d0 + 1):  # not np.unique, which imports numpy.ma
+        same, step = np.flatnonzero(counts == a), _BLOCK * d0 // max(a, 1)
+        for at in range(0, len(same), step):
+            rows = same[at:at + step]
+            masks = _masks(spec, bits_of(rows).astype(float))  # float masks multiply faster
+            outputs = np.argsort(-masks[-k][:, 0], axis=1, kind="stable")[:, :max(a, 1)]
+            if live:
+                units = (_units([mask[i:i + 1] for mask in masks]) for i in range(len(rows)))
+                G = np.stack([encoder_adjoint(spec, mats, None, None, *adjoint(
+                    spec, mats, None, None, u)[:2], u)[0] for u in units])
+            else:
+                G = encoder_adjoint(spec, mats, masks[:k], masks[k:-k], *adjoint(
+                    spec, mats, masks[-k:], np.eye(d0)[outputs])[:2])[0]
+            yield rows, G, outputs
 
 
 def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
@@ -383,23 +421,19 @@ def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
 
     ``bits`` holds one pattern per row in ``ActivationPattern.bits()`` order
     (a stacked pattern's ``bits()``, or unpacked census keys), split per
-    block into its mask columns.  Frozen masks make the network linear, so
-    the map is Y_0' of the masked forward recursion of the identity
-    (:func:`_forward`).  Blocks of ``_BLOCK`` patterns go through the map
-    kernel (:func:`_map_blocks`): on small nets batched matmul, each
-    product a stack (n, d_0, .) against one shared operator; on large ones
-    row by row over the live units only.  Either way every row is
-    bit-identical to a one-pattern call.  The blocks share one set of
-    buffers, copied out block by block.
+    block into its mask columns.  A map's rows off the live units of dec_1
+    are exactly 0; the reverse pass (:func:`_reverse_blocks`) forms the
+    others, the census's rows bit for bit.  Every row is bit-identical to a
+    one-pattern call.
     """
     n_bits = sum(spec.d[1:]) + sum(spec.s if spec.skip else ()) + sum(spec.d[:spec.kappa])
     bits = np.asarray(bits)
     if bits.ndim != 2 or bits.shape[1] != n_bits:
         raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {n_bits})")
-    out = np.empty((len(bits), spec.d[0], spec.d[0]))
-    blocks = ((bits[at:at + _BLOCK], None) for at in range(0, len(bits), _BLOCK))
-    for at, (Y, _) in zip(range(0, len(bits), _BLOCK), _map_blocks(spec, mats, blocks)):
-        out[at:at + len(Y)] = Y.transpose(0, 2, 1)
+    out = np.zeros((len(bits), spec.d[0], spec.d[0]))
+    counts = _masks(spec, bits)[-spec.kappa][:, 0].sum(axis=1)  # the live outputs
+    for rows, G, outputs in _reverse_blocks(spec, mats, counts, bits.__getitem__):
+        out[rows[:, None], outputs] = G
     return out
 
 
@@ -431,13 +465,11 @@ def spectral_norm(M):
 
     A float for one matrix; for a stack (N, a, b), the array of the N
     norms, each bit-identical to ``np.linalg.norm`` of its matrix.  Raises
-    ValueError when M holds NaN or an infinity, which happens when the
-    forward pass of a huge bank overflows.
+    ValueError when M holds NaN or an infinity (an overflowing bank).
     """
     M = np.asarray(M, dtype=float)
     if not np.all(np.isfinite(M)):
-        raise ValueError("region map contains non-finite entries: the forward pass "
-                         "overflowed (is the bank scaled too large?)")
+        raise ValueError(_OVERFLOW)
     top = np.linalg.svd(M, compute_uv=False)[..., 0]
     return float(top) if M.ndim == 2 else top
 
@@ -520,34 +552,36 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     regions in key order (every key has the same n_bits prefix), each
     region's first sample and each sample's region.  A region keeps its
     inputs in sample order; its constant is the exact spectral norm of its
-    :func:`region_maps` map, one SVD per block of ``_BLOCK`` regions, all
-    blocks in one set of map buffers.
+    :func:`region_maps` map over its live rows, one SVD per block of
+    :func:`_reverse_blocks`, each region's a read from its packed key.  The
+    reverse pass meets only the products on live outputs, so the sample
+    forward is checked for overflow.
     """
     xs = census_inputs(spec, config)
     packed = []
     for start in range(0, config.count, _ROWS):
-        bits = pattern_from_trace(  # the block's trace is dropped here
-            spec, forward_matrices(spec, mats, xs[start:start + _ROWS])).bits()
+        trace = forward_matrices(spec, mats, xs[start:start + _ROWS])
+        if not all(np.isfinite(pre).all() for pres in (trace.enc_pre, trace.skip_pre or (),
+                                                       trace.dec_pre) for pre in pres):
+            raise ValueError(_OVERFLOW)
+        bits = pattern_from_trace(spec, trace).bits()
+        del trace  # the block's trace is dropped here
         packed.append(np.packbits(bits, axis=1))
     n_bits, packed = bits.shape[1], np.concatenate(packed)  # n_bits: the same in every block
     _, first, region_of = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
     grouped = list(xs[np.argsort(region_of, kind="stable")])
     bounds = [0, *np.cumsum(np.bincount(region_of)).tolist()]
-    keys = (np.unpackbits(packed[first[at:at + _BLOCK]], axis=1, count=n_bits)
-            for at in range(0, len(first), _BLOCK))  # one block of key rows unpacked at a time
-    if not _live(spec):
-        norms = np.concatenate([spectral_norm(Y.transpose(0, 2, 1)) for Y, _ in
-                                _map_blocks(spec, mats, ((b, None) for b in keys))]).tolist()
-    else:  # a map's rows off the live units of dec_1 are exactly 0: each SVD skips them
-        keys, ahead = tee(keys)
-        norms = [spectral_norm(M[live] if len(live := np.flatnonzero(row)) else M)
-                 for bits, (Y, _) in zip(keys, _map_blocks(spec, mats, ((b, None) for b in ahead)))
-                 for row, M in zip(_masks(spec, bits)[-spec.kappa][:, 0], Y.transpose(0, 2, 1))]
+    at = n_bits - sum(spec.d[:spec.kappa])  # dec_1's live outputs, from their packed bytes
+    live = np.unpackbits(packed[first, at // 8:], axis=1, count=at % 8 + spec.d[0])[:, at % 8:]
+    norms = np.empty(len(first))
+    for rows, G, _ in _reverse_blocks(spec, mats, live.sum(axis=1), lambda rows: np.unpackbits(
+            packed[first[rows]], axis=1, count=n_bits)):  # one block of key rows at a time
+        norms[rows] = spectral_norm(G)
     prefix = n_bits.to_bytes(4, "little").hex()
     regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
                           inputs=grouped[a:b], first_sample=i)
-               for i, norm, a, b in zip(first.tolist(), norms, bounds, bounds[1:])]
+               for i, norm, a, b in zip(first.tolist(), norms.tolist(), bounds, bounds[1:])]
     return RegionCensus(samples=config.count, nrep=nrep_bound(spec),
                         pattern_bits=pattern_bits(spec), regions=regions)
 

@@ -23,9 +23,9 @@ outer products of a backward row and a forward row.  The certificates,
 the stationarity check and the tap gradients all read one such
 :class:`Pass`.  The first two form only the operator gradients they read
 (:meth:`Pass.grad`); the tap gradients form none, and pull the rows
-(:meth:`Pass.factors`) back onto the taps directly.  Down the decoder the
-trace is :func:`analysis.adjoint` from the residual rows, whose masked
-co-probes are the decoder's backward rows; the masked dual-chain
+(:meth:`Pass.factors`) back onto the taps directly.  The trace is
+:func:`analysis.adjoint` from the residual rows and its encoder half,
+whose masked co-probes are the backward rows; the masked dual-chain
 prefixes, the same adjoint from the co-probe I in one stacked call formed
 on first read, serve only the certificates' factor singular values and
 ranks.  Every row is bit-identical to its one-sample pass, and every sum
@@ -41,12 +41,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import ActivationPattern, adjoint, pattern_from_trace
+from .analysis import ActivationPattern, adjoint, encoder_adjoint, pattern_from_trace
 from .netbuild import (
     ForwardTrace,
     LayerBank,
     NetworkSpec,
-    _apply,
     forward_matrices,
     realize,
     realize_adjoint,
@@ -182,22 +181,15 @@ def training_pass(spec: NetworkSpec, mats, data: TrainingSet) -> Pass:
     The backward trace is the chain rule through the realized operators
     under the zero-at-kink mask convention.  Down the decoder it is the
     :func:`analysis.adjoint` from the (T, 1, d_0) residual rows, with the
-    skip hangs; up the encoder, one stacked matrix-vector product per
-    operator.  Each row is bit-identical to its one-sample trace.
+    skip hangs, then up the encoder its :func:`analysis.encoder_adjoint`.
+    Each row is bit-identical to its one-sample trace.
     """
     trace = forward_matrices(spec, mats, data.X.T)
-    pattern = pattern_from_trace(spec, trace)
-    res, dec = trace.y - data.Y.T, [m[:, None] for m in pattern.dec]
+    p, res = pattern_from_trace(spec, trace), trace.y - data.Y.T
+    enc, skip, dec = ([m[:, None] for m in ms or ()] for ms in (p.enc, p.skip, p.dec))
     T, H, U = adjoint(spec, mats, dec, res[:, None])
-    d_dec = [u[:, 0] for u in U]
-    d_cur, d_enc, d_skip = T[-1][:, 0], [], []
-    for l in range(spec.kappa, 0, -1):  # filled from the bottleneck up
-        d_enc.insert(0, d_cur * pattern.enc[l - 1])
-        d_cur = _apply(mats[l - 1].E, d_enc[0])
-        if spec.skip:
-            d_skip.insert(0, H[l - 1][:, 0] * pattern.skip[l - 1])
-            d_cur = d_cur + _apply(mats[l - 1].S, d_skip[0])
-    return Pass(spec, mats, trace, pattern, _cost(res), d_enc, d_skip, d_dec)
+    _, V, W = encoder_adjoint(spec, mats, enc, skip, T, H)
+    return Pass(spec, mats, trace, p, _cost(res), *([v[:, 0] for v in vs] for vs in (V, W, U)))
 
 
 def _sigma_extremes(A: np.ndarray, name: str) -> tuple:

@@ -38,6 +38,7 @@ import numbers
 import sys
 from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import product
 
 import numpy as np
 
@@ -305,11 +306,17 @@ _ONE_THREAD = 1 << 19
 
 
 def _dot(A, M):
-    """A @ M in pieces of A's rows, each under ``_ONE_THREAD`` multiply-adds."""
+    """A @ M in pieces under ``_ONE_THREAD`` multiply-adds: of A's rows, or if
+    one row is over, of each row into 512 x 512 pieces of M, added in order
+    (a BLAS dot or gemv of a long row splits across threads too)."""
     pieces = -(-A.shape[0] * M.size // (_ONE_THREAD - 1))
     if pieces <= 1:
         return A @ M
-    out = np.empty((A.shape[0], M.shape[1]))
+    out = np.zeros((A.shape[0], M.shape[1]))
+    if M.size >= _ONE_THREAD:
+        for i, c, k in product(range(len(A)), range(0, M.shape[1], 512), range(0, len(M), 512)):
+            out[i, c:c + 512] += A[i, k:k + 512] @ M[k:k + 512, c:c + 512]
+        return out
     step = -(-A.shape[0] // pieces)
     for at in range(0, A.shape[0], step):
         np.matmul(A[at:at + step], M, out=out[at:at + step])

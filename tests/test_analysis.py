@@ -208,6 +208,12 @@ def map_spec(kappa, skip, nonlinearity, unequal_m):
                      m_list=m_list)
 
 
+def forward_map(spec, mats, x) -> np.ndarray:
+    """The region map of x by the forward kernel, a one-row block."""
+    bits = analysis.extract_pattern(spec, mats, x).bits()[None]
+    return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[0][0].T.copy()
+
+
 def kernel_frames(spec, mats, bits) -> np.ndarray:
     """The frames B of one block of bit rows, by the batched forward recursion."""
     X, K, _ = analysis._forward(spec, mats, analysis._masks(spec, bits), bufs={})
@@ -305,16 +311,17 @@ class TestRegionMaps:
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
     def test_kernel_blocks_equal_single_calls(self, skip, nonlinearity, rng):
-        # 11 rows in blocks of 4, the last one short, through one buffer set
+        # the forward kernel: 11 rows in blocks of 4, the last one short,
+        # through one buffer set, against one-row calls
         spec = map_spec(2, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((11, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-        blocks = ((bits[:4], None), (bits[4:8], None), (bits[8:], None))
+        blocks = ((bits[at:at + 4], X[at:at + 4]) for at in (0, 4, 8))
         got = [Y.transpose(0, 2, 1).copy() for Y, _ in analysis._map_blocks(spec, mats, blocks)]
         assert [len(Y) for Y in got] == [4, 4, 3]
-        for row, J in zip(bits, np.concatenate(got)):
-            assert J.tobytes() == analysis.region_maps(spec, mats, row[None])[0].tobytes()
+        for x, J in zip(X, np.concatenate(got)):
+            assert J.tobytes() == forward_map(spec, mats, x).tobytes()
 
     def test_kernel_view_is_overwritten_by_the_next_block(self, rng):
         # a consumer must copy or reduce a block before asking for the next:
@@ -330,7 +337,7 @@ class TestRegionMaps:
                 yield analysis._forward(spec, mats, analysis._masks(spec, block), bufs=bufs)
 
         for kernel in (analysis._map_blocks, frames):
-            blocks = kernel(spec, mats, ((bits[:2], None), (bits[2:], None)))
+            blocks = kernel(spec, mats, ((bits[:2], X[:2]), (bits[2:], X[2:])))
             view = next(blocks)[0]
             copy = view.copy()
             again = next(blocks)[0]
@@ -352,6 +359,74 @@ class TestRegionMaps:
                                      analysis.extract_pattern(spec, mats, x).bits()[None])[0]
             y = netbuild.forward_matrices(spec, mats, x).y
             assert np.linalg.norm(J @ x - y) <= 1e-13 * np.linalg.norm(y)
+
+
+def live_counts(spec, bits) -> np.ndarray:
+    """Each bit row's count of live dec_1 outputs."""
+    at = bits.shape[1] - sum(spec.d[:spec.kappa])
+    return bits[:, at:at + spec.d[0]].sum(axis=1)
+
+
+class TestReversePass:
+    """Region maps and census constants from the adjoint of the live outputs."""
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_census_constants_are_norms_of_the_forward_maps(self, kappa, skip, nonlinearity,
+                                                            kernel_path):
+        spec = map_spec(kappa, skip, nonlinearity, unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=150, seed=2))
+        for reg in census.regions:
+            pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
+            M = forward_map(spec, mats, reg.inputs[0])
+            got = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
+            assert np.max(np.abs(got - M)) <= 1e-14 * np.max(np.abs(M))
+            live = pattern.dec[0].astype(bool)
+            want = np.linalg.norm(M[live], 2) if live.any() else 0.0
+            assert abs(reg.lipschitz - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_region_without_live_outputs(self, skip, kernel_path):
+        # d_0 = 2: on this bank about a quarter of the inputs leave no
+        # output on.  The map is 0, and so is the constant
+        spec = make_spec(kappa=2, m=2, skip=skip)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=100, seed=1))
+        dead = [reg for reg in census.regions
+                if not analysis.extract_pattern(spec, mats, reg.inputs[0]).dec[0].any()]
+        assert dead and len(dead) < census.distinct
+        for reg in dead:
+            bits = analysis.extract_pattern(spec, mats, reg.inputs[0]).bits()
+            assert not np.any(forward_map(spec, mats, reg.inputs[0]))
+            assert not np.any(analysis.region_maps(spec, mats, bits[None]))
+            assert reg.lipschitz == 0.0
+
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_mixed_live_counts_equal_one_row_calls(self, skip, nonlinearity, rng,
+                                                   kernel_path):
+        # 40 rows of several live-output counts: each count's rows are
+        # stacked into blocks, and every row equals its own one-row call
+        spec = map_spec(2, skip, nonlinearity, unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
+        X = rng.standard_normal((40, spec.d[0]))
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        counts = live_counts(spec, bits)
+        assert (len(set(counts.tolist())) > 1) == (nonlinearity == "relu")
+        got, sizes = {}, []
+        for rows, G, outputs in analysis._reverse_blocks(spec, mats, counts, bits.__getitem__):
+            sizes.append(len(rows))
+            assert np.all(np.diff(rows) > 0) and np.all(counts[rows] == counts[rows[0]])
+            got.update((i, (g, o)) for i, g, o in zip(rows.tolist(), G, outputs))
+        assert sorted(got) == list(range(40)) and max(sizes) > 1
+        for i, row in enumerate(bits):
+            (_, G, outputs), = analysis._reverse_blocks(spec, mats, counts[i:i + 1],
+                                                        lambda rows: row[None])
+            assert np.array_equal(got[i][0], G[0]) and np.array_equal(got[i][1], outputs[0])
+            assert np.array_equal(outputs[0], np.flatnonzero(analysis._masks(
+                spec, row[None])[-spec.kappa][0, 0]) if counts[i] else [0])
 
 
 class TestNrepBound:
@@ -465,13 +540,14 @@ class TestRegionCensus:
         )
         for reg in census.regions:
             pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
-            assert reg.lipschitz == np.linalg.norm(
-                analysis.region_maps(spec, mats, pattern.bits()[None])[0], 2)
+            M = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
+            live = pattern.dec[0].astype(bool)
+            assert reg.lipschitz == np.linalg.norm(M[live] if live.any() else M, 2)
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     def test_constants_are_norms_over_the_live_rows(self, nonlinearity, kernel_path):
-        # the map's rows off the live units of dec_1 are exactly 0, and the
-        # live path takes each SVD over the other rows only
+        # the map's rows off the live units of dec_1 are exactly 0, and each
+        # SVD is taken over the other rows only, the reverse pass's rows
         spec = make_spec(kappa=2, m=4, skip=True, nonlinearity=nonlinearity)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=6))
         census = analysis.region_census(spec, mats, analysis.CensusConfig(count=300, seed=3))
@@ -482,8 +558,7 @@ class TestRegionCensus:
             live = pattern.dec[0].astype(bool)
             assert np.all(M[~live] == 0)
             dead_rows += np.sum(~live)
-            want = M[live] if kernel_path == "live" and live.any() else M
-            assert reg.lipschitz == np.linalg.norm(want, 2)
+            assert reg.lipschitz == np.linalg.norm(M[live] if live.any() else M, 2)
         assert (dead_rows > 0) == (nonlinearity == "relu")
 
     def test_regions_keep_inputs_in_sample_order(self):

@@ -175,22 +175,29 @@ EDGE_NETWORK = {"kappa": 2, "r": 2, "q": [1, 2, 4], "m": [64, 64, 64],
 class TestOverflow:
     """A 1e200 random bank overflows the forward pass to inf/NaN."""
 
-    def config(self, name):
-        return base_config(network=README_NETWORK,
+    def config(self, name, network=README_NETWORK):
+        return base_config(network=network,
                            bank={"source": "random", "scale": 1e200},
                            analyses=[name], enforce=[name], sampler={"count": 20})
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @pytest.mark.parametrize("name, matrix", [
-        ("regions", "region map"),
-        ("lipschitz", "region map"),
-        ("landscape", "skip feature matrix"),
+    @pytest.mark.parametrize("name, matrix, network", [
+        *(pytest.param(name, matrix, README_NETWORK, id=f"{name}-{matrix}")
+          for name, matrix in (("regions", "region map"), ("lipschitz", "region map"),
+                               ("landscape", "skip feature matrix"))),
+        *(pytest.param(name, "region map", {**README_NETWORK, **change}, id=f"{name}-{tag}")
+          for name in ("regions", "lipschitz")
+          for tag, change in (("no_skip", {"skip": False}),
+                              ("relu_encoder", {"nonlinearity": "relu_encoder"}))),
     ])
-    def test_overflow_is_named(self, tmp_path, capsys, name, matrix, kernel_path):
+    def test_overflow_is_named(self, tmp_path, capsys, name, matrix, network, kernel_path):
         # each used to exit with "SVD did not converge".  On the map kernel's
         # live path the decoder stages of an overflowed pass have no live
-        # unit, and the overflow must still reach the map
-        assert cli.main(["run", write_config(tmp_path, self.config(name)),
+        # unit, and the overflow must still reach the map.  A region's
+        # reverse pass meets only the products on its live outputs, so the
+        # census checks its sample forward; without that check neither the
+        # skip nor the no-skip net is named on either path
+        assert cli.main(["run", write_config(tmp_path, self.config(name, network)),
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert f"{matrix} contains non-finite entries" in err
@@ -411,6 +418,24 @@ class TestBlasThreads:
         assert "max_relative_error" in bodies[0] and '"distinct"' in bodies[0]
         assert bodies[0] == bodies[1]
 
+
+    def test_one_long_row_does_not_follow_blas_threads(self):
+        # one row of (1, 2^19) @ (2^19, 4) is past the one-thread limit on its
+        # own: made whole, or in pieces of rows, it split its sum across
+        # threads.  It is made in 512 x 512 pieces of the right factor,
+        # added in order
+        script = ("import numpy as np; from framelets.netbuild import _dot; "
+                  "g = np.random.default_rng(5); A = g.standard_normal((1, 1 << 19)); "
+                  "print(_dot(A, g.standard_normal((1 << 19, 4))).tobytes().hex())")
+        out = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+            proc = subprocess.run([sys.executable, "-c", script], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            out.append(proc.stdout)
+        assert len(out[0]) == 2 * 32 + 1 and out[0] == out[1]
 
     @pytest.mark.parametrize("r, m", [(2, 64), (3, 60)])
     def test_train_does_not_follow_blas_threads(self, tmp_path, r, m):
