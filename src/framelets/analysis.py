@@ -60,12 +60,12 @@ __all__ = [
 
 
 #: inputs per stacked forward pass (and packed key block) of the census and
-#: per screen block of the jacobian analysis, and _BLOCK d_0 map rows per
-#: block of the reverse pass, (n, a, w) stacks as tall as _BLOCK identity
-#: maps (also the census regions unpacked and put through one SVD at a
-#: time); both keep the stacks near a megabyte at d_0 = 64
+#: per screen block of the jacobian analysis, and _BLOCK rows per block of the
+#: reverse pass (a region's mask row counted as a map row; the census takes a
+#: block's SVDs at once): on the profile net (d_0 = 16) the largest at which a
+#: census peaks no higher than at 64, while it runs ~10 % faster
 _ROWS = 64
-_BLOCK = 4
+_BLOCK = 256
 
 #: the map kernel multiplies row by row over each pattern's live units once
 #: a net's widest product d_0 d_{l-1} d_l (or d_0 d_{l-1} s_l) reaches this
@@ -177,8 +177,8 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     k, F, masks = spec.kappa, spec.feature_dim, _masks(spec, pattern.bits()[None])
     live = _units(masks) if _live(spec) else None
     X, K, _ = _forward(spec, mats, masks, live, bufs={})
-    T, H, _ = adjoint(spec, mats, masks[-k:], None if live else np.eye(spec.d[0]), live)
-    frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H)))
+    T, H, _ = zip(*adjoint(spec, mats, masks[-k:], None if live else np.eye(spec.d[0]), live))
+    frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H[:len(K)])))
     # the frame's stages: enc_kappa, then skip_kappa .. skip_1
     stages = [k - 1, *(range(2 * k - 1, k - 1, -1) if spec.skip else ())]
     if live is None:  # B_tilde's columns masked as B's
@@ -297,57 +297,59 @@ def _forward(spec: NetworkSpec, mats, masks, units=None, x=None, rho=None, back=
     return X, K, Y
 
 
-def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True) -> tuple:
+def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True):
     """The decoder adjoint from a co-probe T_0 = ``probe``: T_l = (T_{l-1} *
     dec_l) D^l and, on skip nets given ``hang``, H_l = (T_{l-1} * dec_l)
-    S_tilde^l.  Returns ([T_0 .. T_kappa], [H_1 .. H_kappa], [U_1 ..
-    U_kappa]) with U_l = T_{l-1} * dec_l, the masked co-probes.  From I, T_l
-    is the masked dual-chain prefix of D^1 ... D^l; from a residual row, U_l
-    is the cost's derivative at dec_pre[l-1].
+    S_tilde^l, else None.  Yields (T_l, H_l, U_l) level by level, l = 1 ..
+    kappa, with U_l = T_{l-1} * dec_l the masked co-probe, and keeps none of
+    them: ``landscape.Pass.dual`` collects the T_l, ``training_pass`` every
+    level, the frame pair and the region maps only T_kappa and the H_l.
+    From I, T_l is the masked dual-chain prefix of D^1 ... D^l; from a
+    residual row, U_l is the cost's derivative at dec_pre[l-1].
 
     Batched (``units`` None): every column, ``dec`` the decoder masks
     broadcasting against the T_l.  Live (``units``): the co-probe is I on
     the live units of dec_1 (pass None), each product is gathered over the
-    live units of its two stages, ``dec`` is not read and no U_l is formed.
+    live units of its two stages, ``dec`` is not read and U_l is None.
     """
-    k, (live, dead) = spec.kappa, units or (None, None)
-    T, H, U = [probe], [], []
+    k, (live, dead), T = spec.kappa, units or (None, None), probe
     for l in range(1, k + 1):
         j = k + l - 1 + (k if spec.skip else 0)  # dec_l
-        if live is None:
-            U.append(T[-1] * dec[l - 1])
+        U = T * dec[l - 1] if live is None else None
 
         def mul(M, c):  # (T_{l-1} * dec_l) M; on the live path at stage c's live units
             if live is None:
-                return U[-1] @ M
+                return U @ M
             P = M.take(live[j], 0).take(live[c], 1)
-            P = P if T[-1] is None else _dot(T[-1], P)
+            P = P if T is None else _dot(T, P)
             return P * 0.0 if dead[j] or dead[c] else P
 
-        if hang and spec.skip:
-            H.append(mul(mats[l - 1].S_tilde, k + l - 1))
-        T.append(mul(mats[l - 1].D, j + 1 if l < k else k - 1))
-    return T, H, U
+        H = mul(mats[l - 1].S_tilde, k + l - 1) if hang and spec.skip else None
+        T = mul(mats[l - 1].D, j + 1 if l < k else k - 1)
+        yield T, H, U
 
 
 def encoder_adjoint(spec: NetworkSpec, mats, enc, skip, T, H, units=None) -> tuple:
-    """The encoder half of :func:`adjoint` from its T and H: G_kappa = T_kappa,
-    G_{l-1} = V_l E^l' + W_l S^l', V_l = G_l * enc_l, W_l = H_l * skip_l.
-    Returns (G_0, [V_1 ..], [W_1 ..]): from I on a pattern's live outputs G_0
-    is its map's rows there, from residual rows V_l and W_l are backward rows.
-    Batched, E^l' is the view ``E.T``, each row bit-equal to ``E @ v``."""
+    """The encoder half of :func:`adjoint` from its T_kappa = ``T`` and H_l:
+    G_kappa = T_kappa, G_{l-1} = V_l E^l' + W_l S^l', V_l = G_l * enc_l, W_l
+    = H_l * skip_l.  Returns (G_0, [V_1 ..], [W_1 ..]): from I on a pattern's
+    live outputs G_0 is its map's rows there, from residual rows V_l and W_l
+    are backward rows.  Batched, V_l and W_l are G_l and H_l masked in place,
+    ``T`` and ``H`` too, so they take no memory of their own; E^l' is the
+    view ``E.T``, each row bit-equal to ``E @ v``.  Live, none is formed."""
     k, (live, dead) = spec.kappa, units or (None, None)
-    G, V, W = T[-1], [], []
+    G, V, W = T, [], []
     for l in range(k, 0, -1):
         def mul(P, masks, kept, c, M):  # (P * masks_l) M'; live: over stage c's live units
             if live is None:
-                kept.insert(0, P * masks[l - 1])
-                return kept[0] @ M.T
+                P *= masks[l - 1]
+                kept.insert(0, P)
+                return P @ M.T
             M = (M if l == 1 else M.take(live[l - 2], 0)).take(live[c], 1)
             return _dot(P, M.T) * 0.0 if dead[c] else _dot(P, M.T)
         G = mul(G, enc, V, l - 1, mats[l - 1].E)
         if spec.skip:
-            G = G + mul(H[l - 1], skip, W, k + l - 1, mats[l - 1].S)
+            G += mul(H[l - 1], skip, W, k + l - 1, mats[l - 1].S)
     return G, V, W
 
 
@@ -396,23 +398,31 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
 
 def _reverse_blocks(spec: NetworkSpec, mats, counts, bits_of):
     """The reverse pass from I on each bit row's a = ``counts`` live dec_1
-    outputs, in blocks of ``_BLOCK`` d_0 // a rows ``bits_of(rows)`` of one a.
-    Yields (rows, G_0, outputs), G_0[i, j] row outputs[i, j] of row rows[i]'s
-    map as in a one-row block; no live output keeps unit 0 times its bit 0."""
+    outputs, in blocks of ``_BLOCK`` // (max(a, 1) + 1) rows
+    ``bits_of(rows)`` of one a.  Yields (rows, G_0, outputs), G_0[i, j] row
+    outputs[i, j] of row rows[i]'s map as in a one-row block; no live output
+    keeps unit 0 times its bit 0.  A block keeps only T_kappa and the H_l of
+    the adjoint.  Each product stays (n, a, w) @ M, matrix by matrix: as one
+    2-D GEMM over the block it is faster, but a row's bits follow its block."""
     k, d0, live = spec.kappa, spec.d[0], _live(spec)
+
+    def reverse(enc, skip, dec, probe, units=None):  # G_0
+        H = []
+        for T, h, _ in adjoint(spec, mats, dec, probe, units):
+            H.append(h)
+        return encoder_adjoint(spec, mats, enc, skip, T, H, units)[0]
+
     for a in range(d0 + 1):  # not np.unique, which imports numpy.ma
-        same, step = np.flatnonzero(counts == a), _BLOCK * d0 // max(a, 1)
+        same, step = np.flatnonzero(counts == a), _BLOCK // (max(a, 1) + 1)
         for at in range(0, len(same), step):
             rows = same[at:at + step]
             masks = _masks(spec, bits_of(rows).astype(float))  # float masks multiply faster
             outputs = np.argsort(-masks[-k][:, 0], axis=1, kind="stable")[:, :max(a, 1)]
             if live:
                 units = (_units([mask[i:i + 1] for mask in masks]) for i in range(len(rows)))
-                G = np.stack([encoder_adjoint(spec, mats, None, None, *adjoint(
-                    spec, mats, None, None, u)[:2], u)[0] for u in units])
+                G = np.stack([reverse(None, None, None, None, u) for u in units])
             else:
-                G = encoder_adjoint(spec, mats, masks[:k], masks[k:-k], *adjoint(
-                    spec, mats, masks[-k:], np.eye(d0)[outputs])[:2])[0]
+                G = reverse(masks[:k], masks[k:-k], masks[-k:], np.eye(d0)[outputs])
             yield rows, G, outputs
 
 
@@ -519,12 +529,13 @@ class RegionCensus:
         return sum(reg.count == 1 for reg in self.regions)
 
     def to_dict(self) -> dict:
+        singletons = self.singletons
         return {
             "samples": self.samples,
             "distinct": self.distinct,
-            "singletons": self.singletons,
+            "singletons": singletons,
             # Good-Turing estimate of the chance that one more sample finds a new region
-            "unseen_mass": self.singletons / self.samples,
+            "unseen_mass": singletons / self.samples,
             "nrep": self.nrep,
             "pattern_bits": self.pattern_bits,
             "regions": [{"pattern": reg.pattern_hex, "count": reg.count,
@@ -570,14 +581,15 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     n_bits, packed = bits.shape[1], np.concatenate(packed)  # n_bits: the same in every block
     _, first, region_of = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
-    grouped = list(xs[np.argsort(region_of, kind="stable")])
-    bounds = [0, *np.cumsum(np.bincount(region_of)).tolist()]
     at = n_bits - sum(spec.d[:spec.kappa])  # dec_1's live outputs, from their packed bytes
     live = np.unpackbits(packed[first, at // 8:], axis=1, count=at % 8 + spec.d[0])[:, at % 8:]
     norms = np.empty(len(first))
     for rows, G, _ in _reverse_blocks(spec, mats, live.sum(axis=1), lambda rows: np.unpackbits(
             packed[first[rows]], axis=1, count=n_bits)):  # one block of key rows at a time
         norms[rows] = spectral_norm(G)
+    del rows, G, _  # the last block's arrays, before the regions list sets the peak
+    grouped = list(xs[np.argsort(region_of, kind="stable")])  # not held by the reverse pass
+    bounds = [0, *np.cumsum(np.bincount(region_of)).tolist()]
     prefix = n_bits.to_bytes(4, "little").hex()
     regions = [RegionInfo(pattern_hex=prefix + packed[i].tobytes().hex(), lipschitz=norm,
                           inputs=grouped[a:b], first_sample=i)

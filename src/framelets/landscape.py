@@ -167,8 +167,8 @@ class Pass:
         """The masked dual-chain prefixes [I, T_1 .. T_kappa], T_l stacked over
         the samples: the decoder :func:`analysis.adjoint` from the co-probe I,
         formed on first read."""
-        return adjoint(self.spec, self.mats, [m[:, None] for m in self.pattern.dec],
-                       np.eye(self.spec.d[0]), hang=False)[0]
+        dec, I = [m[:, None] for m in self.pattern.dec], np.eye(self.spec.d[0])
+        return [I, *(T for T, _, _ in adjoint(self.spec, self.mats, dec, I, hang=False))]
 
     @property
     def T(self) -> int:
@@ -187,8 +187,8 @@ def training_pass(spec: NetworkSpec, mats, data: TrainingSet) -> Pass:
     trace = forward_matrices(spec, mats, data.X.T)
     p, res = pattern_from_trace(spec, trace), trace.y - data.Y.T
     enc, skip, dec = ([m[:, None] for m in ms or ()] for ms in (p.enc, p.skip, p.dec))
-    T, H, U = adjoint(spec, mats, dec, res[:, None])
-    _, V, W = encoder_adjoint(spec, mats, enc, skip, T, H)
+    T, H, U = zip(*adjoint(spec, mats, dec, res[:, None]))
+    _, V, W = encoder_adjoint(spec, mats, enc, skip, T[-1], H)
     return Pass(spec, mats, trace, p, _cost(res), *([v[:, 0] for v in vs] for vs in (V, W, U)))
 
 

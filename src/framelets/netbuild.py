@@ -306,19 +306,27 @@ _ONE_THREAD = 1 << 19
 
 
 def _dot(A, M):
-    """A @ M in pieces under ``_ONE_THREAD`` multiply-adds: of A's rows, or if
-    one row is over, of each row into 512 x 512 pieces of M, added in order
-    (a BLAS dot or gemv of a long row splits across threads too)."""
-    pieces = -(-A.shape[0] * M.size // (_ONE_THREAD - 1))
+    """A @ M as GEMMs of two or more rows and columns and about ``_ONE_THREAD``
+    multiply-adds (a row piece rounds up by at most a row), as BLAS can split a
+    longer GEMM, or a gemv or dot, across threads: pieces of A's rows, or of two
+    (three at an odd end) by 512 x 256 of M; a one-row A or one-column M doubled."""
+    n, m = A.shape[0], M.shape[1]
+    if n == 1 or m == 1:
+        return _dot(np.concatenate([A, A]) if n == 1 else A,
+                    np.concatenate([M, M], axis=1) if m == 1 else M)[:n, :m]
+    pieces = -(-n * M.size // (_ONE_THREAD - 1))
     if pieces <= 1:
         return A @ M
-    out = np.zeros((A.shape[0], M.shape[1]))
-    if M.size >= _ONE_THREAD:
-        for i, c, k in product(range(len(A)), range(0, M.shape[1], 512), range(0, len(M), 512)):
-            out[i, c:c + 512] += A[i, k:k + 512] @ M[k:k + 512, c:c + 512]
+    out = np.zeros((n, m))
+    if 2 * M.size >= _ONE_THREAD - 1:
+        rows, cols = ([*range(0, k - 1, w), k] for k, w in ((n, 2), (m, 256)))
+        for (i, j), (c, e), k in product(zip(rows, rows[1:]), zip(cols, cols[1:]),
+                                         range(0, len(M), 512)):
+            out[i:j, c:e] += A[i:j, k:k + 512] @ M[k:k + 512, c:e]
         return out
-    step = -(-A.shape[0] // pieces)
-    for at in range(0, A.shape[0], step):
+    step = -(-n // pieces)
+    for at in range(0, n, step):
+        at = min(at, n - 2)  # a one-row last piece is made with the row before it
         np.matmul(A[at:at + step], M, out=out[at:at + step])
     return out
 

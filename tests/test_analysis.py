@@ -1,12 +1,14 @@
 """Activation patterns, linear representations, census, Lipschitz, Jacobian."""
 
 import dataclasses
+import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
 from framelets import analysis, cli, netbuild
-from framelets.seeding import rng as seeded_rng
+from framelets.seeding import derive, rng as seeded_rng
 from conftest import make_frame_pair, make_spec
 import oracles
 
@@ -222,8 +224,8 @@ def kernel_frames(spec, mats, bits) -> np.ndarray:
 
 def kernel_duals(spec, mats, pattern) -> list:
     """The masked dual-chain prefixes of a pattern: the adjoint from the co-probe I."""
-    dec = [m[..., None, :] for m in pattern.dec]
-    return analysis.adjoint(spec, mats, dec, np.eye(spec.d[0]), hang=False)[0]
+    dec, I = [m[..., None, :] for m in pattern.dec], np.eye(spec.d[0])
+    return [I, *(T for T, _, _ in analysis.adjoint(spec, mats, dec, I, hang=False))]
 
 
 class TestMaskedChains:
@@ -403,24 +405,61 @@ class TestReversePass:
             assert not np.any(analysis.region_maps(spec, mats, bits[None]))
             assert reg.lipschitz == 0.0
 
+    def test_adjoint_keeps_no_level(self, rng):
+        # once the adjoint forms level 2, level 1's T_1, H_1 and U_1 are
+        # gone unless the caller kept them
+        spec = map_spec(3, True, "relu", unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=2))
+        X = rng.standard_normal((5, spec.d[0]))
+        pattern = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
+        levels = analysis.adjoint(spec, mats, [m[:, None] for m in pattern.dec],
+                                  np.eye(spec.d[0]))
+        first = [weakref.ref(product) for product in next(levels)]
+        assert all(ref() is not None for ref in first)
+        next(levels)
+        assert all(ref() is None for ref in first)
+
+    @pytest.mark.parametrize("bank_seed", [1235, 1237])
+    def test_taller_blocks_do_not_raise_the_census_peak(self, monkeypatch, bank_seed):
+        # the profile net at 2000 samples, on banks whose regions have 7 to 16
+        # live outputs (1235) and 0 to 9 (1237): the reverse pass masks in
+        # place and keeps only T_kappa and the H_l, so blocks of _BLOCK rows
+        # peak no higher than blocks of 64, the old 4 d_0
+        spec = netbuild.NetworkSpec(kappa=3, r=2, q=(1, 2, 4, 8), m=(16,) * 4, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=derive(bank_seed, "bank")))
+        config = analysis.CensusConfig(count=2000, seed=1)
+        analysis.region_census(spec, mats, config)  # and its first-call allocations
+        peaks = []
+        for block in (64, analysis._BLOCK):
+            monkeypatch.setattr(analysis, "_BLOCK", block)
+            tracemalloc.start()
+            try:
+                analysis.region_census(spec, mats, config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert analysis._BLOCK > 64 and peaks[1] <= peaks[0]
+
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
     def test_mixed_live_counts_equal_one_row_calls(self, skip, nonlinearity, rng,
                                                    kernel_path):
-        # 40 rows of several live-output counts: each count's rows are
-        # stacked into blocks, and every row equals its own one-row call
+        # 400 rows of several live-output counts: each count's rows are
+        # stacked into blocks, at least one of them full height, and every
+        # row equals its own one-row call
         spec = map_spec(2, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
-        X = rng.standard_normal((40, spec.d[0]))
+        X = rng.standard_normal((400, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
         counts = live_counts(spec, bits)
         assert (len(set(counts.tolist())) > 1) == (nonlinearity == "relu")
-        got, sizes = {}, []
+        got, full = {}, 0
         for rows, G, outputs in analysis._reverse_blocks(spec, mats, counts, bits.__getitem__):
-            sizes.append(len(rows))
+            a = max(counts[rows[0]], 1)
+            full += len(rows) == analysis._BLOCK // (a + 1) > 1
             assert np.all(np.diff(rows) > 0) and np.all(counts[rows] == counts[rows[0]])
             got.update((i, (g, o)) for i, g, o in zip(rows.tolist(), G, outputs))
-        assert sorted(got) == list(range(40)) and max(sizes) > 1
+        assert sorted(got) == list(range(400)) and full
         for i, row in enumerate(bits):
             (_, G, outputs), = analysis._reverse_blocks(spec, mats, counts[i:i + 1],
                                                         lambda rows: row[None])

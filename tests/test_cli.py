@@ -419,14 +419,13 @@ class TestBlasThreads:
         assert bodies[0] == bodies[1]
 
 
-    def test_one_long_row_does_not_follow_blas_threads(self):
-        # one row of (1, 2^19) @ (2^19, 4) is past the one-thread limit on its
-        # own: made whole, or in pieces of rows, it split its sum across
-        # threads.  It is made in 512 x 512 pieces of the right factor,
-        # added in order
+    @staticmethod
+    def dot_hex(a, b) -> list:
+        """``netbuild._dot`` of seeded (a) and (b) factors, as hex, in subprocesses
+        at 1 and at 2 BLAS threads."""
         script = ("import numpy as np; from framelets.netbuild import _dot; "
-                  "g = np.random.default_rng(5); A = g.standard_normal((1, 1 << 19)); "
-                  "print(_dot(A, g.standard_normal((1 << 19, 4))).tobytes().hex())")
+                  f"g = np.random.default_rng(5); A = g.standard_normal({a}); "
+                  f"print(_dot(A, g.standard_normal({b})).tobytes().hex())")
         out = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
@@ -435,7 +434,22 @@ class TestBlasThreads:
                                   capture_output=True, text=True, timeout=120)
             assert proc.returncode == 0, proc.stderr
             out.append(proc.stdout)
+        return out
+
+    def test_one_long_row_does_not_follow_blas_threads(self):
+        # one row of (1, 2^19) @ (2^19, 4) is past the one-thread limit on its
+        # own: made whole, or in pieces of rows, it split its sum across
+        # threads.  It is made in 512 x 256 pieces of the right factor,
+        # added in order
+        out = self.dot_hex((1, 1 << 19), (1 << 19, 4))
         assert len(out[0]) == 2 * 32 + 1 and out[0] == out[1]
+
+    @pytest.mark.parametrize("a, b", [((1, 16384), (16384, 1)), ((1, 10), (10, 52428))])
+    def test_one_row_or_column_does_not_follow_blas_threads(self, a, b):
+        # under the one-thread limit, but BLAS made each a dot or a gemv,
+        # which split its sum across threads: both go in doubled, as GEMMs
+        out = self.dot_hex(a, b)
+        assert len(out[0]) == 2 * 8 * a[0] * b[1] + 1 and out[0] == out[1]
 
     @pytest.mark.parametrize("r, m", [(2, 64), (3, 60)])
     def test_train_does_not_follow_blas_threads(self, tmp_path, r, m):
