@@ -178,7 +178,8 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     live = _units(masks) if _live(spec) else None
     X, K, _ = _forward(spec, mats, masks, live, bufs={})
     T, H, _ = zip(*adjoint(spec, mats, masks[-k:], None if live else np.eye(spec.d[0]), live))
-    frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H[:len(K)])))
+    H = [h for h in H if h is not None]  # none without skips
+    frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H)))
     # the frame's stages: enc_kappa, then skip_kappa .. skip_1
     stages = [k - 1, *(range(2 * k - 1, k - 1, -1) if spec.skip else ())]
     if live is None:  # B_tilde's columns masked as B's
@@ -302,8 +303,8 @@ def adjoint(spec: NetworkSpec, mats, dec, probe, units=None, hang=True):
     dec_l) D^l and, on skip nets given ``hang``, H_l = (T_{l-1} * dec_l)
     S_tilde^l, else None.  Yields (T_l, H_l, U_l) level by level, l = 1 ..
     kappa, with U_l = T_{l-1} * dec_l the masked co-probe, and keeps none of
-    them: ``landscape.Pass.dual`` collects the T_l, ``training_pass`` every
-    level, the frame pair and the region maps only T_kappa and the H_l.
+    them: ``landscape.Pass.dual`` collects the T_l, ``training_pass`` and
+    :func:`linear_rep` every level, the region maps only T_kappa and the H_l.
     From I, T_l is the masked dual-chain prefix of D^1 ... D^l; from a
     residual row, U_l is the cost's derivative at dec_pre[l-1].
 
@@ -398,7 +399,7 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
 
 def _reverse_blocks(spec: NetworkSpec, mats, counts, bits_of):
     """The reverse pass from I on each bit row's a = ``counts`` live dec_1
-    outputs, in blocks of ``_BLOCK`` // (max(a, 1) + 1) rows
+    outputs, in blocks of ``_BLOCK`` // (max(a, 1) + 1) rows, at least one,
     ``bits_of(rows)`` of one a.  Yields (rows, G_0, outputs), G_0[i, j] row
     outputs[i, j] of row rows[i]'s map as in a one-row block; no live output
     keeps unit 0 times its bit 0.  A block keeps only T_kappa and the H_l of
@@ -413,7 +414,7 @@ def _reverse_blocks(spec: NetworkSpec, mats, counts, bits_of):
         return encoder_adjoint(spec, mats, enc, skip, T, H, units)[0]
 
     for a in range(d0 + 1):  # not np.unique, which imports numpy.ma
-        same, step = np.flatnonzero(counts == a), _BLOCK // (max(a, 1) + 1)
+        same, step = np.flatnonzero(counts == a), max(_BLOCK // (max(a, 1) + 1), 1)
         for at in range(0, len(same), step):
             rows = same[at:at + step]
             masks = _masks(spec, bits_of(rows).astype(float))  # float masks multiply faster

@@ -309,7 +309,7 @@ def _dot(A, M):
     """A @ M as GEMMs of two or more rows and columns and about ``_ONE_THREAD``
     multiply-adds (a row piece rounds up by at most a row), as BLAS can split a
     longer GEMM, or a gemv or dot, across threads: pieces of A's rows, or of two
-    (three at an odd end) by 512 x 256 of M; a one-row A or one-column M doubled."""
+    (three at an odd end) by 512 x 256 of M; one-row A, last row piece or one-column M doubled."""
     n, m = A.shape[0], M.shape[1]
     if n == 1 or m == 1:
         return _dot(np.concatenate([A, A]) if n == 1 else A,
@@ -325,9 +325,8 @@ def _dot(A, M):
             out[i:j, c:e] += A[i:j, k:k + 512] @ M[k:k + 512, c:e]
         return out
     step = -(-n // pieces)
-    for at in range(0, n, step):
-        at = min(at, n - 2)  # a one-row last piece is made with the row before it
-        np.matmul(A[at:at + step], M, out=out[at:at + step])
+    for at in range(0, n, step):  # a one-row last piece goes in doubled
+        out[at:at + step] = _dot(A[at:], M) if at == n - 1 else A[at:at + step] @ M
     return out
 
 

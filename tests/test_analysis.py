@@ -1,6 +1,7 @@
 """Activation patterns, linear representations, census, Lipschitz, Jacobian."""
 
 import dataclasses
+import gc
 import tracemalloc
 import weakref
 
@@ -424,7 +425,9 @@ class TestReversePass:
         # the profile net at 2000 samples, on banks whose regions have 7 to 16
         # live outputs (1235) and 0 to 9 (1237): the reverse pass masks in
         # place and keeps only T_kappa and the H_l, so blocks of _BLOCK rows
-        # peak no higher than blocks of 64, the old 4 d_0
+        # peak no higher than blocks of 64, the old 4 d_0.  A cyclic garbage
+        # collection inside one census moves its peak by up to ~12 KB, so
+        # none runs there
         spec = netbuild.NetworkSpec(kappa=3, r=2, q=(1, 2, 4, 8), m=(16,) * 4, skip=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=derive(bank_seed, "bank")))
         config = analysis.CensusConfig(count=2000, seed=1)
@@ -432,13 +435,33 @@ class TestReversePass:
         peaks = []
         for block in (64, analysis._BLOCK):
             monkeypatch.setattr(analysis, "_BLOCK", block)
+            gc.collect()
+            gc.disable()
             tracemalloc.start()
             try:
                 analysis.region_census(spec, mats, config)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
+                gc.enable()
         assert analysis._BLOCK > 64 and peaks[1] <= peaks[0]
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_live_outputs_past_the_block_budget(self, skip, rng, kernel_path):
+        # d_0 = 256 on a linear net: a region's 256 live outputs alone pass
+        # the _BLOCK rows of a block, which then holds that one region
+        spec = make_spec(kappa=1, r=1, m=256, skip=skip, nonlinearity="none", q=[1, 1])
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=1))
+        assert spec.d[0] >= analysis._BLOCK
+        X = rng.standard_normal((2, spec.d[0]))
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        maps = analysis.region_maps(spec, mats, bits)
+        for x, J in zip(X, maps):
+            y = netbuild.forward_matrices(spec, mats, x).y
+            assert np.linalg.norm(J @ x - y) <= 1e-13 * np.linalg.norm(y)
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=3, seed=1))
+        want = np.linalg.norm(maps[0], 2)
+        assert census.distinct == 1 and abs(census.regions[0].lipschitz - want) <= 1e-14 * want
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
