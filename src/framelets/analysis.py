@@ -9,11 +9,12 @@ runs the masked network on the identity: its encoder half, X_l =
 (X_{l-1} E^l) * enc_l with the skip products K_l, is the frame B, and its
 decoder half the Jacobian's maps.  The reverse pass, :func:`adjoint`, T_l
 = (T_{l-1} * dec_l) D^l from a co-probe, then :func:`encoder_adjoint`,
-gives B_tilde, ``landscape``'s backward trace and the region maps.  Both
-take one column choice per net (:func:`_live`): every column of a block
-through batched matmul on small nets, each row over only the units its
-pattern leaves on on large ones.  On top of them
-sit a sampling census of activation patterns with the expressiveness
+gives B_tilde, ``landscape``'s backward trace and the region maps.  The
+forward recursion runs one pattern row at a time, over only the units the
+pattern leaves on.  The reverse pass takes one column choice per net
+(:func:`_live`): every column of a block through batched matmul on small
+nets, each row over its live units on large ones.  On top of them sit a
+sampling census of activation patterns with the expressiveness
 bound, exact local Lipschitz constants (the spectral norm of each region
 map), and the analytic Jacobian with its finite-difference cross-check,
 taken only where the input's certified in-region radius (read from the
@@ -67,7 +68,7 @@ __all__ = [
 _ROWS = 64
 _BLOCK = 256
 
-#: the map kernel multiplies row by row over each pattern's live units once
+#: the reverse pass multiplies row by row over each pattern's live units once
 #: a net's widest product d_0 d_{l-1} d_l (or d_0 d_{l-1} s_l) reaches this
 #: many multiply-adds; below it the Python calls per row cost more than the
 #: zero columns they skip, and every block goes through batched matmul
@@ -125,12 +126,10 @@ class LinearRep:
     """Input-dependent frame pair: F(x) == B_tilde @ B.T @ x on the region.
 
     ``frame`` is B's columns ``cols`` and ``dual`` is B_tilde's rows
-    ``rows`` at the same columns; every other entry of either is 0.  On
-    the live path they are the live units: the live frame units, and the
-    live output units.  A dead frame unit is a zero column of both, a dead
-    output unit a zero row of B_tilde.  On the batched path they are every
-    unit, and ``frame`` is the kernel's own frame, signed zeros included.
-    ``B`` and ``B_tilde`` are formed at full size on read.
+    ``rows`` at the same columns; every other entry of either is 0.  They
+    are the live units: the live frame units, and the live output units.
+    A dead frame unit is a zero column of both, a dead output unit a zero
+    row of B_tilde.  ``B`` and ``B_tilde`` are formed at full size on read.
     """
 
     pattern: ActivationPattern
@@ -164,30 +163,26 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
 
     B is [X_kappa | K_kappa ... K_1] of the forward recursion
     (:func:`_forward`) on the pattern's one row; B_tilde, the masked dual
-    frame, is [T_kappa | H_kappa ... H_1] of the decoder :func:`adjoint`.
-    Both take the kernel's column choice: on the batched path every column
-    from the co-probe I, on the live path the live units only.  On a spec
-    with ``nonlinearity="none"`` every mask is all ones and this is the
-    global frame pair of the linear network.
+    frame, is [T_kappa | H_kappa ... H_1] of the decoder :func:`adjoint`
+    from I on the live units of dec_1.  Both are held over the pattern's
+    live units only.  On a spec with ``nonlinearity="none"`` every mask is
+    all ones and this is the global frame pair of the linear network.
     """
     if pattern is None:
         if x is None:
             raise ValueError("need an input x or an explicit pattern")
         pattern = extract_pattern(spec, mats, x)
-    k, F, masks = spec.kappa, spec.feature_dim, _masks(spec, pattern.bits()[None])
-    live = _units(masks) if _live(spec) else None
-    X, K, _ = _forward(spec, mats, masks, live, bufs={})
-    T, H, _ = zip(*adjoint(spec, mats, masks[-k:], None if live else np.eye(spec.d[0]), live))
+    k, masks = spec.kappa, _masks(spec, pattern.bits()[None])
+    live = _units(masks)
+    X, K, _ = _forward(spec, mats, masks, live)
+    T, H, _ = zip(*adjoint(spec, mats, None, None, live))
     H = [h for h in H if h is not None]  # none without skips
     frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H)))
     # the frame's stages: enc_kappa, then skip_kappa .. skip_1
     stages = [k - 1, *(range(2 * k - 1, k - 1, -1) if spec.skip else ())]
-    if live is None:  # B_tilde's columns masked as B's
-        dual = dual[0] * np.concatenate([masks[j][0] for j in stages], axis=-1)
-        return LinearRep(pattern, np.arange(spec.d[0]), np.arange(F), frame[0], dual, F)
     at = accumulate((masks[j].shape[-1] for j in stages), initial=0)
     cols = np.concatenate([a + live[0][j] for a, j in zip(at, stages)])
-    return LinearRep(pattern, live[0][-k], cols, frame, dual, F)
+    return LinearRep(pattern, live[0][-k], cols, frame, dual, spec.feature_dim)
 
 
 def _radius(rho, P, x, mask) -> None:
@@ -211,7 +206,7 @@ def _radius(rho, P, x, mask) -> None:
 
 
 def _live(spec: NetworkSpec) -> bool:
-    """Whether the map kernel takes its per-row live-unit path on this net:
+    """Whether the reverse pass takes its per-row live-unit path on this net:
     whether its widest product reaches ``_LIVE_FLOPS`` multiply-adds."""
     d = spec.d
     widest = max(d[l - 1] * max(d[l], spec.s[l - 1] if spec.skip else 0)
@@ -229,55 +224,38 @@ def _masks(spec: NetworkSpec, bits) -> list:
 def _units(masks):
     """The live units of each mask of a one-row block, and whether the stage
     has none.  Such a stage keeps its first unit, to be multiplied by its
-    mask bit 0 as in the batched product, so that an overflow before it
-    reaches the map."""
+    mask bit 0, so that an overflow before it reaches the map."""
     units = [mask[0, 0].nonzero()[0] for mask in masks]
     dead = [not len(u) for u in units]
     return [np.zeros(1, np.intp) if no else u for u, no in zip(units, dead)], dead
 
 
-def _forward(spec: NetworkSpec, mats, masks, units=None, x=None, rho=None, back=None,
-             bufs=None):
-    """The frozen-mask forward recursion over one block of pattern rows.
+def _forward(spec: NetworkSpec, mats, masks, units, x=None, rho=None, back=None):
+    """The frozen-mask forward recursion over one pattern row.
 
-    ``masks`` are the block's :func:`_masks` views.  From X_0 = I (never
-    formed) the stage loop forms X_l = (X_{l-1} E^l) * enc_l and K_l =
-    (X_{l-1} S^l) * skip_l; given ``back``, each layer's (D^l', S_tilde^l'),
-    it runs down the decoder: Y_kappa = X_kappa and Y_{l-1} = (Y_l D^l' +
-    K_l S_tilde^l') * dec_l.  Returns (X_kappa, [K_1 .. K_kappa], Y_0), Y_0
-    None without ``back``.  With inputs ``x``, each ReLU stage lowers
-    ``rho`` through :func:`_radius` from its product before the mask.
-
-    Batched (``units`` None), each product is the (n, d_0, w) block stack
-    over every column, written into its stage's buffer in ``bufs`` (a dict
-    the caller keeps across blocks), then masked.  Live (``units``, the
-    :func:`_units` of a one-row block), each is the row's product over the
-    live units of its two stages, gathered and made by
-    :func:`netbuild._dot`; with inputs a stage forms every column for the
-    radius, then keeps its live ones.
+    ``masks`` are the row's :func:`_masks` views and ``units`` their
+    :func:`_units`.  From X_0 = I (never formed) the stage loop forms X_l =
+    (X_{l-1} E^l) * enc_l and K_l = (X_{l-1} S^l) * skip_l; given ``back``,
+    each layer's (D^l', S_tilde^l'), it runs down the decoder: Y_kappa =
+    X_kappa and Y_{l-1} = (Y_l D^l' + K_l S_tilde^l') * dec_l.  Returns
+    (X_kappa, [K_1 .. K_kappa], Y_0), Y_0 None without ``back``.  Each
+    product is the row's over the live units of its two stages, gathered and
+    made by :func:`netbuild._dot`, so each result holds the live columns of
+    its stage only.  With inputs ``x``, each ReLU stage forms every column,
+    lowers ``rho`` through :func:`_radius` from it, then keeps its live ones.
     """
-    k, d0 = spec.kappa, spec.d[0]
-    live, dead = units or (None, None)
+    k, (live, dead) = spec.kappa, units
 
     def stage(terms, j, relu):  # terms (A, i, M): A the product of stage i, None for X_0 = I
         radius, total = relu and x is not None, None
-        for t, (A, i, M) in enumerate(terms):
-            if live is None:
-                if (j, t) not in bufs:
-                    bufs[j, t] = np.empty((len(masks[j]), d0, M.shape[1]))
-                P = bufs[j, t][:len(masks[j])]
-                np.copyto(P, M) if A is None else np.matmul(A, M, out=P)
-            else:  # an X_0 term comes alone, so its M is never written to
-                M = M if i is None else M.take(live[i], 0)
-                M = M if radius else M.take(live[j], 1)
-                P = M if A is None else _dot(A, M)
+        for A, i, M in terms:  # an X_0 term comes alone, so its M is never written to
+            M = M if i is None else M.take(live[i], 0)
+            M = M if radius else M.take(live[j], 1)
+            P = M if A is None else _dot(A, M)
             total = P if total is None else np.add(total, P, out=total)
         if radius:
-            _radius(rho, total if live is None else total[None], x, masks[j])
-        if live is None:
-            total *= masks[j]
-            return total
-        total = total.take(live[j], 1) if radius else total
+            _radius(rho, total[None], x, masks[j])
+            total = total.take(live[j], 1)
         return total * 0.0 if dead[j] else total
 
     relu, X, i, K = spec.relu_at_encoder(), None, None, []
@@ -356,18 +334,16 @@ def encoder_adjoint(spec: NetworkSpec, mats, enc, skip, T, H, units=None) -> tup
 
 def _map_blocks(spec: NetworkSpec, mats, blocks):
     """Region maps of blocks of pattern bit rows by the forward recursion, in
-    one set of buffers: the Jacobian's kernel (a map alone comes cheaper
-    from :func:`region_maps`).
+    one buffer: the Jacobian's kernel (a map alone comes cheaper from
+    :func:`region_maps`).
 
     ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array in
     ``ActivationPattern.bits()`` order, none longer than the first (a
-    longer one fails on its ``out=`` shapes), and its (n, d_0) inputs.
-    Each block goes through :func:`_forward` with its decoder half,
-    and this yields views (Y, rho), ``Y[i].T`` row i's map, which the next
-    block overwrites.  Batched, a block is one call; live (:func:`_live`),
-    each row is, its compact Y_0 scattered into its zeroed row of one (n,
-    d_0, d_0) buffer.  Either way each row is bit-identical to a one-row
-    block.
+    longer one fails on its buffer's shape), and its (n, d_0) inputs.  Each
+    row goes through :func:`_forward` with its decoder half, its compact
+    Y_0 scattered into its zeroed row of one (n, d_0, d_0) buffer, and this
+    yields views (Y, rho), ``Y[i].T`` row i's map, which the next block
+    overwrites.  Each row is bit-identical to a one-row block.
 
     rho[i] is row i's certified in-region radius, lowered by :func:`_radius`
     at every ReLU stage from the product before its mask.  The nets are
@@ -375,20 +351,16 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     region of x_i's own bits: there every live row keeps its sign and every
     zero row stays zero.  It is inf on a net without ReLUs.
     """
-    k, live = spec.kappa, _live(spec)
-    back = [(m.D.T, m.S_tilde.T if spec.skip else None) for m in mats]
-    if live:  # each row gathers rows of D' and S_tilde': contiguous copies, once
-        back = [[M if M is None else np.ascontiguousarray(M) for M in ops] for ops in back]
-    bufs, out = {}, None
+    k = spec.kappa
+    # each row gathers rows of D' and S_tilde': contiguous copies, once
+    back = [(np.ascontiguousarray(m.D.T), np.ascontiguousarray(m.S_tilde.T) if spec.skip
+             else None) for m in mats]
+    out = None
     for bits, x in blocks:
         n, masks = len(bits), _masks(spec, bits)
-        rho = np.full(n, np.inf)
-        if not live:
-            yield _forward(spec, mats, masks, None, x, rho, back, bufs)[2], rho
-            continue
         if out is None:
             out = np.empty((n, spec.d[0], spec.d[0]))
-        Y = out[:n]
+        Y, rho = out[:n], np.full(n, np.inf)
         Y[...] = 0.0
         for i in range(n):
             row = [mask[i:i + 1] for mask in masks]

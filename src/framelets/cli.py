@@ -198,6 +198,9 @@ def _build_bank(cfg: dict, spec: netbuild.NetworkSpec, seed):
     if source == "random":
         return netbuild.random_bank(spec, seed=derive(seed, "bank"),
                                     scale=params["scale"]), params
+    if len(set(spec.m)) > 1:
+        raise ConfigError(f"config field 'network.m': a frame_factory bank needs equal "
+                          f"spatial dims at every layer, got {list(spec.m)}")
     for l in range(1, spec.kappa + 1):
         if spec.q[l] < spec.r * spec.q[l - 1]:
             raise ConfigError(f"config field 'network.q': a frame_factory bank needs q_l >= "
@@ -800,9 +803,9 @@ def _check_report(report, path: str) -> None:
             where = f"results.{name}.checks[{i}]"
             if not (isinstance(check, dict) and "name" in check and "passed" in check):
                 bad(f"field '{where}'", "a JSON object with 'name' and 'passed'", check)
-            for key in ("value", "tol"):
-                value = check.get(key, 0.0)
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
+            for key, value in check.items():  # the evidence: every field but these two
+                if key not in ("name", "passed") and (
+                        isinstance(value, bool) or not isinstance(value, (int, float))):
                     bad(f"field '{where}.{key}'", "a number", value)
 
 
@@ -821,18 +824,16 @@ def cmd_report(args) -> int:
     for name, block in report.get("results", {}).items():
         print(f"\n[{name}]")
         for key, value in block.items():
-            if key in ("checks", "residuals", "certificates", "regions",
-                       "stationarity"):
-                continue
-            print(f"  {key:<24} {value}")
+            if not isinstance(value, (list, dict)):  # checks, curves, regions, ...
+                print(f"  {key:<24} {value}")
         for check in block.get("checks", []):
             status = "PASS" if check["passed"] else "FAIL"
-            detail = ""
-            if "value" in check:
-                detail = f"  value={check['value']:.3e}"
-                if "tol" in check:
-                    detail += f" tol={check['tol']:.1e}"
-            print(f"  {status} {check['name']}{detail}")
+            evidence = []  # every field but these two: counts as integers
+            for key, value in check.items():
+                if key not in ("name", "passed"):
+                    fmt = ".1e" if key == "tol" else "d" if isinstance(value, int) else ".3e"
+                    evidence.append(f"{key}={value:{fmt}}")
+            print(f"  {status} {check['name']}  {' '.join(evidence)}".rstrip())
     failures = report.get("failures", [])
     print(f"\nenforced failures: {failures if failures else 'none'}")
     return 0

@@ -32,8 +32,9 @@ def rng():
 
 @pytest.fixture(params=["batched", "live"])
 def kernel_path(request, monkeypatch):
-    """Runs a test on each path of the map kernel: the path-selection
-    threshold is set so that every net takes the named path."""
+    """Runs a test on each path of the reverse pass (the census and
+    ``region_maps``): the path-selection threshold is set so that every net
+    takes the named path.  The forward recursion has one path."""
     monkeypatch.setattr(analysis, "_LIVE_FLOPS", 0 if request.param == "live" else np.inf)
     return request.param
 

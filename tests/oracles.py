@@ -25,7 +25,8 @@ import os
 import numpy as np
 from scipy.optimize import linprog
 
-from framelets import analysis, cli, landscape, netbuild
+from framelets import analysis, cli, frames, landscape, netbuild
+from framelets.seeding import derive
 
 #: default absolute tolerance for exact algebraic identities
 DEFAULT_TOL = 1e-10
@@ -385,6 +386,38 @@ def count_sign_regions(normals, max_rows: int = 12) -> int:
         if res.status == 0:
             count += 1
     return count
+
+
+def pm_pair_bank(spec, alpha: float = 1.0, seed: int = 0,
+                 pooling: str = "orthogonal") -> netbuild.LayerBank:
+    """A bank whose ReLU net has closed-form maps: the frame filters Psi of
+    ``frames.make_frame_filters`` for q_l / 2 outputs, paired with their
+    negatives, [Psi, -Psi] as both encoder and decoder taps.
+
+    Channels j and j + q_l / 2 carry u and -u, so D rho(E' z) = D_+ (rho(u)
+    - rho(-u)) = D_+ E_+' z = z at every layer, and an inner decoder ReLU
+    sees only z >= 0: on a ``relu_encoder`` net F(x) = x and every region
+    map is I, on a ``relu`` net F(x) = rho(x) with map diag(x > 0).  (The
+    linear net doubles: D E' = 2 I.)  Needs q_l >= 2 r q_{l-1} and even q_l,
+    equal m and no skip branch, which has no negated twin.
+    """
+    if spec.skip or len(set(spec.m)) > 1:
+        raise ValueError("a +-pair bank needs equal m and no skip")
+    taps, pool, unpool = [], [], []
+    for l in range(1, spec.kappa + 1):
+        q_prev, q_cur = spec.q[l - 1], spec.q[l]
+        if q_cur % 2 or q_cur < 2 * spec.r * q_prev:
+            raise ValueError(f"a +-pair bank needs even q_l >= 2 r q_(l-1), got "
+                             f"{q_cur} at layer {l}")
+        phi, phi_t = frames.make_frame_pooling(spec.m[l - 1], alpha, kind=pooling,
+                                               seed=derive(seed, "pm-pool", l))
+        psi, _ = frames.make_frame_filters(spec.r, q_prev, q_cur // 2, alpha,
+                                           seed=derive(seed, "pm-filters", l))
+        taps.append(frames._matrix_to_filters(np.hstack([psi, -psi]), q_prev, q_cur, spec.r))
+        pool.append(phi)
+        unpool.append(phi_t)
+    return netbuild.LayerBank(enc_filters=tuple(taps), dec_filters=tuple(taps),
+                              pool=tuple(pool), unpool=tuple(unpool))
 
 
 def pattern_key(pattern: analysis.ActivationPattern) -> bytes:

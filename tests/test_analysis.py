@@ -168,10 +168,11 @@ class TestLinearRep:
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
-    def test_frame_pair_equals_masked_chains(self, skip, nonlinearity, rng, kernel_path):
+    @pytest.mark.parametrize("kappa", [1, 2, 3])
+    def test_frame_pair_equals_masked_chains(self, kappa, skip, nonlinearity, rng):
         # the pair is formed over the live units only; at full size B_tilde
-        # is the masked dual frame and B the chain frame
-        spec = map_spec(3, skip, nonlinearity, unequal_m=True)
+        # is the masked dual frame and B the chain frame, at every depth
+        spec = map_spec(kappa, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=7))
         for x in rng.standard_normal((6, spec.d[0])):
             rep = analysis.linear_rep(spec, mats, x)
@@ -217,12 +218,6 @@ def forward_map(spec, mats, x) -> np.ndarray:
     return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[0][0].T.copy()
 
 
-def kernel_frames(spec, mats, bits) -> np.ndarray:
-    """The frames B of one block of bit rows, by the batched forward recursion."""
-    X, K, _ = analysis._forward(spec, mats, analysis._masks(spec, bits), bufs={})
-    return np.concatenate([X, *K[::-1]], axis=-1)
-
-
 def kernel_duals(spec, mats, pattern) -> list:
     """The masked dual-chain prefixes of a pattern: the adjoint from the co-probe I."""
     dec, I = [m[..., None, :] for m in pattern.dec], np.eye(spec.d[0])
@@ -230,7 +225,8 @@ def kernel_duals(spec, mats, pattern) -> list:
 
 
 class TestMaskedChains:
-    """The forward recursion's encoder half: the frame B of each row of a block."""
+    """The frame B of the forward recursion's encoder half, one pattern row at
+    a time, and the masked dual-chain prefixes of a stacked adjoint."""
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
@@ -239,14 +235,9 @@ class TestMaskedChains:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=5))
         X = rng.standard_normal((5, spec.d[0]))
         pattern = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        stacked = kernel_frames(spec, mats, pattern.bits())
-        assert stacked.shape == (5, spec.d[0], spec.feature_dim)
         duals = kernel_duals(spec, mats, pattern)
         for i, x in enumerate(X):
-            one = analysis.extract_pattern(spec, mats, x)
-            single = kernel_frames(spec, mats, one.bits()[None])
-            assert stacked[i].tobytes() == single[0].tobytes()
-            want = kernel_duals(spec, mats, one)
+            want = kernel_duals(spec, mats, analysis.extract_pattern(spec, mats, x))
             assert np.array_equal(duals[0], want[0])  # the shared identity
             assert all(np.array_equal(g[i], w) for g, w in zip(duals[1:], want[1:]))
 
@@ -254,18 +245,14 @@ class TestMaskedChains:
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_frame_equals_chain_products(self, kappa, skip, nonlinearity, rng):
-        # the kernel forms (X S) * m where the chains formed X (S * m), so a
-        # zero may differ in sign: the frames are compared by value
+        # the recursion multiplies over the live units where the chains
+        # formed X (S * m) over every unit, so a zero may differ in sign:
+        # the frames are compared by value
         spec = map_spec(kappa, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
-        X = rng.standard_normal((6, spec.d[0]))
-        pattern = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        got = kernel_frames(spec, mats, pattern.bits())
-        assert np.array_equal(got, oracles.chain_frame(spec, mats, pattern))
-        for x, B in zip(X, got):
+        for x in rng.standard_normal((6, spec.d[0])):
             rep = analysis.linear_rep(spec, mats, x)
             assert np.array_equal(rep.B, oracles.chain_frame(spec, mats, rep.pattern))
-            assert rep.B.tobytes() == B.tobytes()
 
 
 class TestKernelPath:
@@ -277,6 +264,22 @@ class TestKernelPath:
         edge = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 2, 4), m=(64, 64, 64), skip=True)
         assert not analysis._live(profile)
         assert analysis._live(edge)
+
+    def test_forward_recursion_does_not_follow_the_reverse_pass_path(self, monkeypatch, rng):
+        # the switch picks the reverse pass's path only: on the profile net
+        # the Jacobian's maps and radii and the frame pair's map are
+        # byte-identical at either setting
+        spec = netbuild.NetworkSpec(kappa=3, r=2, q=(1, 2, 4, 8), m=(16,) * 4, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=derive(1235, "bank")))
+        X = rng.standard_normal((6, spec.d[0]))
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        got = []
+        for flops in (0, np.inf):
+            monkeypatch.setattr(analysis, "_LIVE_FLOPS", flops)
+            Y, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+            reps = [analysis.linear_rep(spec, mats, x).matrix() for x in X]
+            got.append([Y.tobytes(), rho.tobytes(), *(M.tobytes() for M in reps)])
+        assert got[0] == got[1]
 
 
 class TestRegionMaps:
@@ -327,25 +330,17 @@ class TestRegionMaps:
             assert J.tobytes() == forward_map(spec, mats, x).tobytes()
 
     def test_kernel_view_is_overwritten_by_the_next_block(self, rng):
-        # a consumer must copy or reduce a block before asking for the next:
-        # the map of the kernel, then X_kappa of its forward recursion
+        # a consumer must copy or reduce a block's maps before asking for the next
         spec = map_spec(2, True, "relu", unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((4, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
-
-        def frames(spec, mats, blocks):  # X_kappa of each block, in one set of buffers
-            bufs = {}
-            for block, _ in blocks:
-                yield analysis._forward(spec, mats, analysis._masks(spec, block), bufs=bufs)
-
-        for kernel in (analysis._map_blocks, frames):
-            blocks = kernel(spec, mats, ((bits[:2], X[:2]), (bits[2:], X[2:])))
-            view = next(blocks)[0]
-            copy = view.copy()
-            again = next(blocks)[0]
-            assert np.shares_memory(view, again)
-            assert np.array_equal(view, again) and not np.array_equal(view, copy)
+        blocks = analysis._map_blocks(spec, mats, ((bits[:2], X[:2]), (bits[2:], X[2:])))
+        view = next(blocks)[0]
+        copy = view.copy()
+        again = next(blocks)[0]
+        assert np.shares_memory(view, again)
+        assert np.array_equal(view, again) and not np.array_equal(view, copy)
 
     @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -976,6 +971,66 @@ class TestJacobian:
 
 
 @pytest.mark.usefixtures("kernel_path")
+class TestPlusMinusPairNets:
+    """Closed-form oracles at d_0 = 16 and 64 (oracles.pm_pair_bank): with
+    the ReLU on, a relu_encoder net is the identity, every region map I,
+    and a relu net is rho, the map of x diag(x > 0)."""
+
+    @staticmethod
+    def net(d0, nonlinearity):
+        spec = netbuild.NetworkSpec(kappa=2, r=2, q=(1, 4, 16), m=(d0,) * 3, skip=False,
+                                    nonlinearity=nonlinearity)
+        return spec, netbuild.realize(spec, oracles.pm_pair_bank(spec, seed=d0))
+
+    @staticmethod
+    def assert_maps(spec, mats, X, want, jacobian):
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        for x, M, W in zip(X, analysis.region_maps(spec, mats, bits), want):
+            maps = [M, analysis.linear_rep(spec, mats, x).matrix(), forward_map(spec, mats, x)]
+            if jacobian:
+                maps.append(analysis.jacobian_analytic(spec, mats, x))
+            for got in maps:
+                assert np.max(np.abs(got - W)) <= 1e-14
+
+    @pytest.mark.parametrize("d0", [16, 64])
+    def test_relu_encoder_net_is_the_identity(self, d0, rng):
+        spec, mats = self.net(d0, "relu_encoder")
+        X = rng.standard_normal((4, d0))
+        assert np.max(np.abs(netbuild.forward_matrices(spec, mats, X).y - X)) <= 1e-14
+        self.assert_maps(spec, mats, X, [np.eye(d0)] * len(X), jacobian=True)
+        census = analysis.region_census(spec, mats, analysis.CensusConfig(count=20, seed=1))
+        assert census.distinct == 20  # a pattern per sample, one map
+        assert all(abs(reg.lipschitz - 1.0) <= 1e-14 for reg in census.regions)
+
+    @pytest.mark.parametrize("d0", [16, 64])
+    def test_relu_net_maps_are_the_orthant_masks(self, d0, rng):
+        # the inner decoder ReLU sees h >= 0, exact zeros up to rounding, so
+        # its units sit on their kinks and the Jacobian screen turns x away;
+        # the map is still diag(x > 0)
+        spec, mats = self.net(d0, "relu")
+        X = rng.standard_normal((4, d0))
+        y = netbuild.forward_matrices(spec, mats, X).y
+        assert np.max(np.abs(y - np.maximum(X, 0.0))) <= 1e-14
+        self.assert_maps(spec, mats, X, [np.diag(x > 0.0).astype(float) for x in X],
+                         jacobian=False)
+
+    @pytest.mark.parametrize("d0", [16, 64])
+    def test_checks_pass_with_the_relu_on(self, d0, tmp_path):
+        # the paper's perfect reconstruction of the nonlinear frame
+        # representation, through the ReLU, and every map check with it
+        spec, _ = self.net(d0, "relu_encoder")
+        path = tmp_path / "bank.json"
+        netbuild.save_bank(spec, oracles.pm_pair_bank(spec, seed=d0), path)
+        names = ["reconstruct", "identity", "jacobian", "regions", "lipschitz"]
+        cfg = {"seed": 1, "network": spec.to_dict(), "bank": {"source": "file", "path": str(path)},
+               "analyses": names, "enforce": names, "sampler": {"count": 20},
+               "reconstruct": {"count": 20, "no_relu": False}, "identity": {"count": 4},
+               "jacobian": {"count": 4}}
+        report, failures = cli.execute(cfg, None)
+        assert failures == []
+        assert report["results"]["reconstruct"]["max_relative_error"] <= 1e-14
+
+
 class TestCertifiedRadius:
     """The kernel's pre-mask rows and the radius rule of the Jacobian screen."""
 
@@ -991,12 +1046,10 @@ class TestCertifiedRadius:
             bits = analysis.pattern_from_trace(
                 spec, netbuild.forward_matrices(spec, mats, X)).bits()
             _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
-        if len(X) > 1 and stages and len(stages[0]) == 1:
-            # the live path takes each row's radius on its own, stage by
-            # stage, one row after another: stack each stage's rows
-            per_row = len(stages) // len(X)
-            stages = [np.concatenate(stages[j::per_row]) for j in range(per_row)]
-        return stages, rho
+        # the kernel takes each row's radius on its own, stage by stage, one
+        # row after another: stack each stage's rows
+        per_row = len(stages) // len(X)
+        return [np.concatenate(stages[j::per_row]) for j in range(per_row)], rho
 
     @staticmethod
     def trace_pres(spec, trace) -> list:
@@ -1009,11 +1062,13 @@ class TestCertifiedRadius:
             pres += trace.dec_pre[::-1]
         return pres
 
+    @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
     def test_rows_times_input_are_the_pre_activations(self, monkeypatch, skip,
-                                                      nonlinearity, rng):
-        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+                                                      nonlinearity, unequal_m, rng):
+        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity,
+                         m_list=[5, 4, 6] if unequal_m else None)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         X = rng.standard_normal((40, spec.d[0]))
         stages, rho = self.kernel_rows(monkeypatch, spec, mats, X)
@@ -1033,12 +1088,15 @@ class TestCertifiedRadius:
             zeros += int(np.sum(pre == 0.0))
         assert (zeros > 0) == (nonlinearity != "none")  # the zero-row case is exercised
 
+    @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
-    def test_a_mask_bit_against_its_row_gives_radius_zero(self, skip, nonlinearity, rng):
+    def test_a_mask_bit_against_its_row_gives_radius_zero(self, skip, nonlinearity, unequal_m,
+                                                          rng):
         # flip the first encoder unit's bit of row 0: the bits no longer are
         # x's own pattern, so no ball about x is certified
-        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity,
+                         m_list=[5, 4, 6] if unequal_m else None)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         X = rng.standard_normal((4, spec.d[0]))
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()

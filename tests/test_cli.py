@@ -204,7 +204,7 @@ class TestOverflow:
         assert "overflowed" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_identity_error_is_nan(self, tmp_path, kernel_path):
+    def test_identity_error_is_nan(self, tmp_path):
         # the frame pair drops dead units, and a stage with none keeps one,
         # so the overflow still reaches the map
         out = tmp_path / "out"
@@ -715,6 +715,24 @@ class TestLandscapeChecks:
         assert stationarity["checked"] == sum(e["conditions_hold"] for e in levels)
         assert failures == []
 
+    def test_report_prints_every_check_count(self, tmp_path, capsys):
+        # a check line carries every evidence field, a count as an integer
+        cfg = base_config(network=README_NETWORK, bank={"source": "random"},
+                          analyses=["landscape", "regions"], enforce=[],
+                          landscape={"samples": 3}, sampler={"count": 20})
+        out = tmp_path / "out"
+        assert cli.main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())["results"]
+        sandwich = report["landscape"]["checks"][0]
+        census = report["regions"]
+        capsys.readouterr()
+        assert cli.main(["report", str(out / "report.json")]) == 0
+        text = capsys.readouterr().out
+        assert (f"  PASS gradient_sandwich  tol={sandwich['tol']:.1e} "
+                f"checked={sandwich['checked']}\n") in text
+        assert f" distinct={census['distinct']} nrep={census['nrep']}\n" in text
+        assert "certificates" not in text and "stationarity " not in text
+
 
 class TestRegionBound:
     @pytest.mark.xfail(strict=True, reason=(
@@ -1025,6 +1043,18 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert "config field 'network.q'" in err and "3 < 2 * 2 at layer 2" in err
 
+    def test_frame_rule_names_network_m_before_any_bank(self, tmp_path, capsys, monkeypatch):
+        # the bank builder's own equal-m rule names no config field
+        def build(*args, **kwargs):
+            raise AssertionError("a bank was built")
+
+        monkeypatch.setattr(cli.frames, "frame_bank", build)
+        cfg = base_config(network={**README_NETWORK, "m": [8, 4, 4]},
+                          analyses=["frames"], enforce=[])
+        assert cli.main(["run", write_config(tmp_path, cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config field 'network.m'") and "[8, 4, 4]" in err
+
     @pytest.mark.parametrize("out", ["taken", "taken/sub"])
     def test_output_directory_that_cannot_be_made_exits_one(self, tmp_path, capsys, out):
         # a file in the place of the directory, or of its parent, used to
@@ -1120,7 +1150,10 @@ class TestSubcommands:
         train = json.loads((out / "report.json").read_text())["results"]["train"]
         assert isinstance(train["backtracks"], int) and train["backtracks"] >= 0
         assert cli.main(["report", str(out / "report.json")]) == 0
-        assert f"  {'backtracks':<24} {train['backtracks']}\n" in capsys.readouterr().out
+        text = capsys.readouterr().out
+        assert f"  {'backtracks':<24} {train['backtracks']}\n" in text
+        # the curves are in loss_curve.csv: the report prints no array whole
+        assert "  losses " not in text and "  grad_norms " not in text
 
     def test_report_pretty_printer(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path, base_config())
@@ -1139,7 +1172,13 @@ class TestSubcommands:
         ({"results": {"x": {"checks": [{"passed": True}]}}},
          "field 'results.x.checks[0]' must be a JSON object with 'name' and 'passed'"),
         (base_config(), "field 'results' must be a JSON object, got None"),
-    ], ids=["top-level-list", "results-entry-number", "check-without-name", "config"])
+        ({"results": {"landscape": {"checks": [{"name": "c", "passed": True, "tol": 1.0},
+                                               {"name": "c", "passed": True, "checked": "x"}]}}},
+         "field 'results.landscape.checks[1].checked' must be a number, got 'x'"),
+        ({"results": {"x": {"checks": [{"name": "c", "passed": True, "value": True}]}}},
+         "field 'results.x.checks[0].value' must be a number, got True"),
+    ], ids=["top-level-list", "results-entry-number", "check-without-name", "config",
+            "count-not-a-number", "value-a-bool"])
     def test_report_rejects_a_file_that_is_not_a_report(self, tmp_path, capsys, body, part):
         path = tmp_path / "other.json"
         path.write_text(json.dumps(body))
