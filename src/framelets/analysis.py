@@ -601,18 +601,18 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8,
 
 
 def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference Jacobian from one forward over the stencil.
+    """One-sided finite-difference Jacobian from one forward over the stencil.
 
-    The (2 d_0, d_0) stencil stacks x + step e_i over x - step e_i; column
-    i of the result is (F(x + step e_i) - F(x - step e_i)) / (2 step).
-    The stencil reads no mask, only the outputs, so it goes through
-    :func:`netbuild.forward_y`, one GEMM per operator and no trace: a
-    column may differ from evaluating it on its own by rounding, a few eps
-    of max |F| over step.  The result is C-contiguous, so norms over it
-    sum in row-major order.
+    The (d_0 + 1, d_0) stencil stacks x over x + step e_i; column i of the
+    result is (F(x + step e_i) - F(x)) / step.  Where x's certified
+    in-region radius exceeds ``step`` (the ``jacobian`` screen's rule), F
+    is linear on the whole stencil, so a central difference would gain no
+    accuracy for its 2 d_0 rows.  The stencil reads no mask, only the
+    outputs, so it goes through :func:`netbuild.forward_y`, one GEMM per
+    operator and no trace: a column may differ from evaluating it on its
+    own by rounding, a few eps of max |F| over step.  The result is
+    C-contiguous, so norms over it sum in row-major order.
     """
     x = np.asarray(x, dtype=float)
-    d0 = spec.d[0]
-    shift = step * np.eye(d0)
-    y = forward_y(spec, mats, np.concatenate([x + shift, x - shift]))
-    return np.ascontiguousarray(((y[:d0] - y[d0:]) / (2.0 * step)).T)
+    y = forward_y(spec, mats, np.concatenate([x[None], x + step * np.eye(spec.d[0])]))
+    return np.ascontiguousarray(((y[1:] - y[0]) / step).T)

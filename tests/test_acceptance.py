@@ -166,7 +166,7 @@ def test_criterion_4_lipschitz():
 
 
 def test_criterion_5_jacobian():
-    """Analytic region map vs central differences on 200 safe instances."""
+    """Analytic region map vs one-sided differences on 200 safe instances."""
     worst = 0.0
     done = 0
     for bank_seed in range(20):

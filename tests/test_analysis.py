@@ -888,30 +888,32 @@ class TestJacobian:
         # bank's 1/sqrt(r q) scaling keep at O(max |y|).  So one output
         # moves by at most 2 N eps max|y|, N the total length of the
         # stages' sums, and a column, a difference of two outputs over
-        # 2 step, by 2 N eps max|y| / step.  Measured drift is a few such
-        # units; an indexing, sign or transposition error is O(1).
+        # step, by twice that over step if the two errors align with
+        # opposite signs.  The test holds a column to half of that,
+        # 2 N eps max|y| / step: over 800 draws the drift read at most 0.43
+        # of it; an indexing, sign or transposition error is O(1).
         N = sum(spec.d[:-1]) + sum(spec.d[1:]) + (sum(spec.s) if spec.skip else 0)
         d0 = spec.d[0]
         for _ in range(5):
             x = rng.standard_normal(d0)
             # the one-column-at-a-time loop the stencil forward replaced
             want = np.zeros((d0, d0))
-            ys = []
+            f0 = netbuild.forward_matrices(spec, mats, x).y
+            ys = [f0]
             for i in range(d0):
                 e = np.zeros(d0)
                 e[i] = step
                 fp = netbuild.forward_matrices(spec, mats, x + e).y
-                fm = netbuild.forward_matrices(spec, mats, x - e).y
-                ys += [fp, fm]
-                want[:, i] = (fp - fm) / (2.0 * step)
+                ys.append(fp)
+                want[:, i] = (fp - f0) / step
             got = analysis.fd_jacobian(spec, mats, x, step=step)
             bound = 2 * N * np.finfo(float).eps * np.max(np.abs(ys)) / step
             assert np.max(np.abs(got - want)) <= bound
             assert got.flags.c_contiguous
             # exactly the stacked stencil's GEMM forward
             shift = step * np.eye(d0)
-            Y = oracles.gemm_forward(spec, mats, np.concatenate([x + shift, x - shift])).y
-            assert np.array_equal(got, ((Y[:d0] - Y[d0:]) / (2.0 * step)).T)
+            Y = oracles.gemm_forward(spec, mats, np.concatenate([x[None], x + shift])).y
+            assert np.array_equal(got, ((Y[1:] - Y[0]) / step).T)
 
     @pytest.mark.parametrize("skip", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -959,7 +961,7 @@ class TestJacobian:
         assert blocks > 1
         assert block["attempts"] == last + 1
         assert made == blocks
-        assert forward_y_calls == [(2 * spec.d[0], spec.d[0])] * params["count"]
+        assert forward_y_calls == [(spec.d[0] + 1, spec.d[0])] * params["count"]
         assert block["instances"] == params["count"]
 
     def test_kink_margin_error(self):
@@ -970,7 +972,6 @@ class TestJacobian:
             analysis.jacobian_analytic(spec, mats, np.zeros(spec.d[0]))
 
 
-@pytest.mark.usefixtures("kernel_path")
 class TestPlusMinusPairNets:
     """Closed-form oracles at d_0 = 16 and 64 (oracles.pm_pair_bank): with
     the ReLU on, a relu_encoder net is the identity, every region map I,
@@ -992,6 +993,7 @@ class TestPlusMinusPairNets:
             for got in maps:
                 assert np.max(np.abs(got - W)) <= 1e-14
 
+    @pytest.mark.usefixtures("kernel_path")
     @pytest.mark.parametrize("d0", [16, 64])
     def test_relu_encoder_net_is_the_identity(self, d0, rng):
         spec, mats = self.net(d0, "relu_encoder")
@@ -1002,6 +1004,20 @@ class TestPlusMinusPairNets:
         assert census.distinct == 20  # a pattern per sample, one map
         assert all(abs(reg.lipschitz - 1.0) <= 1e-14 for reg in census.regions)
 
+    @pytest.mark.parametrize("step", [1e-6, 1e-3])
+    @pytest.mark.parametrize("d0", [16, 64])
+    def test_relu_encoder_stencil_is_the_identity(self, d0, step, rng):
+        # F(x) = x everywhere, so each column of the one-sided stencil is
+        # e_i up to the rounding bound of the column-loop test
+        spec, mats = self.net(d0, "relu_encoder")
+        N = sum(spec.d[:-1]) + sum(spec.d[1:])
+        for x in rng.standard_normal((4, d0)):
+            y = netbuild.forward_y(spec, mats, np.concatenate([x[None], x + step * np.eye(d0)]))
+            bound = 2 * N * np.finfo(float).eps * np.max(np.abs(y)) / step
+            got = analysis.fd_jacobian(spec, mats, x, step=step)
+            assert np.max(np.abs(got - np.eye(d0))) <= bound
+
+    @pytest.mark.usefixtures("kernel_path")
     @pytest.mark.parametrize("d0", [16, 64])
     def test_relu_net_maps_are_the_orthant_masks(self, d0, rng):
         # the inner decoder ReLU sees h >= 0, exact zeros up to rounding, so
@@ -1014,6 +1030,7 @@ class TestPlusMinusPairNets:
         self.assert_maps(spec, mats, X, [np.diag(x > 0.0).astype(float) for x in X],
                          jacobian=False)
 
+    @pytest.mark.usefixtures("kernel_path")
     @pytest.mark.parametrize("d0", [16, 64])
     def test_checks_pass_with_the_relu_on(self, d0, tmp_path):
         # the paper's perfect reconstruction of the nonlinear frame
@@ -1153,6 +1170,37 @@ class TestCertifiedRadius:
             _, got = self.kernel_rows(monkeypatch, spec, mats, x[None])
             assert got[0] == pytest.approx(t, rel=1e-6)
             assert radius_accepts(spec, mats, x, margin, step) == accepted
+
+    @pytest.mark.parametrize("step", [1e-6, 1e-3])
+    @pytest.mark.parametrize("net", [
+        *(pytest.param((skip, nonlinearity), id=f"{skip}-{nonlinearity}")
+          for skip in (False, True) for nonlinearity in netbuild.NONLINEARITIES),
+        "edge",
+    ])
+    def test_accepted_draws_keep_the_whole_stencil_in_their_region(self, net, step, rng):
+        # rho > step puts every row of fd_jacobian's stencil [x; x + step I]
+        # in x's region: each row's row-exact pattern is x's own.  "edge" is
+        # the d_0 = 64 frame-bank net of the benchmark's verify-d64, bank 0
+        if net == "edge":
+            spec, bank = make_frame_pair(kappa=2, m=64, skip=True, nonlinearity="relu",
+                                         seed=derive(1234, "bank"))
+            X = rng.standard_normal((128, spec.d[0]))
+        else:
+            skip, nonlinearity = net
+            spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+            bank = netbuild.random_bank(spec, seed=3)
+            X = rng.standard_normal((200, spec.d[0]))
+        mats = netbuild.realize(spec, bank)
+        margin = cli.validate("jacobian", {})["margin"]
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+        accepted = (rho >= margin) & (rho > step)
+        assert accepted.sum() >= len(X) // 10
+        for x, own in zip(X[accepted], bits[accepted]):
+            stencil = np.concatenate([x[None], x + step * np.eye(spec.d[0])])
+            got = analysis.pattern_from_trace(
+                spec, netbuild.forward_matrices(spec, mats, stencil)).bits()
+            assert np.array_equal(got, np.broadcast_to(own, got.shape))
 
 
 class TestSignRegionOracle:

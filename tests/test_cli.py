@@ -568,7 +568,7 @@ class TestForwardCounts:
         assert set(report["results"]) == set(cli.ANALYSES)
         d0 = README_NETWORK["m"][0] * README_NETWORK["q"][0]
         assert report["results"]["jacobian"]["instances"] == 3
-        assert forward_y_calls == ["fd_jacobian", (2 * d0, d0)] * 3
+        assert forward_y_calls == ["fd_jacobian", (d0 + 1, d0)] * 3
         assert len(forward_calls) > 2 * 3  # the other analyses forwarded too
 
 

@@ -262,7 +262,6 @@ class TestStackedSamplesAreExact:
             oracles.fd_grad_enc(spec, mats, data)
 
 
-@pytest.mark.usefixtures("kernel_path")
 class TestDecoderAdjoint:
     """The pass's dual prefixes and its backward trace down the decoder run the
     decoder adjoint; each equals its reference recursion exactly."""
