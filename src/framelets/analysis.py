@@ -1,24 +1,25 @@
 """Per-input piecewise-linear analysis of a realized network.
 
-For a fixed input x, the ReLU on/off decisions form an
-:class:`ActivationPattern`; freezing the pattern turns the network into
-a linear map that factors as B_tilde(x) B(x)' through the input-dependent
-frame pair built by :func:`linear_rep`.  Two recursions carry frozen
-masks, rows of a bit matrix.  The forward recursion (:func:`_forward`)
-runs the masked network on the identity: its encoder half, X_l =
-(X_{l-1} E^l) * enc_l with the skip products K_l, is the frame B, and its
-decoder half the Jacobian's maps.  The reverse pass, :func:`adjoint`, T_l
-= (T_{l-1} * dec_l) D^l from a co-probe, then :func:`encoder_adjoint`,
-gives B_tilde, ``landscape``'s backward trace and the region maps.  The
+For a fixed input x, the ReLU on/off decisions form its activation
+pattern, one row of mask bits (:func:`pattern_from_trace`) that only
+:func:`_masks` splits into stages and checks; freezing it turns the
+network into a linear map that factors as B_tilde(x) B(x)' through the
+input-dependent frame pair built by :func:`linear_rep`.  Two recursions
+carry frozen masks.  The forward recursion (:func:`_forward`) runs the
+masked network on the identity: its encoder half, X_l = (X_{l-1} E^l) *
+enc_l with the skip products K_l, is the frame B, and its decoder half
+the Jacobian's maps.  The reverse pass, :func:`adjoint`, T_l = (T_{l-1}
+* dec_l) D^l from a co-probe, then :func:`encoder_adjoint`, gives
+B_tilde, ``landscape``'s backward trace and the region maps.  The
 forward recursion runs one pattern row at a time, over only the units the
 pattern leaves on.  The reverse pass takes one column choice per net
 (:func:`_live`): every column of a block through batched matmul on small
 nets, each row over its live units on large ones.  On top of them sit a
-sampling census of activation patterns with the expressiveness
-bound, exact local Lipschitz constants (the spectral norm of each region
-map), and the analytic Jacobian with its finite-difference cross-check,
-taken only where the input's certified in-region radius (read from the
-rows the kernel forms anyway) keeps the stencil in its region.
+sampling census of activation patterns with the expressiveness bound,
+exact local Lipschitz constants (the spectral norm of each region map),
+and the analytic Jacobian with its finite-difference cross-check, taken
+only where the input's certified in-region radius (read from the rows
+the kernel forms anyway) keeps the stencil in its region.
 
 The census draws all its inputs as one block from one seeded stream
 (:func:`census_inputs`), so a region is named by the index of its first
@@ -38,7 +39,6 @@ from .seeding import rng
 
 __all__ = [
     "KinkMarginError",
-    "ActivationPattern",
     "LinearRep",
     "CensusConfig",
     "RegionInfo",
@@ -82,43 +82,26 @@ class KinkMarginError(ValueError):
     """An input sits too close to a ReLU kink for derivative work."""
 
 
-@dataclass(frozen=True, eq=False)
-class ActivationPattern:
-    """Binary ReLU masks of one input (or a stack of N); the key to a linear region.
-
-    enc[l-1] length d_l, skip[l-1] length s_l (skip nets only), dec[l-1]
-    length d_{l-1}, each with a leading N axis when stacked.  Stages without
-    a ReLU carry all-ones masks so the masked products stay uniform.  A mask
-    bit is set iff the pre-activation is strictly positive: exact zeros are
-    inactive.
-    """
-
-    enc: tuple
-    skip: tuple | None
-    dec: tuple
-
-    def bits(self) -> np.ndarray:
-        """The masks end to end (enc, skip, dec) as uint8; (N, n_bits) if stacked."""
-        return np.concatenate([*self.enc, *(self.skip or ()), *self.dec], axis=-1,
-                              dtype=np.uint8)
-
-
-def pattern_from_trace(spec: NetworkSpec, trace) -> ActivationPattern:
-    """Activation pattern of a trace: pre-activation > 0, or all ones where a
-    stage has no ReLU.  Of a stacked trace, the stacked pattern whose row i
-    is row i's own (``bits()`` gives :func:`region_maps` its input)."""
+def pattern_from_trace(spec: NetworkSpec, trace) -> np.ndarray:
+    """A trace's mask bits, uint8 in :func:`_masks` order: (n_bits,) of one input,
+    (N, n_bits) of a stack.  A bit is set iff its pre-activation is > 0 (a zero
+    is inactive); a stage without a ReLU is all ones, so masking it changes nothing."""
     enc_on, dec_on = spec.relu_at_encoder(), spec.relu_at_decoder()
     stages = [(trace.enc_pre, enc_on), (trace.skip_pre or [], enc_on), (trace.dec_pre, dec_on)]
-    masks = [pre > 0 if relu else np.ones(pre.shape, dtype=bool)
-             for pres, relu in stages for pre in pres]
-    k = spec.kappa
-    return ActivationPattern(enc=tuple(masks[:k]), dec=tuple(masks[-k:]),
-                             skip=tuple(masks[k:2 * k]) if spec.skip else None)
+    return np.concatenate([pre > 0 if relu else np.ones(pre.shape, dtype=bool)
+                           for pres, relu in stages for pre in pres], axis=-1, dtype=np.uint8)
 
 
-def extract_pattern(spec: NetworkSpec, mats, x) -> ActivationPattern:
-    """Run a forward pass and read off the activation pattern of x."""
+def extract_pattern(spec: NetworkSpec, mats, x) -> np.ndarray:
+    """Run a forward pass and read off the mask bits of x (or of each row)."""
     return pattern_from_trace(spec, forward_matrices(spec, mats, x))
+
+
+def _one_input(spec: NetworkSpec, x) -> np.ndarray:
+    x = np.asarray(x, dtype=float)
+    if x.shape != (spec.d[0],):
+        raise ValueError(f"input has shape {x.shape}, expected ({spec.d[0]},)")
+    return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,7 +115,6 @@ class LinearRep:
     row of B_tilde.  ``B`` and ``B_tilde`` are formed at full size on read.
     """
 
-    pattern: ActivationPattern
     rows: np.ndarray
     cols: np.ndarray
     frame: np.ndarray
@@ -159,7 +141,7 @@ class LinearRep:
 
 
 def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
-    """Frame pair of the region containing x (or of an explicit pattern).
+    """Frame pair of the region of one input x (or of one explicit pattern row).
 
     B is [X_kappa | K_kappa ... K_1] of the forward recursion
     (:func:`_forward`) on the pattern's one row; B_tilde, the masked dual
@@ -171,8 +153,10 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     if pattern is None:
         if x is None:
             raise ValueError("need an input x or an explicit pattern")
-        pattern = extract_pattern(spec, mats, x)
-    k, masks = spec.kappa, _masks(spec, pattern.bits()[None])
+        pattern = extract_pattern(spec, mats, _one_input(spec, x))
+    elif np.ndim(pattern) != 1:
+        raise ValueError(f"pattern has shape {np.shape(pattern)}, expected one row (n_bits,)")
+    k, masks = spec.kappa, _masks(spec, np.asarray(pattern)[None])
     live = _units(masks)
     X, K, _ = _forward(spec, mats, masks, live)
     T, H, _ = zip(*adjoint(spec, mats, None, None, live))
@@ -182,7 +166,7 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     stages = [k - 1, *(range(2 * k - 1, k - 1, -1) if spec.skip else ())]
     at = accumulate((masks[j].shape[-1] for j in stages), initial=0)
     cols = np.concatenate([a + live[0][j] for a, j in zip(at, stages)])
-    return LinearRep(pattern, live[0][-k], cols, frame, dual, spec.feature_dim)
+    return LinearRep(live[0][-k], cols, frame, dual, spec.feature_dim)
 
 
 def _radius(rho, P, x, mask) -> None:
@@ -215,9 +199,11 @@ def _live(spec: NetworkSpec) -> bool:
 
 
 def _masks(spec: NetworkSpec, bits) -> list:
-    """The (n, 1, w) mask views of a block's bit rows: enc_1 .. enc_kappa,
-    skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa."""
+    """The (n, 1, w) views of (n, n_bits) bit rows, else ValueError: enc_1 ..
+    enc_kappa, skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa."""
     ends = list(accumulate([*spec.d[1:], *(spec.s if spec.skip else ()), *spec.d[:spec.kappa]]))
+    if bits.ndim != 2 or bits.shape[1] != ends[-1]:
+        raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {ends[-1]})")
     return [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
 
 
@@ -337,8 +323,8 @@ def _map_blocks(spec: NetworkSpec, mats, blocks):
     one buffer: the Jacobian's kernel (a map alone comes cheaper from
     :func:`region_maps`).
 
-    ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array in
-    ``ActivationPattern.bits()`` order, none longer than the first (a
+    ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array of
+    :func:`pattern_from_trace` rows, none longer than the first (a
     longer one fails on its buffer's shape), and its (n, d_0) inputs.  Each
     row goes through :func:`_forward` with its decoder half, its compact
     Y_0 scattered into its zeroed row of one (n, d_0, d_0) buffer, and this
@@ -402,19 +388,15 @@ def _reverse_blocks(spec: NetworkSpec, mats, counts, bits_of):
 def region_maps(spec: NetworkSpec, mats, bits) -> np.ndarray:
     """Region maps B_tilde B' of N patterns, shape (N, d_0, d_0).
 
-    ``bits`` holds one pattern per row in ``ActivationPattern.bits()`` order
-    (a stacked pattern's ``bits()``, or unpacked census keys), split per
-    block into its mask columns.  A map's rows off the live units of dec_1
-    are exactly 0; the reverse pass (:func:`_reverse_blocks`) forms the
-    others, the census's rows bit for bit.  Every row is bit-identical to a
-    one-pattern call.
+    ``bits`` holds one pattern per row (a stacked :func:`pattern_from_trace`,
+    or unpacked census keys), split per block into its mask columns.  A
+    map's rows off the live units of dec_1 are exactly 0; the reverse pass
+    (:func:`_reverse_blocks`) forms the others, the census's rows bit for
+    bit.  Every row is bit-identical to a one-pattern call.
     """
-    n_bits = sum(spec.d[1:]) + sum(spec.s if spec.skip else ()) + sum(spec.d[:spec.kappa])
     bits = np.asarray(bits)
-    if bits.ndim != 2 or bits.shape[1] != n_bits:
-        raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {n_bits})")
-    out = np.zeros((len(bits), spec.d[0], spec.d[0]))
     counts = _masks(spec, bits)[-spec.kappa][:, 0].sum(axis=1)  # the live outputs
+    out = np.zeros((len(bits), spec.d[0], spec.d[0]))
     for rows, G, outputs in _reverse_blocks(spec, mats, counts, bits.__getitem__):
         out[rows[:, None], outputs] = G
     return out
@@ -548,7 +530,7 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
         if not all(np.isfinite(pre).all() for pres in (trace.enc_pre, trace.skip_pre or (),
                                                        trace.dec_pre) for pre in pres):
             raise ValueError(_OVERFLOW)
-        bits = pattern_from_trace(spec, trace).bits()
+        bits = pattern_from_trace(spec, trace)
         del trace  # the block's trace is dropped here
         packed.append(np.packbits(bits, axis=1))
     n_bits, packed = bits.shape[1], np.concatenate(packed)  # n_bits: the same in every block
@@ -589,9 +571,8 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8,
     in x's region; otherwise raises KinkMarginError advising a resample.
     A NaN rho (an overflowing pass) is accepted.
     """
-    x = np.asarray(x, dtype=float)
-    bits = extract_pattern(spec, mats, x).bits()[None]
-    Y, rho = next(_map_blocks(spec, mats, [(bits, x[None])]))
+    x = _one_input(spec, x)
+    Y, rho = next(_map_blocks(spec, mats, [(extract_pattern(spec, mats, x)[None], x[None])]))
     if rho[0] < margin or rho[0] <= step:
         raise KinkMarginError(
             f"input is {rho[0]:.3e} from the nearest ReLU kink of its region "

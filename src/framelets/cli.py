@@ -374,8 +374,7 @@ def run_jacobian(ctx: Context, params: dict) -> dict:
         while drawn < cap:
             block = gen.standard_normal((min(analysis._ROWS, cap - drawn), spec.d[0]))
             drawn += len(block)
-            bits = analysis.pattern_from_trace(
-                spec, netbuild.forward_matrices(spec, mats, block)).bits()
+            bits = analysis.extract_pattern(spec, mats, block)
             for at in range(len(block)):
                 pending.append(block[at])
                 yield bits[at:at + 1], block[at:at + 1]

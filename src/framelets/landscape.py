@@ -12,8 +12,7 @@ Two derivative notions live here and must not be confused:
   which is the real parameterization.
 
 Both are cross-checked against central finite differences in the test
-suite.  ReLU derivative at zero is 0, matching the mask convention; any
-derivative-based check should respect the kink margin.
+suite.  The ReLU derivative at zero is 0, matching the mask convention.
 
 :func:`training_pass` forwards the training set once, as one (T, d_0)
 stack, and traces the cost back through that stack once: the backward
@@ -41,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .analysis import ActivationPattern, adjoint, encoder_adjoint, pattern_from_trace
+from .analysis import _masks, adjoint, encoder_adjoint, pattern_from_trace
 from .netbuild import (
     ForwardTrace,
     LayerBank,
@@ -117,12 +116,12 @@ class Pass:
     """The training set after one stacked forward and one backward trace through
     ``mats``; row i of every array is sample i.  ``d_enc``, ``d_skip`` and
     ``d_dec`` hold the cost's derivative at the trace's enc_pre, skip_pre and
-    dec_pre (index l-1)."""
+    dec_pre (index l-1); ``pattern`` holds the (T, n_bits) mask-bit rows."""
 
     spec: NetworkSpec
     mats: tuple
     trace: ForwardTrace
-    pattern: ActivationPattern
+    pattern: np.ndarray
     cost: float
     d_enc: list
     d_skip: list
@@ -163,11 +162,16 @@ class Pass:
         return float(np.sqrt(np.einsum("ij,ij->", g, g)))
 
     @cached_property
+    def masks(self) -> list:
+        """The (T, 1, w) mask views of ``pattern`` (:func:`analysis._masks`)."""
+        return _masks(self.spec, self.pattern)
+
+    @cached_property
     def dual(self) -> list:
         """The masked dual-chain prefixes [I, T_1 .. T_kappa], T_l stacked over
         the samples: the decoder :func:`analysis.adjoint` from the co-probe I,
         formed on first read."""
-        dec, I = [m[:, None] for m in self.pattern.dec], np.eye(self.spec.d[0])
+        dec, I = self.masks[-self.spec.kappa:], np.eye(self.spec.d[0])
         return [I, *(T for T, _, _ in adjoint(self.spec, self.mats, dec, I, hang=False))]
 
     @property
@@ -185,11 +189,11 @@ def training_pass(spec: NetworkSpec, mats, data: TrainingSet) -> Pass:
     Each row is bit-identical to its one-sample trace.
     """
     trace = forward_matrices(spec, mats, data.X.T)
-    p, res = pattern_from_trace(spec, trace), trace.y - data.Y.T
-    enc, skip, dec = ([m[:, None] for m in ms or ()] for ms in (p.enc, p.skip, p.dec))
-    T, H, U = zip(*adjoint(spec, mats, dec, res[:, None]))
-    _, V, W = encoder_adjoint(spec, mats, enc, skip, T[-1], H)
-    return Pass(spec, mats, trace, p, _cost(res), *([v[:, 0] for v in vs] for vs in (V, W, U)))
+    bits, res, k = pattern_from_trace(spec, trace), trace.y - data.Y.T, spec.kappa
+    masks = _masks(spec, bits)
+    T, H, U = zip(*adjoint(spec, mats, masks[-k:], res[:, None]))
+    _, V, W = encoder_adjoint(spec, mats, masks[:k], masks[k:-k], T[-1], H)
+    return Pass(spec, mats, trace, bits, _cost(res), *([v[:, 0] for v in vs] for vs in (V, W, U)))
 
 
 def _sigma_extremes(A: np.ndarray, name: str) -> tuple:
@@ -249,11 +253,11 @@ def _sandwich(p: Pass, kind: str, name: str, l: int, prefix: np.ndarray, mask: n
     """The singular-value sandwich for the gradient of operator ``name`` of
     layer l: lower = sigma_min(features) * min_i sigma_min(masked dual prefix)
     * sqrt(2 loss), upper analogously with maxima.  ``prefix`` is a stacked
-    prefix of :attr:`Pass.dual` and ``mask`` its (T, .) masks; ``features``
+    prefix of :attr:`Pass.dual` and ``mask`` its (T, 1, .) masks; ``features``
     are the (T, .) rows the gradient's sample outer products read, ``what``
     names them in the non-finite error.  Applicable when every precondition
     holds."""
-    mins, maxs = _sigma_extremes(mask[..., None] * np.swapaxes(prefix, -1, -2),
+    mins, maxs = _sigma_extremes(np.swapaxes(mask * prefix, -1, -2),
                                  "masked dual-chain prefix")
     f_min, f_max = _sigma_extremes(features.T, what)
     root = np.sqrt(2.0 * p.cost)
@@ -285,7 +289,7 @@ def certify_bounds_skip(p: Pass, l: int) -> BoundCertificate:
     spec = p.spec
     if not spec.skip:
         raise ValueError("skip certificates need a skip network")
-    return _sandwich(p, "skip", "S_tilde", l, p.dual[l - 1], p.pattern.dec[l - 1],
+    return _sandwich(p, "skip", "S_tilde", l, p.dual[l - 1], p.masks[l - 1 - spec.kappa],
                      p.trace.skip[l - 1], "skip feature matrix", {
                          "s_l_ge_T": spec.s[l - 1] >= p.T,
                          "d_prev_ge_d0": spec.d[l - 1] >= spec.d[0],
@@ -301,7 +305,7 @@ def certify_bounds_enc(p: Pass) -> BoundCertificate:
     bottleneck output features instead, for side-by-side comparison.
     """
     spec, kappa = p.spec, p.spec.kappa
-    cert = _sandwich(p, "encoder", "E", kappa, p.dual[kappa], p.pattern.enc[kappa - 1],
+    cert = _sandwich(p, "encoder", "E", kappa, p.dual[kappa], p.masks[kappa - 1],
                      [p.trace.x, *p.trace.enc][kappa - 1], "encoder feature matrix", {
                          "d_prev_ge_T": spec.d[kappa - 1] >= p.T,
                          "d_kappa_ge_d0": spec.d[kappa] >= spec.d[0],
@@ -360,7 +364,7 @@ def check_stationarity(p: Pass, pos_tol: float = 1e-12,
     for l in range(1, spec.kappa + 1):
         gamma_rank = int(_rank(p.trace.skip[l - 1].T))
         gamma_full = gamma_rank == p.T
-        rows_full = bool(np.all(_rank(p.dual[l - 1] * p.pattern.dec[l - 1][:, None]) == spec.d[0]))
+        rows_full = bool(np.all(_rank(p.dual[l - 1] * p.masks[l - 1 - spec.kappa]) == spec.d[0]))
         conditions = gamma_full and rows_full
         gnorm = p.grad_norm("S_tilde", l)
         entry = {

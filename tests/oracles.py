@@ -420,67 +420,88 @@ def pm_pair_bank(spec, alpha: float = 1.0, seed: int = 0,
                               pool=tuple(pool), unpool=tuple(unpool))
 
 
-def pattern_key(pattern: analysis.ActivationPattern) -> bytes:
-    """One input's pattern as a key: its n_bits as 4 little-endian bytes,
-    then its packed mask bits, the bytes of a census region's pattern hex."""
-    bits = pattern.bits()
+def stages(spec, bits) -> tuple:
+    """Split mask-bit rows, (n_bits,) or (N, n_bits), into (enc, skip, dec):
+    enc[l-1] the d_l columns of enc_l, skip[l-1] the s_l of skip_l (None
+    without skips), dec[l-1] the d_{l-1} of dec_l, in that order along the
+    last axis.  The offsets are counted here from the spec, not taken from
+    ``analysis._masks``, so the split is an independent reference."""
+    bits, groups, at = np.asarray(bits), [], 0
+    for widths in (spec.d[1:], spec.s if spec.skip else (), spec.d[:spec.kappa]):
+        group = []
+        for w in widths:
+            group.append(bits[..., at:at + w])
+            at += w
+        groups.append(tuple(group))
+    if bits.shape[-1] != at:
+        raise ValueError(f"{bits.shape[-1]} mask bits, the net has {at}")
+    enc, skip, dec = groups
+    return enc, skip if spec.skip else None, dec
+
+
+def pattern_key(bits) -> bytes:
+    """One input's mask-bit row as a key: its n_bits as 4 little-endian bytes,
+    then its packed bits, the bytes of a census region's pattern hex."""
     return len(bits).to_bytes(4, "little") + np.packbits(bits).tobytes()
 
 
-def chain_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
+def chain_frame(spec, mats, bits) -> np.ndarray:
     """The frame B of one region by its chain prefixes: the reference for the
     frame of the forward recursion (``analysis._forward``).
 
     ups[l] accumulates E^1 ... E^l, each followed by its encoder mask, from
     ups[0] = I; B is ups[kappa], then with skips each prefix ups[l-1]
-    times the masked S^l, newest skip level first.  A stacked pattern
-    gives stacked prefixes past ups[0], row i bit-identical to row i's own.
+    times the masked S^l, newest skip level first.  Stacked bit rows give
+    stacked prefixes past ups[0], row i bit-identical to row i's own.
     """
+    enc, skip, _ = stages(spec, bits)
     ups = [np.eye(spec.d[0])]
     for l in range(1, spec.kappa + 1):
-        ups.append((ups[-1] @ mats[l - 1].E) * pattern.enc[l - 1][..., None, :])
+        ups.append((ups[-1] @ mats[l - 1].E) * enc[l - 1][..., None, :])
     blocks = [ups[spec.kappa]]
     if spec.skip:
-        blocks += [ups[l - 1] @ (mats[l - 1].S * pattern.skip[l - 1][..., None, :])
+        blocks += [ups[l - 1] @ (mats[l - 1].S * skip[l - 1][..., None, :])
                    for l in range(spec.kappa, 0, -1)]
     return np.concatenate(blocks, axis=-1)
 
 
-def dual_chains(spec, mats, pattern: analysis.ActivationPattern) -> list:
+def dual_chains(spec, mats, bits) -> list:
     """Masked dual-chain prefixes tus of one region, kappa + 1 entries: the
     reference for the decoder adjoint from the co-probe I
     (``analysis.adjoint``, read by ``landscape.Pass.dual``).
 
     tus[l] accumulates D^1 ... D^l, each preceded by its decoder mask;
-    tus[0] is the identity.  A stacked pattern gives stacked prefixes past
+    tus[0] is the identity.  Stacked bit rows give stacked prefixes past
     entry 0, row i bit-identical to row i's own call.
     """
+    dec = stages(spec, bits)[2]
     tus = [np.eye(spec.d[0])]
     for l in range(1, spec.kappa + 1):
-        tus.append((tus[-1] * pattern.dec[l - 1][..., None, :]) @ mats[l - 1].D)
+        tus.append((tus[-1] * dec[l - 1][..., None, :]) @ mats[l - 1].D)
     return tus
 
 
-def backward_row(spec, mats, pattern, res: np.ndarray, i: int) -> tuple:
+def backward_row(spec, mats, bits, res: np.ndarray, i: int) -> tuple:
     """Sample i's backward trace of the cost from its residual row ``res``, by
     one-vector ``netbuild._apply`` products: the reference for
     ``landscape.training_pass``'s (d_enc, d_skip, d_dec) rows, each list
-    indexed by layer l-1."""
-    k, d_cur, d_enc, d_skip, d_dec = spec.kappa, res, [], [], []
+    indexed by layer l-1.  ``bits`` holds the (T, n_bits) mask-bit rows."""
+    (enc, skip, dec), k = stages(spec, bits), spec.kappa
+    d_cur, d_enc, d_skip, d_dec = res, [], [], []
     for l in range(1, k + 1):
-        d_dec.append(d_cur * pattern.dec[l - 1][i])
+        d_dec.append(d_cur * dec[l - 1][i])
         d_cur = netbuild._apply(mats[l - 1].D.T, d_dec[-1])
     for l in range(k, 0, -1):
-        d_enc.insert(0, d_cur * pattern.enc[l - 1][i])
+        d_enc.insert(0, d_cur * enc[l - 1][i])
         d_cur = netbuild._apply(mats[l - 1].E, d_enc[0])
         if spec.skip:
             d_skip.insert(0, netbuild._apply(mats[l - 1].S_tilde.T, d_dec[l - 1])
-                          * pattern.skip[l - 1][i])
+                          * skip[l - 1][i])
             d_cur = d_cur + netbuild._apply(mats[l - 1].S, d_skip[0])
     return d_enc, d_skip, d_dec
 
 
-def dual_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
+def dual_frame(spec, mats, bits) -> np.ndarray:
     """The masked dual frame B_tilde of one region by its chain prefixes: the
     reference for ``analysis.linear_rep``'s dual frame.
 
@@ -489,12 +510,13 @@ def dual_frame(spec, mats, pattern: analysis.ActivationPattern) -> np.ndarray:
     level first; the columns of the frame's dead units (the masks
     enc_kappa, skip_kappa .. skip_1) are zeroed, as in B.
     """
-    tus = dual_chains(spec, mats, pattern)
-    blocks, masks = [tus[spec.kappa]], [pattern.enc[-1]]
+    enc, skip, dec = stages(spec, bits)
+    tus = dual_chains(spec, mats, bits)
+    blocks, masks = [tus[spec.kappa]], [enc[-1]]
     if spec.skip:
         for l in range(spec.kappa, 0, -1):
-            blocks.append(tus[l - 1] @ (mats[l - 1].S_tilde * pattern.dec[l - 1][:, None]))
-            masks.append(pattern.skip[l - 1])
+            blocks.append(tus[l - 1] @ (mats[l - 1].S_tilde * dec[l - 1][:, None]))
+            masks.append(skip[l - 1])
     return np.hstack(blocks) * np.concatenate(masks)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -43,7 +44,7 @@ class TestActivationPattern:
         mats = netbuild.realize(spec, bank)
         x = np.full(spec.d[0], 2.0)
         pattern = analysis.extract_pattern(spec, mats, x)
-        for masks in (pattern.enc, pattern.skip, pattern.dec):
+        for masks in oracles.stages(spec, pattern):
             for mask in masks:
                 assert np.all(mask)
 
@@ -52,7 +53,7 @@ class TestActivationPattern:
         bank = netbuild.random_bank(spec, seed=1)
         mats = netbuild.realize(spec, bank)
         pattern = analysis.extract_pattern(spec, mats, np.zeros(spec.d[0]))
-        for masks in (pattern.enc, pattern.skip, pattern.dec):
+        for masks in oracles.stages(spec, pattern):
             for mask in masks:
                 assert not np.any(mask)
 
@@ -63,7 +64,7 @@ class TestActivationPattern:
         pattern = analysis.extract_pattern(
             spec, mats, np.random.default_rng(0).standard_normal(spec.d[0])
         )
-        assert np.all(pattern.dec[0])
+        assert np.all(oracles.stages(spec, pattern)[2][0])
 
     @pytest.mark.parametrize("skip", [False, True])
     def test_frozen_mask_replay_equals_forward(self, skip, rng):
@@ -89,6 +90,43 @@ class TestActivationPattern:
         assert k1 == k2 and hash(k1) == hash(k2)
         assert k1 != k3
 
+    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_stages_round_trip_the_bits(self, skip, nonlinearity, rng):
+        # the oracles' own split of a bit row and analysis._masks agree on
+        # every stage's width, and the stages end to end give the row back
+        spec = map_spec(2, skip, nonlinearity, unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=5))
+        bits = analysis.extract_pattern(spec, mats, rng.standard_normal((6, spec.d[0])))
+        assert bits.dtype == np.uint8 and bits.ndim == 2
+        widths = [mask.shape[-1] for mask in analysis._masks(spec, bits)]
+        for rows in (bits, bits[0]):
+            parts = [mask for group in oracles.stages(spec, rows) for mask in group or ()]
+            assert np.array_equal(np.concatenate(parts, axis=-1), rows)
+            assert [part.shape[-1] for part in parts] == widths
+
+    @pytest.mark.parametrize("skip", [False, True])
+    def test_masks_reject_other_shapes(self, skip, rng):
+        # _masks alone checks a bit array against the layout, for every
+        # caller: rows a bit short and a 3-D stack both fail
+        spec = map_spec(2, skip, "relu", unequal_m=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=5))
+        X = rng.standard_normal((3, spec.d[0]))
+        bits = analysis.extract_pattern(spec, mats, X)
+        n_bits = bits.shape[1]
+
+        def rejects(shape):
+            return pytest.raises(ValueError, match=re.escape(
+                f"pattern bits have shape {shape}, expected (N, {n_bits})"))
+
+        for bad in (bits[:, :-1], bits[None]):
+            with rejects(bad.shape):
+                analysis.region_maps(spec, mats, bad)
+            with rejects(bad.shape):
+                next(analysis._map_blocks(spec, mats, [(bad, X)]))
+        with rejects((1, n_bits - 1)):
+            analysis.linear_rep(spec, mats, pattern=bits[0, :-1])
+
     # the nets are bias-free, so a region is a cone: a positively scaled
     # input has the input's pattern, and a census gains nothing from
     # sampling another radial law (the unit sphere, say)
@@ -99,7 +137,7 @@ class TestActivationPattern:
                                     skip=skip, nonlinearity=nonlinearity)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=seed))
         return spec, lambda X: analysis.pattern_from_trace(
-            spec, netbuild.forward_matrices(spec, mats, X)).bits()
+            spec, netbuild.forward_matrices(spec, mats, X))
 
     @pytest.mark.parametrize("c", [2.0 ** -20, 2.0 ** 20])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -145,10 +183,10 @@ class TestLinearRep:
         mats = netbuild.realize(spec, bank)
         x = rng.standard_normal(spec.d[0])
         trace = netbuild.forward_matrices(spec, mats, x)
-        pattern = analysis.pattern_from_trace(spec, trace)
+        enc = oracles.stages(spec, analysis.pattern_from_trace(spec, trace))[0]
         total = np.zeros((spec.d[0], spec.d[0]))
         for i in range(spec.d[1]):
-            if pattern.enc[0][i]:
+            if enc[0][i]:
                 total += np.outer(mats[0].D[:, i], mats[0].E[:, i])
         np.testing.assert_allclose(total @ x, trace.y, atol=1e-12)
         rep = analysis.linear_rep(spec, mats, x)
@@ -175,9 +213,9 @@ class TestLinearRep:
         spec = map_spec(kappa, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=7))
         for x in rng.standard_normal((6, spec.d[0])):
-            rep = analysis.linear_rep(spec, mats, x)
-            for got, want in ((rep.B_tilde, oracles.dual_frame(spec, mats, rep.pattern)),
-                              (rep.B, oracles.chain_frame(spec, mats, rep.pattern))):
+            rep, bits = analysis.linear_rep(spec, mats, x), analysis.extract_pattern(spec, mats, x)
+            for got, want in ((rep.B_tilde, oracles.dual_frame(spec, mats, bits)),
+                              (rep.B, oracles.chain_frame(spec, mats, bits))):
                 assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("skip", [False, True])
@@ -186,17 +224,34 @@ class TestLinearRep:
         spec = map_spec(2, skip, "relu", unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=7))
         base = analysis.extract_pattern(spec, mats, rng.standard_normal(spec.d[0]))
-        for group in ("enc", "skip", "dec") if skip else ("enc", "dec"):
+        for group in (0, 1, 2) if skip else (0, 2):  # enc, skip, dec
             for l in range(spec.kappa):
-                masks = list(getattr(base, group))
-                masks[l] = np.zeros_like(masks[l])
-                pattern = dataclasses.replace(base, **{group: tuple(masks)})
+                pattern = base.copy()
+                oracles.stages(spec, pattern)[group][l][...] = 0  # a view into the row
                 rep = analysis.linear_rep(spec, mats, pattern=pattern)
-                M = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
+                M = analysis.region_maps(spec, mats, pattern[None])[0]
                 for got, want in ((rep.B_tilde, oracles.dual_frame(spec, mats, pattern)),
                                   (rep.B, oracles.chain_frame(spec, mats, pattern)),
                                   (rep.matrix(), M)):
                     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+    def test_stack_of_inputs_is_rejected(self, rng):
+        # a (3, d_0) stack once came back as a wrong frame pair, its three
+        # pattern rows read as one row's masks
+        spec = make_spec(kappa=2, m=5, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=2))
+        X = rng.standard_normal((3, spec.d[0]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"input has shape (3, {spec.d[0]}), expected ({spec.d[0]},)")):
+            analysis.linear_rep(spec, mats, X)
+
+    def test_stack_of_patterns_is_rejected(self, rng):
+        spec = make_spec(kappa=2, m=5, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=2))
+        bits = analysis.extract_pattern(spec, mats, rng.standard_normal((3, spec.d[0])))
+        with pytest.raises(ValueError, match=re.escape(
+                f"pattern has shape {bits.shape}, expected one row (n_bits,)")):
+            analysis.linear_rep(spec, mats, pattern=bits)
 
     def test_skip_feature_dimension(self, rng):
         spec = make_spec(kappa=3, r=2, m=4, skip=True)
@@ -214,13 +269,13 @@ def map_spec(kappa, skip, nonlinearity, unequal_m):
 
 def forward_map(spec, mats, x) -> np.ndarray:
     """The region map of x by the forward kernel, a one-row block."""
-    bits = analysis.extract_pattern(spec, mats, x).bits()[None]
+    bits = analysis.extract_pattern(spec, mats, x)[None]
     return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[0][0].T.copy()
 
 
 def kernel_duals(spec, mats, pattern) -> list:
     """The masked dual-chain prefixes of a pattern: the adjoint from the co-probe I."""
-    dec, I = [m[..., None, :] for m in pattern.dec], np.eye(spec.d[0])
+    dec, I = [m[..., None, :] for m in oracles.stages(spec, pattern)[2]], np.eye(spec.d[0])
     return [I, *(T for T, _, _ in analysis.adjoint(spec, mats, dec, I, hang=False))]
 
 
@@ -251,8 +306,8 @@ class TestMaskedChains:
         spec = map_spec(kappa, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
         for x in rng.standard_normal((6, spec.d[0])):
-            rep = analysis.linear_rep(spec, mats, x)
-            assert np.array_equal(rep.B, oracles.chain_frame(spec, mats, rep.pattern))
+            rep, bits = analysis.linear_rep(spec, mats, x), analysis.extract_pattern(spec, mats, x)
+            assert np.array_equal(rep.B, oracles.chain_frame(spec, mats, bits))
 
 
 class TestKernelPath:
@@ -272,7 +327,7 @@ class TestKernelPath:
         spec = netbuild.NetworkSpec(kappa=3, r=2, q=(1, 2, 4, 8), m=(16,) * 4, skip=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=derive(1235, "bank")))
         X = rng.standard_normal((6, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         got = []
         for flops in (0, np.inf):
             monkeypatch.setattr(analysis, "_LIVE_FLOPS", flops)
@@ -292,7 +347,7 @@ class TestRegionMaps:
         spec = map_spec(kappa, skip, nonlinearity, unequal_m)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=kappa))
         X = rng.standard_normal((9, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         maps = analysis.region_maps(spec, mats, bits)
         assert maps.shape == (9, spec.d[0], spec.d[0])
         for x, got in zip(X, maps):
@@ -306,12 +361,12 @@ class TestRegionMaps:
         spec = map_spec(2, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((11, spec.d[0]))  # crosses block boundaries
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         maps = analysis.region_maps(spec, mats, bits)
         for x, row, got in zip(X, bits, maps):
             pattern = analysis.extract_pattern(spec, mats, x)
-            assert np.array_equal(row, pattern.bits())
-            assert np.array_equal(got, analysis.region_maps(spec, mats, pattern.bits()[None])[0])
+            assert np.array_equal(row, pattern)
+            assert np.array_equal(got, analysis.region_maps(spec, mats, pattern[None])[0])
         assert analysis.region_maps(spec, mats, bits[:0]).shape == (0, spec.d[0], spec.d[0])
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -322,7 +377,7 @@ class TestRegionMaps:
         spec = map_spec(2, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((11, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         blocks = ((bits[at:at + 4], X[at:at + 4]) for at in (0, 4, 8))
         got = [Y.transpose(0, 2, 1).copy() for Y, _ in analysis._map_blocks(spec, mats, blocks)]
         assert [len(Y) for Y in got] == [4, 4, 3]
@@ -334,7 +389,7 @@ class TestRegionMaps:
         spec = map_spec(2, True, "relu", unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((4, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         blocks = analysis._map_blocks(spec, mats, ((bits[:2], X[:2]), (bits[2:], X[2:])))
         view = next(blocks)[0]
         copy = view.copy()
@@ -354,7 +409,7 @@ class TestRegionMaps:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=10 + kappa))
         for x in rng.standard_normal((9, spec.d[0])):
             J = analysis.region_maps(spec, mats,
-                                     analysis.extract_pattern(spec, mats, x).bits()[None])[0]
+                                     analysis.extract_pattern(spec, mats, x)[None])[0]
             y = netbuild.forward_matrices(spec, mats, x).y
             assert np.linalg.norm(J @ x - y) <= 1e-13 * np.linalg.norm(y)
 
@@ -379,9 +434,9 @@ class TestReversePass:
         for reg in census.regions:
             pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
             M = forward_map(spec, mats, reg.inputs[0])
-            got = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
+            got = analysis.region_maps(spec, mats, pattern[None])[0]
             assert np.max(np.abs(got - M)) <= 1e-14 * np.max(np.abs(M))
-            live = pattern.dec[0].astype(bool)
+            live = oracles.stages(spec, pattern)[2][0].astype(bool)
             want = np.linalg.norm(M[live], 2) if live.any() else 0.0
             assert abs(reg.lipschitz - want) <= 1e-14 * want
 
@@ -392,11 +447,11 @@ class TestReversePass:
         spec = make_spec(kappa=2, m=2, skip=skip)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         census = analysis.region_census(spec, mats, analysis.CensusConfig(count=100, seed=1))
-        dead = [reg for reg in census.regions
-                if not analysis.extract_pattern(spec, mats, reg.inputs[0]).dec[0].any()]
+        dead = [reg for reg in census.regions if not oracles.stages(
+            spec, analysis.extract_pattern(spec, mats, reg.inputs[0]))[2][0].any()]
         assert dead and len(dead) < census.distinct
         for reg in dead:
-            bits = analysis.extract_pattern(spec, mats, reg.inputs[0]).bits()
+            bits = analysis.extract_pattern(spec, mats, reg.inputs[0])
             assert not np.any(forward_map(spec, mats, reg.inputs[0]))
             assert not np.any(analysis.region_maps(spec, mats, bits[None]))
             assert reg.lipschitz == 0.0
@@ -408,7 +463,8 @@ class TestReversePass:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=2))
         X = rng.standard_normal((5, spec.d[0]))
         pattern = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        levels = analysis.adjoint(spec, mats, [m[:, None] for m in pattern.dec],
+        dec = oracles.stages(spec, pattern)[2]
+        levels = analysis.adjoint(spec, mats, [m[:, None] for m in dec],
                                   np.eye(spec.d[0]))
         first = [weakref.ref(product) for product in next(levels)]
         assert all(ref() is not None for ref in first)
@@ -449,7 +505,7 @@ class TestReversePass:
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=1))
         assert spec.d[0] >= analysis._BLOCK
         X = rng.standard_normal((2, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         maps = analysis.region_maps(spec, mats, bits)
         for x, J in zip(X, maps):
             y = netbuild.forward_matrices(spec, mats, x).y
@@ -468,7 +524,7 @@ class TestReversePass:
         spec = map_spec(2, skip, nonlinearity, unequal_m=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
         X = rng.standard_normal((400, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         counts = live_counts(spec, bits)
         assert (len(set(counts.tolist())) > 1) == (nonlinearity == "relu")
         got, full = {}, 0
@@ -597,8 +653,8 @@ class TestRegionCensus:
         )
         for reg in census.regions:
             pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
-            M = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
-            live = pattern.dec[0].astype(bool)
+            M = analysis.region_maps(spec, mats, pattern[None])[0]
+            live = oracles.stages(spec, pattern)[2][0].astype(bool)
             assert reg.lipschitz == np.linalg.norm(M[live] if live.any() else M, 2)
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -611,8 +667,8 @@ class TestRegionCensus:
         dead_rows = 0
         for reg in census.regions:
             pattern = analysis.extract_pattern(spec, mats, reg.inputs[0])
-            M = analysis.region_maps(spec, mats, pattern.bits()[None])[0]
-            live = pattern.dec[0].astype(bool)
+            M = analysis.region_maps(spec, mats, pattern[None])[0]
+            live = oracles.stages(spec, pattern)[2][0].astype(bool)
             assert np.all(M[~live] == 0)
             dead_rows += np.sum(~live)
             assert reg.lipschitz == np.linalg.norm(M[live] if live.any() else M, 2)
@@ -964,6 +1020,15 @@ class TestJacobian:
         assert forward_y_calls == [(spec.d[0] + 1, spec.d[0])] * params["count"]
         assert block["instances"] == params["count"]
 
+    def test_stack_of_inputs_is_rejected(self, rng):
+        # a stack once failed inside an einsum of the kernel
+        spec = make_spec(kappa=2, m=5, skip=True)
+        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=2))
+        X = rng.standard_normal((3, spec.d[0]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"input has shape (3, {spec.d[0]}), expected ({spec.d[0]},)")):
+            analysis.jacobian_analytic(spec, mats, X)
+
     def test_kink_margin_error(self):
         spec = make_spec(kappa=1, m=4)
         bank = netbuild.random_bank(spec, seed=0)
@@ -985,7 +1050,7 @@ class TestPlusMinusPairNets:
 
     @staticmethod
     def assert_maps(spec, mats, X, want, jacobian):
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         for x, M, W in zip(X, analysis.region_maps(spec, mats, bits), want):
             maps = [M, analysis.linear_rep(spec, mats, x).matrix(), forward_map(spec, mats, x)]
             if jacobian:
@@ -1061,7 +1126,7 @@ class TestCertifiedRadius:
             patch.setattr(analysis, "_radius", lambda rho, P, x, mask:
                           stages.append(P.copy()) or radius(rho, P, x, mask))
             bits = analysis.pattern_from_trace(
-                spec, netbuild.forward_matrices(spec, mats, X)).bits()
+                spec, netbuild.forward_matrices(spec, mats, X))
             _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         # the kernel takes each row's radius on its own, stage by stage, one
         # row after another: stack each stage's rows
@@ -1116,7 +1181,7 @@ class TestCertifiedRadius:
                          m_list=[5, 4, 6] if unequal_m else None)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
         X = rng.standard_normal((4, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         rho = rho.copy()
         bits[0, 0] ^= 1
@@ -1192,14 +1257,14 @@ class TestCertifiedRadius:
             X = rng.standard_normal((200, spec.d[0]))
         mats = netbuild.realize(spec, bank)
         margin = cli.validate("jacobian", {})["margin"]
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X)).bits()
+        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
         accepted = (rho >= margin) & (rho > step)
         assert accepted.sum() >= len(X) // 10
         for x, own in zip(X[accepted], bits[accepted]):
             stencil = np.concatenate([x[None], x + step * np.eye(spec.d[0])])
             got = analysis.pattern_from_trace(
-                spec, netbuild.forward_matrices(spec, mats, stencil)).bits()
+                spec, netbuild.forward_matrices(spec, mats, stencil))
             assert np.array_equal(got, np.broadcast_to(own, got.shape))
 
 
