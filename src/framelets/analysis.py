@@ -5,21 +5,23 @@ pattern, one row of mask bits (:func:`pattern_from_trace`) that only
 :func:`_masks` splits into stages and checks; freezing it turns the
 network into a linear map that factors as B_tilde(x) B(x)' through the
 input-dependent frame pair built by :func:`linear_rep`.  Two recursions
-carry frozen masks.  The forward recursion (:func:`_forward`) runs the
+carry the masks.  The forward recursion (:func:`_forward`) runs the
 masked network on the identity: its encoder half, X_l = (X_{l-1} E^l) *
 enc_l with the skip products K_l, is the frame B, and its decoder half
 the Jacobian's maps.  The reverse pass, :func:`adjoint`, T_l = (T_{l-1}
 * dec_l) D^l from a co-probe, then :func:`encoder_adjoint`, gives
 B_tilde, ``landscape``'s backward trace and the region maps.  The
-forward recursion runs one pattern row at a time, over only the units the
-pattern leaves on.  The reverse pass takes one column choice per net
-(:func:`_live`): every column of a block through batched matmul on small
-nets, each row over its live units on large ones.  On top of them sit a
-sampling census of activation patterns with the expressiveness bound,
-exact local Lipschitz constants (the spectral norm of each region map),
-and the analytic Jacobian with its finite-difference cross-check, taken
-only where the input's certified in-region radius (read from the rows
-the kernel forms anyway) keeps the stencil in its region.
+forward recursion runs over only the units left on: a frozen pattern
+row's, or, given an input x, those that each ReLU stage's own products
+switch on at x (:func:`_map_kernel`).  The reverse pass takes one column
+choice per net (:func:`_live`): every column of a block through batched
+matmul on small nets, each row over its live units on large ones.  On
+top of them sit a sampling census of activation patterns with the
+expressiveness bound, exact local Lipschitz constants (the spectral norm
+of each region map), and the analytic Jacobian with its
+finite-difference cross-check, taken only where the input's certified
+in-region radius (read from the rows the kernel forms anyway) keeps the
+stencil in its region.
 
 The census draws all its inputs as one block from one seeded stream
 (:func:`census_inputs`), so a region is named by the index of its first
@@ -60,11 +62,11 @@ __all__ = [
 ]
 
 
-#: inputs per stacked forward pass (and packed key block) of the census and
-#: per screen block of the jacobian analysis, and _BLOCK rows per block of the
-#: reverse pass (a region's mask row counted as a map row; the census takes a
-#: block's SVDs at once): on the profile net (d_0 = 16) the largest at which a
-#: census peaks no higher than at 64, while it runs ~10 % faster
+#: inputs per stacked forward pass (and packed key block) of the census, and
+#: _BLOCK rows per block of the reverse pass (a region's mask row counted as a
+#: map row; the census takes a block's SVDs at once): on the profile net
+#: (d_0 = 16) the largest at which a census peaks no higher than at 64, while
+#: it runs ~10 % faster
 _ROWS = 64
 _BLOCK = 256
 
@@ -157,8 +159,8 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     elif np.ndim(pattern) != 1:
         raise ValueError(f"pattern has shape {np.shape(pattern)}, expected one row (n_bits,)")
     k, masks = spec.kappa, _masks(spec, np.asarray(pattern)[None])
-    live = _units(masks)
-    X, K, _ = _forward(spec, mats, masks, live)
+    live = _units(mask[0, 0] for mask in masks)
+    X, K, _ = _forward(spec, mats, live)
     T, H, _ = zip(*adjoint(spec, mats, None, None, live))
     H = [h for h in H if h is not None]  # none without skips
     frame, dual = (np.concatenate([a, *b[::-1]], axis=-1) for a, b in ((X, K), (T[-1], H)))
@@ -169,24 +171,22 @@ def linear_rep(spec: NetworkSpec, mats, x=None, pattern=None) -> LinearRep:
     return LinearRep(live[0][-k], cols, frame, dual, spec.feature_dim)
 
 
-def _radius(rho, P, x, mask) -> None:
-    """Lower each rho[i] to the least |a_j'x_i| / ||a_j|| over the live rows
-    a_j of one ReLU stage: x_i's distance to the nearest of its hyperplanes.
+def _radius(rho, P, x) -> np.ndarray:
+    """Lower rho[0] to the least |a_j'x| / ||a_j|| over the rows a_j of one
+    ReLU stage, x's distance to the nearest of its hyperplanes, and return
+    the stage's mask, a_j'x > 0.
 
-    ``P`` is the stage's (n, d_0, w) pre-mask products, column j of P[i]
-    being a_j of row i's region; ``x`` the (n, d_0) inputs; ``mask`` the
-    stage's (n, 1, w) mask bits.  A zero column a_j is no kink and is
-    skipped.  A live unit whose mask bit disagrees with the sign of a_j'x_i
-    gives 0; a NaN gives NaN.  Both sums are einsums without ``optimize``,
-    so no BLAS: each adds its d_0 products in index order, and row i is
-    bit-identical whatever block it is in.
+    ``P`` is the stage's (d_0, w) product before its mask, column j being
+    a_j.  A zero column a_j is no kink and is skipped; a NaN gives NaN.
+    Both sums are einsums without ``optimize``, so no BLAS: each adds its
+    d_0 products in index order.
     """
-    dot = np.einsum("nij,ni->nj", P, x)
-    sq = np.einsum("nij,nij->nj", P, P)
+    dot = np.einsum("ij,i->j", P, x)
+    sq = np.einsum("ij,ij->j", P, P)
     got = np.full(dot.shape, np.inf)
     np.divide(np.abs(dot), np.sqrt(sq), out=got, where=sq != 0)
-    got[(dot > 0) != mask[:, 0]] = 0.0
-    np.minimum(rho, got.min(axis=1), out=rho)
+    np.minimum(rho, got.min(), out=rho)
+    return dot > 0
 
 
 def _live(spec: NetworkSpec) -> bool:
@@ -198,67 +198,75 @@ def _live(spec: NetworkSpec) -> bool:
     return d[0] * widest >= _LIVE_FLOPS
 
 
-def _masks(spec: NetworkSpec, bits) -> list:
-    """The (n, 1, w) views of (n, n_bits) bit rows, else ValueError: enc_1 ..
-    enc_kappa, skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa."""
+def _bounds(spec: NetworkSpec) -> list:
+    """(start, end) of each stage's bits in a pattern row: enc_1 .. enc_kappa,
+    skip_1 .. skip_kappa (skip nets only), then dec_1 .. dec_kappa."""
     ends = list(accumulate([*spec.d[1:], *(spec.s if spec.skip else ()), *spec.d[:spec.kappa]]))
-    if bits.ndim != 2 or bits.shape[1] != ends[-1]:
-        raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {ends[-1]})")
-    return [bits[:, None, a:b] for a, b in zip([0, *ends], ends)]
+    return list(zip([0, *ends], ends))
 
 
-def _units(masks):
-    """The live units of each mask of a one-row block, and whether the stage
-    has none.  Such a stage keeps its first unit, to be multiplied by its
-    mask bit 0, so that an overflow before it reaches the map."""
-    units = [mask[0, 0].nonzero()[0] for mask in masks]
+def _masks(spec: NetworkSpec, bits) -> list:
+    """The (n, 1, w) :func:`_bounds` views of (n, n_bits) bit rows, else ValueError."""
+    bounds = _bounds(spec)
+    if bits.ndim != 2 or bits.shape[1] != bounds[-1][1]:
+        raise ValueError(f"pattern bits have shape {bits.shape}, expected (N, {bounds[-1][1]})")
+    return [bits[:, None, a:b] for a, b in bounds]
+
+
+def _units(rows):
+    """The live units of each stage's mask row, and whether the stage has
+    none.  Such a stage keeps its first unit, to be multiplied by its mask
+    bit 0, so that an overflow before it reaches the map."""
+    units = [np.flatnonzero(row) for row in rows]
     dead = [not len(u) for u in units]
     return [np.zeros(1, np.intp) if no else u for u, no in zip(units, dead)], dead
 
 
-def _forward(spec: NetworkSpec, mats, masks, units, x=None, rho=None, back=None):
-    """The frozen-mask forward recursion over one pattern row.
+def _forward(spec: NetworkSpec, mats, units, x=None, rho=None, back=None):
+    """The forward recursion over one pattern's live units.
 
-    ``masks`` are the row's :func:`_masks` views and ``units`` their
-    :func:`_units`.  From X_0 = I (never formed) the stage loop forms X_l =
-    (X_{l-1} E^l) * enc_l and K_l = (X_{l-1} S^l) * skip_l; given ``back``,
-    each layer's (D^l', S_tilde^l'), it runs down the decoder: Y_kappa =
-    X_kappa and Y_{l-1} = (Y_l D^l' + K_l S_tilde^l') * dec_l.  Returns
-    (X_kappa, [K_1 .. K_kappa], Y_0), Y_0 None without ``back``.  Each
-    product is the row's over the live units of its two stages, gathered and
-    made by :func:`netbuild._dot`, so each result holds the live columns of
-    its stage only.  With inputs ``x``, each ReLU stage forms every column,
-    lowers ``rho`` through :func:`_radius` from it, then keeps its live ones.
+    ``units`` are the (live, dead) lists of :func:`_units`, one entry per
+    :func:`_bounds` stage.  From X_0 = I (never formed) the stage loop forms
+    X_l = (X_{l-1} E^l) * enc_l and K_l = (X_{l-1} S^l) * skip_l; given
+    ``back``, each layer's (D^l', S_tilde^l'), it runs down the decoder:
+    Y_kappa = X_kappa and Y_{l-1} = (Y_l D^l' + K_l S_tilde^l') * dec_l.
+    Returns (X_kappa, [K_1 .. K_kappa], Y_0), Y_0 None without ``back``.
+    Each product is the row's over the live units of its two stages,
+    gathered and made by :func:`netbuild._dot`, so each result holds the
+    live columns of its stage only.  A stage whose entry of ``live`` is
+    None forms every column; :func:`_radius` lowers ``rho`` from them at
+    the input ``x`` and gives the stage's mask there, whose units the stage
+    writes into the lists before it keeps their columns.
     """
     k, (live, dead) = spec.kappa, units
 
-    def stage(terms, j, relu):  # terms (A, i, M): A the product of stage i, None for X_0 = I
-        radius, total = relu and x is not None, None
+    def stage(terms, j):  # terms (A, i, M): A the product of stage i, None for X_0 = I
+        radius, total = live[j] is None, None
         for A, i, M in terms:  # an X_0 term comes alone, so its M is never written to
             M = M if i is None else M.take(live[i], 0)
             M = M if radius else M.take(live[j], 1)
             P = M if A is None else _dot(A, M)
             total = P if total is None else np.add(total, P, out=total)
         if radius:
-            _radius(rho, total[None], x, masks[j])
+            (live[j],), (dead[j],) = _units([_radius(rho, total, x)])
             total = total.take(live[j], 1)
         return total * 0.0 if dead[j] else total
 
-    relu, X, i, K = spec.relu_at_encoder(), None, None, []
+    X, i, K = None, None, []
     for l in range(1, k + 1):
-        X_next = stage([(X, i, mats[l - 1].E)], l - 1, relu)
+        X_next = stage([(X, i, mats[l - 1].E)], l - 1)
         if spec.skip:
-            K.append(stage([(X, i, mats[l - 1].S)], k + l - 1, relu))
+            K.append(stage([(X, i, mats[l - 1].S)], k + l - 1))
         X, i = X_next, l - 1
     if back is None:
         return X, K, None
-    relu, Y = spec.relu_at_decoder(), X
+    Y = X
     for l in range(k, 0, -1):  # i: the stage of Y_l, enc_kappa for Y_kappa = X_kappa
         terms = [(Y, i, back[l - 1][0])]
         if spec.skip:
             terms.append((K[l - 1], k + l - 1, back[l - 1][1]))
-        j = len(masks) - k + l - 1  # dec_l
-        Y, i = stage(terms, j, relu), j
+        j = len(live) - k + l - 1  # dec_l
+        Y, i = stage(terms, j), j
     return X, K, Y
 
 
@@ -318,41 +326,32 @@ def encoder_adjoint(spec: NetworkSpec, mats, enc, skip, T, H, units=None) -> tup
     return G, V, W
 
 
-def _map_blocks(spec: NetworkSpec, mats, blocks):
-    """Region maps of blocks of pattern bit rows by the forward recursion, in
-    one buffer: the Jacobian's kernel (a map alone comes cheaper from
-    :func:`region_maps`).
-
-    ``blocks`` yields pairs (bits, x): a non-empty (n, n_bits) array of
-    :func:`pattern_from_trace` rows, none longer than the first (a
-    longer one fails on its buffer's shape), and its (n, d_0) inputs.  Each
-    row goes through :func:`_forward` with its decoder half, its compact
-    Y_0 scattered into its zeroed row of one (n, d_0, d_0) buffer, and this
-    yields views (Y, rho), ``Y[i].T`` row i's map, which the next block
-    overwrites.  Each row is bit-identical to a one-row block.
-
-    rho[i] is row i's certified in-region radius, lowered by :func:`_radius`
-    at every ReLU stage from the product before its mask.  The nets are
-    bias-free, so the open ball of radius rho[i] about x_i lies in the
-    region of x_i's own bits: there every live row keeps its sign and every
-    zero row stays zero.  It is inf on a net without ReLUs.
+def _map_kernel(spec: NetworkSpec, mats):
+    """The Jacobian's kernel: a function of one input x that returns its
+    region map J and its certified in-region radius rho, from one
+    :func:`_forward` with its decoder half (a map alone comes cheaper from
+    :func:`region_maps`).  Each ReLU stage takes its mask from x where its
+    product is made, and :func:`_radius` lowers rho from that product.  The
+    nets are bias-free, so the open ball of radius rho about x lies in x's
+    region: there every live row keeps its sign and every zero row stays
+    zero.  rho is inf on a net without ReLUs.  The contiguous (D', S_tilde')
+    copies each map gathers rows of, and the units of the stages without a
+    ReLU, are made once, here.
     """
-    k = spec.kappa
-    # each row gathers rows of D' and S_tilde': contiguous copies, once
+    k, d0 = spec.kappa, spec.d[0]
     back = [(np.ascontiguousarray(m.D.T), np.ascontiguousarray(m.S_tilde.T) if spec.skip
              else None) for m in mats]
-    out = None
-    for bits, x in blocks:
-        n, masks = len(bits), _masks(spec, bits)
-        if out is None:
-            out = np.empty((n, spec.d[0], spec.d[0]))
-        Y, rho = out[:n], np.full(n, np.inf)
-        Y[...] = 0.0
-        for i in range(n):
-            row = [mask[i:i + 1] for mask in masks]
-            units, at = _units(row), (x[i:i + 1], rho[i:i + 1])
-            Y[i][:, units[0][-k]] = _forward(spec, mats, row, units, *at, back)[2]
-        yield Y, rho
+    bounds = _bounds(spec)
+    relu = [spec.relu_at_encoder()] * (len(bounds) - k) + [spec.relu_at_decoder()] * k
+    fixed = [None if on else np.arange(b - a) for (a, b), on in zip(bounds, relu)]
+
+    def kernel(x):
+        live, rho = list(fixed), np.full(1, np.inf)
+        Y = _forward(spec, mats, (live, [False] * len(live)), x, rho, back)[2]
+        J = np.zeros((d0, d0))
+        J[live[-k]] = Y.T
+        return J, rho[0]
+    return kernel
 
 
 def _reverse_blocks(spec: NetworkSpec, mats, counts, bits_of):
@@ -378,7 +377,7 @@ def _reverse_blocks(spec: NetworkSpec, mats, counts, bits_of):
             masks = _masks(spec, bits_of(rows).astype(float))  # float masks multiply faster
             outputs = np.argsort(-masks[-k][:, 0], axis=1, kind="stable")[:, :max(a, 1)]
             if live:
-                units = (_units([mask[i:i + 1] for mask in masks]) for i in range(len(rows)))
+                units = (_units(mask[i, 0] for mask in masks) for i in range(len(rows)))
                 G = np.stack([reverse(None, None, None, None, u) for u in units])
             else:
                 G = reverse(masks[:k], masks[k:-k], masks[-k:], np.eye(d0)[outputs])
@@ -536,7 +535,7 @@ def region_census(spec: NetworkSpec, mats, config: CensusConfig) -> RegionCensus
     n_bits, packed = bits.shape[1], np.concatenate(packed)  # n_bits: the same in every block
     _, first, region_of = np.unique(packed.view(np.dtype((np.void, packed.shape[1]))).ravel(),
                                     return_index=True, return_inverse=True)
-    at = n_bits - sum(spec.d[:spec.kappa])  # dec_1's live outputs, from their packed bytes
+    at = _bounds(spec)[-spec.kappa][0]  # dec_1's live outputs, from their packed bytes
     live = np.unpackbits(packed[first, at // 8:], axis=1, count=at % 8 + spec.d[0])[:, at % 8:]
     norms = np.empty(len(first))
     for rows, G, _ in _reverse_blocks(spec, mats, live.sum(axis=1), lambda rows: np.unpackbits(
@@ -564,21 +563,20 @@ def jacobian_analytic(spec: NetworkSpec, mats, x, margin: float = 1e-8,
                       step: float = 0.0) -> np.ndarray:
     """Jacobian of the network at x: the region map B_tilde(x) B(x)'.
 
-    One forward pass for x's pattern, then its map and its certified
-    in-region radius rho from one :func:`_map_blocks` row.  Requires
-    rho >= ``margin`` and rho > ``step``, so that every point within
-    ``step`` of x, a finite-difference stencil of that step included, is
-    in x's region; otherwise raises KinkMarginError advising a resample.
-    A NaN rho (an overflowing pass) is accepted.
+    The map and its certified in-region radius rho come from one
+    :func:`_map_kernel` call.  Requires rho >= ``margin`` and rho >
+    ``step``, so that every point within ``step`` of x, a finite-difference
+    stencil of that step included, is in x's region; otherwise raises
+    KinkMarginError advising a resample.  A NaN rho (an overflowing pass)
+    is accepted.
     """
-    x = _one_input(spec, x)
-    Y, rho = next(_map_blocks(spec, mats, [(extract_pattern(spec, mats, x)[None], x[None])]))
-    if rho[0] < margin or rho[0] <= step:
+    J, rho = _map_kernel(spec, mats)(_one_input(spec, x))
+    if rho < margin or rho <= step:
         raise KinkMarginError(
-            f"input is {rho[0]:.3e} from the nearest ReLU kink of its region "
+            f"input is {rho:.3e} from the nearest ReLU kink of its region "
             f"(margin {margin:.3e}, step {step:.3e}); resample the input"
         )
-    return Y[0].T.copy()
+    return J
 
 
 def fd_jacobian(spec: NetworkSpec, mats, x, step: float = 1e-6) -> np.ndarray:

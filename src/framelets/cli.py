@@ -252,7 +252,7 @@ def _check(name: str, passed: bool, **extra) -> dict:
 
 
 def run_frames(ctx: Context, params: dict) -> dict:
-    residuals = frames.frame_residual(ctx.spec, ctx.bank, ctx.alpha)
+    residuals = frames.frame_residual(ctx.spec, ctx.bank, ctx.mats, ctx.alpha)
     worst = _worst(
         [value for entry in residuals for key, value in entry.items() if key != "layer"]
     )
@@ -360,43 +360,24 @@ def run_lipschitz(ctx: Context, params: dict) -> dict:
 def run_jacobian(ctx: Context, params: dict) -> dict:
     spec, mats = ctx.spec, ctx.mats
     count, margin, step = params["count"], params["margin"], params["step"]
-    gen = rng(ctx.seed, "jacobian")
-    cap = 100 * count
-    pending = []  # the draw the kernel is mapping
-
-    def candidates():
-        # one row-exact forward per screen block of up to ``_ROWS`` draws
-        # gives the mask rows, so a draw's decision does not depend on its
-        # block; the kernel maps them one row per block, which keeps its
-        # buffers as small as the census's.  A (k, d_0) draw is the first k
-        # rows of a larger one, and the stream is not read after the screen
-        drawn = 0
-        while drawn < cap:
-            block = gen.standard_normal((min(analysis._ROWS, cap - drawn), spec.d[0]))
-            drawn += len(block)
-            bits = analysis.extract_pattern(spec, mats, block)
-            for at in range(len(block)):
-                pending.append(block[at])
-                yield bits[at:at + 1], block[at:at + 1]
-
-    # Every draw's map comes with its certified in-region radius rho.  A
-    # draw is accepted when rho >= margin and rho > step, so its stencil
-    # stays in its region; a NaN rho (an overflowing forward pass) is
-    # accepted, so the check fails on a NaN error.  Each accepted map is
-    # compared with its stencil before the kernel maps the next draw, the
-    # difference taken in C order, the order in which its norm sums.
-    # ``attempts`` ends at the last accepted draw, or at the cap.
+    gen, kernel = rng(ctx.seed, "jacobian"), analysis._map_kernel(spec, mats)
+    # One input is drawn at a time, and its map comes with its certified
+    # in-region radius rho, the masks taken from the draw itself.  A draw is
+    # accepted when rho >= margin and rho > step, so its stencil stays in
+    # its region; a NaN rho (an overflowing forward pass) is accepted, so the
+    # check fails on a NaN error.  Each accepted map is compared with its
+    # stencil; both are C-contiguous, so the norm of the difference sums in
+    # row-major order.  ``attempts`` ends at the last accepted draw, or at
+    # the cap.
     errors, radii, attempts = [], [], 0
-    for Y, rho in analysis._map_blocks(spec, mats, candidates()):
-        x, attempts = pending.pop(), attempts + 1
-        if rho[0] < margin or rho[0] <= step:
+    while len(errors) < count and attempts < 100 * count:
+        x, attempts = gen.standard_normal(spec.d[0]), attempts + 1
+        J, rho = kernel(x)
+        if rho < margin or rho <= step:
             continue
         Jfd = analysis.fd_jacobian(spec, mats, x, step=step)
-        diff = np.subtract(Y[0].T, Jfd, order="C")
-        errors.append(np.linalg.norm(diff) / max(np.linalg.norm(Jfd), 1e-300))
-        radii.append(rho[0])
-        if len(errors) == count:
-            break
+        errors.append(np.linalg.norm(J - Jfd) / max(np.linalg.norm(Jfd), 1e-300))
+        radii.append(rho)
     if len(errors) < count:
         raise ConfigError(
             f"could not find {count} inputs whose certified in-region radius is at "

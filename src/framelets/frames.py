@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netbuild import LayerBank, NetworkSpec, _orthonormal, realize
+from .netbuild import LayerBank, NetworkSpec, _orthonormal
 from .seeding import derive, rng
 
 __all__ = [
@@ -122,10 +122,10 @@ def _max_dev(A: np.ndarray, B: np.ndarray) -> float:
     return float(np.max(np.abs(A - B)))
 
 
-def frame_residual(spec: NetworkSpec, bank: LayerBank, alpha: float) -> list:
+def frame_residual(spec: NetworkSpec, bank: LayerBank, mats, alpha: float) -> list:
     """Per-layer deviations from the frame conditions, for pooling frame
     constant ``alpha`` and the filter constant of the spec's skip mode, and
-    from the layer identity.
+    from the layer identity of ``mats``, the bank's realized operators.
 
     Reports, never raises on a bank: arbitrary banks are expected to
     violate everything.  On a skip spec the pooled and identity-pooled
@@ -135,7 +135,6 @@ def frame_residual(spec: NetworkSpec, bank: LayerBank, alpha: float) -> list:
     if alpha <= 0:
         raise ValueError(f"frame constant alpha={alpha} must be positive")
     c = frame_filter_constant(spec.r, alpha, spec.skip)
-    mats = realize(spec, bank)
     out = []
     for l in range(1, spec.kappa + 1):
         m_prev = spec.m[l - 1]

@@ -11,7 +11,7 @@ import pytest
 
 from framelets import analysis, cli, netbuild
 from framelets.seeding import derive, rng as seeded_rng
-from conftest import make_frame_pair, make_spec
+from conftest import make_frame_pair, make_spec, patch_bindings
 import oracles
 
 
@@ -122,8 +122,6 @@ class TestActivationPattern:
         for bad in (bits[:, :-1], bits[None]):
             with rejects(bad.shape):
                 analysis.region_maps(spec, mats, bad)
-            with rejects(bad.shape):
-                next(analysis._map_blocks(spec, mats, [(bad, X)]))
         with rejects((1, n_bits - 1)):
             analysis.linear_rep(spec, mats, pattern=bits[0, :-1])
 
@@ -268,9 +266,8 @@ def map_spec(kappa, skip, nonlinearity, unequal_m):
 
 
 def forward_map(spec, mats, x) -> np.ndarray:
-    """The region map of x by the forward kernel, a one-row block."""
-    bits = analysis.extract_pattern(spec, mats, x)[None]
-    return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[0][0].T.copy()
+    """The region map of x by the forward kernel."""
+    return analysis._map_kernel(spec, mats)(x)[0]
 
 
 def kernel_duals(spec, mats, pattern) -> list:
@@ -327,13 +324,13 @@ class TestKernelPath:
         spec = netbuild.NetworkSpec(kappa=3, r=2, q=(1, 2, 4, 8), m=(16,) * 4, skip=True)
         mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=derive(1235, "bank")))
         X = rng.standard_normal((6, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
         got = []
         for flops in (0, np.inf):
             monkeypatch.setattr(analysis, "_LIVE_FLOPS", flops)
-            Y, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+            kernel = analysis._map_kernel(spec, mats)
+            maps = [(J.tobytes(), rho.tobytes()) for J, rho in map(kernel, X)]
             reps = [analysis.linear_rep(spec, mats, x).matrix() for x in X]
-            got.append([Y.tobytes(), rho.tobytes(), *(M.tobytes() for M in reps)])
+            got.append([*maps, *(M.tobytes() for M in reps)])
         assert got[0] == got[1]
 
 
@@ -368,34 +365,6 @@ class TestRegionMaps:
             assert np.array_equal(row, pattern)
             assert np.array_equal(got, analysis.region_maps(spec, mats, pattern[None])[0])
         assert analysis.region_maps(spec, mats, bits[:0]).shape == (0, spec.d[0], spec.d[0])
-
-    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
-    @pytest.mark.parametrize("skip", [False, True])
-    def test_kernel_blocks_equal_single_calls(self, skip, nonlinearity, rng):
-        # the forward kernel: 11 rows in blocks of 4, the last one short,
-        # through one buffer set, against one-row calls
-        spec = map_spec(2, skip, nonlinearity, unequal_m=True)
-        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
-        X = rng.standard_normal((11, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        blocks = ((bits[at:at + 4], X[at:at + 4]) for at in (0, 4, 8))
-        got = [Y.transpose(0, 2, 1).copy() for Y, _ in analysis._map_blocks(spec, mats, blocks)]
-        assert [len(Y) for Y in got] == [4, 4, 3]
-        for x, J in zip(X, np.concatenate(got)):
-            assert J.tobytes() == forward_map(spec, mats, x).tobytes()
-
-    def test_kernel_view_is_overwritten_by_the_next_block(self, rng):
-        # a consumer must copy or reduce a block's maps before asking for the next
-        spec = map_spec(2, True, "relu", unequal_m=True)
-        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=4))
-        X = rng.standard_normal((4, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        blocks = analysis._map_blocks(spec, mats, ((bits[:2], X[:2]), (bits[2:], X[2:])))
-        view = next(blocks)[0]
-        copy = view.copy()
-        again = next(blocks)[0]
-        assert np.shares_memory(view, again)
-        assert np.array_equal(view, again) and not np.array_equal(view, copy)
 
     @pytest.mark.parametrize("unequal_m", [False, True])
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
@@ -997,27 +966,27 @@ class TestJacobian:
         # NaN compares False against any margin, so a screen keeps the row
         assert np.all(np.isnan(got))
 
-    def test_run_makes_screen_forwards_and_one_stencil_per_instance(self, forward_calls,
-                                                                    forward_y_calls):
-        # the candidates' mask rows come from the screen blocks' own traces,
-        # the only traced forwards; each instance adds one y-only stencil
-        # forward.  At margin 0.1 about 2 % of draws pass the radius rule
+    def test_run_makes_no_traced_forward_and_one_stencil_per_instance(
+            self, monkeypatch, forward_calls, forward_y_calls):
+        # the map kernel takes each draw's masks from the draw itself, so the
+        # run makes no traced forward and reads no pattern row; each
+        # instance adds one y-only stencil forward.  At margin 0.1 about 2 %
+        # of draws pass the radius rule
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
         params = {"count": 4, "margin": 0.1}
+        extracted, extract = [], analysis.extract_pattern
+        patch_bindings(monkeypatch, extract, lambda *args: extracted.append(1) or extract(*args))
         block = cli.run_jacobian(cli.Context(spec, bank, {"jacobian": 1e-5}, seed=3),
                                  cli.validate("jacobian", params))
-        made = len(forward_calls)
-        # screen blocks of _ROWS draws up to the count-th accepted draw
+        assert forward_calls == [] and extracted == []
+        assert forward_y_calls == [(spec.d[0] + 1, spec.d[0])] * params["count"]
+        # the draws up to the count-th accepted one
         X = seeded_rng(3, "jacobian").standard_normal((100 * params["count"], spec.d[0]))
         mats = netbuild.realize(spec, bank)
         last = [i for i, x in enumerate(X)
                 if radius_accepts(spec, mats, x, params["margin"], 1e-6)][params["count"] - 1]
-        blocks = last // analysis._ROWS + 1
-        assert blocks > 1
-        assert block["attempts"] == last + 1
-        assert made == blocks
-        assert forward_y_calls == [(spec.d[0] + 1, spec.d[0])] * params["count"]
+        assert block["attempts"] == last + 1 > params["count"]
         assert block["instances"] == params["count"]
 
     def test_stack_of_inputs_is_rejected(self, rng):
@@ -1086,14 +1055,26 @@ class TestPlusMinusPairNets:
     @pytest.mark.parametrize("d0", [16, 64])
     def test_relu_net_maps_are_the_orthant_masks(self, d0, rng):
         # the inner decoder ReLU sees h >= 0, exact zeros up to rounding, so
-        # its units sit on their kinks and the Jacobian screen turns x away;
-        # the map is still diag(x > 0)
+        # its units' mask bits are rounding noise; the map is still
+        # diag(x > 0)
         spec, mats = self.net(d0, "relu")
         X = rng.standard_normal((4, d0))
         y = netbuild.forward_matrices(spec, mats, X).y
         assert np.max(np.abs(y - np.maximum(X, 0.0))) <= 1e-14
         self.assert_maps(spec, mats, X, [np.diag(x > 0.0).astype(float) for x in X],
                          jacobian=False)
+
+    @pytest.mark.parametrize("d0", [16, 64])
+    def test_relu_net_runs_the_jacobian_screen(self, d0):
+        # the kernel's own signs stand for the rounding-noise units, whose
+        # rows change no map: the screen certifies draws and every map
+        # matches its stencil
+        spec, _ = self.net(d0, "relu")
+        ctx = cli.Context(spec, oracles.pm_pair_bank(spec, seed=d0),
+                          cli.validate("tolerances", {}), seed=1)
+        block = cli.run_jacobian(ctx, cli.validate("jacobian", {"count": 50}))
+        assert block["instances"] == 50 and block["checks"][0]["passed"]
+        assert block["radius_min"] >= block["margin"]
 
     @pytest.mark.usefixtures("kernel_path")
     @pytest.mark.parametrize("d0", [16, 64])
@@ -1123,15 +1104,32 @@ class TestCertifiedRadius:
         skip_1, ..., enc_kappa, skip_kappa, then dec_{kappa-1} down to dec_0."""
         stages, radius = [], analysis._radius
         with monkeypatch.context() as patch:
-            patch.setattr(analysis, "_radius", lambda rho, P, x, mask:
-                          stages.append(P.copy()) or radius(rho, P, x, mask))
-            bits = analysis.pattern_from_trace(
-                spec, netbuild.forward_matrices(spec, mats, X))
-            _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+            patch.setattr(analysis, "_radius", lambda rho, P, x:
+                          stages.append(P.copy()) or radius(rho, P, x))
+            kernel = analysis._map_kernel(spec, mats)
+            rho = np.array([kernel(x)[1] for x in X])
         # the kernel takes each row's radius on its own, stage by stage, one
         # row after another: stack each stage's rows
         per_row = len(stages) // len(X)
-        return [np.concatenate(stages[j::per_row]) for j in range(per_row)], rho
+        return [np.stack(stages[j::per_row]) for j in range(per_row)], rho
+
+    @staticmethod
+    def screen_net(net, rng):
+        """A net of the screen tests, its operators and its draws; "edge" is
+        the d_0 = 64 frame-bank net of the benchmark's verify-d64, bank 0."""
+        if net == "edge":
+            spec, bank = make_frame_pair(kappa=2, m=64, skip=True, nonlinearity="relu",
+                                         seed=derive(1234, "bank"))
+            X = rng.standard_normal((128, spec.d[0]))
+        else:
+            skip, nonlinearity = net
+            spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+            bank = netbuild.random_bank(spec, seed=3)
+            X = rng.standard_normal((200, spec.d[0]))
+        return spec, netbuild.realize(spec, bank), X
+
+    NETS = [*(pytest.param((skip, nonlinearity), id=f"{skip}-{nonlinearity}")
+              for skip in (False, True) for nonlinearity in netbuild.NONLINEARITIES), "edge"]
 
     @staticmethod
     def trace_pres(spec, trace) -> list:
@@ -1169,25 +1167,6 @@ class TestCertifiedRadius:
             assert np.array_equal(~P.any(axis=1), pre == 0.0)
             zeros += int(np.sum(pre == 0.0))
         assert (zeros > 0) == (nonlinearity != "none")  # the zero-row case is exercised
-
-    @pytest.mark.parametrize("unequal_m", [False, True])
-    @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
-    @pytest.mark.parametrize("skip", [False, True])
-    def test_a_mask_bit_against_its_row_gives_radius_zero(self, skip, nonlinearity, unequal_m,
-                                                          rng):
-        # flip the first encoder unit's bit of row 0: the bits no longer are
-        # x's own pattern, so no ball about x is certified
-        spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity,
-                         m_list=[5, 4, 6] if unequal_m else None)
-        mats = netbuild.realize(spec, netbuild.random_bank(spec, seed=3))
-        X = rng.standard_normal((4, spec.d[0]))
-        bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
-        rho = rho.copy()
-        bits[0, 0] ^= 1
-        _, got = next(analysis._map_blocks(spec, mats, [(bits, X)]))
-        want = np.inf if nonlinearity == "none" else 0.0
-        assert got[0] == want and np.array_equal(got[1:], rho[1:])
 
     @pytest.mark.parametrize("nonlinearity", netbuild.NONLINEARITIES)
     @pytest.mark.parametrize("skip", [False, True])
@@ -1236,29 +1215,38 @@ class TestCertifiedRadius:
             assert got[0] == pytest.approx(t, rel=1e-6)
             assert radius_accepts(spec, mats, x, margin, step) == accepted
 
+    @pytest.mark.parametrize("net", NETS)
+    def test_kernel_units_are_the_row_exact_pattern(self, monkeypatch, net, rng):
+        # each ReLU stage of the kernel takes its mask from x where its
+        # product is made: on every accepted draw its live units at each
+        # stage are those of x's row-exact pattern row
+        spec, mats, X = self.screen_net(net, rng)
+        margin, step = (cli.validate("jacobian", {})[key] for key in ("margin", "step"))
+        seen, forward = [], analysis._forward
+        monkeypatch.setattr(analysis, "_forward", lambda spec, mats, units, *args:
+                            seen.append(units) or forward(spec, mats, units, *args))
+        kernel, accepted = analysis._map_kernel(spec, mats), 0
+        for x in X:
+            rho = kernel(x)[1]
+            if rho < margin or rho <= step:
+                continue
+            accepted += 1
+            (live, dead), bits = seen[-1], analysis.extract_pattern(spec, mats, x)
+            want = analysis._units(mask[0, 0] for mask in analysis._masks(spec, bits[None]))
+            assert dead == want[1]
+            assert all(np.array_equal(a, b) for a, b in zip(live, want[0], strict=True))
+        assert accepted >= len(X) // 10
+
     @pytest.mark.parametrize("step", [1e-6, 1e-3])
-    @pytest.mark.parametrize("net", [
-        *(pytest.param((skip, nonlinearity), id=f"{skip}-{nonlinearity}")
-          for skip in (False, True) for nonlinearity in netbuild.NONLINEARITIES),
-        "edge",
-    ])
+    @pytest.mark.parametrize("net", NETS)
     def test_accepted_draws_keep_the_whole_stencil_in_their_region(self, net, step, rng):
         # rho > step puts every row of fd_jacobian's stencil [x; x + step I]
-        # in x's region: each row's row-exact pattern is x's own.  "edge" is
-        # the d_0 = 64 frame-bank net of the benchmark's verify-d64, bank 0
-        if net == "edge":
-            spec, bank = make_frame_pair(kappa=2, m=64, skip=True, nonlinearity="relu",
-                                         seed=derive(1234, "bank"))
-            X = rng.standard_normal((128, spec.d[0]))
-        else:
-            skip, nonlinearity = net
-            spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
-            bank = netbuild.random_bank(spec, seed=3)
-            X = rng.standard_normal((200, spec.d[0]))
-        mats = netbuild.realize(spec, bank)
+        # in x's region: each row's row-exact pattern is x's own
+        spec, mats, X = self.screen_net(net, rng)
         margin = cli.validate("jacobian", {})["margin"]
         bits = analysis.pattern_from_trace(spec, netbuild.forward_matrices(spec, mats, X))
-        _, rho = next(analysis._map_blocks(spec, mats, [(bits, X)]))
+        kernel = analysis._map_kernel(spec, mats)
+        rho = np.array([kernel(x)[1] for x in X])
         accepted = (rho >= margin) & (rho > step)
         assert accepted.sum() >= len(X) // 10
         for x, own in zip(X[accepted], bits[accepted]):

@@ -14,7 +14,7 @@ import pytest
 import oracles
 from framelets import analysis, cli, netbuild
 from framelets.seeding import derive, rng as seeded_rng
-from conftest import make_spec
+from conftest import make_spec, patch_bindings
 
 TOLERANCES = cli.validate("tolerances", {})
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -271,7 +271,7 @@ class TestOverflow:
 
 
 class TestJacobianScreen:
-    """The block-wise kink screen against the one-draw-at-a-time loop."""
+    """The kink screen against a loop of one-input Jacobians."""
 
     @staticmethod
     def sequential(spec, mats, seed, count, margin, step):
@@ -330,8 +330,7 @@ class TestJacobianScreen:
 
     @staticmethod
     def radius(spec, mats, x) -> float:
-        bits = analysis.extract_pattern(spec, mats, x)[None]
-        return next(analysis._map_blocks(spec, mats, [(bits, x[None])]))[1][0]
+        return analysis._map_kernel(spec, mats)(x)[1]
 
     def test_radius_rule_keeps_most_draws_on_the_edge_net(self):
         # on the edge net with its frame bank the old pre-activation screen
@@ -345,33 +344,35 @@ class TestJacobianScreen:
         assert failures == [] and count <= block["attempts"] <= 2 * count
         assert block["margin"] <= block["radius_min"] <= block["radius_median"]
 
-    def test_no_region_maps_call_gets_zero_rows(self, monkeypatch):
-        # every candidate is mapped in one kernel call, one row per block in
-        # draw order, up to the count-th accepted draw: the kernel gets no
-        # empty block.  At margin 0.05 about 10 % of draws pass, so many
-        # screen blocks pass none; at margin 100 none does, and the kernel
-        # maps every draw up to the cap.  Each block carries its input, so
-        # the kernel certifies the draw's radius (len(None) would raise)
+    def test_kernel_maps_each_draw_in_order(self, monkeypatch):
+        # the run builds one kernel and maps each draw with it, in draw
+        # order, up to the count-th accepted draw.  At margin 0.05 about
+        # 10 % of draws pass; at margin 100 none does, and the kernel maps
+        # every draw up to the cap
         spec = make_spec(kappa=2, m=5, skip=True)
         bank = netbuild.random_bank(spec, seed=10)
-        entered, rows = [], []
-        kernel = analysis._map_blocks
+        built, mapped = [], []
+        factory = analysis._map_kernel
 
-        def counted(spec, mats, blocks):
-            entered.append(True)
-            yield from kernel(spec, mats, (rows.append(len(x)) or (bits, x) for bits, x in blocks))
+        def counted(spec, mats):
+            built.append(True)
+            kernel = factory(spec, mats)
+            return lambda x: mapped.append(x.copy()) or kernel(x)
 
-        monkeypatch.setattr(analysis, "_map_blocks", counted)
+        monkeypatch.setattr(analysis, "_map_kernel", counted)
         ctx = cli.Context(spec, bank, TOLERANCES, seed=99)
-        count = 10
-        block = cli.run_jacobian(ctx, cli.validate("jacobian", {"count": count, "margin": 0.05}))
-        assert block["attempts"] > count and entered == [True]
-        assert rows == [1] * block["attempts"]
-        entered.clear()
-        rows.clear()
-        with pytest.raises(cli.ConfigError, match="accepted 0 of 200 draws"):
-            cli.run_jacobian(ctx, cli.validate("jacobian", {"count": 2, "margin": 100.0}))
-        assert entered == [True] and rows == [1] * 200
+        for count, margin, attempts in ((10, 0.05, None), (2, 100.0, 200)):
+            built.clear()
+            mapped.clear()
+            params = cli.validate("jacobian", {"count": count, "margin": margin})
+            if attempts is None:
+                attempts = cli.run_jacobian(ctx, params)["attempts"]
+                assert attempts > count
+            else:
+                with pytest.raises(cli.ConfigError, match=f"accepted 0 of {attempts} draws"):
+                    cli.run_jacobian(ctx, params)
+            draws = seeded_rng(99, "jacobian").standard_normal((attempts, spec.d[0]))
+            assert built == [True] and np.array_equal(mapped, draws)
 
     @pytest.mark.parametrize("margin", [float("nan"), -1.0, float("inf")])
     def test_margin_must_be_finite_and_non_negative(self, tmp_path, capsys, margin):
@@ -557,6 +558,14 @@ class TestForwardCounts:
         assert forward_calls == ([(sum(used), spec.d[0])] if used else [])
         assert block["pairs_checked"] == sum(k * (k - 1) // 2 for k in used)
         assert (block["pairs_checked"] == 0) == saturated
+
+    def test_frames_and_reconstruct_realize_once(self, monkeypatch):
+        # the run's Context realizes the operators, and frames reads them
+        calls, realize = [], netbuild.realize
+        patch_bindings(monkeypatch, realize, lambda *args: calls.append(1) or realize(*args))
+        names = ["frames", "reconstruct"]
+        _, failures = cli.execute(base_config(analyses=names, enforce=names), None)
+        assert failures == [] and len(calls) == 1
 
     def test_only_the_fd_stencils_skip_row_exact_sums(self, forward_calls, forward_y_calls,
                                                       monkeypatch, tmp_path):

@@ -65,7 +65,8 @@ class TestFrameResidual:
     def test_factory_bank_residuals_tiny(self):
         for skip in (False, True):
             spec, bank = make_frame_pair(kappa=2, skip=skip, seed=9)
-            for entry in frames.frame_residual(spec, bank, 1.0):
+            mats = netbuild.realize(spec, bank)
+            for entry in frames.frame_residual(spec, bank, mats, 1.0):
                 for key, value in entry.items():
                     if key != "layer":
                         assert value <= 1e-10, (skip, entry)
@@ -73,7 +74,7 @@ class TestFrameResidual:
     def test_random_bank_reports_without_error(self):
         spec = make_spec(kappa=2, m=6)
         bank = netbuild.random_bank(spec, seed=5)
-        report = frames.frame_residual(spec, bank, 1.0)
+        report = frames.frame_residual(spec, bank, netbuild.realize(spec, bank), 1.0)
         assert len(report) == 2
         assert max(e["layer_identity_residual"] for e in report) > 1e-3
 
@@ -85,7 +86,7 @@ class TestFrameResidual:
         one = np.ones((1, 1, 1))
         bank = netbuild.LayerBank(enc_filters=(one,), dec_filters=(one.copy(),),
                                   pool=(np.eye(4),), unpool=(np.eye(4),))
-        entry = frames.frame_residual(spec, bank, 1.0)[0]
+        entry = frames.frame_residual(spec, bank, netbuild.realize(spec, bank), 1.0)[0]
         assert entry["pooling_residual"] == 0.0
         assert entry["filter_residual"] == 0.0
         assert entry["layer_identity_residual"] == 0.0
