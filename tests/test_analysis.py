@@ -1116,20 +1116,25 @@ class TestCertifiedRadius:
     @staticmethod
     def screen_net(net, rng):
         """A net of the screen tests, its operators and its draws; "edge" is
-        the d_0 = 64 frame-bank net of the benchmark's verify-d64, bank 0."""
+        the d_0 = 64 frame-bank net of the benchmark's verify-d64, bank 0, and
+        "unequal" nets have a different m at each level, so each stage's
+        units end at another offset of the bit row."""
         if net == "edge":
             spec, bank = make_frame_pair(kappa=2, m=64, skip=True, nonlinearity="relu",
                                          seed=derive(1234, "bank"))
             X = rng.standard_normal((128, spec.d[0]))
         else:
-            skip, nonlinearity = net
-            spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity)
+            skip, nonlinearity, unequal_m = net
+            spec = make_spec(kappa=2, m=5, skip=skip, nonlinearity=nonlinearity,
+                             m_list=[5, 4, 6] if unequal_m else None)
             bank = netbuild.random_bank(spec, seed=3)
             X = rng.standard_normal((200, spec.d[0]))
         return spec, netbuild.realize(spec, bank), X
 
-    NETS = [*(pytest.param((skip, nonlinearity), id=f"{skip}-{nonlinearity}")
-              for skip in (False, True) for nonlinearity in netbuild.NONLINEARITIES), "edge"]
+    NETS = [*(pytest.param((skip, nonlinearity, unequal_m),
+                           id=f"{skip}-{nonlinearity}" + ("-unequal" if unequal_m else ""))
+              for unequal_m in (False, True) for skip in (False, True)
+              for nonlinearity in netbuild.NONLINEARITIES), "edge"]
 
     @staticmethod
     def trace_pres(spec, trace) -> list:
